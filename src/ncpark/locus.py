@@ -142,7 +142,7 @@ def bc_phi(space: parkspace.ParkSpace, p: parkspace.ParkClass) -> LocusPoint:
     k = space.k
     kh = 2 * n * k
     lp = space.labeled_pair(p)
-    ops = setpart.openers(lp.partition)
+    ops = space.chain_picture(p.chain).openers
     coords = [ZERO] * n
     for b, opener in ops.items():
         e = opener_to_exponent(opener, k * n)
@@ -176,7 +176,7 @@ def bc_psi(space: parkspace.ParkSpace, pt: LocusPoint) -> parkspace.ParkClass:
         labels[zero] = tuple(
             s * (i + 1) for i, v in enumerate(pt.coords) if v is ZERO for s in (1, -1)
         )
-    ops = setpart.openers(pi)
+    ops = space.picture_of(pi).openers
     for b, opener in ops.items():
         j = abs(opener)
         sign = 1 if opener > 0 else -1
@@ -247,33 +247,54 @@ def close_parens(n: int, k: int, mult: dict[int, int]) -> setpart.SetPartition:
 
 
 def verify_bc_bijection(spec: GroupSpec, k: int) -> list[dict]:
-    """Mutual inversion and equivariance of the type BC pair, exhaustively."""
+    """Mutual inversion and equivariance of the type BC pair, exhaustively.
+
+    A failing row carries a witness: two colliding classes or the size
+    mismatch (bijection), a point psi does not send back (mutual_inverse),
+    or a class, generator and the two disagreeing images (equivariance).
+    """
     space = parkspace.build_park(spec, k)
     pts = build_locus(spec, k)
     report = []
     images = {}
     for p in space.classes():
         images[p] = bc_phi(space, p)
-    ok_bij = len(set(images.values())) == len(pts) == len(images)
-    report.append({"check": "bijection", "pass": ok_bij})
+    row = {"check": "bijection", "pass": len(set(images.values())) == len(pts) == len(images)}
+    if not row["pass"]:
+        first: dict[LocusPoint, parkspace.ParkClass] = {}
+        for p, pt in images.items():
+            if pt in first:
+                row["witness"] = {
+                    "classes": [space.class_record(first[pt]), space.class_record(p)],
+                    "point": pt.to_json(),
+                }
+                break
+            first[pt] = p
+        else:
+            row["witness"] = {"classes": len(images), "points": len(pts)}
+    report.append(row)
     bad_inv = [pt for p, pt in images.items() if bc_psi(space, pt) != p]
     row = {"check": "mutual_inverse", "pass": not bad_inv}
     if bad_inv:
         row["witness"] = bad_inv[0].to_json()
     report.append(row)
     gens = list(space.group.reflections()[:2]) + [space.group.coxeter_element()]
-    ok_eq = True
+    row = {"check": "equivariance", "pass": True}
     for p, pt in images.items():
-        if images[space.act_g(p)] != locus_act_g(pt):
-            ok_eq = False
+        moves = [("g", space.act_g(p), locus_act_g(pt))]
+        moves += [(repr(v), space.act_w(v, p), locus_act_w(spec, v, pt)) for v in gens]
+        bad = next((m for m in moves if images[m[1]] != m[2]), None)
+        if bad is not None:
+            gen, q, want = bad
+            row["pass"] = False
+            row["witness"] = {
+                "class": space.class_record(p),
+                "generator": gen,
+                "park_image": images[q].to_json(),
+                "locus_image": want.to_json(),
+            }
             break
-        for v in gens:
-            if images[space.act_w(v, p)] != locus_act_w(spec, v, pt):
-                ok_eq = False
-                break
-        if not ok_eq:
-            break
-    report.append({"check": "equivariance", "pass": ok_eq})
+    report.append(row)
     return report
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .reflgroup import (
     DEFAULT_CAP,
@@ -35,6 +36,38 @@ class ParkClass:
         return f"ParkClass(rep={self.rep!r}, chain={self.chain!r})"
 
 
+class ChainPicture:
+    """What the disc picture of a class takes from its chain alone.
+
+    Holds the chain as set partitions and, from first use on, pi = nabla
+    of the chain (pulled back to +-[kn] in type B), the map from blocks of
+    pi to blocks of the first entry, and the openers of pi (type B).
+    """
+
+    def __init__(self, chain: tuple, parts: tuple[setpart.SetPartition, ...]):
+        self.chain = chain
+        self.parts = parts
+
+    @cached_property
+    def _nabla(self) -> tuple[setpart.SetPartition, dict]:
+        if self.parts[0].signed:
+            return setpart.bc_nabla_picture(self.parts)
+        pi = setpart.nabla(self.parts)
+        return pi, setpart.nabla_block_map(pi, self.parts[0], len(self.parts))
+
+    @property
+    def pi(self) -> setpart.SetPartition:
+        return self._nabla[0]
+
+    @property
+    def block_map(self) -> dict:
+        return self._nabla[1]
+
+    @cached_property
+    def openers(self) -> dict:
+        return setpart.openers(self.pi)
+
+
 class ParkSpace:
     """Park^NC for one (group, k), with cached action tables."""
 
@@ -56,6 +89,7 @@ class ParkSpace:
         self._classes = None
         self._index = None
         self._garr = None
+        self._pictures: dict[tuple, ChainPicture] = {}
         self._nabla_inv = None
 
     # -- canonicalization ----------------------------------------------------
@@ -85,10 +119,6 @@ class ParkSpace:
             self._classes = sorted(out)
             self._index = {p: i for i, p in enumerate(self._classes)}
         return self._classes
-
-    def class_index(self, p: ParkClass) -> int:
-        self.classes()
-        return self._index[p]
 
     # -- the two actions -------------------------------------------------------
 
@@ -194,46 +224,46 @@ class ParkSpace:
 
     # -- labeled pictures and type A models ---------------------------------------
 
+    def chain_picture(self, chain: tuple) -> ChainPicture:
+        """The per-chain cache entry: built once per chain, shared by every
+        class over that chain.  Two threads that race on a new chain each
+        build an equal entry, and the later one replaces the first."""
+        pic = self._pictures.get(chain)
+        if pic is None:
+            signed = self.spec.family != "A"
+            parts = tuple(
+                setpart.SetPartition.of(self.spec.param, self.nc.flat_of[w].blocks, signed=signed)
+                for w in chain
+            )
+            pic = self._pictures[chain] = ChainPicture(chain, parts)
+        return pic
+
     def chain_partitions(self, chain: tuple) -> tuple[setpart.SetPartition, ...]:
-        signed = self.spec.family != "A"
-        return tuple(
-            setpart.SetPartition.of(self.spec.param, self.nc.flat_of[w].blocks, signed=signed)
-            for w in chain
-        )
+        return self.chain_picture(chain).parts
 
     def labeled_pair(self, p: ParkClass) -> setpart.LabeledPartition:
-        """The block-labeled k-divisible disc picture of a class (types A, B)."""
-        fam = self.spec.family
-        parts = self.chain_partitions(p.chain)
-        if fam == "A":
-            pi = setpart.nabla(parts)
-            bmap = setpart.nabla_block_map(pi, parts[0], self.k)
-            labels = {b: tuple(p.rep(x) for x in src) for b, src in bmap.items()}
-            return setpart.LabeledPartition.of(pi, labels)
-        if fam == "B":
-            labels = {b: tuple(p.rep(x) for x in b) for b in parts[0].blocks}
-            return setpart.bc_nabla(parts, labels)
-        raise ValueError(f"no labeled disc picture for family {fam}")
+        """The block-labeled k-divisible disc picture of a class (types A, B):
+        each block of nabla(chain) is labeled by the image under the
+        representative of the first-entry block it restricts to."""
+        if self.spec.family not in ("A", "B"):
+            raise ValueError(f"no labeled disc picture for family {self.spec.family}")
+        pic = self.chain_picture(p.chain)
+        labels = {b: tuple(p.rep(x) for x in src) for b, src in pic.block_map.items()}
+        return setpart.LabeledPartition.of(pic.pi, labels)
 
     def from_labeled_pair(self, lp: setpart.LabeledPartition) -> ParkClass:
         """Inverse of labeled_pair: invert nabla for the chain, then read a
         representative off the label sets."""
-        chain = self._nabla_index()[lp.partition]
+        chain = self.picture_of(lp.partition).chain
         return self.make_class(chain, rep_from_labels(self, chain, lp))
+
+    def picture_of(self, pi: setpart.SetPartition) -> ChainPicture:
+        """The cache entry of the chain whose nabla is pi."""
+        return self.chain_picture(self._nabla_index()[pi])
 
     def _nabla_index(self) -> dict:
         if self._nabla_inv is None:
-            fam = self.spec.family
-            n = self.spec.param
-            inv = {}
-            for ch in self.chains:
-                parts = self.chain_partitions(ch)
-                if fam == "A":
-                    inv[setpart.nabla(parts)] = ch
-                else:
-                    line = tuple(setpart.to_line_partition(q) for q in parts)
-                    inv[setpart.from_line_partition(setpart.nabla(line), self.k * n)] = ch
-            self._nabla_inv = inv
+            self._nabla_inv = {self.chain_picture(ch).pi: ch for ch in self.chains}
         return self._nabla_inv
 
     def to_classical(self, p: ParkClass) -> tuple[int, ...]:
@@ -271,30 +301,18 @@ def build_park(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> ParkSpace:
 
 def rep_from_labels(space: ParkSpace, chain: tuple, lp: setpart.LabeledPartition):
     """Some group element sending each first-flat block to its label set."""
-    fam = space.spec.family
-    n = space.spec.param
-    parts = space.chain_partitions(chain)
-    img = [0] * n
-    if fam == "A":
-        bmap = setpart.nabla_block_map(lp.partition, parts[0], space.k)
-        for b, src in bmap.items():
-            for s, t in zip(sorted(src), sorted(lp.label_of(b))):
-                img[s - 1] = t
-        return SignedPerm(tuple(img))
-    if fam != "B":
+    if space.spec.family not in ("A", "B"):
         raise ValueError("labeled pictures exist for types A and B only")
-    line = tuple(setpart.to_line_partition(q) for q in parts)
-    bmap = setpart.nabla_block_map(setpart.nabla(line), line[0], space.k)
-    for b_line, src_line in bmap.items():
-        b = tuple(sorted(setpart.line_to_signed(x, space.k * n) for x in b_line))
-        src = sorted(setpart.line_to_signed(x, n) for x in src_line)
+    img = [0] * space.spec.param
+    for b, src in space.chain_picture(chain).block_map.items():
         lab = sorted(lp.label_of(b))
         if frozenset(src) == frozenset(-x for x in src):
-            # zero block: send positive members to one label per +- pair
+            # type B zero block: send positive members to one label per +- pair
             for s, t in zip([x for x in src if x > 0], sorted({abs(t) for t in lab})):
                 img[s - 1] = t
         else:
-            # ascending-to-ascending is mirror consistent across the pair -B
+            # ascending-to-ascending (src is sorted) is mirror consistent
+            # across the type B pair -B
             for s, t in zip(src, lab):
                 if s > 0:
                     img[s - 1] = t

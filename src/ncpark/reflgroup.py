@@ -367,29 +367,6 @@ def partition_refines(p: tuple[tuple[int, ...], ...], q: tuple[tuple[int, ...], 
     return all(len({where[x] for x in b}) == 1 for b in p)
 
 
-def merge_partitions(ground, partitions) -> tuple[tuple[int, ...], ...]:
-    """Finest common coarsening (join in refinement order) via union-find."""
-    parent = {x: x for x in ground}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for part in partitions:
-        for b in part:
-            b = list(b)
-            for x in b[1:]:
-                rx, r0 = find(x), find(b[0])
-                if rx != r0:
-                    parent[rx] = r0
-    groups: dict[int, list[int]] = {}
-    for x in ground:
-        groups.setdefault(find(x), []).append(x)
-    return canonical_blocks(groups.values())
-
-
 # ---------------------------------------------------------------------------
 # the group object
 

@@ -146,39 +146,22 @@ def kreweras(p: SetPartition) -> SetPartition:
     """The Kreweras complement on the primed positions 1',1,2',2,...,n',n.
 
     Primed position i' immediately precedes i on the clockwise circle; the
-    complement is the finest-hull maximal partition of the primes avoiding
-    the blocks of p.
+    complement is the coarsest partition of the primes whose hulls avoid
+    the blocks of p.  In permutation form its blocks are the cycles of
+    x -> c(omega(p)^-1(x)) with c = (1 2 ... n): the standard pi^-1 c,
+    conjugated by c to put i' just before i.
     """
     if p.signed:
         raise ValueError("kreweras is defined on [n] partitions")
     if not is_noncrossing(p):
         raise ValueError(f"input is not noncrossing: {p!r}")
     n = p.n
-    # circle positions: prime i at 2(i-1), unprimed i at 2(i-1)+1
-    unprimed = {i: 2 * (i - 1) + 1 for i in range(1, n + 1)}
-
-    def separated(i, j, block) -> bool:
-        lo, hi = sorted((2 * (i - 1), 2 * (j - 1)))
-        ins = any(lo < unprimed[x] < hi for x in block)
-        out = any(not lo < unprimed[x] < hi for x in block)
-        return ins and out
-
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if not any(separated(i, j, b) for b in p.blocks):
-                parent[find(j)] = find(i)
-    groups: dict[int, list[int]] = {}
-    for i in range(1, n + 1):
-        groups.setdefault(find(i), []).append(i)
-    return SetPartition.of(n, groups.values())
+    # omega(p) cycles each block in increasing order; image[x - 1] = c(omega^-1(x))
+    image = [0] * n
+    for b in p.blocks:
+        for a, x in zip(b, b[1:] + b[:1]):
+            image[x - 1] = a % n + 1
+    return SetPartition.of(n, SignedPerm(tuple(image)).cycles())
 
 
 def rotate_partition(p: SetPartition, step: int = 1) -> SetPartition:
@@ -282,11 +265,6 @@ def nabla(chain: tuple[SetPartition, ...]) -> SetPartition:
     if any(len(b) % k for b in out.blocks):
         raise RuntimeError("nabla output is not k-divisible (logic error)")
     return out
-
-
-def nabla_restriction_positions(n: int, k: int) -> list[int]:
-    """The positions {1, k+1, ..., (n-1)k+1} carrying the first chain entry."""
-    return [(i - 1) * k + 1 for i in range(1, n + 1)]
 
 
 def nabla_block_map(pi: SetPartition, first: SetPartition, k: int) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -490,12 +468,12 @@ class LabeledPartition:
         return f"Labeled({self.partition!r}; {bits})"
 
 
-def bc_nabla(chain: tuple[SetPartition, ...], labels: dict) -> LabeledPartition:
-    """Labeled nabla for centrally symmetric chains on +-[n].
+def bc_nabla_picture(chain: tuple[SetPartition, ...]) -> tuple[SetPartition, dict]:
+    """nabla for a centrally symmetric chain on +-[n], with its block map.
 
     The chain is pushed through the +-[n] = [2n] identification, nabla is
-    applied there, and the result is pulled back; labels on the blocks of
-    the first chain entry transfer along the restriction isomorphism.
+    applied there, and the result is pulled back to +-[kn].  The map sends
+    each block of the result to the block of chain[0] it restricts to.
     """
     n = chain[0].n
     k = len(chain)
@@ -507,14 +485,20 @@ def bc_nabla(chain: tuple[SetPartition, ...], labels: dict) -> LabeledPartition:
     pi = from_line_partition(pi_line, k * n)
     if not pi.is_centrally_symmetric():
         raise RuntimeError("central symmetry lost under nabla (logic error)")
-    block_map = nabla_block_map(pi_line, line_chain[0], k)
+    block_map = {}
+    for b, src in nabla_block_map(pi_line, line_chain[0], k).items():
+        signed_b = tuple(sorted(line_to_signed(x, k * n) for x in b))
+        block_map[signed_b] = tuple(sorted(line_to_signed(x, n) for x in src))
+    return pi, block_map
+
+
+def bc_nabla(chain: tuple[SetPartition, ...], labels: dict) -> LabeledPartition:
+    """Labeled nabla for centrally symmetric chains on +-[n]: labels on the
+    blocks of the first chain entry transfer along the block map of
+    bc_nabla_picture."""
+    pi, block_map = bc_nabla_picture(chain)
     label_in = {tuple(sorted(b)): tuple(sorted(l)) for b, l in labels.items()}
-    out_labels = {}
-    for b_line, b_first_line in block_map.items():
-        b = tuple(sorted(line_to_signed(x, k * n) for x in b_line))
-        b_first = tuple(sorted(line_to_signed(x, n) for x in b_first_line))
-        out_labels[b] = label_in[b_first]
-    return LabeledPartition.of(pi, out_labels)
+    return LabeledPartition.of(pi, {b: label_in[src] for b, src in block_map.items()})
 
 
 def openers(p: SetPartition) -> dict[tuple[int, ...], int]:

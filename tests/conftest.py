@@ -1,5 +1,7 @@
 """Shared oracles for the test suite."""
 
+from ncpark.setpart import SetPartition, is_noncrossing
+
 
 def fuss(spec, k):
     """Product formula count prod (kh + d_i)/d_i, exactly."""
@@ -71,3 +73,44 @@ def acts_as_minus_one(g, flat, w):
         else:
             out[-j - 1] -= vec[i - 1]
     return out == [-x for x in vec]
+
+
+def merge_partitions(ground, partitions):
+    """Finest common coarsening (join in refinement order) via union-find."""
+    parent = {x: x for x in ground}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for part in partitions:
+        for b in part:
+            for x in b[1:]:
+                parent[find(x)] = find(b[0])
+    groups = {}
+    for x in ground:
+        groups.setdefault(find(x), []).append(x)
+    return tuple(sorted(tuple(sorted(b)) for b in groups.values()))
+
+
+def kreweras_by_separation(p):
+    """Kreweras complement from its definition: primes i' and j' share a
+    block unless some block of p has members on both sides of the chord
+    i'j' (circle positions: i' at 2(i-1), i at 2(i-1)+1)."""
+    assert not p.signed and is_noncrossing(p)
+    n = p.n
+
+    def separated(i, j, block):
+        lo, hi = 2 * (i - 1), 2 * (j - 1)
+        inside = [lo < 2 * (x - 1) + 1 < hi for x in block]
+        return any(inside) and not all(inside)
+
+    joins = [
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if not any(separated(i, j, b) for b in p.blocks)
+    ]
+    return SetPartition.of(n, merge_partitions(range(1, n + 1), [joins]))

@@ -1,5 +1,6 @@
 import pytest
 
+from ncpark import locus, setpart
 from ncpark.locus import (
     ZERO,
     LocusPoint,
@@ -149,6 +150,68 @@ def test_bc_bijection_b2(k):
 def test_bc_bijection_b3(k):
     report = verify_bc_bijection(GroupSpec("B", 3), k)
     assert all(r["pass"] for r in report)
+
+
+def test_one_nabla_per_chain(monkeypatch):
+    calls = []
+    real_nabla = setpart.nabla
+
+    def counting_nabla(chain):
+        calls.append(chain)
+        return real_nabla(chain)
+
+    monkeypatch.setattr(setpart, "nabla", counting_nabla)
+    assert all(r["pass"] for r in verify_bc_bijection(GroupSpec("B", 2), 2))
+    assert len(calls) == len(set(calls)) == len(build_park(GroupSpec("B", 2), 2).chains)
+    calls.clear()
+    space = build_park(GroupSpec("A", 4), 2)
+    for p in space.classes():
+        space.to_classical(p)
+    assert len(calls) == len(set(calls)) == len(space.chains)
+
+
+def test_bc_equivariance_failure_has_witness(monkeypatch):
+    # swap the images of two classes one g-step apart: still a bijection,
+    # and bc_psi is patched to invert the swapped map, but not equivariant
+    spec = GroupSpec("B", 2)
+    space = build_park(spec, 1)
+    real_phi = locus.bc_phi
+    a = next(p for p in space.classes() if space.act_g(space.act_g(p)) != p)
+    pa, pb = real_phi(space, a), real_phi(space, space.act_g(a))
+    swap = {pa: pb, pb: pa}
+
+    def swapped_phi(sp, p):
+        pt = real_phi(sp, p)
+        return swap.get(pt, pt)
+
+    inverse = {swapped_phi(space, p): p for p in space.classes()}
+    monkeypatch.setattr(locus, "bc_phi", swapped_phi)
+    monkeypatch.setattr(locus, "bc_psi", lambda sp, pt: inverse[pt])
+    rows = {r["check"]: r for r in verify_bc_bijection(spec, 1)}
+    assert rows["bijection"] == {"check": "bijection", "pass": True}
+    assert rows["mutual_inverse"] == {"check": "mutual_inverse", "pass": True}
+    eq = rows["equivariance"]
+    assert eq["pass"] is False
+    w = eq["witness"]
+    gens = list(space.group.reflections()[:2]) + [space.group.coxeter_element()]
+    assert w["generator"] in ["g"] + [repr(v) for v in gens]
+    assert w["park_image"] != w["locus_image"]
+    assert w["class"] in [space.class_record(p) for p in space.classes()]
+
+
+def test_bc_bijection_failure_names_colliding_classes(monkeypatch):
+    spec = GroupSpec("B", 2)
+    real_phi = locus.bc_phi
+    space = build_park(spec, 1)
+    a, b = space.classes()[:2]
+    target = real_phi(space, a)
+    monkeypatch.setattr(locus, "bc_phi", lambda sp, p: target if p == b else real_phi(sp, p))
+    row = verify_bc_bijection(spec, 1)[0]
+    assert row["pass"] is False
+    assert row["witness"] == {
+        "classes": [space.class_record(a), space.class_record(b)],
+        "point": target.to_json(),
+    }
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import acts_as_minus_one, bfs_reflection_length
+from conftest import acts_as_minus_one, bfs_reflection_length, merge_partitions
 
 from ncpark.reflgroup import (
     CapExceeded,
@@ -11,7 +11,6 @@ from ncpark.reflgroup import (
     balanced_cycle,
     group,
     identity_perm,
-    merge_partitions,
     paired_cycle,
     perm_from_cycles,
 )

@@ -2,6 +2,7 @@ from collections import Counter
 from math import prod
 
 import pytest
+from conftest import kreweras_by_separation
 
 from ncpark.reflgroup import balanced_cycle, identity_perm, paired_cycle, perm_from_cycles
 from ncpark.setpart import (
@@ -86,6 +87,12 @@ def test_kreweras_bijection_and_square(n):
         # K^2 is clockwise rotation by one step
         assert kreweras(q) == rotate_partition(p, 1)
     assert len(seen) == sum(1 for _ in all_noncrossing_partitions(n))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kreweras_matches_separation_oracle(n):
+    for p in all_noncrossing_partitions(n):
+        assert kreweras(p) == kreweras_by_separation(p)
 
 
 def test_omega_pi():
