@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .reflgroup import DEFAULT_CAP, CapExceeded, GroupSpec, group
 from . import locus, nonnesting, parkspace, qcatalan
@@ -56,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=int(os.environ.get("NCPARK_CAP", DEFAULT_CAP)),
             help="enumeration cap (env NCPARK_CAP)",
         )
-        p.add_argument("--threads", type=int, default=1, help="sweep parallelism")
         if name == "verify-bijection":
             p.add_argument("--kind", choices=["bc", "dihedral"], required=True)
     return ap
@@ -73,21 +71,19 @@ def parse_spec(args) -> GroupSpec:
     return GroupSpec(args.family, param)
 
 
-def parse_d_filter(text, kh: int):
+def parse_d_filter(text, kh: int) -> range:
+    """--d as a nonempty range of powers inside [0, kh): d or d0:d1."""
     if text is None:
         return range(kh)
     if ":" in text:
         lo, hi = text.split(":")
-        return range(int(lo), int(hi))
-    d = int(text)
-    return range(d, d + 1)
-
-
-def parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
+        out = range(int(lo), int(hi))
+    else:
+        d = int(text)
+        out = range(d, d + 1)
+    if not out or out.start < 0 or out.stop > kh:
+        raise ValueError(f"--d {text} is not a nonempty range inside [0, {kh})")
+    return out
 
 
 def run(args) -> int:
@@ -104,7 +100,7 @@ def run(args) -> int:
         "k": k,
     }
     records: list[dict] = []
-    d_filter = list(parse_d_filter(args.d, kh))
+    d_filter = parse_d_filter(args.d, kh)
 
     if args.command == "enumerate":
         space = parkspace.build_park(spec, k, cap=args.cap)
@@ -122,7 +118,7 @@ def run(args) -> int:
         )
     elif args.command == "verify-weak":
         space = parkspace.build_park(spec, k, cap=args.cap)
-        for row in space.verify_weak(threads=args.threads):
+        for row in space.verify_weak():
             if row["d"] in d_filter:
                 records.append({**base, **row})
         _summarize(records, base)
@@ -189,7 +185,7 @@ def run(args) -> int:
             }
         )
         space = parkspace.build_park(spec, k, cap=args.cap)
-        images = parallel_map(space.to_classical, space.classes(), args.threads)
+        images = [space.to_classical(p) for p in space.classes()]
         ok = len(set(images)) == len(images) and set(images) == classical
         records.append(
             {

@@ -89,6 +89,43 @@ def locus_act_g(p: LocusPoint, d: int = 1) -> LocusPoint:
     return LocusPoint(kh, tuple(v if v is ZERO else (v + d) % kh for v in p.coords))
 
 
+def locus_w_table(spec: GroupSpec, order: int, w) -> list[int]:
+    """locus_act_w(spec, w, -) on build_locus positions.  w sends each
+    coordinate to one coordinate, shifting a nonzero exponent by a fixed
+    amount; these moves mirror locus_act_w."""
+    if spec.family == "I2":
+        a = diagonal_twist(spec, order) * w.j
+        moves = [(1, -a), (0, a)] if w.refl else [(0, a), (1, -a)]
+    else:
+        moves = []
+        for i in range(1, spec.rank + 1):
+            j = w(i)
+            moves.append((j - 1, 0) if j > 0 else (-j - 1, order // 2))
+    return _digit_table(order, moves)
+
+
+def locus_g_table(spec: GroupSpec, order: int) -> list[int]:
+    """locus_act_g on build_locus positions."""
+    return _digit_table(order, [(i, 1) for i in range(spec.rank)])
+
+
+def _digit_table(order: int, moves: list[tuple[int, int]]) -> list[int]:
+    """Positions of the images of all points when coordinate i goes to
+    coordinate moves[i][0] with its nonzero exponent shifted by moves[i][1].
+
+    build_locus lists points in itertools.product order, so a point's
+    position is its digits in base order+1 (ZERO -> 0, exponent e -> e+1),
+    the first coordinate most significant."""
+    n = len(moves)
+    base = order + 1
+    out = [0]
+    for target, shift in moves:
+        weight = base ** (n - 1 - target)
+        digit = [0] + [((e + shift) % order + 1) * weight for e in range(order)]
+        out = [a + b for a in out for b in digit]
+    return out
+
+
 def locus_fixed_count(spec: GroupSpec, k: int, v, d: int) -> int:
     pts = build_locus(spec, k)
     return sum(1 for p in pts if locus_act_w(spec, v, locus_act_g(p, d)) == p)
@@ -413,22 +450,15 @@ def verify_intermediate_character(spec: GroupSpec, k: int) -> list[dict]:
     """Locus and parking fixed counts against (kh+1)^mult, all classes x d."""
     space = parkspace.build_park(spec, k)
     grp = space.group
-    kh = k * spec.coxeter_number
-    pts = build_locus(spec, k)
-    index = {p: i for i, p in enumerate(pts)}
-    garr = [index[locus_act_g(p)] for p in pts]
-    report = []
+    kh = locus_order(spec, k)
+    garr = locus_g_table(spec, kh)
     park_garr = space.g_table()
+    report = []
     for v in grp.conjugacy_class_reps():
-        varr = [index[locus_act_w(spec, v, p)] for p in pts]
-        pvarr = space.w_table(v)
-        power = list(range(len(pts)))
-        ppower = list(range(len(pvarr)))
-        for d in range(kh):
-            locus_fixed = sum(1 for i in range(len(pts)) if varr[power[i]] == i)
-            park_fixed = sum(1 for i in range(len(pvarr)) if pvarr[ppower[i]] == i)
-            mult = grp.eigenvalue_multiplicity(v, d, kh)
-            expected = (kh + 1) ** mult
+        locus_counts = parkspace.fixed_counts(garr, locus_w_table(spec, kh, v), kh)
+        park_counts = parkspace.fixed_counts(park_garr, space.w_table(v), kh)
+        for d, (locus_fixed, park_fixed) in enumerate(zip(locus_counts, park_counts)):
+            expected = (kh + 1) ** grp.eigenvalue_multiplicity(v, d, kh)
             report.append(
                 {
                     "v": repr(v),
@@ -439,6 +469,4 @@ def verify_intermediate_character(spec: GroupSpec, k: int) -> list[dict]:
                     "pass": locus_fixed == park_fixed == expected,
                 }
             )
-            power = [garr[x] for x in power]
-            ppower = [park_garr[x] for x in ppower]
     return report

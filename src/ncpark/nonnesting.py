@@ -242,40 +242,6 @@ def count_geometric(spec: GroupSpec, k: int) -> int:
 # the finite torus
 
 
-def simple_root_matrices(spec: GroupSpec) -> list[list[list[int]]]:
-    """Integer matrices of the simple reflections on the root lattice."""
-    poset = build_root_poset(spec)
-    n = spec.rank
-    simples = [r for r in poset.roots if sum(r) == 1]
-    simples.sort(key=lambda r: r.index(1))
-    grp = group(spec.family, spec.param)
-    refls = _simple_reflections(spec)
-    ambient_simples = [_to_ambient(spec, s) for s in simples]
-    mats = []
-    for w in refls:
-        cols = []
-        for a in ambient_simples:
-            img = _act_ambient(spec, w, a)
-            cols.append(_ambient_to_simple(spec, img, ambient_simples))
-        mats.append([[cols[j][i] for j in range(n)] for i in range(n)])
-    return mats
-
-
-def _simple_reflections(spec: GroupSpec):
-    from .reflgroup import balanced_cycle, paired_cycle, perm_from_cycles
-
-    f, p = spec.family, spec.param
-    if f == "A":
-        return [perm_from_cycles(p, (i, i + 1)) for i in range(1, p)]
-    if f == "B":
-        return [paired_cycle(p, (i, i + 1)) for i in range(1, p)] + [balanced_cycle(p, (p,))]
-    if f == "D":
-        return [paired_cycle(p, (i, i + 1)) for i in range(1, p)] + [
-            paired_cycle(p, (p - 1, -p))
-        ]
-    raise ValueError("crystallographic families only")
-
-
 def _to_ambient(spec: GroupSpec, simple_index_vector) -> tuple[Fraction, ...]:
     n_amb = spec.param
     amb_simples = _ambient_simple_roots(spec)

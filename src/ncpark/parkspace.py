@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import eq
 
 from .reflgroup import (
     DEFAULT_CAP,
@@ -83,41 +84,61 @@ class ParkSpace:
         self.nc = ncw.build_nc(self.group)
         self.c = self.nc.c
         self.chains = self.nc.multichains(k)
-        self.chain_index = {ch: i for i, ch in enumerate(self.chains)}
-        self._canon: dict[FlatPartition, dict] = {}
+        self._elements = self.group.elements()
+        self._idx = {w: i for i, w in enumerate(self._elements)}
+        self._cosets: dict[FlatPartition, tuple[list[int], list[int]]] = {}
+        self._offsets = None
         self._gchain: dict[tuple, tuple] = {}
         self._classes = None
-        self._index = None
         self._garr = None
         self._pictures: dict[tuple, ChainPicture] = {}
         self._nabla_inv = None
 
     # -- canonicalization ----------------------------------------------------
 
-    def _canon_map(self, flat: FlatPartition) -> dict:
-        if flat not in self._canon:
+    def _coset_arrays(self, flat: FlatPartition) -> tuple[list[int], list[int]]:
+        """(reps, arr) for the cosets w W_X of the isotropy group of a flat,
+        over the indices of group.elements(): reps holds the coset minima,
+        ascending, and arr[i] is the position in reps of element i's coset."""
+        found = self._cosets.get(flat)
+        if found is None:
+            els, idx = self._elements, self._idx
             iso = self.group.isotropy_elements(flat)
-            canon = {}
-            for w in self.group.elements():
-                if w in canon:
-                    continue
-                for h in iso:
-                    canon[w * h] = w
-            self._canon[flat] = canon
-        return self._canon[flat]
+            arr = [-1] * len(els)
+            reps: list[int] = []
+            for i, w in enumerate(els):
+                if arr[i] < 0:
+                    pos = len(reps)
+                    reps.append(i)
+                    for h in iso:
+                        arr[idx[w * h]] = pos
+            found = self._cosets[flat] = (reps, arr)
+        return found
+
+    def _chain_offsets(self) -> dict[tuple, int]:
+        """Where each chain's block starts in classes().  Classes sort by
+        (chain, rep), so every chain owns one contiguous block, in sorted
+        chain order, listing the coset minima of its first flat."""
+        if self._offsets is None:
+            offsets, pos = {}, 0
+            for ch in sorted(self.chains):
+                offsets[ch] = pos
+                pos += len(self._coset_arrays(self.nc.flat_of[ch[0]])[0])
+            self._offsets = offsets
+        return self._offsets
 
     def make_class(self, chain: tuple, w) -> ParkClass:
-        flat = self.nc.flat_of[chain[0]]
-        return ParkClass(chain, self._canon_map(flat)[w])
+        reps, arr = self._coset_arrays(self.nc.flat_of[chain[0]])
+        return ParkClass(chain, self._elements[reps[arr[self._idx[w]]]])
 
     def classes(self) -> list[ParkClass]:
         if self._classes is None:
-            out = []
-            for ch in self.chains:
-                canon = self._canon_map(self.nc.flat_of[ch[0]])
-                out.extend(ParkClass(ch, r) for r in set(canon.values()))
-            self._classes = sorted(out)
-            self._index = {p: i for i, p in enumerate(self._classes)}
+            els = self._elements
+            self._classes = [
+                ParkClass(ch, els[r])
+                for ch in self._chain_offsets()
+                for r in self._coset_arrays(self.nc.flat_of[ch[0]])[0]
+            ]
         return self._classes
 
     # -- the two actions -------------------------------------------------------
@@ -142,45 +163,64 @@ class ParkSpace:
     # -- action tables and characters -----------------------------------------
 
     def g_table(self) -> list[int]:
-        """Permutation of class indices induced by the cyclic generator."""
+        """Permutation of class indices induced by the cyclic generator.
+
+        The class [r, ch] goes to [r t, g ch] with t = u_k c^-1, so each
+        chain block maps into the block of g ch through one right
+        multiplication array per t, filled only at the coset minima read."""
         if self._garr is None:
-            classes = self.classes()
-            self._garr = [self._index[self.act_g(p)] for p in classes]
+            els, idx, flat_of = self._elements, self._idx, self.nc.flat_of
+            offsets = self._chain_offsets()
+            c_inv = self.c.inverse()
+            right: dict = {}
+            out: list[int] = []
+            for ch in offsets:
+                reps = self._coset_arrays(flat_of[ch[0]])[0]
+                gch = self._g_chain(ch)
+                arr = self._coset_arrays(flat_of[gch[0]])[1]
+                t = ch[-1] * c_inv
+                rm = right.get(t)
+                if rm is None:
+                    rm = right[t] = [-1] * len(els)
+                for r in reps:
+                    if rm[r] < 0:
+                        rm[r] = idx[els[r] * t]
+                off = offsets[gch]
+                out += [off + arr[rm[r]] for r in reps]
+            self._garr = out
         return self._garr
 
     def w_table(self, v) -> list[int]:
-        classes = self.classes()
-        return [self._index[self.act_w(v, p)] for p in classes]
+        """Permutation of class indices induced by v: the chain stays, and
+        one left multiplication array gives each flat's coset permutation."""
+        idx, flat_of = self._idx, self.nc.flat_of
+        lm = [idx[v * w] for w in self._elements]
+        perms: dict[FlatPartition, list[int]] = {}
+        out: list[int] = []
+        for ch, off in self._chain_offsets().items():
+            flat = flat_of[ch[0]]
+            perm = perms.get(flat)
+            if perm is None:
+                reps, arr = self._coset_arrays(flat)
+                perm = perms[flat] = [arr[lm[r]] for r in reps]
+            out += [off + x for x in perm]
+        return out
 
     def fixed_count(self, v, d: int) -> int:
         kh = self.k * self.spec.coxeter_number
         if not 0 <= d < kh:
             raise ValueError(f"d = {d} outside [0, {kh})")
-        garr = self.g_table()
-        varr = self.w_table(v)
-        power = list(range(len(varr)))
-        for _ in range(d):
-            power = [garr[x] for x in power]
-        return sum(1 for i in range(len(varr)) if varr[power[i]] == i)
+        return fixed_counts(self.g_table(), self.w_table(v), d + 1)[d]
 
-    def verify_weak(self, threads: int = 1) -> list[dict]:
+    def verify_weak(self) -> list[dict]:
         """Fixed counts against (kh+1)^mult for one element per conjugacy
-        class and every power of the cyclic generator.
-
-        The per-class sweeps are independent; threads > 1 runs them through
-        a pool (the caches are prebuilt, so workers only read).
-        """
+        class and every power of the cyclic generator."""
         kh = self.k * self.spec.coxeter_number
         garr = self.g_table()
-
-        def sweep(v):
-            varr = self.w_table(v)
-            power = list(range(len(varr)))
-            rows = []
-            for d in range(kh):
-                count = sum(1 for i in range(len(varr)) if varr[power[i]] == i)
-                mult = self.group.eigenvalue_multiplicity(v, d, kh)
-                expected = (kh + 1) ** mult
+        rows = []
+        for v in self.group.conjugacy_class_reps():
+            for d, count in enumerate(fixed_counts(garr, self.w_table(v), kh)):
+                expected = (kh + 1) ** self.group.eigenvalue_multiplicity(v, d, kh)
                 rows.append(
                     {
                         "v": repr(v),
@@ -190,18 +230,7 @@ class ParkSpace:
                         "pass": count == expected,
                     }
                 )
-                power = [garr[x] for x in power]
-            return rows
-
-        reps = self.group.conjugacy_class_reps()
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                chunks = list(pool.map(sweep, reps))
-        else:
-            chunks = [sweep(v) for v in reps]
-        return [row for chunk in chunks for row in chunk]
+        return rows
 
     # -- orbit structure ---------------------------------------------------------
 
@@ -226,8 +255,7 @@ class ParkSpace:
 
     def chain_picture(self, chain: tuple) -> ChainPicture:
         """The per-chain cache entry: built once per chain, shared by every
-        class over that chain.  Two threads that race on a new chain each
-        build an equal entry, and the later one replaces the first."""
+        class over that chain."""
         pic = self._pictures.get(chain)
         if pic is None:
             signed = self.spec.family != "A"
@@ -297,6 +325,22 @@ class ParkSpace:
 
 def build_park(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> ParkSpace:
     return ParkSpace(spec, k, cap)
+
+
+def fixed_counts(garr: list[int], varr, steps: int) -> list[int]:
+    """#{i : varr[garr^d(i)] == i} for d = 0, ..., steps - 1: the fixed
+    points of (v, g^d) from the tables of v and of the cyclic generator.
+
+    Counts the fixed points of the conjugate permutation garr^d after
+    varr, which needs one composition per step."""
+    ident = range(len(garr))
+    power = varr
+    counts = []
+    for d in range(steps):
+        if d:
+            power = list(map(garr.__getitem__, power))
+        counts.append(sum(map(eq, power, ident)))
+    return counts
 
 
 def rep_from_labels(space: ParkSpace, chain: tuple, lp: setpart.LabeledPartition):

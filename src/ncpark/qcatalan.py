@@ -12,6 +12,7 @@ from functools import lru_cache
 
 from .reflgroup import GroupSpec, gcd_int, group
 from . import ncw
+from .parkspace import fixed_counts
 
 
 @dataclass(frozen=True)
@@ -170,16 +171,21 @@ def eval_at_root(p: IntPoly, m: int, d: int) -> CycloInt:
     return CycloInt.from_poly(IntPoly.of(folded), mp)
 
 
-def chain_orbit_sizes(spec: GroupSpec, k: int) -> list[int]:
-    """Sizes of the g-orbits on the k-multichains of NC(W)."""
+def chain_g_table(spec: GroupSpec, k: int) -> list[int]:
+    """The cyclic generator as a permutation of the k-multichains' indices."""
     grp = group(spec.family, spec.param)
     nc = ncw.build_nc(grp)
     chains = nc.multichains(k)
     index = {ch: i for i, ch in enumerate(chains)}
-    garr = [index[ncw.g_act_chain(ch, grp, nc.c)] for ch in chains]
-    seen = [False] * len(chains)
+    return [index[ncw.g_act_chain(ch, grp, nc.c)] for ch in chains]
+
+
+def chain_orbit_sizes(spec: GroupSpec, k: int) -> list[int]:
+    """Sizes of the g-orbits on the k-multichains of NC(W)."""
+    garr = chain_g_table(spec, k)
+    seen = [False] * len(garr)
     sizes = []
-    for i in range(len(chains)):
+    for i in range(len(garr)):
         if seen[i]:
             continue
         size = 0
@@ -194,18 +200,8 @@ def chain_orbit_sizes(spec: GroupSpec, k: int) -> list[int]:
 
 def fixed_chain_counts(spec: GroupSpec, k: int) -> list[int]:
     """Number of k-multichains fixed by g^d, for d = 0, ..., kh-1."""
-    grp = group(spec.family, spec.param)
-    nc = ncw.build_nc(grp)
-    chains = nc.multichains(k)
-    index = {ch: i for i, ch in enumerate(chains)}
-    garr = [index[ncw.g_act_chain(ch, grp, nc.c)] for ch in chains]
-    kh = k * spec.coxeter_number
-    counts = []
-    power = list(range(len(chains)))
-    for _ in range(kh):
-        counts.append(sum(1 for i, j in enumerate(power) if i == j))
-        power = [garr[x] for x in power]
-    return counts
+    garr = chain_g_table(spec, k)
+    return fixed_counts(garr, range(len(garr)), k * spec.coxeter_number)
 
 
 def verify_csp(spec: GroupSpec, k: int) -> list[dict]:

@@ -48,7 +48,8 @@ class SignedPerm:
 
     def __mul__(self, other: "SignedPerm") -> "SignedPerm":
         # function composition: (u*v)(i) = u(v(i))
-        return SignedPerm(tuple(self(other.images[i]) for i in range(len(self.images))))
+        u = self.images
+        return SignedPerm(tuple([u[j - 1] if j > 0 else -u[-j - 1] for j in other.images]))
 
     def inverse(self) -> "SignedPerm":
         img = [0] * len(self.images)
@@ -72,12 +73,13 @@ class SignedPerm:
         cycle starts at its element of smallest absolute value (positive
         preferred), and cycles are sorted by that starting element.
         """
-        ground = list(range(1, self.n + 1))
-        if not self.is_positive():
-            ground += [-i for i in range(1, self.n + 1)]
+        if self.is_positive():
+            ground = range(1, self.n + 1)
+        else:
+            ground = [x for i in range(1, self.n + 1) for x in (i, -i)]
         seen: set[int] = set()
         out = []
-        for start in sorted(ground, key=lambda x: (abs(x), x < 0)):
+        for start in ground:
             if start in seen:
                 continue
             cyc = [start]
@@ -99,7 +101,9 @@ class SignedPerm:
         """
         balanced, paired = [], []
         seen: set[frozenset] = set()
-        for cyc in self.full_cycles():
+        # an unsigned w yields only its cycles on [n]; their mirrors, the
+        # rest of the decomposition on +-[n], would be skipped below anyway
+        for cyc in self.cycles():
             supp = frozenset(cyc)
             if supp in seen:
                 continue
@@ -111,23 +115,6 @@ class SignedPerm:
                 seen.add(supp)
                 seen.add(frozenset(-x for x in supp))
         return balanced, paired
-
-    def full_cycles(self) -> list[tuple[int, ...]]:
-        """Cycle decomposition on all of +-[n], even for unsigned w."""
-        seen: set[int] = set()
-        out = []
-        for start in sorted(range(1, self.n + 1)) + sorted(-i for i in range(1, self.n + 1)):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            j = self(start)
-            while j != start:
-                cyc.append(j)
-                seen.add(j)
-                j = self(j)
-            out.append(tuple(cyc))
-        return out
 
     def order(self) -> int:
         k, w = 1, self

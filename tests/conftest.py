@@ -2,6 +2,22 @@
 
 from ncpark.setpart import SetPartition, is_noncrossing
 
+MAIN_GRID = (
+    [("A", n) for n in (2, 3, 4)]
+    + [("B", n) for n in (2, 3)]
+    + [("D", 3)]
+    + [("I2", m) for m in range(3, 9)]
+)
+
+KS = (1, 2, 3)
+
+
+def table_oracle(items, act):
+    """An action table by brute force: the position in items of act(x),
+    for each x in items."""
+    position = {x: i for i, x in enumerate(items)}
+    return [position[act(x)] for x in items]
+
 
 def fuss(spec, k):
     """Product formula count prod (kh + d_i)/d_i, exactly."""

@@ -8,7 +8,7 @@ import random
 import time
 from collections import Counter
 
-from conftest import acts_as_minus_one, fuss
+from conftest import KS, MAIN_GRID, acts_as_minus_one, fuss
 
 from ncpark import ncw, qcatalan, setpart
 from ncpark.locus import (
@@ -28,15 +28,6 @@ from ncpark.parkspace import (
 )
 from ncpark.reflgroup import GroupSpec, balanced_cycle, group, paired_cycle, perm_from_cycles
 from ncpark.setpart import LabeledPartition, SetPartition, bc_nabla, parse_partition
-
-MAIN_GRID = (
-    [("A", n) for n in (2, 3, 4)]
-    + [("B", n) for n in (2, 3)]
-    + [("D", 3)]
-    + [("I2", m) for m in range(3, 9)]
-)
-
-KS = (1, 2, 3)
 
 
 def report(name, ok, detail=""):

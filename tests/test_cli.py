@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ncpark.cli import EXIT_CAP, EXIT_CONFIG, EXIT_OK, main
 
 
@@ -81,11 +83,19 @@ def test_d_filter(tmp_path):
     assert {r["d"] for r in lines if "d" in r} == {0, 1}
 
 
-def test_threads_flag(tmp_path):
-    code, lines = run_cli(
-        ["classical-park", "--family", "A", "--rank", "2", "--k", "1", "--threads", "4"], tmp_path
-    )
-    assert code == EXIT_OK
+@pytest.mark.parametrize("d", ["5:3", "2:2", "99", "3", "-1", "0:4"])
+def test_d_filter_rejects_empty_or_out_of_range(d, tmp_path):
+    # A2 k=1 has kh = 3: an empty range or a d outside [0, 3) checks nothing
+    out = tmp_path / "out.jsonl"
+    args = ["verify-weak", "--family", "A", "--rank", "2", "--k", "1", "--d", d, "--out", str(out)]
+    assert main(args) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_threads_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["classical-park", "--family", "A", "--rank", "2", "--k", "1", "--threads", "4"])
+    assert exc.value.code == EXIT_CONFIG
 
 
 def test_deterministic_output(tmp_path):

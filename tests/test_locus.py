@@ -1,4 +1,5 @@
 import pytest
+from conftest import KS, MAIN_GRID, table_oracle
 
 from ncpark import locus, setpart
 from ncpark.locus import (
@@ -12,7 +13,10 @@ from ncpark.locus import (
     locus_act_g,
     locus_act_w,
     locus_fixed_count,
+    locus_g_table,
+    locus_order,
     locus_stabilizer,
+    locus_w_table,
     park_stabilizer,
     point_dimension,
     verify_bc_bijection,
@@ -254,6 +258,17 @@ def test_intermediate_character(spec, kmax):
     for k in range(1, kmax + 1):
         report = verify_intermediate_character(spec, k)
         assert all(r["pass"] for r in report)
+
+
+@pytest.mark.parametrize("fam,p", [fp for fp in MAIN_GRID if fp[0] != "A"])
+@pytest.mark.parametrize("k", KS)
+def test_locus_tables_match_point_actions(fam, p, k):
+    spec = GroupSpec(fam, p)
+    kh = locus_order(spec, k)
+    pts = build_locus(spec, k)
+    assert locus_g_table(spec, kh) == table_oracle(pts, locus_act_g)
+    for v in group(fam, p).conjugacy_class_reps():
+        assert locus_w_table(spec, kh, v) == table_oracle(pts, lambda q: locus_act_w(spec, v, q))
 
 
 def test_locus_point_json():

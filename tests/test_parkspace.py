@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from conftest import KS, MAIN_GRID, table_oracle
 
 from ncpark import ncw, setpart
 from ncpark.parkspace import (
@@ -179,8 +180,18 @@ def test_d3_matches_a3():
 
 def test_weak_identity_rank_four():
     for fam in ("B", "D"):
-        report = build_park(GroupSpec(fam, 4), 1).verify_weak(threads=2)
+        report = build_park(GroupSpec(fam, 4), 1).verify_weak()
         assert all(r["pass"] for r in report)
+
+
+@pytest.mark.parametrize("fam,p", MAIN_GRID)
+@pytest.mark.parametrize("k", KS)
+def test_action_tables_match_class_actions(fam, p, k):
+    ps = build_park(GroupSpec(fam, p), k)
+    classes = ps.classes()
+    assert ps.g_table() == table_oracle(classes, ps.act_g)
+    for v in ps.group.conjugacy_class_reps():
+        assert ps.w_table(v) == table_oracle(classes, lambda q: ps.act_w(v, q))
 
 
 def test_classical_park_predicate():
