@@ -34,6 +34,9 @@ COMMANDS = (
     "classical-park",
 )
 
+# the sweeps over cyclic powers, the only commands that read --d
+D_COMMANDS = ("verify-weak", "verify-csp", "verify-intermediate")
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -47,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rank", type=int, help="Coxeter label: A_r is S_{r+1}, B_r, D_r")
         p.add_argument("--m", type=int, help="m for I2(m)")
         p.add_argument("--k", type=int, default=1, help="Fuss parameter")
-        p.add_argument("--d", type=str, default=None, help="restrict to d or d0:d1")
+        if name in D_COMMANDS:
+            p.add_argument("--d", type=str, default=None, help="restrict to d or d0:d1")
         p.add_argument("--out", type=str, default="-", help="output path or -")
         p.add_argument(
             "--cap",
@@ -100,7 +104,7 @@ def run(args) -> int:
         "k": k,
     }
     records: list[dict] = []
-    d_filter = parse_d_filter(args.d, kh)
+    d_filter = parse_d_filter(args.d, kh) if args.command in D_COMMANDS else None
 
     if args.command == "enumerate":
         space = parkspace.build_park(spec, k, cap=args.cap)
@@ -161,12 +165,12 @@ def run(args) -> int:
             )
         _summarize(records, base)
     elif args.command == "nonnesting-count":
-        expected = len(ncw_chains(spec, k))
+        expected = len(ncw_chains(spec, k, args.cap))
         actual = nonnesting.count_geometric(spec, k)
         records.append({**base, "expected": expected, "actual": actual, "pass": expected == actual})
         _summarize(records, base)
     elif args.command == "torus-character":
-        for row in nonnesting.verify_nn_character(spec, k):
+        for row in nonnesting.verify_nn_character(spec, k, args.cap):
             records.append({**base, **row})
         _summarize(records, base)
     elif args.command == "classical-park":
@@ -200,10 +204,10 @@ def run(args) -> int:
     return emit(records, args.out)
 
 
-def ncw_chains(spec: GroupSpec, k: int):
+def ncw_chains(spec: GroupSpec, k: int, cap: int):
     from . import ncw
 
-    return ncw.build_nc(group(spec.family, spec.param)).multichains(k)
+    return ncw.build_nc(group(spec.family, spec.param, cap)).multichains(k)
 
 
 def _summarize(records: list[dict], base: dict):

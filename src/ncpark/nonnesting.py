@@ -8,10 +8,10 @@ is componentwise comparison and filter sums are exact vector sums.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .reflgroup import DEFAULT_CAP, CapExceeded, GroupSpec, group
+from .reflgroup import DEFAULT_CAP, GroupSpec, group
 from .setpart import SetPartition
 
 
@@ -32,23 +32,23 @@ class RootPoset:
         return tops[0]
 
     def filters(self) -> list[frozenset]:
-        """All up-closed subsets, smallest first."""
-        out = []
-        roots = self.roots
-        for bits in itertools.product((0, 1), repeat=len(roots)):
-            chosen = frozenset(r for r, b in zip(roots, bits) if b)
-            if all(
-                (b in chosen) for a in chosen for b in roots if self.leq(a, b)
-            ):
-                out.append(chosen)
-        return sorted(out, key=lambda f: (len(f), sorted(f)))
+        """All up-closed subsets, smallest first.
 
-    def antichains(self) -> list[frozenset]:
-        out = []
-        for f in self.filters():
-            mins = frozenset(a for a in f if not any(self.leq(b, a) and b != a for b in f))
-            out.append(mins)
-        return out
+        Roots join one at a time, highest first, and a root may join a
+        filter only when every root above it is already in. Each partial
+        set is then a filter of the whole poset, so the search makes
+        O(#filters * |roots|) steps.
+        """
+        roots = self.roots
+        order = sorted(range(len(roots)), key=lambda i: -sum(roots[i]))
+        found = [0]
+        for i in order:
+            above = sum(
+                1 << j for j, b in enumerate(roots) if j != i and self.leq(roots[i], b)
+            )
+            found += [f | 1 << i for f in found if f & above == above]
+        out = [frozenset(r for j, r in enumerate(roots) if f >> j & 1) for f in found]
+        return sorted(out, key=lambda f: (len(f), sorted(f)))
 
 
 def build_root_poset(spec: GroupSpec, long_roots: bool = False) -> RootPoset:
@@ -68,27 +68,11 @@ def build_root_poset(spec: GroupSpec, long_roots: bool = False) -> RootPoset:
                 for t in range(i, j):
                     v[t - 1] += 1
                 roots.append(tuple(v))
-    elif f == "B" and not long_roots:
-        # simples e1-e2, ..., e_{n-1}-e_n, e_n
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                minus = [0] * n
-                for t in range(i, j):
-                    minus[t - 1] += 1
-                roots.append(tuple(minus))
-                plus = list(minus)
-                for t in range(j, n):
-                    plus[t - 1] += 2
-                plus[n - 1] += 2
-                roots.append(tuple(plus))
-        for i in range(1, n + 1):
-            v = [0] * n
-            for t in range(i, n):
-                v[t - 1] += 1
-            v[n - 1] += 1
-            roots.append(tuple(v))
     elif f == "B":
-        # type C: simples e1-e2, ..., e_{n-1}-e_n, 2e_n
+        # simples e1-e2, ..., e_{n-1}-e_n, then e_n (type B) or 2e_n (type C)
+        # e_i + e_j ends in 2 alpha_n (B) or alpha_n (C); e_i (B) or 2e_i (C)
+        # is alpha_i + ... + alpha_n, with alpha_i..alpha_{n-1} doubled in C
+        pair_tail, single_run = (1, 2) if long_roots else (2, 1)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 minus = [0] * n
@@ -98,12 +82,12 @@ def build_root_poset(spec: GroupSpec, long_roots: bool = False) -> RootPoset:
                 plus = list(minus)
                 for t in range(j, n):
                     plus[t - 1] += 2
-                plus[n - 1] += 1
+                plus[n - 1] += pair_tail
                 roots.append(tuple(plus))
         for i in range(1, n + 1):
             v = [0] * n
             for t in range(i, n):
-                v[t - 1] += 2
+                v[t - 1] += single_run
             v[n - 1] += 1
             roots.append(tuple(v))
     elif f == "D":
@@ -242,45 +226,25 @@ def count_geometric(spec: GroupSpec, k: int) -> int:
 # the finite torus
 
 
-def _to_ambient(spec: GroupSpec, simple_index_vector) -> tuple[Fraction, ...]:
-    n_amb = spec.param
-    amb_simples = _ambient_simple_roots(spec)
-    out = [Fraction(0)] * n_amb
-    for coeff, root in zip(simple_index_vector, amb_simples):
-        for i, x in enumerate(root):
-            out[i] += coeff * x
-    return tuple(out)
-
-
-def _ambient_simple_roots(spec: GroupSpec):
+def _ambient_simple_roots(spec: GroupSpec) -> list[tuple[int, ...]]:
+    """e_i - e_{i+1}, then e_n (type B) or e_{n-1} + e_n (type D)."""
     f, p = spec.family, spec.param
     out = []
-    if f == "A":
-        for i in range(p - 1):
-            v = [0] * p
-            v[i], v[i + 1] = 1, -1
-            out.append(tuple(v))
-    elif f == "B":
-        for i in range(p - 1):
-            v = [0] * p
-            v[i], v[i + 1] = 1, -1
-            out.append(tuple(v))
+    for i in range(p - 1):
+        v = [0] * p
+        v[i], v[i + 1] = 1, -1
+        out.append(tuple(v))
+    if f in ("B", "D"):
         v = [0] * p
         v[p - 1] = 1
-        out.append(tuple(v))
-    elif f == "D":
-        for i in range(p - 1):
-            v = [0] * p
-            v[i], v[i + 1] = 1, -1
-            out.append(tuple(v))
-        v = [0] * p
-        v[p - 2], v[p - 1] = 1, 1
+        if f == "D":
+            v[p - 2] = 1
         out.append(tuple(v))
     return out
 
 
-def _act_ambient(spec: GroupSpec, w, vec):
-    out = [Fraction(0)] * len(vec)
+def _act_ambient(w, vec) -> tuple[int, ...]:
+    out = [0] * len(vec)
     for i, x in enumerate(vec, start=1):
         j = w(i)
         if j > 0:
@@ -290,69 +254,74 @@ def _act_ambient(spec: GroupSpec, w, vec):
     return tuple(out)
 
 
-def _ambient_to_simple(spec: GroupSpec, vec, ambient_simples) -> tuple[int, ...]:
-    """Solve an integer coordinate vector over the ambient simple roots."""
-    n = len(ambient_simples)
-    rows = [[Fraction(ambient_simples[j][i]) for j in range(n)] for i in range(len(vec))]
-    rhs = [Fraction(x) for x in vec]
-    # Gaussian elimination on the (possibly tall) exact system
-    coeffs = [Fraction(0)] * n
-    pivot_rows = []
-    mat = [row[:] + [r] for row, r in zip(rows, rhs)]
-    col = 0
-    for col in range(n):
-        piv = next((r for r in range(len(mat)) if r not in [p for p, _ in pivot_rows] and mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        pivot_rows.append((piv, col))
-        for r in range(len(mat)):
-            if r != piv and mat[r][col] != 0:
-                f = mat[r][col] / mat[piv][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[piv])]
-    for piv, col in pivot_rows:
-        coeffs[col] = mat[piv][n] / mat[piv][col]
-    for r in range(len(mat)):
-        if r not in [p for p, _ in pivot_rows]:
-            if mat[r][n] != 0:
-                raise RuntimeError("vector not in the root lattice span")
-    out = []
-    for x in coeffs:
-        if x.denominator != 1:
+def _ambient_to_simple(spec: GroupSpec, vec) -> tuple[int, ...]:
+    """Simple-root coordinates of an integer ambient vector, by back
+    substitution: against e_i - e_{i+1}, the coordinates are the partial
+    sums s_i of vec. Type A needs s_{n+1} = 0 to be in the span; type D
+    reads its last two coordinates off e_{n-1} -+ e_n as s_n/2 - vec_n and
+    s_n/2, so s_n must be even."""
+    sums = list(itertools.accumulate(vec))
+    n = spec.rank
+    if spec.family == "A":
+        if sums[n] != 0:
+            raise RuntimeError("vector not in the root lattice span")
+        return tuple(sums[:n])
+    if spec.family == "D":
+        half, odd = divmod(sums[n - 1], 2)
+        if odd:
             raise RuntimeError("non-integer root coordinates")
-        out.append(int(x))
-    return tuple(out)
+        sums[n - 2 :] = [half - vec[n - 1], half]
+    return tuple(sums)
 
 
 def torus_matrix(spec: GroupSpec, w) -> list[list[int]]:
     """Matrix of w on the root lattice in simple-root coordinates."""
     n = spec.rank
-    ambient_simples = [_to_ambient(spec, tuple(1 if i == j else 0 for j in range(n))) for i in range(n)]
-    cols = []
-    for a in ambient_simples:
-        img = _act_ambient(spec, w, a)
-        cols.append(_ambient_to_simple(spec, img, ambient_simples))
+    cols = [_ambient_to_simple(spec, _act_ambient(w, a)) for a in _ambient_simple_roots(spec)]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def torus_fixed_count(spec: GroupSpec, k: int, w, cap: int = DEFAULT_CAP) -> int:
-    """Fixed vectors of w on Q/(kh+1)Q by enumeration."""
-    m = k * spec.coxeter_number + 1
-    n = spec.rank
-    if m**n > cap:
-        raise CapExceeded(f"torus size {m**n} exceeds cap {cap}")
-    mat = torus_matrix(spec, w)
-    count = 0
-    for vec in itertools.product(range(m), repeat=n):
-        if all(
-            sum(mat[i][j] * vec[j] for j in range(n)) % m == vec[i] % m for i in range(n)
-        ):
-            count += 1
-    return count
+def fixed_vector_count(mat: list[list[int]], m: int) -> int:
+    """#{x in (Z/m)^n : mat x = x mod m}, for a square integer matrix.
+
+    Unimodular row and column operations bring A = mat - I to a diagonal
+    D = U A V; x -> V^-1 x is a bijection of (Z/m)^n, so the count is the
+    product of gcd(d_i, m), where gcd(0, m) = m."""
+    n = len(mat)
+    a = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(mat)]
+    for t in range(n):
+        while True:
+            # the smallest nonzero entry left is the pivot; reducing by it
+            # leaves remainders smaller than it, so this loop ends
+            entries = [(abs(a[i][j]), i, j) for i in range(t, n) for j in range(t, n) if a[i][j]]
+            if not entries:
+                break
+            _, i, j = min(entries)
+            a[t], a[i] = a[i], a[t]
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            p = a[t][t]
+            for i in range(t + 1, n):
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, n):
+                q = a[t][j] // p
+                for row in a[t:]:
+                    row[j] -= q * row[t]
+            if not any(a[i][t] or a[t][i] for i in range(t + 1, n)):
+                break
+    return math.prod(math.gcd(a[t][t], m) for t in range(n))
 
 
-def verify_nn_character(spec: GroupSpec, k: int) -> list[dict]:
-    """Torus fixed counts against (kh+1)^dim(V^w), per conjugacy class."""
-    grp = group(spec.family, spec.param)
+def torus_fixed_count(spec: GroupSpec, k: int, w) -> int:
+    """Fixed vectors of w on Q/(kh+1)Q."""
+    return fixed_vector_count(torus_matrix(spec, w), k * spec.coxeter_number + 1)
+
+
+def verify_nn_character(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list[dict]:
+    """Torus fixed counts against (kh+1)^dim(V^w), per conjugacy class; the
+    cap bounds |W|."""
+    grp = group(spec.family, spec.param, cap)
     m = k * spec.coxeter_number + 1
     report = []
     for w in grp.conjugacy_class_reps():

@@ -1,5 +1,8 @@
 """Shared oracles for the test suite."""
 
+import itertools
+
+from ncpark.nonnesting import torus_matrix
 from ncpark.setpart import SetPartition, is_noncrossing
 
 MAIN_GRID = (
@@ -130,3 +133,33 @@ def kreweras_by_separation(p):
         if not any(separated(i, j, b) for b in p.blocks)
     ]
     return SetPartition.of(n, merge_partitions(range(1, n + 1), [joins]))
+
+
+def torus_fixed_count_bruteforce(spec, w, m):
+    """Fixed vectors of w on Q/mQ, by checking all m^n vectors."""
+    mat = torus_matrix(spec, w)
+    n = spec.rank
+    return sum(
+        all(sum(mat[i][j] * vec[j] for j in range(n)) % m == vec[i] for i in range(n))
+        for vec in itertools.product(range(m), repeat=n)
+    )
+
+
+def filters_by_subsets(poset):
+    """Every up-closed subset of the roots, from all 2^|roots| subsets,
+    smallest first."""
+    roots = poset.roots
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(roots)):
+        chosen = frozenset(r for r, b in zip(roots, bits) if b)
+        if all(b in chosen for a in chosen for b in roots if poset.leq(a, b)):
+            out.append(chosen)
+    return sorted(out, key=lambda f: (len(f), sorted(f)))
+
+
+def antichains(poset):
+    """The minimal elements of each filter, in filter order."""
+    return [
+        frozenset(a for a in f if not any(poset.leq(b, a) and b != a for b in f))
+        for f in poset.filters()
+    ]

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ncpark.cli import EXIT_CAP, EXIT_CONFIG, EXIT_OK, main
+from ncpark.cli import COMMANDS, D_COMMANDS, EXIT_CAP, EXIT_CONFIG, EXIT_OK, main
 
 
 def run_cli(args, tmp_path, name="out.jsonl"):
@@ -92,6 +92,18 @@ def test_d_filter_rejects_empty_or_out_of_range(d, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c not in D_COMMANDS])
+def test_d_rejected_where_not_read(command, tmp_path):
+    out = tmp_path / "out.jsonl"
+    args = [command, "--family", "A", "--rank", "2", "--k", "1", "--d", "1", "--out", str(out)]
+    if command == "verify-bijection":
+        args += ["--kind", "bc"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_threads_flag():
     with pytest.raises(SystemExit) as exc:
         main(["classical-park", "--family", "A", "--rank", "2", "--k", "1", "--threads", "4"])
@@ -119,6 +131,15 @@ def test_cap_env_var(tmp_path, monkeypatch):
         ["enumerate", "--family", "A", "--rank", "2", "--k", "1", "--cap", "100000", "--out", str(out)]
     )
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["torus-character", "nonnesting-count"])
+def test_cap_bounds_group_order(command, tmp_path):
+    # |B3| = 48: the cap, not a torus size, is what these commands exceed
+    out = tmp_path / "out.jsonl"
+    args = [command, "--family", "B", "--rank", "3", "--k", "1", "--out", str(out)]
+    assert main(args + ["--cap", "10"]) == EXIT_CAP
+    assert main(args + ["--cap", "48"]) == EXIT_OK
 
 
 def test_console_entry_point():

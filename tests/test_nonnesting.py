@@ -1,18 +1,27 @@
 import pytest
 
+from conftest import (
+    KS,
+    MAIN_GRID,
+    antichains,
+    filters_by_subsets,
+    torus_fixed_count_bruteforce,
+)
+from ncpark import nonnesting
 from ncpark.ncw import build_nc
 from ncpark.nonnesting import (
     FilterChain,
     antichain_to_partition,
     build_root_poset,
     count_geometric,
+    fixed_vector_count,
     geometric_chains,
     is_geometric,
     torus_fixed_count,
     torus_matrix,
     verify_nn_character,
 )
-from ncpark.reflgroup import GroupSpec, group, identity_perm, perm_from_cycles
+from ncpark.reflgroup import GroupSpec, SignedPerm, group, identity_perm, perm_from_cycles
 from ncpark.setpart import parse_partition
 
 CRYST = [("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3), ("D", 4)]
@@ -69,7 +78,15 @@ def test_filters_count_is_catalan(fam, p):
     poset = build_root_poset(spec)
     assert len(poset.filters()) == fuss(spec, 1)
     # antichains biject with filters
-    assert len(set(poset.antichains())) == len(poset.filters())
+    assert len(set(antichains(poset))) == len(poset.filters())
+
+
+@pytest.mark.parametrize(
+    "fam,p", [("A", n) for n in (3, 4, 5, 6)] + [("B", n) for n in (2, 3, 4)] + [("D", 4)]
+)
+def test_filters_match_subset_scan(fam, p):
+    poset = build_root_poset(GroupSpec(fam, p))
+    assert poset.filters() == filters_by_subsets(poset)
 
 
 def test_antichain_to_partition():
@@ -147,6 +164,37 @@ def test_torus_fixed_count_examples():
     spec1 = GroupSpec("A", 2)
     for k in (1, 2, 3):
         assert torus_fixed_count(spec1, k, perm_from_cycles(2, (1, 2))) == 1
+
+
+@pytest.mark.parametrize("fam,p", [fp for fp in MAIN_GRID if fp[0] != "I2"])
+@pytest.mark.parametrize("k", KS)
+def test_torus_count_matches_bruteforce(k, fam, p):
+    spec = GroupSpec(fam, p)
+    m = k * spec.coxeter_number + 1
+    for w in group(fam, p).conjugacy_class_reps():
+        assert torus_fixed_count(spec, k, w) == torus_fixed_count_bruteforce(spec, w, m), w
+
+
+def test_torus_count_modulus_sharing_a_factor():
+    # on B2 the rotation 1 -> -2 -> -1 has det(M - I) = 2, so mod 2 it
+    # fixes 2 vectors, where (kh+1)^dim V^w would say 2^0 = 1
+    spec = GroupSpec("B", 2)
+    rot = SignedPerm((-2, 1))
+    mat = torus_matrix(spec, rot)
+    assert fixed_vector_count(mat, 2) == torus_fixed_count_bruteforce(spec, rot, 2) == 2
+    for w in group("B", 2).elements():
+        for m in (2, 3, 4, 6, 8):
+            assert fixed_vector_count(torus_matrix(spec, w), m) == torus_fixed_count_bruteforce(
+                spec, w, m
+            ), (w, m)
+
+
+def test_ambient_to_simple_rejects_vectors_off_the_lattice():
+    with pytest.raises(RuntimeError, match="span"):
+        nonnesting._ambient_to_simple(GroupSpec("A", 3), (1, 0, 0))
+    with pytest.raises(RuntimeError, match="non-integer"):
+        nonnesting._ambient_to_simple(GroupSpec("D", 4), (1, 0, 0, 0))
+    assert nonnesting._ambient_to_simple(GroupSpec("D", 4), (0, 0, 1, 1)) == (0, 0, 0, 1)
 
 
 @pytest.mark.parametrize("fam,p", [("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3)])
