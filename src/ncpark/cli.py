@@ -14,7 +14,7 @@ import os
 import sys
 
 from .reflgroup import DEFAULT_CAP, CapExceeded, GroupSpec, group
-from . import locus, nonnesting, parkspace, qcatalan
+from . import locus, ncw, nonnesting, parkspace, qcatalan
 
 SCHEMA = 1
 
@@ -53,12 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in D_COMMANDS:
             p.add_argument("--d", type=str, default=None, help="restrict to d or d0:d1")
         p.add_argument("--out", type=str, default="-", help="output path or -")
-        p.add_argument(
-            "--cap",
-            type=int,
-            default=int(os.environ.get("NCPARK_CAP", DEFAULT_CAP)),
-            help="enumeration cap (env NCPARK_CAP)",
-        )
+        p.add_argument("--cap", type=int, help="enumeration cap (env NCPARK_CAP)")
         if name == "verify-bijection":
             p.add_argument("--kind", choices=["bc", "dihedral"], required=True)
     return ap
@@ -73,6 +68,17 @@ def parse_spec(args) -> GroupSpec:
         raise ValueError("--rank is required for A/B/D")
     param = args.rank + 1 if args.family == "A" else args.rank
     return GroupSpec(args.family, param)
+
+
+def parse_cap(args) -> int:
+    """--cap if given, else NCPARK_CAP, else DEFAULT_CAP."""
+    if args.cap is not None:
+        return args.cap
+    text = os.environ.get("NCPARK_CAP", str(DEFAULT_CAP))
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"NCPARK_CAP={text!r} is not an integer") from None
 
 
 def parse_d_filter(text, kh: int) -> range:
@@ -96,6 +102,7 @@ def run(args) -> int:
     if k < 1:
         raise ValueError("--k must be >= 1")
     kh = k * spec.coxeter_number
+    cap = parse_cap(args)
     base = {
         "schema": SCHEMA,
         "command": args.command,
@@ -107,7 +114,7 @@ def run(args) -> int:
     d_filter = parse_d_filter(args.d, kh) if args.command in D_COMMANDS else None
 
     if args.command == "enumerate":
-        space = parkspace.build_park(spec, k, cap=args.cap)
+        space = parkspace.build_park(spec, k, cap=cap)
         for p in space.classes():
             records.append({**base, "class": space.class_record(p), "pass": True})
         expected = (kh + 1) ** spec.rank
@@ -121,13 +128,13 @@ def run(args) -> int:
             }
         )
     elif args.command == "verify-weak":
-        space = parkspace.build_park(spec, k, cap=args.cap)
+        space = parkspace.build_park(spec, k, cap=cap)
         for row in space.verify_weak():
             if row["d"] in d_filter:
                 records.append({**base, **row})
         _summarize(records, base)
     elif args.command == "verify-csp":
-        for row in qcatalan.verify_csp(spec, k):
+        for row in qcatalan.verify_csp(spec, k, cap):
             if row["d"] in d_filter:
                 records.append(
                     {
@@ -140,7 +147,7 @@ def run(args) -> int:
                 )
         _summarize(records, base)
     elif args.command == "verify-intermediate":
-        for row in locus.verify_intermediate_character(spec, k):
+        for row in locus.verify_intermediate_character(spec, k, cap):
             if row["d"] in d_filter:
                 records.append({**base, **row})
         _summarize(records, base)
@@ -148,12 +155,12 @@ def run(args) -> int:
         if args.kind == "bc":
             if spec.family != "B":
                 raise ValueError("--kind bc needs --family B")
-            for row in locus.verify_bc_bijection(spec, k):
+            for row in locus.verify_bc_bijection(spec, k, cap):
                 records.append({**base, **row})
         else:
             if spec.family != "I2":
                 raise ValueError("--kind dihedral needs --family I2")
-            fwd = locus.dihedral_bijection(spec.param, k)
+            fwd = locus.dihedral_bijection(spec.param, k, cap)
             records.append(
                 {
                     **base,
@@ -165,12 +172,12 @@ def run(args) -> int:
             )
         _summarize(records, base)
     elif args.command == "nonnesting-count":
-        expected = len(ncw_chains(spec, k, args.cap))
+        expected = len(ncw.build_nc(group(spec.family, spec.param, cap)).multichains(k))
         actual = nonnesting.count_geometric(spec, k)
         records.append({**base, "expected": expected, "actual": actual, "pass": expected == actual})
         _summarize(records, base)
     elif args.command == "torus-character":
-        for row in nonnesting.verify_nn_character(spec, k, args.cap):
+        for row in nonnesting.verify_nn_character(spec, k, cap):
             records.append({**base, **row})
         _summarize(records, base)
     elif args.command == "classical-park":
@@ -188,7 +195,7 @@ def run(args) -> int:
                 "pass": len(classical) == expected,
             }
         )
-        space = parkspace.build_park(spec, k, cap=args.cap)
+        space = parkspace.build_park(spec, k, cap=cap)
         images = [space.to_classical(p) for p in space.classes()]
         ok = len(set(images)) == len(images) and set(images) == classical
         records.append(
@@ -202,12 +209,6 @@ def run(args) -> int:
         )
         _summarize(records, base)
     return emit(records, args.out)
-
-
-def ncw_chains(spec: GroupSpec, k: int, cap: int):
-    from . import ncw
-
-    return ncw.build_nc(group(spec.family, spec.param, cap)).multichains(k)
 
 
 def _summarize(records: list[dict], base: dict):

@@ -283,15 +283,15 @@ def close_parens(n: int, k: int, mult: dict[int, int]) -> setpart.SetPartition:
     return pi
 
 
-def verify_bc_bijection(spec: GroupSpec, k: int) -> list[dict]:
+def verify_bc_bijection(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list[dict]:
     """Mutual inversion and equivariance of the type BC pair, exhaustively.
 
     A failing row carries a witness: two colliding classes or the size
     mismatch (bijection), a point psi does not send back (mutual_inverse),
     or a class, generator and the two disagreeing images (equivariance).
     """
-    space = parkspace.build_park(spec, k)
-    pts = build_locus(spec, k)
+    space = parkspace.build_park(spec, k, cap)
+    pts = build_locus(spec, k, cap)
     report = []
     images = {}
     for p in space.classes():
@@ -365,7 +365,7 @@ def locus_stabilizer(spec: GroupSpec, k: int, pt: LocusPoint) -> set:
     return out
 
 
-def dihedral_bijection(m: int, k: int) -> dict:
+def dihedral_bijection(m: int, k: int, cap: int = DEFAULT_CAP) -> dict:
     """Equivariant bijection Park -> locus for I2(m), built by extending
     seed assignments orbit by orbit and validated along the way.
 
@@ -377,7 +377,7 @@ def dihedral_bijection(m: int, k: int) -> dict:
     and the cyclic generator, and any conflict is an error.
     """
     spec = GroupSpec("I2", m)
-    space = parkspace.build_park(spec, k)
+    space = parkspace.build_park(spec, k, cap)
     grp = space.group
     ident = grp.identity()
     s = DihedralElement(m, True, 0)
@@ -446,9 +446,9 @@ def dihedral_bijection(m: int, k: int) -> dict:
 # character-level verification
 
 
-def verify_intermediate_character(spec: GroupSpec, k: int) -> list[dict]:
+def verify_intermediate_character(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list[dict]:
     """Locus and parking fixed counts against (kh+1)^mult, all classes x d."""
-    space = parkspace.build_park(spec, k)
+    space = parkspace.build_park(spec, k, cap)
     grp = space.group
     kh = locus_order(spec, k)
     garr = locus_g_table(spec, kh)

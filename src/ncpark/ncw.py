@@ -8,54 +8,44 @@ factorization form.
 
 from __future__ import annotations
 
-from .reflgroup import FlatPartition, GroupSpec, ReflectionGroup, group
+from .reflgroup import FlatPartition, ReflectionGroup
 from . import setpart
 
 
 class NCPoset:
-    """The interval [1, c] in absolute order, with the flat dictionary."""
+    """The interval [1, c] in absolute order, with the flat dictionary.
+
+    Below c, u <= v exactly when the fixed flat of u contains that of v
+    (Brady-Watt), so the order is read off the flats by flat_leq.
+    """
 
     def __init__(self, grp: ReflectionGroup):
         self.group = grp
         self.c = grp.coxeter_element()
-        lc = grp.reflection_length(self.c)
-        self.elements = [
-            w
-            for w in grp.elements()
-            if grp.reflection_length(w) + grp.reflection_length(w.inverse() * self.c) == lc
-        ]
-        self.flat_of = {w: grp.fixed_flat(w) for w in self.elements}
+        els = grp.elements()
+        flats = [grp.fixed_flat(w) for w in els]
+        length = {w: grp.rank - x.dim for w, x in zip(els, flats)}
+        lc = length[self.c]
+        self.flat_of = {
+            w: x for w, x in zip(els, flats) if length[w] + length[w.inverse() * self.c] == lc
+        }
+        self.elements = list(self.flat_of)
         if len(set(self.flat_of.values())) != len(self.elements):
             raise RuntimeError("element-to-flat map is not injective on NC(W)")
         self.element_of_flat = {x: w for w, x in self.flat_of.items()}
-        self._leq = {}
-        for u in self.elements:
-            lu = grp.reflection_length(u)
-            ups = [
-                v
-                for v in self.elements
-                if grp.reflection_length(v) == lu + grp.reflection_length(u.inverse() * v)
-            ]
-            self._leq[u] = set(ups)
-
-    def leq(self, u, v) -> bool:
-        return v in self._leq[u]
+        # elements() is sorted, so is each list of the elements above u
+        self._ups = {
+            u: [v for v in self.elements if grp.flat_leq(x, self.flat_of[v])]
+            for u, x in self.flat_of.items()
+        }
 
     def multichains(self, k: int) -> list[tuple]:
-        """All k-multichains (w_1 <= ... <= w_k), in a deterministic order."""
+        """All k-multichains (w_1 <= ... <= w_k), in lexicographic order."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        chains: list[tuple] = []
-
-        def extend(chain):
-            if len(chain) == k:
-                chains.append(tuple(chain))
-                return
-            for v in sorted(self._leq[chain[-1]]):
-                extend(chain + [v])
-
-        for w in sorted(self.elements):
-            extend([w])
+        chains = [(w,) for w in self.elements]
+        for _ in range(k - 1):
+            chains = [ch + (v,) for ch in chains for v in self._ups[ch[-1]]]
         return chains
 
     def noncrossing_flats(self) -> set[FlatPartition]:
@@ -73,10 +63,7 @@ class NCPoset:
         return ok
 
 
-def build_nc(spec_or_group) -> NCPoset:
-    grp = spec_or_group
-    if isinstance(grp, GroupSpec):
-        grp = group(grp.family, grp.param)
+def build_nc(grp: ReflectionGroup) -> NCPoset:
     return NCPoset(grp)
 
 

@@ -155,11 +155,6 @@ class ParkSpace:
             self._gchain[chain] = ncw.g_act_chain(chain, self.group, self.c)
         return self._gchain[chain]
 
-    def act_g_power(self, p: ParkClass, d: int) -> ParkClass:
-        for _ in range(d % (self.k * self.spec.coxeter_number)):
-            p = self.act_g(p)
-        return p
-
     # -- action tables and characters -----------------------------------------
 
     def g_table(self) -> list[int]:

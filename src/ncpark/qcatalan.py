@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .reflgroup import GroupSpec, gcd_int, group
+from .reflgroup import DEFAULT_CAP, GroupSpec, gcd_int, group
 from . import ncw
 from .parkspace import fixed_counts
 
@@ -93,15 +93,6 @@ class IntPoly:
             out = out * x + c
         return out
 
-    def eval_float(self, z: complex) -> complex:
-        out = 0j
-        for c in reversed(self.coeffs):
-            out = out * z + c
-        return out
-
-    def is_palindromic(self) -> bool:
-        return self.coeffs == tuple(reversed(self.coeffs))
-
     def __repr__(self):
         return f"IntPoly{self.coeffs}"
 
@@ -171,9 +162,9 @@ def eval_at_root(p: IntPoly, m: int, d: int) -> CycloInt:
     return CycloInt.from_poly(IntPoly.of(folded), mp)
 
 
-def chain_g_table(spec: GroupSpec, k: int) -> list[int]:
+def chain_g_table(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list[int]:
     """The cyclic generator as a permutation of the k-multichains' indices."""
-    grp = group(spec.family, spec.param)
+    grp = group(spec.family, spec.param, cap)
     nc = ncw.build_nc(grp)
     chains = nc.multichains(k)
     index = {ch: i for i, ch in enumerate(chains)}
@@ -198,18 +189,18 @@ def chain_orbit_sizes(spec: GroupSpec, k: int) -> list[int]:
     return sizes
 
 
-def fixed_chain_counts(spec: GroupSpec, k: int) -> list[int]:
+def fixed_chain_counts(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list[int]:
     """Number of k-multichains fixed by g^d, for d = 0, ..., kh-1."""
-    garr = chain_g_table(spec, k)
+    garr = chain_g_table(spec, k, cap)
     return fixed_counts(garr, range(len(garr)), k * spec.coxeter_number)
 
 
-def verify_csp(spec: GroupSpec, k: int) -> list[dict]:
+def verify_csp(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list[dict]:
     """Check the sieving identity: fixed chains of g^d against the exact
     evaluation of the q-Fuss-Catalan polynomial at omega^d, for every d."""
     kh = k * spec.coxeter_number
     poly = cat_poly(spec, k)
-    counts = fixed_chain_counts(spec, k)
+    counts = fixed_chain_counts(spec, k, cap)
     report = []
     for d in range(kh):
         val = eval_at_root(poly, kh, d)

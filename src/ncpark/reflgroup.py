@@ -470,17 +470,15 @@ class ReflectionGroup:
     def reflection_length(self, w) -> int:
         return self.rank - self.fixed_flat(w).dim
 
-    def absolute_leq(self, u, v) -> bool:
-        lu = self.reflection_length(u)
-        lv = self.reflection_length(v)
-        return lv == lu + self.reflection_length(u.inverse() * v)
-
     def all_flats(self) -> list[FlatPartition]:
         """Every flat of the arrangement, as fixed spaces of group elements."""
         return sorted({self.fixed_flat(w) for w in self.elements()})
 
     def flat_leq(self, x: FlatPartition, y: FlatPartition) -> bool:
-        """Intersection-lattice order by reverse inclusion: x <= y iff x contains y."""
+        """Intersection-lattice order by reverse inclusion: x <= y iff x contains y.
+
+        On the fixed flats of the elements below c this is the absolute
+        order (Brady-Watt); NCPoset orders NC(W) by it."""
         if self.family == "I2":
             if x.kind == "plane" or y.kind == "origin":
                 return True
@@ -507,9 +505,6 @@ class ReflectionGroup:
             return w == self.identity() or w == DihedralElement(x.n, True, x.line)
         if not self.contains(w):
             return False
-        if self.family == "A":
-            where = {i: idx for idx, b in enumerate(x.blocks) for i in b}
-            return all(where[w(i)] == where[i] for i in range(1, x.n + 1))
         zero = x.zero_block() or ()
         where = {i: idx for idx, b in enumerate(x.blocks) for i in b}
         for i in range(1, x.n + 1):
@@ -529,18 +524,7 @@ class ReflectionGroup:
             if x.kind == "line":
                 return sorted([self.identity(), DihedralElement(p, True, x.line)])
             return self.elements()
-        if f == "A":
-            out = [identity_perm(p)]
-            for b in x.blocks:
-                new = []
-                for w in out:
-                    for imgs in itertools.permutations(b):
-                        im = list(w.images)
-                        for src, dst in zip(b, imgs):
-                            im[src - 1] = dst
-                        new.append(SignedPerm(tuple(im)))
-                out = new
-            return sorted(out)
+        # a type A flat has no zero block, and every block counts as a positive pair
         zero = x.zero_block() or ()
         pos_pairs = [b for b in x.blocks if b != zero and min(abs(t) for t in b) in b]
         out = [identity_perm(p)]

@@ -32,6 +32,33 @@ def fuss(spec, k):
     return num // den
 
 
+def absolute_leq(grp, u, v):
+    """The absolute order by its length definition:
+    u <= v iff l(v) = l(u) + l(u^-1 v)."""
+    return grp.reflection_length(v) == grp.reflection_length(u) + grp.reflection_length(
+        u.inverse() * v
+    )
+
+
+def eval_float(poly, z):
+    """An integer polynomial evaluated at a complex number, by Horner."""
+    out = 0j
+    for c in reversed(poly.coeffs):
+        out = out * z + c
+    return out
+
+
+def is_palindromic(poly):
+    return poly.coeffs == tuple(reversed(poly.coeffs))
+
+
+def act_g_power(space, p, d):
+    """g^d applied to a parking class, one act_g step at a time."""
+    for _ in range(d % (space.k * space.spec.coxeter_number)):
+        p = space.act_g(p)
+    return p
+
+
 def bfs_reflection_length(grp, w):
     """Distance from the identity in the Cayley graph on all reflections."""
     refl = grp.reflections()

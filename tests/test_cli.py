@@ -133,13 +133,42 @@ def test_cap_env_var(tmp_path, monkeypatch):
     assert code == EXIT_OK
 
 
-@pytest.mark.parametrize("command", ["torus-character", "nonnesting-count"])
-def test_cap_bounds_group_order(command, tmp_path):
-    # |B3| = 48: the cap, not a torus size, is what these commands exceed
+B3 = ["--family", "B", "--rank", "3", "--k", "1"]
+
+
+@pytest.mark.parametrize(
+    "args,cover",
+    [
+        # |B3| = 48: the cap, not a torus size, is what these two exceed
+        pytest.param(["torus-character"] + B3, 48, id="torus-character"),
+        pytest.param(["nonnesting-count"] + B3, 48, id="nonnesting-count"),
+        # these also build (kh+1)^n classes or points: 7^3 for B3, 9^2 for I2(8)
+        pytest.param(["verify-csp"] + B3, 343, id="verify-csp"),
+        pytest.param(["verify-intermediate"] + B3, 343, id="verify-intermediate"),
+        pytest.param(["verify-bijection", "--kind", "bc"] + B3, 343, id="verify-bijection-bc"),
+        pytest.param(
+            ["verify-bijection", "--kind", "dihedral", "--family", "I2", "--m", "8", "--k", "1"],
+            81,
+            id="verify-bijection-dihedral",
+        ),
+    ],
+)
+def test_cap_bounds_group_order(args, cover, tmp_path):
     out = tmp_path / "out.jsonl"
-    args = [command, "--family", "B", "--rank", "3", "--k", "1", "--out", str(out)]
+    args = args + ["--out", str(out)]
     assert main(args + ["--cap", "10"]) == EXIT_CAP
-    assert main(args + ["--cap", "48"]) == EXIT_OK
+    assert main(args + ["--cap", str(cover)]) == EXIT_OK
+
+
+def test_cap_env_var_must_be_an_integer(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NCPARK_CAP", "abc")
+    out = tmp_path / "out.jsonl"
+    args = ["enumerate", "--family", "A", "--rank", "2", "--out", str(out)]
+    assert main(args) == EXIT_CONFIG
+    assert "configuration error: NCPARK_CAP='abc'" in capsys.readouterr().err
+    assert not out.exists()
+    # an explicit --cap does not read the variable
+    assert main(args + ["--cap", "16"]) == EXIT_OK
 
 
 def test_console_entry_point():

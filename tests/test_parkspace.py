@@ -2,7 +2,7 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import KS, MAIN_GRID, table_oracle
+from conftest import KS, MAIN_GRID, act_g_power, table_oracle
 
 from ncpark import ncw, setpart
 from ncpark.parkspace import (
@@ -98,7 +98,7 @@ def test_g_order_and_kth_power(fam, p, kmax):
         kh = k * ps.spec.coxeter_number
         c = ps.c
         for cls in ps.classes():
-            cur = ps.act_g_power(cls, k)
+            cur = act_g_power(ps, cls, k)
             conj = tuple(c * u * c.inverse() for u in cls.chain)
             assert cur == ps.make_class(conj, cls.rep * c.inverse())
             back = cls

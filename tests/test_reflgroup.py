@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from conftest import acts_as_minus_one, bfs_reflection_length, merge_partitions
+from conftest import MAIN_GRID, absolute_leq, acts_as_minus_one, bfs_reflection_length, merge_partitions
 
+from ncpark.ncw import build_nc
 from ncpark.reflgroup import (
     CapExceeded,
     DihedralElement,
@@ -113,23 +114,23 @@ def test_reflection_length_matches_bfs(fam, p):
 def test_absolute_order_examples():
     g = group("A", 3)
     c = perm_from_cycles(3, (1, 2, 3))
-    assert g.absolute_leq(identity_perm(3), c)
-    assert g.absolute_leq(perm_from_cycles(3, (1, 3)), c)
-    assert not g.absolute_leq(c, perm_from_cycles(3, (1, 3, 2)))
+    assert absolute_leq(g, identity_perm(3), c)
+    assert absolute_leq(g, perm_from_cycles(3, (1, 3)), c)
+    assert not absolute_leq(g, c, perm_from_cycles(3, (1, 3, 2)))
 
 
 def test_absolute_order_vs_flat_containment_below_c():
-    # u, v below a common element: u <= v iff the fixed flat of u contains
-    # the fixed flat of v
-    for fam, p in [("A", 3), ("B", 2), ("I2", 4)]:
+    # u, v below c: u <= v iff the fixed flat of u contains the fixed flat
+    # of v, so the 2-multichains NCPoset builds from flats are exactly the
+    # pairs of the length definition, in lexicographic order
+    for fam, p in MAIN_GRID + [("A", 6), ("B", 4), ("D", 4)]:
         g = group(fam, p)
         c = g.coxeter_element()
-        below = [w for w in g.elements() if g.absolute_leq(w, c)]
-        for u in below:
-            for v in below:
-                lhs = g.absolute_leq(u, v)
-                rhs = g.flat_leq(g.fixed_flat(u), g.fixed_flat(v))
-                assert lhs == rhs
+        below = [w for w in g.elements() if absolute_leq(g, w, c)]
+        flat = {w: g.fixed_flat(w) for w in below}
+        pairs = {(u, v) for u in below for v in below if absolute_leq(g, u, v)}
+        assert pairs == {(u, v) for u in below for v in below if g.flat_leq(flat[u], flat[v])}
+        assert build_nc(g).multichains(2) == sorted(pairs)
 
 
 def test_eigenvalue_multiplicities():
