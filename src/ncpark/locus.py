@@ -17,7 +17,7 @@ from .reflgroup import (
     CapExceeded,
     DihedralElement,
     GroupSpec,
-    group,
+    ReflectionGroup,
 )
 from . import parkspace, setpart
 
@@ -352,14 +352,14 @@ def park_stabilizer(space: parkspace.ParkSpace, cls) -> set:
     return out
 
 
-def locus_stabilizer(spec: GroupSpec, k: int, pt: LocusPoint) -> set:
+def locus_stabilizer(grp: ReflectionGroup, pt: LocusPoint) -> set:
+    """All (v, d) in W x Z_kh fixing the point."""
     kh = pt.order
-    grp = group(spec.family, spec.param)
     out = set()
     cur = pt
     for d in range(kh):
         for v in grp.elements():
-            if locus_act_w(spec, v, cur) == pt:
+            if locus_act_w(grp.spec, v, cur) == pt:
                 out.add((v, d))
         cur = locus_act_g(cur)
     return out
@@ -394,7 +394,7 @@ def dihedral_bijection(m: int, k: int, cap: int = DEFAULT_CAP) -> dict:
         cls = space.make_class(chain_of(word), ident)
         stab = park_stabilizer(space, cls)
         for cand in (LocusPoint(km, coords), LocusPoint(km, coords[::-1])):
-            if locus_stabilizer(spec, k, cand) == stab:
+            if locus_stabilizer(grp, cand) == stab:
                 seeds.append((cls, cand))
                 return
         raise RuntimeError(f"no stabilizer-matching locus point for {word}")
@@ -451,12 +451,12 @@ def verify_intermediate_character(spec: GroupSpec, k: int, cap: int = DEFAULT_CA
     space = parkspace.build_park(spec, k, cap)
     grp = space.group
     kh = locus_order(spec, k)
-    garr = locus_g_table(spec, kh)
-    park_garr = space.g_table()
+    locus_cycles = parkspace.Cycles(locus_g_table(spec, kh))
+    park_cycles = space.g_cycles()
     report = []
     for v in grp.conjugacy_class_reps():
-        locus_counts = parkspace.fixed_counts(garr, locus_w_table(spec, kh, v), kh)
-        park_counts = parkspace.fixed_counts(park_garr, space.w_table(v), kh)
+        locus_counts = parkspace.fixed_counts(locus_cycles, locus_w_table(spec, kh, v), kh)
+        park_counts = parkspace.fixed_counts(park_cycles, space.w_table(v), kh)
         for d, (locus_fixed, park_fixed) in enumerate(zip(locus_counts, park_counts)):
             expected = (kh + 1) ** grp.eigenvalue_multiplicity(v, d, kh)
             report.append(

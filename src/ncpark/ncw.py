@@ -8,6 +8,8 @@ factorization form.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .reflgroup import FlatPartition, ReflectionGroup
 from . import setpart
 
@@ -33,9 +35,15 @@ class NCPoset:
         if len(set(self.flat_of.values())) != len(self.elements):
             raise RuntimeError("element-to-flat map is not injective on NC(W)")
         self.element_of_flat = {x: w for w, x in self.flat_of.items()}
-        # elements() is sorted, so is each list of the elements above u
-        self._ups = {
-            u: [v for v in self.elements if grp.flat_leq(x, self.flat_of[v])]
+
+    @cached_property
+    def _ups(self) -> dict:
+        """The elements above each u, built on first use: |NC|^2 flat_leq
+        tests, which 1-multichains never need.  elements() is sorted, so is
+        each list."""
+        leq = self.group.flat_leq
+        return {
+            u: [v for v, y in self.flat_of.items() if leq(x, y)]
             for u, x in self.flat_of.items()
         }
 

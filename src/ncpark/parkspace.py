@@ -10,9 +10,9 @@ function counts behind the type A character argument live here.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from operator import eq
 
 from .reflgroup import (
     DEFAULT_CAP,
@@ -91,6 +91,7 @@ class ParkSpace:
         self._gchain: dict[tuple, tuple] = {}
         self._classes = None
         self._garr = None
+        self._gcycles = None
         self._pictures: dict[tuple, ChainPicture] = {}
         self._nabla_inv = None
 
@@ -201,20 +202,26 @@ class ParkSpace:
             out += [off + x for x in perm]
         return out
 
+    def g_cycles(self) -> Cycles:
+        """The cycles of g_table(), decomposed once for every v."""
+        if self._gcycles is None:
+            self._gcycles = Cycles(self.g_table())
+        return self._gcycles
+
     def fixed_count(self, v, d: int) -> int:
         kh = self.k * self.spec.coxeter_number
         if not 0 <= d < kh:
             raise ValueError(f"d = {d} outside [0, {kh})")
-        return fixed_counts(self.g_table(), self.w_table(v), d + 1)[d]
+        return fixed_counts(self.g_cycles(), self.w_table(v), d + 1)[d]
 
     def verify_weak(self) -> list[dict]:
         """Fixed counts against (kh+1)^mult for one element per conjugacy
         class and every power of the cyclic generator."""
         kh = self.k * self.spec.coxeter_number
-        garr = self.g_table()
+        cycles = self.g_cycles()
         rows = []
         for v in self.group.conjugacy_class_reps():
-            for d, count in enumerate(fixed_counts(garr, self.w_table(v), kh)):
+            for d, count in enumerate(fixed_counts(cycles, self.w_table(v), kh)):
                 expected = (kh + 1) ** self.group.eigenvalue_multiplicity(v, d, kh)
                 rows.append(
                     {
@@ -322,19 +329,58 @@ def build_park(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> ParkSpace:
     return ParkSpace(spec, k, cap)
 
 
-def fixed_counts(garr: list[int], varr, steps: int) -> list[int]:
-    """#{i : varr[garr^d(i)] == i} for d = 0, ..., steps - 1: the fixed
-    points of (v, g^d) from the tables of v and of the cyclic generator.
+class Cycles:
+    """The cycles of a permutation table, laid out for fixed_counts.
 
-    Counts the fixed points of the conjugate permutation garr^d after
-    varr, which needs one composition per step."""
-    ident = range(len(garr))
-    power = varr
-    counts = []
-    for d in range(steps):
-        if d:
-            power = list(map(garr.__getitem__, power))
-        counts.append(sum(map(eq, power, ident)))
+    `runs` holds, for each cycle length L, the indices on the cycles of
+    that length, cycle by cycle, each cycle walked forward.  coord puts the
+    indices on a line: a cycle of length L takes L consecutive coordinates,
+    in walking order, with L free coordinates on each side of them.  So j
+    lies on i's cycle exactly when |coord[i] - coord[j]| < L, and then
+    table^r(j) = i for r = coord[i] - coord[j] (mod L).
+    """
+
+    def __init__(self, table: list[int]):
+        self.coord = coord = array("q", bytes(8 * len(table)))
+        members: dict[int, array] = {}
+        seen = bytearray(len(table))
+        start = 0
+        for first in range(len(table)):
+            if seen[first]:
+                continue
+            cycle = []
+            i = first
+            while not seen[i]:
+                seen[i] = 1
+                cycle.append(i)
+                i = table[i]
+            length = len(cycle)
+            for pos, j in enumerate(cycle, start + length):
+                coord[j] = pos
+            start += 3 * length
+            members.setdefault(length, array("q")).extend(cycle)
+        self.runs = list(members.items())
+
+
+def fixed_counts(cycles: Cycles, varr, steps: int) -> list[int]:
+    """#{i : g^d(varr[i]) == i} for d = 0, ..., steps - 1, where cycles
+    holds the cycles of the g-table: the fixed points of (v, g^d) from the
+    tables of v and of the cyclic generator.
+
+    i is fixed exactly when varr[i] lies on i's g-cycle, of length L, at
+    r = coord[i] - coord[varr[i]] steps behind i, and d = r (mod L).  So
+    one pass over the indices builds, for each L, the histogram of r."""
+    coord = cycles.coord
+    counts = [0] * steps
+    for length, members in cycles.runs:
+        hist = [0] * length
+        for i in members:
+            r = coord[i] - coord[varr[i]]
+            if -length < r < length:
+                # a negative r indexes hist at r + length, its residue mod length
+                hist[r] += 1
+        for d in range(steps):
+            counts[d] += hist[d % length]
     return counts
 
 

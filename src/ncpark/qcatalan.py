@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .reflgroup import DEFAULT_CAP, GroupSpec, gcd_int, group
 from . import ncw
-from .parkspace import fixed_counts
+from .parkspace import Cycles, fixed_counts
 
 
 @dataclass(frozen=True)
@@ -171,28 +171,10 @@ def chain_g_table(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list[int]:
     return [index[ncw.g_act_chain(ch, grp, nc.c)] for ch in chains]
 
 
-def chain_orbit_sizes(spec: GroupSpec, k: int) -> list[int]:
-    """Sizes of the g-orbits on the k-multichains of NC(W)."""
-    garr = chain_g_table(spec, k)
-    seen = [False] * len(garr)
-    sizes = []
-    for i in range(len(garr)):
-        if seen[i]:
-            continue
-        size = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            size += 1
-            j = garr[j]
-        sizes.append(size)
-    return sizes
-
-
 def fixed_chain_counts(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list[int]:
     """Number of k-multichains fixed by g^d, for d = 0, ..., kh-1."""
     garr = chain_g_table(spec, k, cap)
-    return fixed_counts(garr, range(len(garr)), k * spec.coxeter_number)
+    return fixed_counts(Cycles(garr), range(len(garr)), k * spec.coxeter_number)
 
 
 def verify_csp(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list[dict]:

@@ -365,11 +365,20 @@ def symmetric_kdiv_type(p: SetPartition, k: int, m: int) -> tuple[int, ...] | No
     """
     N = p.n
     step = N // m
-    if any(len(b) % k for b in p.blocks):
-        return None
-    rot = rotate_partition(p, step)
-    if rot != p:
-        return None
+    for b in p.blocks:
+        if len(b) % k:
+            return None
+    # p is m-fold symmetric when the rotation sends each block into one
+    # block; p is valid already, so its raw blocks need no SetPartition
+    owner = [0] * (N + 1)
+    for i, b in enumerate(p.blocks):
+        for x in b:
+            owner[x] = i
+    for b in p.blocks:
+        target = owner[(b[0] - 1 + step) % N + 1]
+        for x in b:
+            if owner[(x - 1 + step) % N + 1] != target:
+                return None
     n = N // k
     mu = [0] * n
     seen = set()

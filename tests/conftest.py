@@ -1,8 +1,10 @@
 """Shared oracles for the test suite."""
 
 import itertools
+from operator import eq
 
 from ncpark.nonnesting import torus_matrix
+from ncpark.qcatalan import chain_g_table
 from ncpark.setpart import SetPartition, is_noncrossing
 
 MAIN_GRID = (
@@ -20,6 +22,38 @@ def table_oracle(items, act):
     for each x in items."""
     position = {x: i for i, x in enumerate(items)}
     return [position[act(x)] for x in items]
+
+
+def fixed_counts_by_powers(garr, varr, steps):
+    """#{i : garr^d(varr[i]) == i} for d = 0, ..., steps - 1, by composing
+    garr onto varr once per step and comparing with the identity."""
+    ident = range(len(garr))
+    power = varr
+    counts = []
+    for d in range(steps):
+        if d:
+            power = list(map(garr.__getitem__, power))
+        counts.append(sum(map(eq, power, ident)))
+    return counts
+
+
+def chain_orbit_sizes(spec, k):
+    """Sizes of the g-orbits on the k-multichains of NC(W), by walking the
+    cycles of the chain g-table."""
+    garr = chain_g_table(spec, k)
+    seen = [False] * len(garr)
+    sizes = []
+    for i in range(len(garr)):
+        if seen[i]:
+            continue
+        size = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            size += 1
+            j = garr[j]
+        sizes.append(size)
+    return sizes
 
 
 def fuss(spec, k):

@@ -244,7 +244,16 @@ def test_dihedral_stabilizer_match():
     chain = (s,) + (c,) * (k - 1)
     cls = space.make_class(chain, ident)
     pt = fwd[cls]
-    assert park_stabilizer(space, cls) == locus_stabilizer(GroupSpec("I2", m), k, pt)
+    assert park_stabilizer(space, cls) == locus_stabilizer(space.group, pt)
+
+
+
+def test_dihedral_bijection_builds_one_group():
+    # group is an lru_cache keyed on its arguments: the locus stabilizers
+    # must use the space's group, not a second one built without the cap
+    group.cache_clear()
+    dihedral_bijection(8, 2, 10**6)
+    assert group.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("spec,kmax", [

@@ -1,14 +1,17 @@
+import itertools
 import random
 from collections import Counter
 
 import pytest
-from conftest import KS, MAIN_GRID, act_g_power, table_oracle
+from conftest import KS, MAIN_GRID, act_g_power, fixed_counts_by_powers, table_oracle
 
 from ncpark import ncw, setpart
 from ncpark.parkspace import (
+    Cycles,
     build_park,
     enumerate_classical,
     equivariant_function_count,
+    fixed_counts,
     is_classical_park,
     permute_sequence,
 )
@@ -192,6 +195,52 @@ def test_action_tables_match_class_actions(fam, p, k):
     assert ps.g_table() == table_oracle(classes, ps.act_g)
     for v in ps.group.conjugacy_class_reps():
         assert ps.w_table(v) == table_oracle(classes, lambda q: ps.act_w(v, q))
+
+
+@pytest.mark.parametrize("fam,p", MAIN_GRID)
+@pytest.mark.parametrize("k", KS)
+def test_fixed_counts_match_powers(fam, p, k):
+    ps = build_park(GroupSpec(fam, p), k)
+    kh = k * ps.spec.coxeter_number
+    garr = ps.g_table()
+    for v in ps.group.conjugacy_class_reps():
+        varr = ps.w_table(v)
+        assert fixed_counts(ps.g_cycles(), varr, kh) == fixed_counts_by_powers(garr, varr, kh)
+
+
+# the cycles (0)(1 2)(3 4 5)
+SMALL_G = [0, 2, 1, 4, 5, 3]
+
+
+def test_fixed_counts_small_tables():
+    cycles = Cycles(SMALL_G)
+    # identity: i counts for every d that its cycle length divides,
+    # so the fixed point 0 of g counts for every d
+    assert fixed_counts(cycles, range(6), 7) == [6, 1, 3, 4, 3, 1, 6]
+    # v swaps 0 and 1, which lie on different g-cycles: neither ever counts
+    assert fixed_counts(cycles, [1, 0, 2, 3, 4, 5], 7) == [4, 0, 1, 3, 1, 0, 4]
+    # v = g on the 3-cycle: g^d(g(i)) = i there exactly when d = 2 mod 3;
+    # steps 2 and 5 stop short of a multiple of the cycle length 3
+    rotated = [0, 1, 2, 4, 5, 3]
+    assert fixed_counts(cycles, rotated, 2) == [3, 1]
+    assert fixed_counts(cycles, rotated, 5) == [3, 1, 6, 1, 3]
+    # the same cycles found longest first: (0 1 2)(3)(4 5)
+    for garr in (SMALL_G, [1, 2, 0, 3, 5, 4]):
+        cycles = Cycles(garr)
+        for varr in itertools.permutations(range(6)):
+            for steps in range(1, 8):
+                assert fixed_counts(cycles, varr, steps) == fixed_counts_by_powers(garr, varr, steps)
+
+
+def test_fixed_count_reads_one_power():
+    # fixed_count(v, d) asks fixed_counts for steps = d + 1
+    ps = build_park(GroupSpec("B", 2), 2)
+    kh = 2 * ps.spec.coxeter_number
+    for v in ps.group.conjugacy_class_reps():
+        expected = fixed_counts_by_powers(ps.g_table(), ps.w_table(v), kh)
+        assert [ps.fixed_count(v, d) for d in range(kh)] == expected
+    with pytest.raises(ValueError):
+        ps.fixed_count(ps.group.identity(), kh)
 
 
 def test_classical_park_predicate():

@@ -2,13 +2,20 @@ import cmath
 import random
 
 import pytest
-from conftest import eval_float, is_palindromic
+from conftest import (
+    KS,
+    MAIN_GRID,
+    chain_orbit_sizes,
+    eval_float,
+    fixed_counts_by_powers,
+    is_palindromic,
+)
 
 from ncpark.qcatalan import (
     CycloInt,
     IntPoly,
     cat_poly,
-    chain_orbit_sizes,
+    chain_g_table,
     cyclotomic,
     eval_at_root,
     fixed_chain_counts,
@@ -138,3 +145,12 @@ def test_orbit_sizes_partition_the_chains():
     kh = 2 * spec.coxeter_number
     for d in range(kh):
         assert counts[d] == sum(s for s in sizes if d % s == 0)
+
+
+@pytest.mark.parametrize("fam,p", MAIN_GRID)
+@pytest.mark.parametrize("k", KS)
+def test_fixed_chain_counts_match_powers(fam, p, k):
+    spec = GroupSpec(fam, p)
+    garr = chain_g_table(spec, k)
+    kh = k * spec.coxeter_number
+    assert fixed_chain_counts(spec, k) == fixed_counts_by_powers(garr, range(len(garr)), kh)

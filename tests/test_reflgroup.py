@@ -119,10 +119,18 @@ def test_absolute_order_examples():
     assert not absolute_leq(g, c, perm_from_cycles(3, (1, 3, 2)))
 
 
-def test_absolute_order_vs_flat_containment_below_c():
+def test_absolute_order_vs_flat_containment_below_c(monkeypatch):
     # u, v below c: u <= v iff the fixed flat of u contains the fixed flat
     # of v, so the 2-multichains NCPoset builds from flats are exactly the
     # pairs of the length definition, in lexicographic order
+    flat_leq = ReflectionGroup.flat_leq
+    calls = []
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return flat_leq(self, x, y)
+
+    monkeypatch.setattr(ReflectionGroup, "flat_leq", counted)
     for fam, p in MAIN_GRID + [("A", 6), ("B", 4), ("D", 4)]:
         g = group(fam, p)
         c = g.coxeter_element()
@@ -130,7 +138,16 @@ def test_absolute_order_vs_flat_containment_below_c():
         flat = {w: g.fixed_flat(w) for w in below}
         pairs = {(u, v) for u in below for v in below if absolute_leq(g, u, v)}
         assert pairs == {(u, v) for u in below for v in below if g.flat_leq(flat[u], flat[v])}
-        assert build_nc(g).multichains(2) == sorted(pairs)
+        # the lists of the elements above each u are built on first use,
+        # once: 1-multichains make no flat_leq call
+        calls.clear()
+        nc = build_nc(g)
+        assert nc.multichains(1) == [(w,) for w in below]
+        assert not calls
+        assert nc.multichains(2) == sorted(pairs)
+        assert len(calls) == len(below) ** 2
+        nc.multichains(3)
+        assert len(calls) == len(below) ** 2
 
 
 def test_eigenvalue_multiplicities():
