@@ -63,22 +63,31 @@ def parse_spec(args) -> GroupSpec:
     if args.family == "I2":
         if args.m is None:
             raise ValueError("--m is required for I2")
+        if args.rank is not None:
+            raise ValueError("--rank is not read for I2; give --m only")
         return GroupSpec("I2", args.m)
     if args.rank is None:
         raise ValueError("--rank is required for A/B/D")
+    if args.m is not None:
+        raise ValueError("--m is read for I2 only")
     param = args.rank + 1 if args.family == "A" else args.rank
     return GroupSpec(args.family, param)
 
 
 def parse_cap(args) -> int:
-    """--cap if given, else NCPARK_CAP, else DEFAULT_CAP."""
+    """--cap if given, else NCPARK_CAP, else DEFAULT_CAP; a positive integer."""
     if args.cap is not None:
-        return args.cap
-    text = os.environ.get("NCPARK_CAP", str(DEFAULT_CAP))
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"NCPARK_CAP={text!r} is not an integer") from None
+        cap, given = args.cap, f"--cap {args.cap}"
+    else:
+        text = os.environ.get("NCPARK_CAP", str(DEFAULT_CAP))
+        given = f"NCPARK_CAP={text!r}"
+        try:
+            cap = int(text)
+        except ValueError:
+            raise ValueError(f"{given} is not an integer") from None
+    if cap < 1:
+        raise ValueError(f"{given} is not a positive integer")
+    return cap
 
 
 def parse_d_filter(text, kh: int) -> range:

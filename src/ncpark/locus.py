@@ -10,6 +10,7 @@ bijection are implemented and validated rather than trusted.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 
 from .reflgroup import (
@@ -17,7 +18,6 @@ from .reflgroup import (
     CapExceeded,
     DihedralElement,
     GroupSpec,
-    ReflectionGroup,
 )
 from . import parkspace, setpart
 
@@ -84,9 +84,12 @@ def diagonal_twist(spec: GroupSpec, order: int) -> int:
     return order // spec.coxeter_number
 
 
-def locus_act_g(p: LocusPoint, d: int = 1) -> LocusPoint:
-    kh = p.order
-    return LocusPoint(kh, tuple(v if v is ZERO else (v + d) % kh for v in p.coords))
+def locus_position(order: int, coords) -> int:
+    """The position of a point in build_locus: see _digit_table."""
+    pos = 0
+    for v in coords:
+        pos = pos * (order + 1) + (0 if v is ZERO else v + 1)
+    return pos
 
 
 def locus_w_table(spec: GroupSpec, order: int, w) -> list[int]:
@@ -105,7 +108,8 @@ def locus_w_table(spec: GroupSpec, order: int, w) -> list[int]:
 
 
 def locus_g_table(spec: GroupSpec, order: int) -> list[int]:
-    """locus_act_g on build_locus positions."""
+    """The cyclic generator on build_locus positions: it adds 1 to every
+    nonzero exponent."""
     return _digit_table(order, [(i, 1) for i in range(spec.rank)])
 
 
@@ -124,11 +128,6 @@ def _digit_table(order: int, moves: list[tuple[int, int]]) -> list[int]:
         digit = [0] + [((e + shift) % order + 1) * weight for e in range(order)]
         out = [a + b for a in out for b in digit]
     return out
-
-
-def locus_fixed_count(spec: GroupSpec, k: int, v, d: int) -> int:
-    pts = build_locus(spec, k)
-    return sum(1 for p in pts if locus_act_w(spec, v, locus_act_g(p, d)) == p)
 
 
 def point_dimension(spec: GroupSpec, p: LocusPoint) -> int:
@@ -286,49 +285,52 @@ def close_parens(n: int, k: int, mult: dict[int, int]) -> setpart.SetPartition:
 def verify_bc_bijection(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list[dict]:
     """Mutual inversion and equivariance of the type BC pair, exhaustively.
 
-    A failing row carries a witness: two colliding classes or the size
-    mismatch (bijection), a point psi does not send back (mutual_inverse),
-    or a class, generator and the two disagreeing images (equivariance).
+    phi maps each position in classes() to a position in build_locus, so a
+    generator with class table T and locus table L commutes with phi when
+    phi[T[i]] == L[phi[i]] for every i.  A failing row carries a witness:
+    two colliding classes or the size mismatch (bijection), a point psi
+    does not send back (mutual_inverse), or a class, generator and the two
+    disagreeing images (equivariance).
     """
     space = parkspace.build_park(spec, k, cap)
     pts = build_locus(spec, k, cap)
+    kh = locus_order(spec, k)
+    classes = space.classes()
+    phi = [locus_position(kh, bc_phi(space, p).coords) for p in classes]
     report = []
-    images = {}
-    for p in space.classes():
-        images[p] = bc_phi(space, p)
-    row = {"check": "bijection", "pass": len(set(images.values())) == len(pts) == len(images)}
+    row = {"check": "bijection", "pass": len(set(phi)) == len(pts) == len(phi)}
     if not row["pass"]:
-        first: dict[LocusPoint, parkspace.ParkClass] = {}
-        for p, pt in images.items():
-            if pt in first:
+        first: dict[int, int] = {}
+        for i, j in enumerate(phi):
+            if j in first:
                 row["witness"] = {
-                    "classes": [space.class_record(first[pt]), space.class_record(p)],
-                    "point": pt.to_json(),
+                    "classes": [space.class_record(classes[first[j]]), space.class_record(classes[i])],
+                    "point": pts[j].to_json(),
                 }
                 break
-            first[pt] = p
+            first[j] = i
         else:
-            row["witness"] = {"classes": len(images), "points": len(pts)}
+            row["witness"] = {"classes": len(phi), "points": len(pts)}
     report.append(row)
-    bad_inv = [pt for p, pt in images.items() if bc_psi(space, pt) != p]
+    bad_inv = [pts[j] for p, j in zip(classes, phi) if bc_psi(space, pts[j]) != p]
     row = {"check": "mutual_inverse", "pass": not bad_inv}
     if bad_inv:
         row["witness"] = bad_inv[0].to_json()
     report.append(row)
     gens = list(space.group.reflections()[:2]) + [space.group.coxeter_element()]
+    moves = [("g", space.g_table(), locus_g_table(spec, kh))]
+    moves += [(repr(v), space.w_table(v), locus_w_table(spec, kh, v)) for v in gens]
     row = {"check": "equivariance", "pass": True}
-    for p, pt in images.items():
-        moves = [("g", space.act_g(p), locus_act_g(pt))]
-        moves += [(repr(v), space.act_w(v, p), locus_act_w(spec, v, pt)) for v in gens]
-        bad = next((m for m in moves if images[m[1]] != m[2]), None)
+    for i, j in enumerate(phi):
+        bad = next((m for m in moves if phi[m[1][i]] != m[2][j]), None)
         if bad is not None:
-            gen, q, want = bad
+            gen, park, loc = bad
             row["pass"] = False
             row["witness"] = {
-                "class": space.class_record(p),
+                "class": space.class_record(classes[i]),
                 "generator": gen,
-                "park_image": images[q].to_json(),
-                "locus_image": want.to_json(),
+                "park_image": pts[phi[park[i]]].to_json(),
+                "locus_image": pts[loc[j]].to_json(),
             }
             break
     report.append(row)
@@ -339,29 +341,14 @@ def verify_bc_bijection(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list
 # dihedral constructive bijection
 
 
-def park_stabilizer(space: parkspace.ParkSpace, cls) -> set:
-    """All (v, d) in W x Z_kh fixing the class."""
-    kh = space.k * space.spec.coxeter_number
+def stabilizer(i: int, kh: int, g_table, w_tables) -> set[tuple[int, int]]:
+    """All (j, d) in W x Z_kh fixing position i, where w_tables[j] is the
+    table of the j-th group element and g_table that of the generator."""
     out = set()
-    cur = cls
+    cur = i
     for d in range(kh):
-        for v in space.group.elements():
-            if space.act_w(v, cur) == cls:
-                out.add((v, d))
-        cur = space.act_g(cur)
-    return out
-
-
-def locus_stabilizer(grp: ReflectionGroup, pt: LocusPoint) -> set:
-    """All (v, d) in W x Z_kh fixing the point."""
-    kh = pt.order
-    out = set()
-    cur = pt
-    for d in range(kh):
-        for v in grp.elements():
-            if locus_act_w(grp.spec, v, cur) == pt:
-                out.add((v, d))
-        cur = locus_act_g(cur)
+        out.update((j, d) for j, table in enumerate(w_tables) if table[cur] == i)
+        cur = g_table[cur]
     return out
 
 
@@ -371,31 +358,50 @@ def dihedral_bijection(m: int, k: int, cap: int = DEFAULT_CAP) -> dict:
 
     Orbit representatives follow the case analysis: the origin, the
     full-space chain, the mirror chain (both mirror orbits when m is
-    even), and the mixed plane/mirror chains.  For each representative
-    the two candidate locus points (a coordinate swap apart) are tested by
-    recomputing both stabilizers; extension is breadth-first through s, c
-    and the cyclic generator, and any conflict is an error.
+    even), and the mixed plane/mirror chains.  Both sides act on positions
+    through their tables.  For each representative the two candidate locus
+    points (a coordinate swap apart) are tested by comparing stabilizers;
+    extension walks the tables of the cyclic generator, s and c, and any
+    conflict is an error.
     """
     spec = GroupSpec("I2", m)
     space = parkspace.build_park(spec, k, cap)
+    pts = build_locus(spec, k, cap)
     grp = space.group
+    els = grp.elements()
     ident = grp.identity()
     s = DihedralElement(m, True, 0)
     c = grp.coxeter_element()
     km = k * m
+    park_g, locus_g = space.g_table(), locus_g_table(spec, km)
+    # one table per element and side: compact arrays keep the peak memory down
+    park_w = [array("q", space.w_table(v)) for v in els]
+    locus_w = [array("q", locus_w_table(spec, km, v)) for v in els]
 
     def chain_of(flats_word):
         elems = {"V": ident, "H": s, "Hp": DihedralElement(m, True, (m - 1) % m), "0": c}
         return tuple(elems[x] for x in flats_word)
 
-    seeds: list[tuple[parkspace.ParkClass, LocusPoint]] = []
+    fwd = [-1] * len(park_g)
+    bwd = [-1] * len(pts)
+    frontier: list[tuple[int, int]] = []
+
+    def put(i, j):
+        if fwd[i] >= 0 or bwd[j] >= 0:
+            if fwd[i] != j or bwd[j] != i:
+                raise RuntimeError(f"orbit extension conflict at {space.classes()[i]} / {pts[j]}")
+            return
+        fwd[i] = j
+        bwd[j] = i
+        frontier.append((i, j))
 
     def seed(word, coords):
-        cls = space.make_class(chain_of(word), ident)
-        stab = park_stabilizer(space, cls)
-        for cand in (LocusPoint(km, coords), LocusPoint(km, coords[::-1])):
-            if locus_stabilizer(grp, cand) == stab:
-                seeds.append((cls, cand))
+        i = space.index(chain_of(word), ident)
+        stab = stabilizer(i, km, park_g, park_w)
+        for cand in (coords, coords[::-1]):
+            j = locus_position(km, cand)
+            if stabilizer(j, km, locus_g, locus_w) == stab:
+                put(i, j)
                 return
         raise RuntimeError(f"no stabilizer-matching locus point for {word}")
 
@@ -410,36 +416,17 @@ def dihedral_bijection(m: int, k: int, cap: int = DEFAULT_CAP) -> dict:
     for i in range(1, top + 1):
         seed(["V"] + ["H"] * i + ["0"] * (k - i - 1), (0, i % km))
 
-    fwd: dict[parkspace.ParkClass, LocusPoint] = {}
-    bwd: dict[LocusPoint, parkspace.ParkClass] = {}
-
-    def put(cls, pt):
-        if cls in fwd or pt in bwd:
-            if fwd.get(cls) != pt or bwd.get(pt) != cls:
-                raise RuntimeError(f"orbit extension conflict at {cls} / {pt}")
-            return False
-        fwd[cls] = pt
-        bwd[pt] = cls
-        return True
-
-    frontier = []
-    for cls, pt in seeds:
-        if put(cls, pt):
-            frontier.append((cls, pt))
-    gens = [s, c]
+    moves = [(park_g, locus_g)] + [(park_w[els.index(v)], locus_w[els.index(v)]) for v in (s, c)]
     while frontier:
-        cls, pt = frontier.pop()
-        moves = [(space.act_g(cls), locus_act_g(pt))]
-        moves += [(space.act_w(v, cls), locus_act_w(spec, v, pt)) for v in gens]
-        for ncls, npt in moves:
-            if put(ncls, npt):
-                frontier.append((ncls, npt))
+        i, j = frontier.pop()
+        for park, loc in moves:
+            put(park[i], loc[j])
+    mapped = sum(1 for j in fwd if j >= 0)
     total = (km + 1) ** 2
-    if len(fwd) != total or len(bwd) != total or len(fwd) != len(space.classes()):
-        raise RuntimeError(
-            f"dihedral bijection incomplete: {len(fwd)} of {total} classes mapped"
-        )
-    return fwd
+    if mapped != total or len(fwd) != total:
+        raise RuntimeError(f"dihedral bijection incomplete: {mapped} of {total} classes mapped")
+    classes = space.classes()
+    return {classes[i]: pts[j] for i, j in enumerate(fwd)}
 
 
 # ---------------------------------------------------------------------------

@@ -118,5 +118,11 @@ def g_act_chain(chain: tuple, grp: ReflectionGroup, c=None) -> tuple:
     return integrate(g_act_factor(partial(chain, c), c), grp, c)
 
 
+def chain_g_table(nc: NCPoset, chains: list[tuple]) -> list[int]:
+    """The permutation of positions in chains that g_act_chain induces."""
+    index = {ch: i for i, ch in enumerate(chains)}
+    return [index[g_act_chain(ch, nc.group, nc.c)] for ch in chains]
+
+
 def chain_flats(chain: tuple, grp: ReflectionGroup) -> tuple[FlatPartition, ...]:
     return tuple(grp.fixed_flat(w) for w in chain)

@@ -229,6 +229,10 @@ def count_geometric(spec: GroupSpec, k: int) -> int:
 def _ambient_simple_roots(spec: GroupSpec) -> list[tuple[int, ...]]:
     """e_i - e_{i+1}, then e_n (type B) or e_{n-1} + e_n (type D)."""
     f, p = spec.family, spec.param
+    if f == "I2":
+        raise ValueError(
+            "no dihedral root lattice: use A2 for I2(3), B2 for I2(4); G2 is unsupported"
+        )
     out = []
     for i in range(p - 1):
         v = [0] * p

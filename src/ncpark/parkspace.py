@@ -2,9 +2,10 @@
 
 Classes are pairs [w, chain] where the chain is a multichain in NC(W) and
 w is reduced to the lexicographically minimal representative of its coset
-modulo the isotropy group of the first flat.  Both group actions, the
-fixed-point characters, the classical type A models, and the equivariant
-function counts behind the type A character argument live here.
+modulo the isotropy group of the first flat.  Both group actions, as
+permutation tables of class positions, the fixed-point characters, the
+classical type A models, and the equivariant function counts behind the
+type A character argument live here.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ class ParkSpace:
         self._idx = {w: i for i, w in enumerate(self._elements)}
         self._cosets: dict[FlatPartition, tuple[list[int], list[int]]] = {}
         self._offsets = None
-        self._gchain: dict[tuple, tuple] = {}
         self._classes = None
         self._garr = None
         self._gcycles = None
@@ -118,11 +118,12 @@ class ParkSpace:
 
     def _chain_offsets(self) -> dict[tuple, int]:
         """Where each chain's block starts in classes().  Classes sort by
-        (chain, rep), so every chain owns one contiguous block, in sorted
-        chain order, listing the coset minima of its first flat."""
+        (chain, rep), so every chain owns one contiguous block, in the
+        lexicographic order of multichains(), listing the coset minima of
+        its first flat."""
         if self._offsets is None:
             offsets, pos = {}, 0
-            for ch in sorted(self.chains):
+            for ch in self.chains:
                 offsets[ch] = pos
                 pos += len(self._coset_arrays(self.nc.flat_of[ch[0]])[0])
             self._offsets = offsets
@@ -131,6 +132,11 @@ class ParkSpace:
     def make_class(self, chain: tuple, w) -> ParkClass:
         reps, arr = self._coset_arrays(self.nc.flat_of[chain[0]])
         return ParkClass(chain, self._elements[reps[arr[self._idx[w]]]])
+
+    def index(self, chain: tuple, w) -> int:
+        """The position in classes() of the class [w, chain]."""
+        arr = self._coset_arrays(self.nc.flat_of[chain[0]])[1]
+        return self._chain_offsets()[chain] + arr[self._idx[w]]
 
     def classes(self) -> list[ParkClass]:
         if self._classes is None:
@@ -142,38 +148,25 @@ class ParkSpace:
             ]
         return self._classes
 
-    # -- the two actions -------------------------------------------------------
-
-    def act_w(self, v, p: ParkClass) -> ParkClass:
-        return self.make_class(p.chain, v * p.rep)
-
-    def act_g(self, p: ParkClass) -> ParkClass:
-        u_k = p.chain[-1]
-        return self.make_class(self._g_chain(p.chain), p.rep * (u_k * self.c.inverse()))
-
-    def _g_chain(self, chain: tuple) -> tuple:
-        if chain not in self._gchain:
-            self._gchain[chain] = ncw.g_act_chain(chain, self.group, self.c)
-        return self._gchain[chain]
-
     # -- action tables and characters -----------------------------------------
 
     def g_table(self) -> list[int]:
         """Permutation of class indices induced by the cyclic generator.
 
-        The class [r, ch] goes to [r t, g ch] with t = u_k c^-1, so each
-        chain block maps into the block of g ch through one right
-        multiplication array per t, filled only at the coset minima read."""
+        The class [r, ch] goes to [r t, g ch] with t = u_k c^-1 and g ch
+        read off ncw.chain_g_table, so each chain block maps into the block
+        of g ch through one right multiplication array per t, filled only
+        at the coset minima read."""
         if self._garr is None:
             els, idx, flat_of = self._elements, self._idx, self.nc.flat_of
-            offsets = self._chain_offsets()
+            chains = self.chains
+            starts = list(self._chain_offsets().values())
             c_inv = self.c.inverse()
             right: dict = {}
             out: list[int] = []
-            for ch in offsets:
+            for ch, gi in zip(chains, ncw.chain_g_table(self.nc, chains)):
                 reps = self._coset_arrays(flat_of[ch[0]])[0]
-                gch = self._g_chain(ch)
-                arr = self._coset_arrays(flat_of[gch[0]])[1]
+                arr = self._coset_arrays(flat_of[chains[gi][0]])[1]
                 t = ch[-1] * c_inv
                 rm = right.get(t)
                 if rm is None:
@@ -181,7 +174,7 @@ class ParkSpace:
                 for r in reps:
                     if rm[r] < 0:
                         rm[r] = idx[els[r] * t]
-                off = offsets[gch]
+                off = starts[gi]
                 out += [off + arr[rm[r]] for r in reps]
             self._garr = out
         return self._garr

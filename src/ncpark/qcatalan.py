@@ -162,18 +162,10 @@ def eval_at_root(p: IntPoly, m: int, d: int) -> CycloInt:
     return CycloInt.from_poly(IntPoly.of(folded), mp)
 
 
-def chain_g_table(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list[int]:
-    """The cyclic generator as a permutation of the k-multichains' indices."""
-    grp = group(spec.family, spec.param, cap)
-    nc = ncw.build_nc(grp)
-    chains = nc.multichains(k)
-    index = {ch: i for i, ch in enumerate(chains)}
-    return [index[ncw.g_act_chain(ch, grp, nc.c)] for ch in chains]
-
-
 def fixed_chain_counts(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list[int]:
     """Number of k-multichains fixed by g^d, for d = 0, ..., kh-1."""
-    garr = chain_g_table(spec, k, cap)
+    nc = ncw.build_nc(group(spec.family, spec.param, cap))
+    garr = ncw.chain_g_table(nc, nc.multichains(k))
     return fixed_counts(Cycles(garr), range(len(garr)), k * spec.coxeter_number)
 
 

@@ -3,8 +3,10 @@
 import itertools
 from operator import eq
 
+from ncpark.locus import ZERO, LocusPoint, build_locus, locus_act_w
+from ncpark.ncw import build_nc, chain_g_table, g_act_chain
 from ncpark.nonnesting import torus_matrix
-from ncpark.qcatalan import chain_g_table
+from ncpark.reflgroup import group
 from ncpark.setpart import SetPartition, is_noncrossing
 
 MAIN_GRID = (
@@ -37,10 +39,16 @@ def fixed_counts_by_powers(garr, varr, steps):
     return counts
 
 
+def spec_chain_g_table(spec, k):
+    """ncw.chain_g_table on the k-multichains of NC(W) for a group spec."""
+    nc = build_nc(group(spec.family, spec.param))
+    return chain_g_table(nc, nc.multichains(k))
+
+
 def chain_orbit_sizes(spec, k):
     """Sizes of the g-orbits on the k-multichains of NC(W), by walking the
     cycles of the chain g-table."""
-    garr = chain_g_table(spec, k)
+    garr = spec_chain_g_table(spec, k)
     seen = [False] * len(garr)
     sizes = []
     for i in range(len(garr)):
@@ -86,11 +94,61 @@ def is_palindromic(poly):
     return poly.coeffs == tuple(reversed(poly.coeffs))
 
 
+def act_w(space, v, p):
+    """v applied to a parking class: [w, X] -> [v w, X], canonicalized."""
+    return space.make_class(p.chain, v * p.rep)
+
+
+def act_g(space, p):
+    """The cyclic generator on a parking class: [w, X] -> [w u_k c^-1, g X]."""
+    u_k = p.chain[-1]
+    chain = g_act_chain(p.chain, space.group, space.c)
+    return space.make_class(chain, p.rep * (u_k * space.c.inverse()))
+
+
 def act_g_power(space, p, d):
     """g^d applied to a parking class, one act_g step at a time."""
     for _ in range(d % (space.k * space.spec.coxeter_number)):
-        p = space.act_g(p)
+        p = act_g(space, p)
     return p
+
+
+def locus_act_g(p, d=1):
+    """g^d on a locus point: every nonzero exponent goes up by d."""
+    kh = p.order
+    return LocusPoint(kh, tuple(v if v is ZERO else (v + d) % kh for v in p.coords))
+
+
+def locus_fixed_count(spec, k, v, d):
+    """Locus points fixed by (v, g^d), point by point."""
+    pts = build_locus(spec, k)
+    return sum(1 for p in pts if locus_act_w(spec, v, locus_act_g(p, d)) == p)
+
+
+def park_stabilizer(space, cls):
+    """All (v, d) in W x Z_kh fixing the class, by the class actions."""
+    kh = space.k * space.spec.coxeter_number
+    out = set()
+    cur = cls
+    for d in range(kh):
+        for v in space.group.elements():
+            if act_w(space, v, cur) == cls:
+                out.add((v, d))
+        cur = act_g(space, cur)
+    return out
+
+
+def locus_stabilizer(grp, pt):
+    """All (v, d) in W x Z_kh fixing the point, by the point actions."""
+    kh = pt.order
+    out = set()
+    cur = pt
+    for d in range(kh):
+        for v in grp.elements():
+            if locus_act_w(grp.spec, v, cur) == pt:
+                out.add((v, d))
+        cur = locus_act_g(cur)
+    return out
 
 
 def bfs_reflection_length(grp, w):

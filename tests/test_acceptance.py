@@ -8,7 +8,7 @@ import random
 import time
 from collections import Counter
 
-from conftest import KS, MAIN_GRID, acts_as_minus_one, fuss
+from conftest import KS, MAIN_GRID, act_g, act_w, acts_as_minus_one, fuss
 
 from ncpark import ncw, qcatalan, setpart
 from ncpark.locus import (
@@ -131,8 +131,8 @@ def test_criterion_07_type_a_models():
     left = ps.from_labeled_pair(LabeledPartition.of(pi, {(1, 8, 9): (2,), (2, 3, 4, 5, 6, 7): (1, 3)}))
     triple_a = (
         ps.to_classical(left),
-        ps.to_classical(ps.act_w(perm_from_cycles(3, (1, 2)), left)),
-        ps.to_classical(ps.act_g(left)),
+        ps.to_classical(act_w(ps, perm_from_cycles(3, (1, 2)), left)),
+        ps.to_classical(act_g(ps, left)),
     )
     assert triple_a == ((2, 1, 2), (1, 2, 2), (3, 1, 3))
     triple_k1 = _k1_sequences()
@@ -188,22 +188,9 @@ def test_criterion_08_counting_oracles():
         counts = Counter(p.block_sizes() for p in setpart.all_noncrossing_partitions(n))
         for lam, c in counts.items():
             assert setpart.nc_lambda_count(lam) == c
-    # symmetric k-divisible counts against enumeration, kn <= 12
-    for N in range(2, 13):
-        partitions = list(setpart.all_noncrossing_partitions(N))
-        for k in range(1, N + 1):
-            if N % k:
-                continue
-            for m in range(2, N + 1):
-                if N % m:
-                    continue
-                counts = Counter()
-                for p in partitions:
-                    mu = setpart.symmetric_kdiv_type(p, k, m)
-                    if mu is not None:
-                        counts[mu] += 1
-                for mu, c in counts.items():
-                    assert setpart.symmetric_kdiv_count(mu, N // k, k, m) == c
+    # symmetric k-divisible counts against enumeration, kn <= 12: every N,
+    # k and m are checked once, by test_setpart's
+    # test_symmetric_kdiv_count_vs_enumeration[2..12]
     # orbit multiplicities against k-divisible block data
     for n in (2, 3, 4):
         for k in KS:
@@ -240,8 +227,9 @@ def test_criterion_10_structural_suites():
             cls = rng.choice(classes)
             iso = space.group.isotropy_elements(space.nc.flat_of[cls.chain[0]])
             raw = cls.rep * rng.choice(iso)
-            moved = space.make_class(space._g_chain(cls.chain), raw * (cls.chain[-1] * space.c.inverse()))
-            assert moved == space.act_g(cls)
+            gch = ncw.g_act_chain(cls.chain, space.group, space.c)
+            moved = space.make_class(gch, raw * (cls.chain[-1] * space.c.inverse()))
+            assert moved == act_g(space, cls)
             trials += 1
     assert trials >= 1000
     # g^(kh) = id and the k-th power rule on whole spaces
@@ -250,11 +238,11 @@ def test_criterion_10_structural_suites():
         for cls in space.classes():
             cur = cls
             for _ in range(space.k):
-                cur = space.act_g(cur)
+                cur = act_g(space, cur)
             conj = tuple(space.c * u * space.c.inverse() for u in cls.chain)
             assert cur == space.make_class(conj, cls.rep * space.c.inverse())
             for _ in range(kh - space.k):
-                cur = space.act_g(cur)
+                cur = act_g(space, cur)
             assert cur == cls
     # first-component rule for flats of moved chains
     grp = group("A", 4)

@@ -160,6 +160,43 @@ def test_cap_bounds_group_order(args, cover, tmp_path):
     assert main(args + ["--cap", str(cover)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("cap,env", [("0", None), ("-5", None), (None, "-5"), (None, "0")])
+def test_cap_must_be_positive(cap, env, tmp_path, monkeypatch, capsys):
+    # a cap below 1 is bad input, not an exceeded cap
+    out = tmp_path / "out.jsonl"
+    args = ["enumerate", "--family", "A", "--rank", "2", "--out", str(out)]
+    if cap is not None:
+        args += ["--cap", cap]
+    if env is not None:
+        monkeypatch.setenv("NCPARK_CAP", env)
+    assert main(args) == EXIT_CONFIG
+    assert "is not a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["--family", "A", "--rank", "2", "--m", "3"], id="m-outside-I2"),
+        pytest.param(["--family", "B", "--rank", "2", "--m", "4"], id="m-with-B"),
+        pytest.param(["--family", "I2", "--m", "4", "--rank", "9"], id="rank-with-I2"),
+    ],
+)
+def test_flags_outside_their_family(args, tmp_path):
+    out = tmp_path / "out.jsonl"
+    assert main(["enumerate"] + args + ["--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("m", ["4", "5"])
+def test_torus_character_rejects_dihedral(m, tmp_path, capsys):
+    # I2(m) has no root lattice here, as nonnesting-count has no root poset
+    out = tmp_path / "out.jsonl"
+    assert main(["torus-character", "--family", "I2", "--m", m, "--out", str(out)]) == EXIT_CONFIG
+    assert "no dihedral root lattice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cap_env_var_must_be_an_integer(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("NCPARK_CAP", "abc")
     out = tmp_path / "out.jsonl"

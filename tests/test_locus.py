@@ -1,5 +1,14 @@
 import pytest
-from conftest import KS, MAIN_GRID, table_oracle
+from conftest import (
+    KS,
+    MAIN_GRID,
+    act_g,
+    locus_act_g,
+    locus_fixed_count,
+    locus_stabilizer,
+    park_stabilizer,
+    table_oracle,
+)
 
 from ncpark import locus, setpart
 from ncpark.locus import (
@@ -10,15 +19,13 @@ from ncpark.locus import (
     build_locus,
     close_parens,
     dihedral_bijection,
-    locus_act_g,
     locus_act_w,
-    locus_fixed_count,
     locus_g_table,
     locus_order,
-    locus_stabilizer,
+    locus_position,
     locus_w_table,
-    park_stabilizer,
     point_dimension,
+    stabilizer,
     verify_bc_bijection,
     verify_intermediate_character,
 )
@@ -180,8 +187,8 @@ def test_bc_equivariance_failure_has_witness(monkeypatch):
     spec = GroupSpec("B", 2)
     space = build_park(spec, 1)
     real_phi = locus.bc_phi
-    a = next(p for p in space.classes() if space.act_g(space.act_g(p)) != p)
-    pa, pb = real_phi(space, a), real_phi(space, space.act_g(a))
+    a = next(p for p in space.classes() if act_g(space, act_g(space, p)) != p)
+    pa, pb = real_phi(space, a), real_phi(space, act_g(space, a))
     swap = {pa: pb, pb: pa}
 
     def swapped_phi(sp, p):
@@ -248,6 +255,28 @@ def test_dihedral_stabilizer_match():
 
 
 
+@pytest.mark.parametrize("m", [p for fam, p in MAIN_GRID if fam == "I2"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_stabilizer_matches_object_oracles(m, k):
+    spec = GroupSpec("I2", m)
+    space = build_park(spec, k)
+    grp = space.group
+    els = grp.elements()
+    kh = k * m
+
+    def by_element(stab):
+        return {(els[j], d) for j, d in stab}
+
+    park_w = [space.w_table(v) for v in els]
+    for i, cls in enumerate(space.classes()):
+        stab = stabilizer(i, kh, space.g_table(), park_w)
+        assert by_element(stab) == park_stabilizer(space, cls)
+    locus_g = locus_g_table(spec, kh)
+    locus_w = [locus_w_table(spec, kh, v) for v in els]
+    for j, pt in enumerate(build_locus(spec, k)):
+        assert by_element(stabilizer(j, kh, locus_g, locus_w)) == locus_stabilizer(grp, pt)
+
+
 def test_dihedral_bijection_builds_one_group():
     # group is an lru_cache keyed on its arguments: the locus stabilizers
     # must use the space's group, not a second one built without the cap
@@ -275,6 +304,7 @@ def test_locus_tables_match_point_actions(fam, p, k):
     spec = GroupSpec(fam, p)
     kh = locus_order(spec, k)
     pts = build_locus(spec, k)
+    assert [locus_position(kh, q.coords) for q in pts] == list(range(len(pts)))
     assert locus_g_table(spec, kh) == table_oracle(pts, locus_act_g)
     for v in group(fam, p).conjugacy_class_reps():
         assert locus_w_table(spec, kh, v) == table_oracle(pts, lambda q: locus_act_w(spec, v, q))

@@ -1,6 +1,15 @@
 import pytest
+from conftest import KS, MAIN_GRID, table_oracle
 
-from ncpark.ncw import build_nc, chain_flats, g_act_chain, g_act_factor, integrate, partial
+from ncpark.ncw import (
+    build_nc,
+    chain_flats,
+    chain_g_table,
+    g_act_chain,
+    g_act_factor,
+    integrate,
+    partial,
+)
 from ncpark.reflgroup import GroupSpec, group, identity_perm, perm_from_cycles
 from ncpark.setpart import SetPartition, is_noncrossing
 
@@ -121,6 +130,18 @@ def test_g_has_order_kh(fam, p, k):
             if cur == ch and step == kh:
                 seen_back = True
         assert seen_back or cur == ch
+
+
+@pytest.mark.parametrize("fam,p", MAIN_GRID)
+@pytest.mark.parametrize("k", KS)
+def test_chain_g_table_matches_g_act_chain(fam, p, k):
+    grp = group(fam, p)
+    nc = build_nc(grp)
+    chains = nc.multichains(k)
+    # ParkSpace lays its chain blocks out in this order, taking it as sorted
+    assert chains == sorted(chains)
+    oracle = table_oracle(chains, lambda ch: g_act_chain(ch, grp, nc.c))
+    assert chain_g_table(nc, chains) == oracle
 
 
 def test_first_component_rule():

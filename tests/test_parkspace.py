@@ -3,7 +3,15 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import KS, MAIN_GRID, act_g_power, fixed_counts_by_powers, table_oracle
+from conftest import (
+    KS,
+    MAIN_GRID,
+    act_g,
+    act_g_power,
+    act_w,
+    fixed_counts_by_powers,
+    table_oracle,
+)
 
 from ncpark import ncw, setpart
 from ncpark.parkspace import (
@@ -60,13 +68,13 @@ def test_rank1_g_action_table():
         return ps.make_class(chain, w)
 
     # g fixes the zero class
-    assert ps.act_g(cls(ident, 0)) == cls(ident, 0)
+    assert act_g(ps, cls(ident, 0)) == cls(ident, 0)
     # g advances the plane prefix
     for w in (ident, s):
         for i in range(1, k):
-            assert ps.act_g(cls(w, i)) == cls(w, i + 1)
+            assert act_g(ps, cls(w, i)) == cls(w, i + 1)
         # wrap: the full-plane chain picks up the reflection
-        assert ps.act_g(cls(w, k)) == cls(s * w, 1)
+        assert act_g(ps, cls(w, k)) == cls(s * w, 1)
 
 
 def test_cardinalities():
@@ -78,16 +86,16 @@ def test_cardinalities():
 def test_act_w_basics():
     ps = build_park(GroupSpec("A", 3), 1)
     for p in ps.classes():
-        assert ps.act_w(identity_perm(3), p) == p
+        assert act_w(ps, identity_perm(3), p) == p
     # full first flat: every group element fixes the class
     full_chain = (ps.nc.element_of_flat[ps.group.fixed_flat(ps.c)],)
     cls = ps.make_class(full_chain, identity_perm(3))
     for v in ps.group.elements():
-        assert ps.act_w(v, cls) == cls
+        assert act_w(ps, v, cls) == cls
     # (1,2) is in the isotropy of the flat {1,2/3}
     t = perm_from_cycles(3, (1, 2))
     chain = (ps.nc.element_of_flat[ps.group.fixed_flat(t)],)
-    assert ps.act_w(t, ps.make_class(chain, identity_perm(3))) == ps.make_class(
+    assert act_w(ps, t, ps.make_class(chain, identity_perm(3))) == ps.make_class(
         chain, identity_perm(3)
     )
 
@@ -106,7 +114,7 @@ def test_g_order_and_kth_power(fam, p, kmax):
             assert cur == ps.make_class(conj, cls.rep * c.inverse())
             back = cls
             for _ in range(kh):
-                back = ps.act_g(back)
+                back = act_g(ps, back)
             assert back == cls
 
 
@@ -119,7 +127,7 @@ def test_actions_commute(fam, p, k):
     for _ in range(200):
         cls = rng.choice(classes)
         v = rng.choice(els)
-        assert ps.act_w(v, ps.act_g(cls)) == ps.act_g(ps.act_w(v, cls))
+        assert act_w(ps, v, act_g(ps, cls)) == act_g(ps, act_w(ps, v, cls))
 
 
 @pytest.mark.parametrize("fam,p,k", [("A", 3, 2), ("B", 2, 2), ("I2", 5, 3), ("D", 3, 1)])
@@ -134,11 +142,11 @@ def test_g_action_well_defined_under_representative_fuzzing(fam, p, k):
         iso = ps.group.isotropy_elements(ps.nc.flat_of[cls.chain[0]])
         raw = cls.rep * rng.choice(iso)
         mult = cls.chain[-1] * ps.c.inverse()
-        from_raw = ps.make_class(ps._g_chain(cls.chain), raw * mult)
-        assert from_raw == ps.act_g(cls)
+        from_raw = ps.make_class(ncw.g_act_chain(cls.chain, ps.group, ps.c), raw * mult)
+        assert from_raw == act_g(ps, cls)
         assert ps.make_class(cls.chain, raw) == cls
         v = rng.choice(els)
-        assert ps.make_class(cls.chain, v * raw) == ps.act_w(v, cls)
+        assert ps.make_class(cls.chain, v * raw) == act_w(ps, v, cls)
 
 
 def test_fixed_count_examples():
@@ -192,9 +200,19 @@ def test_weak_identity_rank_four():
 def test_action_tables_match_class_actions(fam, p, k):
     ps = build_park(GroupSpec(fam, p), k)
     classes = ps.classes()
-    assert ps.g_table() == table_oracle(classes, ps.act_g)
+    assert ps.g_table() == table_oracle(classes, lambda q: act_g(ps, q))
     for v in ps.group.conjugacy_class_reps():
-        assert ps.w_table(v) == table_oracle(classes, lambda q: ps.act_w(v, q))
+        assert ps.w_table(v) == table_oracle(classes, lambda q: act_w(ps, v, q))
+
+
+@pytest.mark.parametrize("fam,p,k", [("A", 3, 2), ("B", 2, 2), ("D", 3, 1), ("I2", 5, 2)])
+def test_index_matches_make_class(fam, p, k):
+    # any element of the coset, not only its minimum, finds the class
+    ps = build_park(GroupSpec(fam, p), k)
+    classes = ps.classes()
+    for ch in ps.chains:
+        for w in ps.group.elements():
+            assert classes[ps.index(ch, w)] == ps.make_class(ch, w)
 
 
 @pytest.mark.parametrize("fam,p", MAIN_GRID)
@@ -277,7 +295,7 @@ def test_to_classical_equivariance(n, k):
     for _ in range(100):
         p = rng.choice(classes)
         v = rng.choice(els)
-        assert ps.to_classical(ps.act_w(v, p)) == permute_sequence(v, ps.to_classical(p))
+        assert ps.to_classical(act_w(ps, v, p)) == permute_sequence(v, ps.to_classical(p))
 
 
 def test_pinned_triple_n3_k3():
@@ -286,8 +304,8 @@ def test_pinned_triple_n3_k3():
     lp = LabeledPartition.of(pi, {(1, 8, 9): (2,), (2, 3, 4, 5, 6, 7): (1, 3)})
     left = ps.from_labeled_pair(lp)
     assert ps.to_classical(left) == (2, 1, 2)
-    assert ps.to_classical(ps.act_w(perm_from_cycles(3, (1, 2)), left)) == (1, 2, 2)
-    assert ps.to_classical(ps.act_g(left)) == (3, 1, 3)
+    assert ps.to_classical(act_w(ps, perm_from_cycles(3, (1, 2)), left)) == (1, 2, 2)
+    assert ps.to_classical(act_g(ps, left)) == (3, 1, 3)
 
 
 def test_pinned_triple_n9_k1():

@@ -9,13 +9,13 @@ from conftest import (
     eval_float,
     fixed_counts_by_powers,
     is_palindromic,
+    spec_chain_g_table,
 )
 
 from ncpark.qcatalan import (
     CycloInt,
     IntPoly,
     cat_poly,
-    chain_g_table,
     cyclotomic,
     eval_at_root,
     fixed_chain_counts,
@@ -151,6 +151,6 @@ def test_orbit_sizes_partition_the_chains():
 @pytest.mark.parametrize("k", KS)
 def test_fixed_chain_counts_match_powers(fam, p, k):
     spec = GroupSpec(fam, p)
-    garr = chain_g_table(spec, k)
+    garr = spec_chain_g_table(spec, k)
     kh = k * spec.coxeter_number
     assert fixed_chain_counts(spec, k) == fixed_counts_by_powers(garr, range(len(garr)), kh)
