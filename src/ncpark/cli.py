@@ -3,7 +3,7 @@
 Every record carries schema: 1 and a pass field; each command ends with a
 summary record.  Exit code 0 means every check passed; 1 means at least
 one failed; 2 is a configuration error; 3 means an enumeration cap was
-exceeded.
+exceeded; 4 means an internal invariant failed.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 COMMANDS = (
     "enumerate",
@@ -181,6 +182,7 @@ def run(args) -> int:
             )
         _summarize(records, base)
     elif args.command == "nonnesting-count":
+        nonnesting.reject_dihedral(spec, "root posets")
         expected = len(ncw.build_nc(group(spec.family, spec.param, cap)).multichains(k))
         actual = nonnesting.count_geometric(spec, k)
         records.append({**base, "expected": expected, "actual": actual, "pass": expected == actual})
@@ -234,14 +236,27 @@ def _summarize(records: list[dict], base: dict):
 
 
 def emit(records: list[dict], out: str) -> int:
-    lines = [json.dumps(r, sort_keys=True, default=str) for r in records]
-    text = "\n".join(lines) + "\n"
+    """Write one JSON line per record, to stdout for "-".  A file is
+    written under a temporary name beside it and renamed into place, so a
+    failed run leaves a previous file whole."""
     if out == "-":
-        sys.stdout.write(text)
+        _write_lines(records, sys.stdout)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        tmp = f"{out}.{os.getpid()}.tmp"
+        fh = open(tmp, "x")
+        try:
+            with fh:
+                _write_lines(records, fh)
+            os.replace(tmp, out)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return EXIT_OK if all(r.get("pass", True) for r in records) else EXIT_FAIL
+
+
+def _write_lines(records: list[dict], fh):
+    for r in records:
+        fh.write(json.dumps(r, sort_keys=True, default=str) + "\n")
 
 
 def main(argv=None) -> int:
@@ -255,6 +270,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

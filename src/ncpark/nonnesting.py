@@ -51,14 +51,20 @@ class RootPoset:
         return sorted(out, key=lambda f: (len(f), sorted(f)))
 
 
+def reject_dihedral(spec: GroupSpec, what: str):
+    """I2(m) has no root poset or root lattice here: bad input, caught
+    before any group is built."""
+    if spec.family == "I2":
+        raise ValueError(
+            f"no dihedral {what}: use A2 for I2(3), B2 for I2(4); G2 is unsupported"
+        )
+
+
 def build_root_poset(spec: GroupSpec, long_roots: bool = False) -> RootPoset:
     """Positive roots of A/B/D in simple-root coordinates; pass long_roots
     for the type C realization (the poset is isomorphic either way)."""
+    reject_dihedral(spec, "root posets")
     f, p = spec.family, spec.param
-    if f == "I2":
-        raise ValueError(
-            "no dihedral root posets: use A2 for I2(3), B2 for I2(4); G2 is unsupported"
-        )
     n = spec.rank
     roots = []
     if f == "A":
@@ -228,11 +234,8 @@ def count_geometric(spec: GroupSpec, k: int) -> int:
 
 def _ambient_simple_roots(spec: GroupSpec) -> list[tuple[int, ...]]:
     """e_i - e_{i+1}, then e_n (type B) or e_{n-1} + e_n (type D)."""
+    reject_dihedral(spec, "root lattice")
     f, p = spec.family, spec.param
-    if f == "I2":
-        raise ValueError(
-            "no dihedral root lattice: use A2 for I2(3), B2 for I2(4); G2 is unsupported"
-        )
     out = []
     for i in range(p - 1):
         v = [0] * p
@@ -325,6 +328,7 @@ def torus_fixed_count(spec: GroupSpec, k: int, w) -> int:
 def verify_nn_character(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list[dict]:
     """Torus fixed counts against (kh+1)^dim(V^w), per conjugacy class; the
     cap bounds |W|."""
+    reject_dihedral(spec, "root lattice")
     grp = group(spec.family, spec.param, cap)
     m = k * spec.coxeter_number + 1
     report = []

@@ -39,16 +39,31 @@ class ParkClass:
 
 
 class ChainPicture:
-    """What the disc picture of a class takes from its chain alone.
+    """What a class takes from its chain alone: the per-chain record.
 
-    Holds the chain as set partitions and, from first use on, pi = nabla
-    of the chain (pulled back to +-[kn] in type B), the map from blocks of
-    pi to blocks of the first entry, and the openers of pi (type B).
+    Holds the chain and the flats of its entries and, each from first use
+    on, the entries as set partitions (types A, B, D), the chain as
+    class_record writes it, pi = nabla of the chain (pulled back to +-[kn]
+    in type B), the map from blocks of pi to blocks of the first entry, and
+    the openers of pi (type B).
     """
 
-    def __init__(self, chain: tuple, parts: tuple[setpart.SetPartition, ...]):
+    def __init__(self, chain: tuple, flats: tuple[FlatPartition, ...]):
         self.chain = chain
-        self.parts = parts
+        self.flats = flats
+
+    @cached_property
+    def parts(self) -> tuple[setpart.SetPartition, ...]:
+        signed = self.flats[0].family != "A"
+        return tuple(setpart.SetPartition.of(x.n, x.blocks, signed=signed) for x in self.flats)
+
+    @cached_property
+    def record(self) -> tuple[str, ...]:
+        """The chain field of class_record: partition literals, or the I2
+        flat kinds."""
+        if self.flats[0].family == "I2":
+            return tuple(x.kind if x.kind != "line" else f"line:{x.line}" for x in self.flats)
+        return tuple(setpart.format_partition(q) for q in self.parts)
 
     @cached_property
     def _nabla(self) -> tuple[setpart.SetPartition, dict]:
@@ -88,6 +103,7 @@ class ParkSpace:
         self._elements = self.group.elements()
         self._idx = {w: i for i, w in enumerate(self._elements)}
         self._cosets: dict[FlatPartition, tuple[list[int], list[int]]] = {}
+        self._right: dict = {}
         self._offsets = None
         self._classes = None
         self._garr = None
@@ -100,21 +116,39 @@ class ParkSpace:
     def _coset_arrays(self, flat: FlatPartition) -> tuple[list[int], list[int]]:
         """(reps, arr) for the cosets w W_X of the isotropy group of a flat,
         over the indices of group.elements(): reps holds the coset minima,
-        ascending, and arr[i] is the position in reps of element i's coset."""
+        ascending, and arr[i] is the position in reps of element i's coset.
+
+        Each coset is the orbit of its first element under right
+        multiplication by the generators of W_X, read off one integer
+        table per reflection; walking the elements in index order meets
+        every coset first at its minimum."""
         found = self._cosets.get(flat)
         if found is None:
-            els, idx = self._elements, self._idx
-            iso = self.group.isotropy_elements(flat)
-            arr = [-1] * len(els)
+            tables = [self._right_table(t) for t in self.group.isotropy_generators(flat)]
+            arr = [-1] * len(self._elements)
             reps: list[int] = []
-            for i, w in enumerate(els):
+            for i in range(len(arr)):
                 if arr[i] < 0:
                     pos = len(reps)
                     reps.append(i)
-                    for h in iso:
-                        arr[idx[w * h]] = pos
+                    arr[i] = pos
+                    orbit = [i]
+                    for j in orbit:
+                        for tab in tables:
+                            x = tab[j]
+                            if arr[x] < 0:
+                                arr[x] = pos
+                                orbit.append(x)
             found = self._cosets[flat] = (reps, arr)
         return found
+
+    def _right_table(self, t) -> list[int]:
+        """idx[w * t] for every element w, kept per reflection t."""
+        table = self._right.get(t)
+        if table is None:
+            idx = self._idx
+            table = self._right[t] = [idx[w * t] for w in self._elements]
+        return table
 
     def _chain_offsets(self) -> dict[tuple, int]:
         """Where each chain's block starts in classes().  Classes sort by
@@ -253,16 +287,9 @@ class ParkSpace:
         class over that chain."""
         pic = self._pictures.get(chain)
         if pic is None:
-            signed = self.spec.family != "A"
-            parts = tuple(
-                setpart.SetPartition.of(self.spec.param, self.nc.flat_of[w].blocks, signed=signed)
-                for w in chain
-            )
-            pic = self._pictures[chain] = ChainPicture(chain, parts)
+            flats = tuple(self.nc.flat_of[w] for w in chain)
+            pic = self._pictures[chain] = ChainPicture(chain, flats)
         return pic
-
-    def chain_partitions(self, chain: tuple) -> tuple[setpart.SetPartition, ...]:
-        return self.chain_picture(chain).parts
 
     def labeled_pair(self, p: ParkClass) -> setpart.LabeledPartition:
         """The block-labeled k-divisible disc picture of a class (types A, B):
@@ -305,17 +332,10 @@ class ParkSpace:
 
     def class_record(self, p: ParkClass) -> dict:
         if self.spec.family == "I2":
-            chain = []
-            for w in p.chain:
-                flat = self.nc.flat_of[w]
-                chain.append(flat.kind if flat.kind != "line" else f"line:{flat.line}")
             rep = ["reflection" if p.rep.refl else "rotation", p.rep.j]
         else:
-            chain = [
-                setpart.format_partition(q) for q in self.chain_partitions(p.chain)
-            ]
             rep = list(p.rep.images)
-        return {"chain": chain, "rep": rep}
+        return {"chain": list(self.chain_picture(p.chain).record), "rep": rep}
 
 
 def build_park(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> ParkSpace:

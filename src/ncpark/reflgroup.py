@@ -555,6 +555,35 @@ class ReflectionGroup:
             out = [w for w in out if w.neg_count() % 2 == 0]
         return sorted(set(out))
 
+    def isotropy_generators(self, x: FlatPartition) -> list:
+        """Reflections that generate W_x: for each +- pair of nonzero blocks,
+        the transpositions of consecutive members (sorted by |i|); for the
+        zero block z1 < z2 < ..., the same plus the sign change of z1 (type
+        B) or the swap of z1 and -z2 (type D).  In I2: the line's
+        reflection, two adjacent reflections for the origin, none for the
+        plane."""
+        f, p = self.family, self.spec.param
+        if f == "I2":
+            if x.kind == "line":
+                return [DihedralElement(p, True, x.line)]
+            if x.kind == "origin":
+                return [DihedralElement(p, True, 0), DihedralElement(p, True, 1)]
+            return []
+        zero = x.zero_block() or ()
+        gens = []
+        for b in x.blocks:
+            if b != zero and min(abs(t) for t in b) in b:
+                slots = sorted(b, key=abs)
+                gens += [paired_cycle(p, pair) for pair in zip(slots, slots[1:])]
+        if zero:
+            zpos = sorted(t for t in zero if t > 0)
+            gens += [paired_cycle(p, pair) for pair in zip(zpos, zpos[1:])]
+            if f == "B":
+                gens.append(balanced_cycle(p, (zpos[0],)))
+            elif len(zpos) > 1:
+                gens.append(paired_cycle(p, (zpos[0], -zpos[1])))
+        return gens
+
     # -- spectra -------------------------------------------------------------
 
     def eigenvalue_rotations(self, w) -> tuple[Fraction, ...]:

@@ -113,6 +113,22 @@ def act_g_power(space, p, d):
     return p
 
 
+def coset_arrays_by_products(space, flat):
+    """(reps, arr) of ParkSpace._coset_arrays by |W| products: each element
+    not yet placed starts a coset, and its products with every element of
+    W_X are placed in it."""
+    els, idx = space.group.elements(), space._idx
+    iso = space.group.isotropy_elements(flat)
+    arr = [-1] * len(els)
+    reps = []
+    for i, w in enumerate(els):
+        if arr[i] < 0:
+            reps.append(i)
+            for h in iso:
+                arr[idx[w * h]] = len(reps) - 1
+    return reps, arr
+
+
 def locus_act_g(p, d=1):
     """g^d on a locus point: every nonzero exponent goes up by d."""
     kh = p.order

@@ -1,10 +1,13 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 
 import pytest
 
-from ncpark.cli import COMMANDS, D_COMMANDS, EXIT_CAP, EXIT_CONFIG, EXIT_OK, main
+from ncpark import cli, parkspace
+from ncpark.cli import COMMANDS, D_COMMANDS, EXIT_CAP, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, main
 
 
 def run_cli(args, tmp_path, name="out.jsonl"):
@@ -195,6 +198,56 @@ def test_torus_character_rejects_dihedral(m, tmp_path, capsys):
     assert main(["torus-character", "--family", "I2", "--m", m, "--out", str(out)]) == EXIT_CONFIG
     assert "no dihedral root lattice" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["torus-character", "nonnesting-count"])
+def test_dihedral_rejected_before_the_cap(command, tmp_path, capsys):
+    # I2 is bad input for these two, whatever the cap: exit 2, not 3
+    out = tmp_path / "out.jsonl"
+    args = [command, "--family", "I2", "--m", "8", "--cap", "10", "--out", str(out)]
+    assert main(args) == EXIT_CONFIG
+    assert "no dihedral root" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    def broken(self):
+        raise RuntimeError("psi did not invert phi (logic error)")
+
+    monkeypatch.setattr(parkspace.ParkSpace, "verify_weak", broken)
+    out = tmp_path / "out.jsonl"
+    assert main(["verify-weak", "--family", "A", "--rank", "2", "--out", str(out)]) == EXIT_INTERNAL
+    assert "internal error: psi did not invert phi" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_is_replaced_whole(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out.jsonl"
+    out.write_text("previous\n")
+    args = ["enumerate", "--family", "A", "--rank", "2", "--k", "1"]
+    dumps = json.dumps
+    calls = []
+
+    def failing(*a, **kw):
+        calls.append(a)
+        if len(calls) == 3:
+            raise RuntimeError("serialization failed")
+        return dumps(*a, **kw)
+
+    monkeypatch.setattr(cli.json, "dumps", failing)
+    assert main(args + ["--out", str(out)]) == EXIT_INTERNAL
+    assert out.read_text() == "previous\n"
+    assert list(tmp_path.iterdir()) == [out]
+    monkeypatch.undo()
+
+    assert main(args + ["--out", str(out)]) == EXIT_OK
+    assert list(tmp_path.iterdir()) == [out]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+    capsys.readouterr()
+    assert main(args + ["--out", "-"]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 def test_cap_env_var_must_be_an_integer(tmp_path, monkeypatch, capsys):

@@ -9,11 +9,12 @@ from conftest import (
     act_g,
     act_g_power,
     act_w,
+    coset_arrays_by_products,
     fixed_counts_by_powers,
     table_oracle,
 )
 
-from ncpark import ncw, setpart
+from ncpark import cli, ncw, setpart
 from ncpark.parkspace import (
     Cycles,
     build_park,
@@ -33,6 +34,7 @@ from ncpark.setpart import (
     LabeledPartition,
     SetPartition,
     all_noncrossing_partitions,
+    format_partition,
     parse_partition,
 )
 
@@ -411,3 +413,52 @@ def test_class_serialization():
     ps2 = build_park(GroupSpec("I2", 3), 1)
     rec2 = ps2.class_record(ps2.classes()[0])
     assert rec2["rep"][0] in ("rotation", "reflection")
+
+
+@pytest.mark.parametrize(
+    "fam,p,k",
+    [(fam, p, k) for fam, p in MAIN_GRID for k in KS]
+    + [(fam, p, 1) for fam, p in [("A", 6), ("A", 7), ("B", 4), ("B", 5), ("D", 4), ("D", 5)]],
+)
+def test_coset_walk_matches_products(fam, p, k):
+    # the orbit walk over the isotropy generators gives the cosets that
+    # multiplying by every element of W_X gives, numbered alike
+    ps = build_park(GroupSpec(fam, p), k)
+    for flat in sorted({ps.nc.flat_of[ch[0]] for ch in ps.chains}):
+        assert ps._coset_arrays(flat) == coset_arrays_by_products(ps, flat)
+
+
+@pytest.mark.parametrize("fam,rank,k", [("A", 3, 2), ("B", 3, 2), ("D", 4, 1)])
+def test_enumerate_formats_each_chain_entry_once(fam, rank, k, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return format_partition(q)
+
+    monkeypatch.setattr(setpart, "format_partition", counted)
+    args = ["enumerate", "--family", fam, "--rank", str(rank), "--k", str(k)]
+    assert cli.main(args + ["--out", str(tmp_path / "out.jsonl")]) == cli.EXIT_OK
+    chains = ncw.build_nc(group(fam, rank + 1 if fam == "A" else rank)).multichains(k)
+    assert len(calls) == len(chains) * k
+
+
+def record_by_class(ps, p):
+    """class_record with the chain formatted afresh for the class."""
+    if ps.spec.family == "I2":
+        flats = [ps.nc.flat_of[w] for w in p.chain]
+        chain = [x.kind if x.kind != "line" else f"line:{x.line}" for x in flats]
+        return {"chain": chain, "rep": ["reflection" if p.rep.refl else "rotation", p.rep.j]}
+    signed = ps.spec.family != "A"
+    chain = [
+        format_partition(SetPartition.of(ps.spec.param, ps.nc.flat_of[w].blocks, signed=signed))
+        for w in p.chain
+    ]
+    return {"chain": chain, "rep": list(p.rep.images)}
+
+
+@pytest.mark.parametrize("fam,p,k", [("A", 4, 2), ("B", 3, 2), ("D", 4, 1), ("I2", 5, 2)])
+def test_class_record_matches_per_class_formatting(fam, p, k):
+    ps = build_park(GroupSpec(fam, p), k)
+    for c in ps.classes():
+        assert ps.class_record(c) == record_by_class(ps, c)

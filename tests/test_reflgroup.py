@@ -240,6 +240,21 @@ def test_isotropy_elements_match_filter(fam, p):
         assert direct == filtered
 
 
+@pytest.mark.parametrize("fam,p", [("A", 4), ("B", 3), ("D", 3), ("D", 4), ("I2", 5), ("I2", 6)])
+def test_isotropy_generators_generate(fam, p):
+    # reflections of W_X whose closure under products is all of W_X
+    g = group(fam, p)
+    for flat in g.all_flats():
+        gens = g.isotropy_generators(flat)
+        assert all(t in g.reflections() and g.isotropy_contains(flat, t) for t in gens)
+        closure = {g.identity()}
+        frontier = list(closure)
+        while frontier:
+            frontier = [w * t for w in frontier for t in gens if w * t not in closure]
+            closure.update(frontier)
+        assert closure == set(g.isotropy_elements(flat))
+
+
 @pytest.mark.parametrize("fam,p", [("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3)])
 def test_galois_correspondence(fam, p):
     # the fixed space of the isotropy group of a flat is the flat itself
