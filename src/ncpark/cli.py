@@ -38,6 +38,9 @@ COMMANDS = (
 # the sweeps over cyclic powers, the only commands that read --d
 D_COMMANDS = ("verify-weak", "verify-csp", "verify-intermediate")
 
+# json.dumps(r, sort_keys=True, default=str), without a new encoder per record
+ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -238,12 +241,19 @@ def _summarize(records: list[dict], base: dict):
 def emit(records: list[dict], out: str) -> int:
     """Write one JSON line per record, to stdout for "-".  A file is
     written under a temporary name beside it and renamed into place, so a
-    failed run leaves a previous file whole."""
+    failed run leaves a previous file whole.  A path that cannot be
+    created or replaced (a missing directory, a directory) is a
+    configuration error."""
     if out == "-":
         _write_lines(records, sys.stdout)
     else:
+        if os.path.isdir(out):
+            raise ValueError(f"cannot write --out {out}: it is a directory")
         tmp = f"{out}.{os.getpid()}.tmp"
-        fh = open(tmp, "x")
+        try:
+            fh = open(tmp, "x")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
         try:
             with fh:
                 _write_lines(records, fh)
@@ -256,7 +266,7 @@ def emit(records: list[dict], out: str) -> int:
 
 def _write_lines(records: list[dict], fh):
     for r in records:
-        fh.write(json.dumps(r, sort_keys=True, default=str) + "\n")
+        fh.write(ENCODER.encode(r) + "\n")
 
 
 def main(argv=None) -> int:
@@ -267,9 +277,12 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except KeyError as exc:
+        print(f"internal error: missing key {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .reflgroup import (
     DEFAULT_CAP,
@@ -171,76 +173,69 @@ def opener_to_exponent(o: int, half: int) -> int:
 
 
 def bc_phi(space: parkspace.ParkSpace, p: parkspace.ParkClass) -> LocusPoint:
-    """Type B class to locus point, through openers of the labeled picture."""
+    """Type B class to locus point, read off the chain's record: each x in
+    the first-entry block under a block b of nabla(chain) sends coordinate
+    |rep(x)| to the exponent of b's opener, plus kn when rep(x) < 0."""
     if space.spec.family != "B":
         raise ValueError("bc_phi is a type B/C operation")
     n = space.spec.param
-    k = space.k
-    kh = 2 * n * k
-    lp = space.labeled_pair(p)
-    ops = space.chain_picture(p.chain).openers
+    kn = space.k * n
+    pic = space.chain_picture(p.chain)
     coords = [ZERO] * n
-    for b, opener in ops.items():
-        e = opener_to_exponent(opener, k * n)
-        for t in lp.label_of(b):
+    for b, opener in pic.openers.items():
+        e = opener_to_exponent(opener, kn)
+        for x in pic.block_map[b]:
+            t = p.rep(x)
             if t > 0:
                 coords[t - 1] = e
             else:
-                coords[-t - 1] = (e + k * n) % kh
-    return LocusPoint(kh, tuple(coords))
+                coords[-t - 1] = (e + kn) % (2 * kn)
+    return LocusPoint(2 * kn, tuple(coords))
 
 
 def bc_psi(space: parkspace.ParkSpace, pt: LocusPoint) -> parkspace.ParkClass:
     """Locus point to type B class: place parentheses at the openers named
     by the coordinates and close them innermost first with prescribed
-    block sizes."""
+    block sizes.  The opener multiset fixes the chain, so close_parens
+    runs once per chain; each coordinate then labels the block its
+    opener opens, and the zero coordinates label the zero block.
+
+    There is no self-check phi(psi(pt)) == pt: verify_bc_bijection's rows
+    imply it.  The bijection row shows phi is a bijection and the
+    mutual_inverse row that psi(phi(p)) == p for every class p; so for any
+    point pt = phi(p), phi(psi(pt)) = phi(p) = pt.  A psi fault is a
+    failing mutual_inverse row that carries the point.
+    """
     if space.spec.family != "B":
         raise ValueError("bc_psi is a type B/C operation")
     n = space.spec.param
     k = space.k
-    kn = k * n
-    mult: dict[int, int] = {}
-    for v in pt.coords:
-        if v is ZERO:
-            continue
-        j = abs(exponent_to_opener(v, kn))
-        mult[j] = mult.get(j, 0) + 1
-    pi = close_parens(n, k, mult)
-    labels = {}
-    zero = pi.zero_block()
-    if zero is not None:
-        labels[zero] = tuple(
-            s * (i + 1) for i, v in enumerate(pt.coords) if v is ZERO for s in (1, -1)
-        )
-    ops = space.picture_of(pi).openers
-    for b, opener in ops.items():
-        j = abs(opener)
-        sign = 1 if opener > 0 else -1
-        lab = []
-        for i, v in enumerate(pt.coords, start=1):
-            if v is ZERO:
-                continue
-            o = exponent_to_opener(v, kn)
-            if abs(o) != j:
-                continue
-            lab.append(i if o == sign * j else -i)
-        labels[b] = tuple(lab)
-    lp = setpart.LabeledPartition.of(pi, labels)
-    out = space.from_labeled_pair(lp)
-    if bc_phi(space, out) != pt:
-        raise RuntimeError("psi did not invert phi (logic error)")
-    return out
+    ops = [0 if v is ZERO else exponent_to_opener(v, k * n) for v in pt.coords]
+    pic = space.picture_of(close_parens(n, k, tuple(sorted(abs(o) for o in ops if o))))
+    labels = {
+        b: tuple(i if o == opener else -i for i, o in enumerate(ops, 1) if abs(o) == abs(opener))
+        for b, opener in pic.openers.items()
+    }
+    zero = tuple(s * i for i, o in enumerate(ops, 1) if not o for s in (1, -1))
+    if zero:
+        labels[pic.pi.zero_block()] = zero
+    return space.make_class(pic.chain, parkspace.rep_from_labels(space, pic.chain, labels))
 
 
-def close_parens(n: int, k: int, mult: dict[int, int]) -> setpart.SetPartition:
+@lru_cache(maxsize=None)
+def close_parens(n: int, k: int, openers: tuple[int, ...]) -> setpart.SetPartition:
     """The unique centrally symmetric noncrossing partition of +-[kn] whose
-    openers are +-j for j in mult, opening blocks of size k*mult[j].
+    openers are +-j for j in the multiset openers, opening blocks of size
+    k times the multiplicity of j.
 
     Left parentheses sit before the named positions; each is closed once
     it can absorb its block size in alive symbols without passing an
     unmatched left parenthesis.  Leftover symbols form the zero block.
+    Memoized: the result depends on the multiset only, given as a sorted
+    tuple.
     """
     kn = k * n
+    mult = Counter(openers)
     order = list(range(1, kn + 1)) + [-i for i in range(1, kn + 1)]
     open_at = []
     for j in sorted(mult):

@@ -294,7 +294,9 @@ class ParkSpace:
     def labeled_pair(self, p: ParkClass) -> setpart.LabeledPartition:
         """The block-labeled k-divisible disc picture of a class (types A, B):
         each block of nabla(chain) is labeled by the image under the
-        representative of the first-entry block it restricts to."""
+        representative of the first-entry block it restricts to.  No
+        command calls it: the test oracles read this route, and the
+        benchmark's tracer names it."""
         if self.spec.family not in ("A", "B"):
             raise ValueError(f"no labeled disc picture for family {self.spec.family}")
         pic = self.chain_picture(p.chain)
@@ -305,7 +307,7 @@ class ParkSpace:
         """Inverse of labeled_pair: invert nabla for the chain, then read a
         representative off the label sets."""
         chain = self.picture_of(lp.partition).chain
-        return self.make_class(chain, rep_from_labels(self, chain, lp))
+        return self.make_class(chain, rep_from_labels(self, chain, dict(lp.labels)))
 
     def picture_of(self, pi: setpart.SetPartition) -> ChainPicture:
         """The cache entry of the chain whose nabla is pi."""
@@ -317,15 +319,15 @@ class ParkSpace:
         return self._nabla_inv
 
     def to_classical(self, p: ParkClass) -> tuple[int, ...]:
-        """Type A: the k-parking sequence, a_i = least element of the block
-        whose label contains i."""
+        """Type A: the k-parking sequence, read off the chain's record:
+        a_{rep(x)} = min(b) for each x in the first-entry block under a
+        block b of nabla(chain)."""
         if self.spec.family != "A":
             raise ValueError("to_classical is a type A operation")
-        lp = self.labeled_pair(p)
         out = [0] * self.spec.param
-        for b, lab in lp.labels:
-            for i in lab:
-                out[i - 1] = min(b)
+        for b, src in self.chain_picture(p.chain).block_map.items():
+            for x in src:
+                out[p.rep(x) - 1] = min(b)
         return tuple(out)
 
     # -- serialization --------------------------------------------------------
@@ -397,13 +399,14 @@ def fixed_counts(cycles: Cycles, varr, steps: int) -> list[int]:
     return counts
 
 
-def rep_from_labels(space: ParkSpace, chain: tuple, lp: setpart.LabeledPartition):
-    """Some group element sending each first-flat block to its label set."""
+def rep_from_labels(space: ParkSpace, chain: tuple, labels: dict):
+    """Some group element sending each first-flat block to its label set,
+    where labels maps each block of nabla(chain) to its label set."""
     if space.spec.family not in ("A", "B"):
         raise ValueError("labeled pictures exist for types A and B only")
     img = [0] * space.spec.param
     for b, src in space.chain_picture(chain).block_map.items():
-        lab = sorted(lp.label_of(b))
+        lab = sorted(labels[b])
         if frozenset(src) == frozenset(-x for x in src):
             # type B zero block: send positive members to one label per +- pair
             for s, t in zip([x for x in src if x > 0], sorted({abs(t) for t in lab})):

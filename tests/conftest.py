@@ -3,7 +3,7 @@
 import itertools
 from operator import eq
 
-from ncpark.locus import ZERO, LocusPoint, build_locus, locus_act_w
+from ncpark.locus import ZERO, LocusPoint, build_locus, locus_act_w, opener_to_exponent
 from ncpark.ncw import build_nc, chain_g_table, g_act_chain
 from ncpark.nonnesting import torus_matrix
 from ncpark.reflgroup import group
@@ -127,6 +127,34 @@ def coset_arrays_by_products(space, flat):
             for h in iso:
                 arr[idx[w * h]] = len(reps) - 1
     return reps, arr
+
+
+def bc_phi_by_labels(space, p):
+    """locus.bc_phi through the validated labeled picture: each block's
+    opener exponent goes to the coordinates of its labels, plus kn for a
+    negative label."""
+    n = space.spec.param
+    kn = space.k * n
+    lp = space.labeled_pair(p)
+    coords = [ZERO] * n
+    for b, opener in space.chain_picture(p.chain).openers.items():
+        e = opener_to_exponent(opener, kn)
+        for t in lp.label_of(b):
+            if t > 0:
+                coords[t - 1] = e
+            else:
+                coords[-t - 1] = (e + kn) % (2 * kn)
+    return LocusPoint(2 * kn, tuple(coords))
+
+
+def to_classical_by_labels(space, p):
+    """ParkSpace.to_classical through the validated labeled picture:
+    a_i = least element of the block whose label contains i."""
+    out = [0] * space.spec.param
+    for b, lab in space.labeled_pair(p).labels:
+        for i in lab:
+            out[i - 1] = min(b)
+    return tuple(out)
 
 
 def locus_act_g(p, d=1):

@@ -6,8 +6,18 @@ import sys
 
 import pytest
 
-from ncpark import cli, parkspace
-from ncpark.cli import COMMANDS, D_COMMANDS, EXIT_CAP, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, main
+from ncpark import cli, locus, parkspace
+from ncpark.cli import (
+    COMMANDS,
+    D_COMMANDS,
+    EXIT_CAP,
+    EXIT_CONFIG,
+    EXIT_FAIL,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    main,
+)
+from ncpark.reflgroup import GroupSpec
 
 
 def run_cli(args, tmp_path, name="out.jsonl"):
@@ -221,20 +231,72 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_missing_key_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    # no input check raises KeyError: a miss is a broken invariant, here
+    # a nabla that psi cannot find among the chains
+    monkeypatch.setattr(parkspace.ParkSpace, "_nabla_index", lambda self: {})
+    out = tmp_path / "out.jsonl"
+    args = ["verify-bijection", "--family", "B", "--rank", "2", "--kind", "bc", "--out", str(out)]
+    assert main(args) == EXIT_INTERNAL
+    assert "internal error: missing key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_psi_fault_is_a_failing_row(tmp_path, monkeypatch):
+    # psi sends every point over one chain to a wrong class: phi is still
+    # a bijection, so the fault is a failing mutual_inverse row that names
+    # the first such point, not an internal error
+    spec = GroupSpec("B", 2)
+    space = parkspace.build_park(spec, 1)
+    chain = (space.group.identity(),)  # first flat V: trivial isotropy, so w t != w
+    assert chain in space.chains
+    t = space.group.reflections()[0]
+    real = parkspace.rep_from_labels
+    first = next(p for p in space.classes() if p.chain == chain)
+    witness = locus.bc_phi(space, first).to_json()
+
+    def wrong(sp, ch, labels):
+        w = real(sp, ch, labels)
+        return w * t if ch == chain else w
+
+    monkeypatch.setattr(parkspace, "rep_from_labels", wrong)
+    code, lines = run_cli(
+        ["verify-bijection", "--family", "B", "--rank", "2", "--k", "1", "--kind", "bc"], tmp_path
+    )
+    assert code == EXIT_FAIL
+    rows = {r["check"]: r for r in lines if "check" in r}
+    assert rows["bijection"]["pass"] and rows["equivariance"]["pass"]
+    assert rows["mutual_inverse"]["pass"] is False
+    assert rows["mutual_inverse"]["witness"] == witness
+
+
+@pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+def test_unwritable_out_is_a_configuration_error(kind, tmp_path, capsys):
+    if kind == "directory":
+        out = tmp_path / "dir"
+        out.mkdir()
+    else:
+        out = tmp_path / "missing" / "out.jsonl"
+    assert main(["enumerate", "--family", "A", "--rank", "2", "--out", str(out)]) == EXIT_CONFIG
+    assert f"configuration error: cannot write --out {out}" in capsys.readouterr().err
+    # nothing written: no temporary file beside the path or inside it
+    assert list(tmp_path.rglob("*")) == ([out] if kind == "directory" else [])
+
+
 def test_out_is_replaced_whole(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out.jsonl"
     out.write_text("previous\n")
     args = ["enumerate", "--family", "A", "--rank", "2", "--k", "1"]
-    dumps = json.dumps
+    encode = cli.ENCODER.encode
     calls = []
 
-    def failing(*a, **kw):
-        calls.append(a)
+    def failing(record):
+        calls.append(record)
         if len(calls) == 3:
             raise RuntimeError("serialization failed")
-        return dumps(*a, **kw)
+        return encode(record)
 
-    monkeypatch.setattr(cli.json, "dumps", failing)
+    monkeypatch.setattr(cli.ENCODER, "encode", failing)
     assert main(args + ["--out", str(out)]) == EXIT_INTERNAL
     assert out.read_text() == "previous\n"
     assert list(tmp_path.iterdir()) == [out]

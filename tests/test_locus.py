@@ -3,6 +3,7 @@ from conftest import (
     KS,
     MAIN_GRID,
     act_g,
+    bc_phi_by_labels,
     locus_act_g,
     locus_fixed_count,
     locus_stabilizer,
@@ -147,7 +148,7 @@ def test_bc_psi_worked_example():
 
 
 def test_close_parens_structure():
-    pi = close_parens(4, 2, {4: 2, 5: 1})
+    pi = close_parens(4, 2, (4, 4, 5))
     assert pi == parse_partition("1,-4,-7,-8/2,3,-2,-3/4,7,8,-1/5,6/-5,-6", 8, signed=True)
 
 
@@ -179,6 +180,25 @@ def test_one_nabla_per_chain(monkeypatch):
     for p in space.classes():
         space.to_classical(p)
     assert len(calls) == len(set(calls)) == len(space.chains)
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_bc_pair_matches_labeled_route(n, k):
+    # phi read off the chain record agrees with the labeled-picture route,
+    # and psi inverts it, on every class
+    space = build_park(GroupSpec("B", n), k)
+    for p in space.classes():
+        pt = bc_phi(space, p)
+        assert pt == bc_phi_by_labels(space, p)
+        assert bc_psi(space, pt) == p
+
+
+def test_one_close_parens_per_chain():
+    # the opener multiset determines the chain, so the memo evaluates the
+    # parenthesization at most once per chain, not once per point
+    close_parens.cache_clear()
+    assert all(r["pass"] for r in verify_bc_bijection(GroupSpec("B", 3), 2))
+    assert close_parens.cache_info().misses <= len(build_park(GroupSpec("B", 3), 2).chains)
 
 
 def test_bc_equivariance_failure_has_witness(monkeypatch):

@@ -12,6 +12,7 @@ from conftest import (
     coset_arrays_by_products,
     fixed_counts_by_powers,
     table_oracle,
+    to_classical_by_labels,
 )
 
 from ncpark import cli, ncw, setpart
@@ -286,6 +287,15 @@ def test_to_classical_bijection(n, k):
     images = [ps.to_classical(p) for p in ps.classes()]
     assert len(set(images)) == len(images)
     assert set(images) == enumerate_classical(n, k)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2])
+def test_to_classical_matches_labeled_route(rank, k):
+    # A_rank is S_{rank+1}: the chain record gives the labeled picture's sequence
+    ps = build_park(GroupSpec("A", rank + 1), k)
+    for p in ps.classes():
+        assert ps.to_classical(p) == to_classical_by_labels(ps, p)
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (2, 3)])
