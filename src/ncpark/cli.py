@@ -238,29 +238,37 @@ def _summarize(records: list[dict], base: dict):
     )
 
 
+def _temp_path(out: str) -> str:
+    return f"{out}.{os.getpid()}.tmp"
+
+
+def reserve_out(out: str) -> str | None:
+    """Create emit's temporary file for --out, or raise a configuration
+    error naming a path that cannot be written (a directory, a missing
+    directory).  None for stdout."""
+    if out == "-":
+        return None
+    if os.path.isdir(out):
+        raise ValueError(f"cannot write --out {out}: it is a directory")
+    tmp = _temp_path(out)
+    try:
+        open(tmp, "x").close()
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
+    return tmp
+
+
 def emit(records: list[dict], out: str) -> int:
-    """Write one JSON line per record, to stdout for "-".  A file is
-    written under a temporary name beside it and renamed into place, so a
-    failed run leaves a previous file whole.  A path that cannot be
-    created or replaced (a missing directory, a directory) is a
-    configuration error."""
+    """Write one JSON line per record, to stdout for "-".  A file goes to
+    the temporary name that reserve_out created and is renamed into place,
+    so a failed write leaves a previous file whole."""
     if out == "-":
         _write_lines(records, sys.stdout)
     else:
-        if os.path.isdir(out):
-            raise ValueError(f"cannot write --out {out}: it is a directory")
-        tmp = f"{out}.{os.getpid()}.tmp"
-        try:
-            fh = open(tmp, "x")
-        except OSError as exc:
-            raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
-        try:
-            with fh:
-                _write_lines(records, fh)
-            os.replace(tmp, out)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        tmp = _temp_path(out)
+        with open(tmp, "w") as fh:
+            _write_lines(records, fh)
+        os.replace(tmp, out)
     return EXIT_OK if all(r.get("pass", True) for r in records) else EXIT_FAIL
 
 
@@ -272,7 +280,10 @@ def _write_lines(records: list[dict], fh):
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    tmp = None
     try:
+        # --out is checked before any work; a failed run removes the file
+        tmp = reserve_out(args.out)
         return run(args)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
@@ -286,6 +297,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 if __name__ == "__main__":

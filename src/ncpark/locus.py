@@ -411,7 +411,8 @@ def dihedral_bijection(m: int, k: int, cap: int = DEFAULT_CAP) -> dict:
     for i in range(1, top + 1):
         seed(["V"] + ["H"] * i + ["0"] * (k - i - 1), (0, i % km))
 
-    moves = [(park_g, locus_g)] + [(park_w[els.index(v)], locus_w[els.index(v)]) for v in (s, c)]
+    idx = grp.index()
+    moves = [(park_g, locus_g)] + [(park_w[idx[v]], locus_w[idx[v]]) for v in (s, c)]
     while frontier:
         i, j = frontier.pop()
         for park, loc in moves:
@@ -429,26 +430,17 @@ def dihedral_bijection(m: int, k: int, cap: int = DEFAULT_CAP) -> dict:
 
 
 def verify_intermediate_character(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list[dict]:
-    """Locus and parking fixed counts against (kh+1)^mult, all classes x d."""
+    """The rows of ParkSpace.verify_weak, one per class representative and
+    d in order, with the locus fixed counts beside the parking ones; all
+    three counts must agree."""
     space = parkspace.build_park(spec, k, cap)
-    grp = space.group
     kh = locus_order(spec, k)
-    locus_cycles = parkspace.Cycles(locus_g_table(spec, kh))
-    park_cycles = space.g_cycles()
-    report = []
-    for v in grp.conjugacy_class_reps():
-        locus_counts = parkspace.fixed_counts(locus_cycles, locus_w_table(spec, kh, v), kh)
-        park_counts = parkspace.fixed_counts(park_cycles, space.w_table(v), kh)
-        for d, (locus_fixed, park_fixed) in enumerate(zip(locus_counts, park_counts)):
-            expected = (kh + 1) ** grp.eigenvalue_multiplicity(v, d, kh)
-            report.append(
-                {
-                    "v": repr(v),
-                    "d": d,
-                    "locus_fixed": locus_fixed,
-                    "park_fixed": park_fixed,
-                    "expected": expected,
-                    "pass": locus_fixed == park_fixed == expected,
-                }
-            )
-    return report
+    cycles = parkspace.Cycles(locus_g_table(spec, kh))
+    rows = space.verify_weak()
+    reps = space.group.conjugacy_class_reps()
+    locus_counts = [n for v in reps for n in parkspace.fixed_counts(cycles, locus_w_table(spec, kh, v), kh)]
+    for row, locus_fixed in zip(rows, locus_counts):
+        row["park_fixed"] = row.pop("fixed")
+        row["locus_fixed"] = locus_fixed
+        row["pass"] = row["pass"] and locus_fixed == row["park_fixed"]
+    return rows

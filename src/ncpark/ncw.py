@@ -1,9 +1,9 @@
 """The noncrossing partition poset NC(W) and its Fuss multichains.
 
 NC(W) is the absolute-order interval below the distinguished Coxeter
-element; multichains interconvert with length-additive factorizations of
-the Coxeter element, and the cyclic group of order kh acts through the
-factorization form.
+element.  The cyclic group of order kh acts on its k-multichains; the
+paper defines the action on length-additive factorizations of the Coxeter
+element, and g_act_chain applies it to a chain in closed form.
 """
 
 from __future__ import annotations
@@ -76,46 +76,24 @@ def build_nc(grp: ReflectionGroup) -> NCPoset:
 
 
 # ---------------------------------------------------------------------------
-# multichains <-> factorizations, and the cyclic action
-
-
-def partial(chain: tuple, c) -> tuple:
-    """(w_1 <= ... <= w_k) -> (w_1, w_1^-1 w_2, ..., w_k^-1 c)."""
-    out = [chain[0]]
-    out += [chain[i].inverse() * chain[i + 1] for i in range(len(chain) - 1)]
-    out.append(chain[-1].inverse() * c)
-    return tuple(out)
-
-
-def integrate(factor: tuple, grp: ReflectionGroup, c=None) -> tuple:
-    """(w_0, ..., w_k) -> (w_0 <= w_0 w_1 <= ... <= w_0 ... w_{k-1}).
-
-    Raises when the input is not a length-additive factorization of c.
-    """
-    c = c if c is not None else grp.coxeter_element()
-    prod = factor[0]
-    chain = [factor[0]]
-    for w in factor[1:]:
-        prod = prod * w
-        chain.append(prod)
-    if chain[-1] != c:
-        raise ValueError("factor entries do not multiply to the Coxeter element")
-    if sum(grp.reflection_length(w) for w in factor) != grp.reflection_length(c):
-        raise ValueError("factorization is not length additive")
-    return tuple(chain[:-1])
-
-
-def g_act_factor(factor: tuple, c) -> tuple:
-    """g.(w_0,...,w_k) = (v, c w_k c^-1, w_1, ..., w_{k-1}),
-    v = (c w_k c^-1) w_0 (c w_k c^-1)^-1."""
-    t = c * factor[-1] * c.inverse()
-    v = t * factor[0] * t.inverse()
-    return (v, t) + factor[1:-1]
+# the cyclic action
 
 
 def g_act_chain(chain: tuple, grp: ReflectionGroup, c=None) -> tuple:
+    """g.(u_1 <= ... <= u_k) = (t u_1 t^-1, t u_1, ..., t u_{k-1}), t = c u_k^-1.
+
+    The paper defines g on factorizations (the tests keep that route as
+    their oracle).  partial sends the chain to the length-additive
+    factorization (w_0, ..., w_k) = (u_1, u_1^-1 u_2, ..., u_k^-1 c) of c;
+    g_act_factor sends that to (t w_0 t^-1, t, w_1, ..., w_{k-1}) with
+    t = c w_k c^-1 = c u_k^-1; integrate takes partial products, t u_1 t^-1,
+    then t u_1, and t u_1 w_1 ... w_{i-1} = t u_i up to t u_k = c, which it
+    drops.  ParkSpace.g_table's right multiplier u_k c^-1 is t^-1.
+
+    An image that is not a k-multichain fails chain_g_table's lookup."""
     c = c if c is not None else grp.coxeter_element()
-    return integrate(g_act_factor(partial(chain, c), c), grp, c)
+    t = c * chain[-1].inverse()
+    return (t * chain[0] * t.inverse(),) + tuple(t * u for u in chain[:-1])
 
 
 def chain_g_table(nc: NCPoset, chains: list[tuple]) -> list[int]:

@@ -23,6 +23,7 @@ from .reflgroup import (
     SignedPerm,
     gcd_int,
     group,
+    orbits,
 )
 from . import ncw, setpart
 
@@ -101,9 +102,7 @@ class ParkSpace:
         self.c = self.nc.c
         self.chains = self.nc.multichains(k)
         self._elements = self.group.elements()
-        self._idx = {w: i for i, w in enumerate(self._elements)}
         self._cosets: dict[FlatPartition, tuple[list[int], list[int]]] = {}
-        self._right: dict = {}
         self._offsets = None
         self._classes = None
         self._garr = None
@@ -118,37 +117,13 @@ class ParkSpace:
         over the indices of group.elements(): reps holds the coset minima,
         ascending, and arr[i] is the position in reps of element i's coset.
 
-        Each coset is the orbit of its first element under right
-        multiplication by the generators of W_X, read off one integer
-        table per reflection; walking the elements in index order meets
-        every coset first at its minimum."""
+        Each coset is an orbit of right multiplication by the generators of
+        W_X, read off the group's right tables."""
         found = self._cosets.get(flat)
         if found is None:
-            tables = [self._right_table(t) for t in self.group.isotropy_generators(flat)]
-            arr = [-1] * len(self._elements)
-            reps: list[int] = []
-            for i in range(len(arr)):
-                if arr[i] < 0:
-                    pos = len(reps)
-                    reps.append(i)
-                    arr[i] = pos
-                    orbit = [i]
-                    for j in orbit:
-                        for tab in tables:
-                            x = tab[j]
-                            if arr[x] < 0:
-                                arr[x] = pos
-                                orbit.append(x)
-            found = self._cosets[flat] = (reps, arr)
+            tables = [self.group.right_table(t) for t in self.group.isotropy_generators(flat)]
+            found = self._cosets[flat] = orbits(len(self._elements), tables)
         return found
-
-    def _right_table(self, t) -> list[int]:
-        """idx[w * t] for every element w, kept per reflection t."""
-        table = self._right.get(t)
-        if table is None:
-            idx = self._idx
-            table = self._right[t] = [idx[w * t] for w in self._elements]
-        return table
 
     def _chain_offsets(self) -> dict[tuple, int]:
         """Where each chain's block starts in classes().  Classes sort by
@@ -165,12 +140,12 @@ class ParkSpace:
 
     def make_class(self, chain: tuple, w) -> ParkClass:
         reps, arr = self._coset_arrays(self.nc.flat_of[chain[0]])
-        return ParkClass(chain, self._elements[reps[arr[self._idx[w]]]])
+        return ParkClass(chain, self._elements[reps[arr[self.group.index()[w]]]])
 
     def index(self, chain: tuple, w) -> int:
         """The position in classes() of the class [w, chain]."""
         arr = self._coset_arrays(self.nc.flat_of[chain[0]])[1]
-        return self._chain_offsets()[chain] + arr[self._idx[w]]
+        return self._chain_offsets()[chain] + arr[self.group.index()[w]]
 
     def classes(self) -> list[ParkClass]:
         if self._classes is None:
@@ -187,12 +162,12 @@ class ParkSpace:
     def g_table(self) -> list[int]:
         """Permutation of class indices induced by the cyclic generator.
 
-        The class [r, ch] goes to [r t, g ch] with t = u_k c^-1 and g ch
-        read off ncw.chain_g_table, so each chain block maps into the block
-        of g ch through one right multiplication array per t, filled only
-        at the coset minima read."""
+        The class [r, ch] goes to [r t^-1, g ch], with t = c u_k^-1 as in
+        ncw.g_act_chain and g ch read off ncw.chain_g_table, so each chain
+        block maps into the block of g ch through one right multiplication
+        array per t^-1, filled only at the coset minima read."""
         if self._garr is None:
-            els, idx, flat_of = self._elements, self._idx, self.nc.flat_of
+            els, idx, flat_of = self._elements, self.group.index(), self.nc.flat_of
             chains = self.chains
             starts = list(self._chain_offsets().values())
             c_inv = self.c.inverse()
@@ -201,13 +176,13 @@ class ParkSpace:
             for ch, gi in zip(chains, ncw.chain_g_table(self.nc, chains)):
                 reps = self._coset_arrays(flat_of[ch[0]])[0]
                 arr = self._coset_arrays(flat_of[chains[gi][0]])[1]
-                t = ch[-1] * c_inv
-                rm = right.get(t)
+                t_inv = ch[-1] * c_inv
+                rm = right.get(t_inv)
                 if rm is None:
-                    rm = right[t] = [-1] * len(els)
+                    rm = right[t_inv] = [-1] * len(els)
                 for r in reps:
                     if rm[r] < 0:
-                        rm[r] = idx[els[r] * t]
+                        rm[r] = idx[els[r] * t_inv]
                 off = starts[gi]
                 out += [off + arr[rm[r]] for r in reps]
             self._garr = out
@@ -216,7 +191,7 @@ class ParkSpace:
     def w_table(self, v) -> list[int]:
         """Permutation of class indices induced by v: the chain stays, and
         one left multiplication array gives each flat's coset permutation."""
-        idx, flat_of = self._idx, self.nc.flat_of
+        idx, flat_of = self.group.index(), self.nc.flat_of
         lm = [idx[v * w] for w in self._elements]
         perms: dict[FlatPartition, list[int]] = {}
         out: list[int] = []

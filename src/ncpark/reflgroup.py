@@ -365,6 +365,8 @@ class ReflectionGroup:
         self.spec = spec
         self.cap = cap
         self._elements = None
+        self._index = None
+        self._right: dict = {}
         self._reflections = None
         self._conj_reps = None
 
@@ -427,6 +429,20 @@ class ReflectionGroup:
                         els.append(SignedPerm(tuple(s * b for s, b in zip(signs, base))))
             self._elements = sorted(els)
         return self._elements
+
+    def index(self) -> dict:
+        """The position of each element in elements()."""
+        if self._index is None:
+            self._index = {w: i for i, w in enumerate(self.elements())}
+        return self._index
+
+    def right_table(self, t) -> list[int]:
+        """index()[w * t] for every element w, kept per t."""
+        table = self._right.get(t)
+        if table is None:
+            idx = self.index()
+            table = self._right[t] = [idx[w * t] for w in self.elements()]
+        return table
 
     def reflections(self) -> list:
         if self._reflections is None:
@@ -620,16 +636,39 @@ class ReflectionGroup:
     # -- conjugacy ------------------------------------------------------------
 
     def conjugacy_class_reps(self) -> list:
+        """The least element of each conjugacy class, ascending: the orbits
+        of conjugation, w -> s w s, by reflections s that generate the
+        isotropy group of the origin V^c, which is W."""
         if self._conj_reps is None:
-            els = self.elements()
-            remaining = set(els)
-            reps = []
-            while remaining:
-                w = min(remaining)
-                reps.append(w)
-                remaining -= {g * w * g.inverse() for g in els}
-            self._conj_reps = reps
+            els, idx = self.elements(), self.index()
+            gens = self.isotropy_generators(self.fixed_flat(self.coxeter_element()))
+            reps, _ = orbits(len(els), [[idx[s * w * s] for w in els] for s in gens])
+            self._conj_reps = [els[i] for i in reps]
         return self._conj_reps
+
+
+def orbits(size: int, tables) -> tuple[list[int], list[int]]:
+    """(reps, arr) for the orbits on range(size) of the group generated by
+    the permutation tables: reps holds the least index of each orbit,
+    ascending, and arr[i] is the position in reps of i's orbit.
+
+    Each orbit is walked from its first index through the tables; walking
+    the indices in order meets every orbit first at its minimum."""
+    arr = [-1] * size
+    reps: list[int] = []
+    for i in range(size):
+        if arr[i] < 0:
+            pos = len(reps)
+            reps.append(i)
+            arr[i] = pos
+            orbit = [i]
+            for j in orbit:
+                for tab in tables:
+                    x = tab[j]
+                    if arr[x] < 0:
+                        arr[x] = pos
+                        orbit.append(x)
+    return reps, arr
 
 
 @lru_cache(maxsize=None)

@@ -94,6 +94,58 @@ def is_palindromic(poly):
     return poly.coeffs == tuple(reversed(poly.coeffs))
 
 
+def partial(chain, c):
+    """(w_1 <= ... <= w_k) -> (w_1, w_1^-1 w_2, ..., w_k^-1 c)."""
+    out = [chain[0]]
+    out += [chain[i].inverse() * chain[i + 1] for i in range(len(chain) - 1)]
+    out.append(chain[-1].inverse() * c)
+    return tuple(out)
+
+
+def integrate(factor, grp, c):
+    """(w_0, ..., w_k) -> (w_0 <= w_0 w_1 <= ... <= w_0 ... w_{k-1}).
+
+    Raises when the input is not a length-additive factorization of c.
+    """
+    prod = factor[0]
+    chain = [factor[0]]
+    for w in factor[1:]:
+        prod = prod * w
+        chain.append(prod)
+    if chain[-1] != c:
+        raise ValueError("factor entries do not multiply to the Coxeter element")
+    if sum(grp.reflection_length(w) for w in factor) != grp.reflection_length(c):
+        raise ValueError("factorization is not length additive")
+    return tuple(chain[:-1])
+
+
+def g_act_factor(factor, c):
+    """g.(w_0,...,w_k) = (v, c w_k c^-1, w_1, ..., w_{k-1}),
+    v = (c w_k c^-1) w_0 (c w_k c^-1)^-1."""
+    t = c * factor[-1] * c.inverse()
+    v = t * factor[0] * t.inverse()
+    return (v, t) + factor[1:-1]
+
+
+def g_act_chain_by_factors(chain, grp, c):
+    """ncw.g_act_chain through the factorization form: partial, then the
+    action on factorizations, then integrate."""
+    return integrate(g_act_factor(partial(chain, c), c), grp, c)
+
+
+def conjugacy_class_reps_by_sets(grp):
+    """The least element of each conjugacy class, by removing each class,
+    as the set of all g w g^-1, from the elements not yet covered."""
+    els = grp.elements()
+    remaining = set(els)
+    reps = []
+    while remaining:
+        w = min(remaining)
+        reps.append(w)
+        remaining -= {g * w * g.inverse() for g in els}
+    return reps
+
+
 def act_w(space, v, p):
     """v applied to a parking class: [w, X] -> [v w, X], canonicalized."""
     return space.make_class(p.chain, v * p.rep)
@@ -117,7 +169,7 @@ def coset_arrays_by_products(space, flat):
     """(reps, arr) of ParkSpace._coset_arrays by |W| products: each element
     not yet placed starts a coset, and its products with every element of
     W_X are placed in it."""
-    els, idx = space.group.elements(), space._idx
+    els, idx = space.group.elements(), space.group.index()
     iso = space.group.isotropy_elements(flat)
     arr = [-1] * len(els)
     reps = []

@@ -271,7 +271,12 @@ def test_psi_fault_is_a_failing_row(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
-def test_unwritable_out_is_a_configuration_error(kind, tmp_path, capsys):
+def test_unwritable_out_is_a_configuration_error(kind, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("build_park called before --out was checked")
+
+    # the path is checked before the run: no parking space is built
+    monkeypatch.setattr(parkspace, "build_park", never)
     if kind == "directory":
         out = tmp_path / "dir"
         out.mkdir()
@@ -281,6 +286,15 @@ def test_unwritable_out_is_a_configuration_error(kind, tmp_path, capsys):
     assert f"configuration error: cannot write --out {out}" in capsys.readouterr().err
     # nothing written: no temporary file beside the path or inside it
     assert list(tmp_path.rglob("*")) == ([out] if kind == "directory" else [])
+
+
+def test_failed_run_leaves_no_temporary_file(tmp_path):
+    out = tmp_path / "out.jsonl"
+    out.write_text("previous\n")
+    args = ["verify-weak", "--family", "A", "--rank", "4", "--cap", "10", "--out", str(out)]
+    assert main(args) == EXIT_CAP
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_text() == "previous\n"
 
 
 def test_out_is_replaced_whole(tmp_path, monkeypatch, capsys):

@@ -1,15 +1,15 @@
 import pytest
-from conftest import KS, MAIN_GRID, table_oracle
-
-from ncpark.ncw import (
-    build_nc,
-    chain_flats,
-    chain_g_table,
-    g_act_chain,
+from conftest import (
+    KS,
+    MAIN_GRID,
+    g_act_chain_by_factors,
     g_act_factor,
     integrate,
     partial,
+    table_oracle,
 )
+
+from ncpark.ncw import build_nc, chain_flats, chain_g_table, g_act_chain
 from ncpark.reflgroup import GroupSpec, group, identity_perm, perm_from_cycles
 from ncpark.setpart import SetPartition, is_noncrossing
 
@@ -130,6 +130,17 @@ def test_g_has_order_kh(fam, p, k):
             if cur == ch and step == kh:
                 seen_back = True
         assert seen_back or cur == ch
+
+
+@pytest.mark.parametrize(
+    "fam,p,k",
+    [(fam, p, k) for k in KS for fam, p in MAIN_GRID] + [("A", 7, 1), ("B", 5, 1), ("D", 5, 1)],
+)
+def test_g_act_chain_matches_factorization_oracle(fam, p, k):
+    grp = group(fam, p)
+    nc = build_nc(grp)
+    for ch in nc.multichains(k):
+        assert g_act_chain(ch, grp, nc.c) == g_act_chain_by_factors(ch, grp, nc.c)
 
 
 @pytest.mark.parametrize("fam,p", MAIN_GRID)

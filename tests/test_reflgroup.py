@@ -1,7 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from conftest import MAIN_GRID, absolute_leq, acts_as_minus_one, bfs_reflection_length, merge_partitions
+from conftest import (
+    MAIN_GRID,
+    absolute_leq,
+    acts_as_minus_one,
+    bfs_reflection_length,
+    conjugacy_class_reps_by_sets,
+    merge_partitions,
+)
 
 from ncpark.ncw import build_nc
 from ncpark.reflgroup import (
@@ -12,6 +19,7 @@ from ncpark.reflgroup import (
     balanced_cycle,
     group,
     identity_perm,
+    orbits,
     paired_cycle,
     perm_from_cycles,
 )
@@ -298,3 +306,23 @@ def test_conjugacy_class_counts():
     assert len(group("B", 3).conjugacy_class_reps()) == 10
     assert len(group("I2", 5).conjugacy_class_reps()) == 4
     assert len(group("I2", 6).conjugacy_class_reps()) == 6
+
+
+@pytest.mark.parametrize("fam,p", MAIN_GRID + [("A", 7), ("B", 4), ("B", 5), ("D", 5)])
+def test_conjugacy_class_reps_match_set_sweep(fam, p):
+    # the orbit walk under conjugation by W's generating reflections finds
+    # the classes, and their minima in order, that removing g w g^-1 for
+    # every g finds.  B4 is here because for odd n, B_n = D_n x {+-1}, so
+    # conjugating by D_n alone would already give B_n's classes.
+    grp = group(fam, p)
+    assert grp.conjugacy_class_reps() == conjugacy_class_reps_by_sets(grp)
+
+
+def test_orbits_small_tables():
+    # (0 1)(4 5) on range(6): 2 and 3 are orbits of their own
+    assert orbits(6, [[1, 0, 2, 3, 5, 4]]) == ([0, 2, 3, 4], [0, 0, 1, 2, 3, 3])
+    # (1 4) and (2 4): the walk from 1 reaches 2 only through 4, and the
+    # orbit {1, 2, 4} keeps position 1 past the singleton 3
+    assert orbits(5, [[0, 4, 2, 3, 1], [0, 1, 4, 3, 2]]) == ([0, 1, 3], [0, 1, 1, 2, 1])
+    # no tables: every index is alone
+    assert orbits(3, []) == ([0, 1, 2], [0, 1, 2])
