@@ -432,9 +432,10 @@ def dihedral_bijection(m: int, k: int, cap: int = DEFAULT_CAP) -> dict:
 def verify_intermediate_character(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list[dict]:
     """The rows of ParkSpace.verify_weak, one per class representative and
     d in order, with the locus fixed counts beside the parking ones; all
-    three counts must agree."""
-    space = parkspace.build_park(spec, k, cap)
+    three counts must agree.  A family without a locus is rejected before
+    anything is built."""
     kh = locus_order(spec, k)
+    space = parkspace.build_park(spec, k, cap)
     cycles = parkspace.Cycles(locus_g_table(spec, kh))
     rows = space.verify_weak()
     reps = space.group.conjugacy_class_reps()

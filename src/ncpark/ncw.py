@@ -18,7 +18,9 @@ class NCPoset:
     """The interval [1, c] in absolute order, with the flat dictionary.
 
     Below c, u <= v exactly when the fixed flat of u contains that of v
-    (Brady-Watt), so the order is read off the flats by flat_leq.
+    (Brady-Watt), so membership and rank are read off the flats.  The
+    order itself comes from the covers u < ut, t a reflection, each of
+    which lowers the flat's dimension by one.
     """
 
     def __init__(self, grp: ReflectionGroup):
@@ -38,13 +40,26 @@ class NCPoset:
 
     @cached_property
     def _ups(self) -> dict:
-        """The elements above each u, built on first use: |NC|^2 flat_leq
-        tests, which 1-multichains never need.  elements() is sorted, so is
-        each list."""
-        leq = self.group.flat_leq
+        """The elements above each u, built on first use, which
+        1-multichains never need.
+
+        [u, c] is u together with the sets [ut, c] of its covers ut, so the
+        sets close downward from c, as bitmasks over positions in
+        elements; each list keeps that (sorted) order."""
+        els, flat_of = self.elements, self.flat_of
+        refls = self.group.reflections()
+        above: dict = {}
+        for pos, u in sorted(enumerate(els), key=lambda e: flat_of[e[1]].dim):
+            mask = 1 << pos
+            dim = flat_of[u].dim
+            for t in refls:
+                v = u * t
+                if v in above and flat_of[v].dim == dim - 1:
+                    mask |= above[v]
+            above[u] = mask
         return {
-            u: [v for v, y in self.flat_of.items() if leq(x, y)]
-            for u, x in self.flat_of.items()
+            u: [els[i] for i in range(mask.bit_length()) if mask >> i & 1]
+            for u, mask in above.items()
         }
 
     def multichains(self, k: int) -> list[tuple]:

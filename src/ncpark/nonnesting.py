@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .reflgroup import DEFAULT_CAP, GroupSpec, group
 from .setpart import SetPartition
@@ -21,6 +22,8 @@ class RootPoset:
 
     spec: GroupSpec
     roots: tuple[tuple[int, ...], ...]
+    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def leq(self, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
         return all(x <= y for x, y in zip(a, b))
@@ -49,6 +52,43 @@ class RootPoset:
             found += [f | 1 << i for f in found if f & above == above]
         out = [frozenset(r for j, r in enumerate(roots) if f >> j & 1) for f in found]
         return sorted(out, key=lambda f: (len(f), sorted(f)))
+
+    @cached_property
+    def _table(self) -> tuple[dict, list[list[tuple[int, int]]]]:
+        """The position of each root, and for each root i the pairs (j, s)
+        with roots[i] + roots[j] = roots[s]."""
+        index = {r: i for i, r in enumerate(self.roots)}
+        pairs = [
+            [
+                (j, index[s])
+                for j, b in enumerate(self.roots)
+                if (s := tuple(x + y for x, y in zip(a, b))) in index
+            ]
+            for a in self.roots
+        ]
+        return index, pairs
+
+    def mask(self, roots: frozenset) -> int:
+        """A set of roots as a bitmask over positions in roots; memoized."""
+        out = self._masks.get(roots)
+        if out is None:
+            index = self._table[0]
+            out = self._masks[roots] = sum(1 << index[r] for r in roots)
+        return out
+
+    def sums(self, fa: int, fb: int) -> int:
+        """The mask of the roots a + b, a in fa and b in fb (root masks);
+        memoized, so each pair of sets pays |fa| * |roots| steps once."""
+        out = self._sums.get((fa, fb))
+        if out is None:
+            out = 0
+            for i, pairs in enumerate(self._table[1]):
+                if fa >> i & 1:
+                    for j, s in pairs:
+                        if fb >> j & 1:
+                            out |= 1 << s
+            self._sums[fa, fb] = out
+        return out
 
 
 def reject_dihedral(spec: GroupSpec, what: str):
@@ -174,38 +214,33 @@ class FilterChain:
             if not b <= a:
                 raise ValueError("filters must descend")
 
-    def ideals(self) -> tuple[frozenset, ...]:
-        full = frozenset(self.poset.roots)
-        return tuple(full - f for f in self.filters)
-
 
 def is_geometric(chain: FilterChain) -> bool:
-    """Athanasiadis's closure conditions for all index pairs i + j <= k."""
-    roots = set(chain.poset.roots)
-    fs = chain.filters
-    ideals = chain.ideals()
+    """Athanasiadis's closure conditions for all index pairs i + j <= k:
+    (F_i + F_j) and Phi+ lies in F_{i+j}, and (I_i + I_j) and Phi+ lies in
+    I_{i+j}, where the ideal I_i is the complement of F_i.  On root masks
+    each condition is one memoized sumset and one AND."""
+    poset = chain.poset
+    fs = [poset.mask(f) for f in chain.filters]
+    full = (1 << len(poset.roots)) - 1
+    ideals = [full ^ f for f in fs]
+    sums = poset.sums
     k = len(fs)
-    for i in range(1, k + 1):
-        for j in range(i, k + 1):
-            if i + j > k:
-                continue
-            for a in fs[i - 1]:
-                for b in fs[j - 1]:
-                    s = tuple(x + y for x, y in zip(a, b))
-                    if s in roots and s not in fs[i + j - 1]:
-                        return False
-            for a in ideals[i - 1]:
-                for b in ideals[j - 1]:
-                    s = tuple(x + y for x, y in zip(a, b))
-                    if s in roots and s not in ideals[i + j - 1]:
-                        return False
+    # zero-based: F_{i+1} + F_{j+1} must lie in F_{i+j+2}, at position i + j + 1
+    for i in range(k):
+        for j in range(i, k - 1 - i):
+            if sums(fs[i], fs[j]) & ~fs[i + j + 1]:
+                return False
+            if sums(ideals[i], ideals[j]) & ~ideals[i + j + 1]:
+                return False
     return True
 
 
 def geometric_chains(spec: GroupSpec, k: int) -> list[FilterChain]:
     poset = build_root_poset(spec)
     filters = poset.filters()
-    below = {f: [g for g in filters if g <= f] for f in filters}
+    masks = [poset.mask(f) for f in filters]
+    below = {f: [g for g, b in zip(filters, masks) if a | b == a] for f, a in zip(filters, masks)}
     chains: list[FilterChain] = []
 
     def extend(prefix):

@@ -494,7 +494,7 @@ class ReflectionGroup:
         """Intersection-lattice order by reverse inclusion: x <= y iff x contains y.
 
         On the fixed flats of the elements below c this is the absolute
-        order (Brady-Watt); NCPoset orders NC(W) by it."""
+        order (Brady-Watt); the tests check NCPoset's order against it."""
         if self.family == "I2":
             if x.kind == "plane" or y.kind == "origin":
                 return True

@@ -372,6 +372,40 @@ def filters_by_subsets(poset):
     return sorted(out, key=lambda f: (len(f), sorted(f)))
 
 
+def is_geometric_by_tuple_sums(chain):
+    """nonnesting.is_geometric by adding every pair of roots in F_i x F_j
+    and in I_i x I_j as vectors, for all index pairs i + j <= k."""
+    roots = set(chain.poset.roots)
+    fs = chain.filters
+    ideals = [frozenset(roots) - f for f in fs]
+    k = len(fs)
+    for i in range(1, k + 1):
+        for j in range(i, k + 1 - i):
+            for sets in (fs, ideals):
+                for a in sets[i - 1]:
+                    for b in sets[j - 1]:
+                        s = tuple(x + y for x, y in zip(a, b))
+                        if s in roots and s not in sets[i + j - 1]:
+                            return False
+    return True
+
+
+def descending_filter_chains(poset, k):
+    """Every descending k-chain F_1 >= ... >= F_k of filters, as tuples."""
+    filters = poset.filters()
+    chains = [(f,) for f in filters]
+    for _ in range(k - 1):
+        chains = [ch + (g,) for ch in chains for g in filters if g <= ch[-1]]
+    return chains
+
+
+def ups_by_flat_leq(nc):
+    """NCPoset._ups by |NC|^2 flat containment tests: the elements above
+    u are those whose fixed flat lies in the flat of u."""
+    leq = nc.group.flat_leq
+    return {u: [v for v, y in nc.flat_of.items() if leq(x, y)] for u, x in nc.flat_of.items()}
+
+
 def antichains(poset):
     """The minimal elements of each filter, in filter order."""
     return [

@@ -220,6 +220,17 @@ def test_dihedral_rejected_before_the_cap(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [["--rank", "2", "--cap", "10"], ["--rank", "7"]])
+def test_family_without_locus_rejected_before_the_cap(extra, tmp_path, capsys):
+    # A has no explicit locus: exit 2 before the parking space is built,
+    # not 3 for a cap that a small cap or a large rank exceeds
+    out = tmp_path / "out.jsonl"
+    args = ["verify-intermediate", "--family", "A", "--k", "1", *extra, "--out", str(out)]
+    assert main(args) == EXIT_CONFIG
+    assert "explicit loci exist" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     def broken(self):
         raise RuntimeError("psi did not invert phi (logic error)")

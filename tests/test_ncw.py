@@ -7,6 +7,7 @@ from conftest import (
     integrate,
     partial,
     table_oracle,
+    ups_by_flat_leq,
 )
 
 from ncpark.ncw import build_nc, chain_flats, chain_g_table, g_act_chain
@@ -45,6 +46,12 @@ def test_nc_examples():
 def test_multichain_counts(fam, p, k):
     nc = build_nc(group(fam, p))
     assert len(nc.multichains(k)) == fuss(GroupSpec(fam, p), k)
+
+
+@pytest.mark.parametrize("fam,p", MAIN_GRID + [("A", 6), ("B", 5), ("D", 5)])
+def test_ups_from_covers_match_flat_containment(fam, p):
+    nc = build_nc(group(fam, p))
+    assert nc._ups == ups_by_flat_leq(nc)
 
 
 def test_multichain_examples():

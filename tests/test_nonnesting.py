@@ -4,7 +4,9 @@ from conftest import (
     KS,
     MAIN_GRID,
     antichains,
+    descending_filter_chains,
     filters_by_subsets,
+    is_geometric_by_tuple_sums,
     torus_fixed_count_bruteforce,
 )
 from ncpark import nonnesting
@@ -124,6 +126,17 @@ def test_is_geometric_examples():
         assert is_geometric(FilterChain(poset, (f,)))
 
 
+@pytest.mark.parametrize(
+    "fam,p", [("A", n) for n in (2, 3, 4, 5)] + [("B", n) for n in (2, 3, 4)] + [("D", 3), ("D", 4)]
+)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_is_geometric_matches_tuple_sums(fam, p, k):
+    poset = build_root_poset(GroupSpec(fam, p))
+    for filters in descending_filter_chains(poset, k):
+        ch = FilterChain(poset, filters)
+        assert is_geometric(ch) == is_geometric_by_tuple_sums(ch), filters
+
+
 def test_filter_chain_validation():
     poset = build_root_poset(GroupSpec("A", 3))
     full = frozenset(poset.roots)
@@ -131,7 +144,9 @@ def test_filter_chain_validation():
         FilterChain(poset, (frozenset(), full))
 
 
-@pytest.mark.parametrize("fam,p", [("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3)])
+@pytest.mark.parametrize(
+    "fam,p", [("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3), ("B", 4), ("D", 4), ("A", 5)]
+)
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_count_geometric_matches_nc(fam, p, k):
     spec = GroupSpec(fam, p)
