@@ -2,8 +2,9 @@
 
 Every record carries schema: 1 and a pass field; each command ends with a
 summary record.  Exit code 0 means every check passed; 1 means at least
-one failed; 2 is a configuration error; 3 means an enumeration cap was
-exceeded; 4 means an internal invariant failed.
+one failed; 2 is a configuration error (a ConfigError); 3 means an
+enumeration cap was exceeded; 4 means an internal invariant failed,
+including any other ValueError.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import os
 import sys
 
-from .reflgroup import DEFAULT_CAP, CapExceeded, GroupSpec, group
+from .reflgroup import DEFAULT_CAP, CapExceeded, ConfigError, GroupSpec, group
 from . import locus, ncw, nonnesting, parkspace, qcatalan
 
 SCHEMA = 1
@@ -66,14 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_spec(args) -> GroupSpec:
     if args.family == "I2":
         if args.m is None:
-            raise ValueError("--m is required for I2")
+            raise ConfigError("--m is required for I2")
         if args.rank is not None:
-            raise ValueError("--rank is not read for I2; give --m only")
+            raise ConfigError("--rank is not read for I2; give --m only")
         return GroupSpec("I2", args.m)
     if args.rank is None:
-        raise ValueError("--rank is required for A/B/D")
+        raise ConfigError("--rank is required for A/B/D")
     if args.m is not None:
-        raise ValueError("--m is read for I2 only")
+        raise ConfigError("--m is read for I2 only")
     param = args.rank + 1 if args.family == "A" else args.rank
     return GroupSpec(args.family, param)
 
@@ -88,9 +89,9 @@ def parse_cap(args) -> int:
         try:
             cap = int(text)
         except ValueError:
-            raise ValueError(f"{given} is not an integer") from None
+            raise ConfigError(f"{given} is not an integer") from None
     if cap < 1:
-        raise ValueError(f"{given} is not a positive integer")
+        raise ConfigError(f"{given} is not a positive integer")
     return cap
 
 
@@ -98,14 +99,15 @@ def parse_d_filter(text, kh: int) -> range:
     """--d as a nonempty range of powers inside [0, kh): d or d0:d1."""
     if text is None:
         return range(kh)
-    if ":" in text:
-        lo, hi = text.split(":")
-        out = range(int(lo), int(hi))
-    else:
-        d = int(text)
-        out = range(d, d + 1)
+    try:
+        bounds = [int(t) for t in text.split(":")]
+    except ValueError:
+        bounds = []
+    if not 1 <= len(bounds) <= 2:
+        raise ConfigError(f"--d {text} is not an integer d or a range d0:d1")
+    out = range(bounds[0], bounds[-1] if len(bounds) == 2 else bounds[0] + 1)
     if not out or out.start < 0 or out.stop > kh:
-        raise ValueError(f"--d {text} is not a nonempty range inside [0, {kh})")
+        raise ConfigError(f"--d {text} is not a nonempty range inside [0, {kh})")
     return out
 
 
@@ -113,7 +115,7 @@ def run(args) -> int:
     spec = parse_spec(args)
     k = args.k
     if k < 1:
-        raise ValueError("--k must be >= 1")
+        raise ConfigError("--k must be >= 1")
     kh = k * spec.coxeter_number
     cap = parse_cap(args)
     base = {
@@ -167,12 +169,12 @@ def run(args) -> int:
     elif args.command == "verify-bijection":
         if args.kind == "bc":
             if spec.family != "B":
-                raise ValueError("--kind bc needs --family B")
+                raise ConfigError("--kind bc needs --family B")
             for row in locus.verify_bc_bijection(spec, k, cap):
                 records.append({**base, **row})
         else:
             if spec.family != "I2":
-                raise ValueError("--kind dihedral needs --family I2")
+                raise ConfigError("--kind dihedral needs --family I2")
             fwd = locus.dihedral_bijection(spec.param, k, cap)
             records.append(
                 {
@@ -196,7 +198,7 @@ def run(args) -> int:
         _summarize(records, base)
     elif args.command == "classical-park":
         if spec.family != "A":
-            raise ValueError("classical-park needs --family A")
+            raise ConfigError("classical-park needs --family A")
         n = spec.param
         classical = parkspace.enumerate_classical(n, k)
         expected = (k * n + 1) ** (n - 1)
@@ -249,12 +251,12 @@ def reserve_out(out: str) -> str | None:
     if out == "-":
         return None
     if os.path.isdir(out):
-        raise ValueError(f"cannot write --out {out}: it is a directory")
+        raise ConfigError(f"cannot write --out {out}: it is a directory")
     tmp = _temp_path(out)
     try:
         open(tmp, "x").close()
     except OSError as exc:
-        raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
+        raise ConfigError(f"cannot write --out {out}: {exc.strerror}") from None
     return tmp
 
 
@@ -288,9 +290,12 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except ValueError as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ValueError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except KeyError as exc:
         print(f"internal error: missing key {exc}", file=sys.stderr)
         return EXIT_INTERNAL

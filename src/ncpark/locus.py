@@ -18,8 +18,10 @@ from functools import lru_cache
 from .reflgroup import (
     DEFAULT_CAP,
     CapExceeded,
+    ConfigError,
     DihedralElement,
     GroupSpec,
+    zero_block,
 )
 from . import parkspace, setpart
 
@@ -45,7 +47,7 @@ class LocusPoint:
 def locus_order(spec: GroupSpec, k: int) -> int:
     """Order of the root of unity parametrizing nonzero coordinates."""
     if spec.family not in ("B", "D", "I2"):
-        raise ValueError("explicit loci exist for families B, D, I2 only")
+        raise ConfigError("explicit loci exist for families B, D, I2 only")
     return k * spec.coxeter_number
 
 
@@ -132,30 +134,6 @@ def _digit_table(order: int, moves: list[tuple[int, int]]) -> list[int]:
     return out
 
 
-def point_dimension(spec: GroupSpec, p: LocusPoint) -> int:
-    """Minimum dimension of a flat containing the point.
-
-    Computed from coordinate coincidences: nonzero coordinates cluster by
-    equality up to sign; type B zeros pin to the zero block, type D zeros
-    only when at least two coordinates vanish.
-    """
-    if spec.family == "I2":
-        v1, v2 = p.coords
-        if v1 is ZERO and v2 is ZERO:
-            return 0
-        if v1 is ZERO or v2 is ZERO:
-            return 2
-        return 1 if (v1 - v2) % diagonal_twist(spec, p.order) == 0 else 2
-    kh = p.order
-    half = kh // 2
-    nonzero = [v for v in p.coords if v is not ZERO]
-    clusters = {min(v, (v + half) % kh) for v in nonzero}
-    zeros = len(p.coords) - len(nonzero)
-    if spec.family == "B":
-        return len(clusters)
-    return len(clusters) + (1 if zeros == 1 else 0)
-
-
 # ---------------------------------------------------------------------------
 # type BC bijections
 
@@ -218,7 +196,7 @@ def bc_psi(space: parkspace.ParkSpace, pt: LocusPoint) -> parkspace.ParkClass:
     }
     zero = tuple(s * i for i, o in enumerate(ops, 1) if not o for s in (1, -1))
     if zero:
-        labels[pic.pi.zero_block()] = zero
+        labels[zero_block(pic.pi.blocks)] = zero
     return space.make_class(pic.chain, parkspace.rep_from_labels(space, pic.chain, labels))
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .reflgroup import FlatPartition, ReflectionGroup
-from . import setpart
+from .reflgroup import ReflectionGroup
 
 
 class NCPoset:
@@ -71,20 +70,6 @@ class NCPoset:
             chains = [ch + (v,) for ch in chains for v in self._ups[ch[-1]]]
         return chains
 
-    def noncrossing_flats(self) -> set[FlatPartition]:
-        return set(self.element_of_flat)
-
-    def is_noncrossing_flat(self, x: FlatPartition) -> bool:
-        ok = x in self.element_of_flat
-        fam = self.group.family
-        if fam in ("A", "B"):
-            # cross-check against the boundary-order geometric predicate;
-            # type D would need the annular model and every I2 flat qualifies
-            p = setpart.SetPartition.of(x.n, x.blocks, signed=fam == "B")
-            if setpart.is_noncrossing(p) != ok:
-                raise RuntimeError(f"geometric and poset noncrossing tests disagree on {x}")
-        return ok
-
 
 def build_nc(grp: ReflectionGroup) -> NCPoset:
     return NCPoset(grp)
@@ -115,7 +100,3 @@ def chain_g_table(nc: NCPoset, chains: list[tuple]) -> list[int]:
     """The permutation of positions in chains that g_act_chain induces."""
     index = {ch: i for i, ch in enumerate(chains)}
     return [index[g_act_chain(ch, nc.group, nc.c)] for ch in chains]
-
-
-def chain_flats(chain: tuple, grp: ReflectionGroup) -> tuple[FlatPartition, ...]:
-    return tuple(grp.fixed_flat(w) for w in chain)

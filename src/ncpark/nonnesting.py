@@ -1,5 +1,5 @@
 """Crystallographic side: root posets, geometric multichains of filters,
-nonnesting partitions, and the finite torus character.
+and the finite torus character.
 
 Roots are integer vectors in simple-root coordinates, so the poset order
 is componentwise comparison and filter sums are exact vector sums.
@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .reflgroup import DEFAULT_CAP, GroupSpec, group
-from .setpart import SetPartition
+from .reflgroup import DEFAULT_CAP, ConfigError, GroupSpec, group
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ def reject_dihedral(spec: GroupSpec, what: str):
     """I2(m) has no root poset or root lattice here: bad input, caught
     before any group is built."""
     if spec.family == "I2":
-        raise ValueError(
+        raise ConfigError(
             f"no dihedral {what}: use A2 for I2(3), B2 for I2(4); G2 is unsupported"
         )
 
@@ -159,43 +158,6 @@ def build_root_poset(spec: GroupSpec, long_roots: bool = False) -> RootPoset:
     poset = RootPoset(spec, tuple(sorted(set(roots))))
     poset.highest()
     return poset
-
-
-def antichain_to_partition(poset: RootPoset, antichain) -> SetPartition:
-    """Type A: the nonnesting partition generated by i ~ j per arc root."""
-    if poset.spec.family != "A":
-        raise ValueError("arc diagrams are a type A notion")
-    n = poset.spec.param
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for root in antichain:
-        i = root.index(1) + 1
-        j = len(root) - tuple(reversed(root)).index(1) + 1
-        parent[find(j)] = find(i)
-    groups: dict[int, list[int]] = {}
-    for x in range(1, n + 1):
-        groups.setdefault(find(x), []).append(x)
-    part = SetPartition.of(n, groups.values())
-    if _has_nesting(part):
-        raise RuntimeError(f"antichain produced a nesting partition {part}")
-    return part
-
-
-def _has_nesting(p: SetPartition) -> bool:
-    arcs = []
-    for b in p.blocks:
-        b = sorted(b)
-        arcs.extend(zip(b, b[1:]))
-    for (a, d), (b, c) in itertools.permutations(arcs, 2):
-        if a < b < c < d:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

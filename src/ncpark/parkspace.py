@@ -3,9 +3,8 @@
 Classes are pairs [w, chain] where the chain is a multichain in NC(W) and
 w is reduced to the lexicographically minimal representative of its coset
 modulo the isotropy group of the first flat.  Both group actions, as
-permutation tables of class positions, the fixed-point characters, the
-classical type A models, and the equivariant function counts behind the
-type A character argument live here.
+permutation tables of class positions, the fixed-point characters and the
+classical type A models live here.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .reflgroup import (
     FlatPartition,
     GroupSpec,
     SignedPerm,
-    gcd_int,
     group,
     orbits,
 )
@@ -165,26 +163,29 @@ class ParkSpace:
         The class [r, ch] goes to [r t^-1, g ch], with t = c u_k^-1 as in
         ncw.g_act_chain and g ch read off ncw.chain_g_table, so each chain
         block maps into the block of g ch through one right multiplication
-        array per t^-1, filled only at the coset minima read."""
+        by t^-1 per coset minimum.  The chains are taken grouped by u_k, so
+        the products that chains sharing t^-1 read are made once, in a dict
+        kept only while that group is in work."""
         if self._garr is None:
             els, idx, flat_of = self._elements, self.group.index(), self.nc.flat_of
-            chains = self.chains
+            chains, gtab = self.chains, ncw.chain_g_table(self.nc, self.chains)
             starts = list(self._chain_offsets().values())
+            groups: dict = {}
+            for i, ch in enumerate(chains):
+                groups.setdefault(ch[-1], []).append(i)
             c_inv = self.c.inverse()
-            right: dict = {}
-            out: list[int] = []
-            for ch, gi in zip(chains, ncw.chain_g_table(self.nc, chains)):
-                reps = self._coset_arrays(flat_of[ch[0]])[0]
-                arr = self._coset_arrays(flat_of[chains[gi][0]])[1]
-                t_inv = ch[-1] * c_inv
-                rm = right.get(t_inv)
-                if rm is None:
-                    rm = right[t_inv] = [-1] * len(els)
-                for r in reps:
-                    if rm[r] < 0:
-                        rm[r] = idx[els[r] * t_inv]
-                off = starts[gi]
-                out += [off + arr[rm[r]] for r in reps]
+            out = [0] * (starts[-1] + len(self._coset_arrays(flat_of[chains[-1][0]])[0]))
+            for u_k, members in groups.items():
+                t_inv = u_k * c_inv
+                rm: dict = {}
+                for i in members:
+                    reps = self._coset_arrays(flat_of[chains[i][0]])[0]
+                    for r in reps:
+                        if r not in rm:
+                            rm[r] = idx[els[r] * t_inv]
+                    gi = gtab[i]
+                    arr, off = self._coset_arrays(flat_of[chains[gi][0]])[1], starts[gi]
+                    out[starts[i] : starts[i] + len(reps)] = [off + arr[rm[r]] for r in reps]
             self._garr = out
         return self._garr
 
@@ -210,12 +211,6 @@ class ParkSpace:
             self._gcycles = Cycles(self.g_table())
         return self._gcycles
 
-    def fixed_count(self, v, d: int) -> int:
-        kh = self.k * self.spec.coxeter_number
-        if not 0 <= d < kh:
-            raise ValueError(f"d = {d} outside [0, {kh})")
-        return fixed_counts(self.g_cycles(), self.w_table(v), d + 1)[d]
-
     def verify_weak(self) -> list[dict]:
         """Fixed counts against (kh+1)^mult for one element per conjugacy
         class and every power of the cyclic generator."""
@@ -235,25 +230,6 @@ class ParkSpace:
                     }
                 )
         return rows
-
-    # -- orbit structure ---------------------------------------------------------
-
-    def orbit_decomposition(self) -> dict:
-        """Multiplicity of each first-flat orbit type among the W-orbits.
-
-        W-orbits of classes biject with chains.  Type A keys are the block
-        size partitions of the first flat; other families key by the
-        lexicographically minimal flat in the W-orbit of the first flat.
-        """
-        out: dict = {}
-        for ch in self.chains:
-            x1 = self.nc.flat_of[ch[0]]
-            if self.spec.family == "A":
-                key = tuple(sorted((len(b) for b in x1.blocks), reverse=True))
-            else:
-                key = min(self.group.act_on_flat(w, x1) for w in self.group.elements())
-            out[key] = out.get(key, 0) + 1
-        return out
 
     # -- labeled pictures and type A models ---------------------------------------
 
@@ -416,47 +392,3 @@ def enumerate_classical(n: int, k: int) -> set[tuple[int, ...]]:
         for seq in itertools.product(range(1, top + 1), repeat=n)
         if is_classical_park(seq, n, k)
     }
-
-
-def permute_sequence(w, seq):
-    """Coordinate action moving the entry at position i to position w(i);
-    equivalently (a_1,...,a_n) -> (a_{w^-1(1)},...,a_{w^-1(n)}).
-
-    This is the left action matching label permutation on disc pictures.
-    """
-    out = [0] * len(seq)
-    for i, a in enumerate(seq, start=1):
-        out[w(i) - 1] = a
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# equivariant function counts (type A character argument)
-
-
-def equivariant_function_count(n: int, k: int, w, d: int) -> int:
-    """Brute-force count of functions f: [n] -> [kn] u {0} with
-    f(w(j)) = g^d f(j), where g cycles [kn] and fixes 0.
-
-    Asserted against (kn+1)^r where r counts cycles of w with length
-    divisible by the order of g^d.
-    """
-    kn = k * n
-    if d % kn == 0:
-        raise ValueError("d must be nonzero modulo kn")
-    d = d % kn
-    m = kn // gcd_int(kn, d)
-    wimg = [w(j) for j in range(1, n + 1)]
-    count = 0
-    for f in itertools.product(range(kn + 1), repeat=n):
-        for j in range(n):
-            fj = f[j]
-            target = 0 if fj == 0 else (fj - 1 + d) % kn + 1
-            if f[wimg[j] - 1] != target:
-                break
-        else:
-            count += 1
-    r = sum(1 for cyc in w.cycles() if len(cyc) % m == 0)
-    if count != (kn + 1) ** r:
-        raise RuntimeError(f"equivariant count {count} != (kn+1)^{r} (logic error)")
-    return count

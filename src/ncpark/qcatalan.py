@@ -7,10 +7,11 @@ polynomial, so sieving identities are checked by integer equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .reflgroup import DEFAULT_CAP, GroupSpec, gcd_int, group
+from .reflgroup import DEFAULT_CAP, GroupSpec, group
 from . import ncw
 from .parkspace import Cycles, fixed_counts
 
@@ -153,7 +154,7 @@ def eval_at_root(p: IntPoly, m: int, d: int) -> CycloInt:
     """
     if m < 1 or not 0 <= d < m:
         raise ValueError(f"need 0 <= d < m, got d={d}, m={m}")
-    g = gcd_int(m, d) if d else m
+    g = math.gcd(m, d)
     mp = m // g
     dp = d // g
     folded = [0] * mp

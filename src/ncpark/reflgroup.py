@@ -9,6 +9,7 @@ character count in the rest of the package is integer arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,6 +21,11 @@ FAMILIES = ("A", "B", "D", "I2")
 
 class CapExceeded(RuntimeError):
     """Raised when a full enumeration would exceed the configured cap."""
+
+
+class ConfigError(ValueError):
+    """Bad input: a group, flag or path the caller must change.  Other
+    ValueErrors are internal faults."""
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +122,6 @@ class SignedPerm:
                 seen.add(frozenset(-x for x in supp))
         return balanced, paired
 
-    def order(self) -> int:
-        k, w = 1, self
-        ident = identity_perm(self.n)
-        while w != ident:
-            w = w * self
-            k += 1
-        return k
-
     def __repr__(self):
         return f"SignedPerm{self.images}"
 
@@ -188,21 +186,8 @@ class DihedralElement:
             return self
         return DihedralElement(self.m, False, (-self.j) % self.m)
 
-    def order(self) -> int:
-        if self.refl:
-            return 2
-        if self.j == 0:
-            return 1
-        return self.m // gcd_int(self.m, self.j)
-
     def __repr__(self):
         return f"I2({self.m}):{'c^%d s' % self.j if self.refl else 'c^%d' % self.j}"
-
-
-def gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +208,15 @@ class GroupSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ConfigError(f"unknown family {self.family!r}")
         if self.param < 1:
-            raise ValueError("parameter must be positive")
+            raise ConfigError("parameter must be positive")
         if self.family == "A" and self.param < 2:
-            raise ValueError("type A needs n >= 2")
+            raise ConfigError("type A needs n >= 2")
         if self.family == "D" and self.param < 3:
-            raise ValueError("type D needs n >= 3")
+            raise ConfigError("type D needs n >= 3")
         if self.family == "I2" and self.param < 3:
-            raise ValueError("type I2 needs m >= 3")
+            raise ConfigError("type I2 needs m >= 3")
 
     @property
     def rank(self) -> int:
@@ -267,11 +252,11 @@ class GroupSpec:
     def order(self) -> int:
         f, p = self.family, self.param
         if f == "A":
-            return factorial(p)
+            return math.factorial(p)
         if f == "B":
-            return factorial(p) * 2**p
+            return math.factorial(p) * 2**p
         if f == "D":
-            return factorial(p) * 2 ** (p - 1)
+            return math.factorial(p) * 2 ** (p - 1)
         return 2 * p
 
     def __str__(self):
@@ -280,13 +265,6 @@ class GroupSpec:
         if self.family == "I2":
             return f"I2({self.param})"
         return f"{self.family}{self.param}"
-
-
-def factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -321,24 +299,20 @@ class FlatPartition:
                 pairs += 1
         return pairs // 2
 
-    def zero_block(self) -> tuple[int, ...] | None:
-        for b in self.blocks:
-            if frozenset(b) == frozenset(-x for x in b):
-                return b
-        return None
-
-    def block_of(self, i: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if i in b:
-                return b
-        raise KeyError(i)
-
     def __repr__(self):
         if self.family == "I2":
             tag = self.kind if self.kind != "line" else f"line{self.line}"
             return f"Flat[I2({self.n}):{tag}]"
         body = "/".join(",".join(str(x) for x in b) for b in self.blocks)
         return f"Flat[{self.family}:{body}]"
+
+
+def zero_block(blocks) -> tuple[int, ...] | None:
+    """The block B with B = -B, if any."""
+    for b in blocks:
+        if frozenset(b) == frozenset(-x for x in b):
+            return b
+    return None
 
 
 def canonical_blocks(blocks) -> tuple[tuple[int, ...], ...]:
@@ -399,17 +373,6 @@ class ReflectionGroup:
         if f == "D":
             return balanced_cycle(p, tuple(range(1, p))) * balanced_cycle(p, (p,))
         return DihedralElement(p, False, 1)
-
-    def contains(self, w) -> bool:
-        if self.family == "I2":
-            return isinstance(w, DihedralElement) and w.m == self.spec.param
-        if not isinstance(w, SignedPerm) or w.n != self.spec.param:
-            return False
-        if self.family == "A":
-            return w.is_positive()
-        if self.family == "D":
-            return w.neg_count() % 2 == 0
-        return True
 
     def elements(self) -> list:
         if self._elements is None:
@@ -483,54 +446,6 @@ class ReflectionGroup:
             blocks.append(tuple(-x for x in cyc))
         return FlatPartition(f, p, blocks=canonical_blocks(blocks))
 
-    def reflection_length(self, w) -> int:
-        return self.rank - self.fixed_flat(w).dim
-
-    def all_flats(self) -> list[FlatPartition]:
-        """Every flat of the arrangement, as fixed spaces of group elements."""
-        return sorted({self.fixed_flat(w) for w in self.elements()})
-
-    def flat_leq(self, x: FlatPartition, y: FlatPartition) -> bool:
-        """Intersection-lattice order by reverse inclusion: x <= y iff x contains y.
-
-        On the fixed flats of the elements below c this is the absolute
-        order (Brady-Watt); the tests check NCPoset's order against it."""
-        if self.family == "I2":
-            if x.kind == "plane" or y.kind == "origin":
-                return True
-            return x == y
-        return partition_refines(x.blocks, y.blocks)
-
-    def act_on_flat(self, w, x: FlatPartition) -> FlatPartition:
-        if self.family == "I2":
-            if x.kind != "line":
-                return x
-            if not w.refl:
-                return FlatPartition("I2", x.n, kind="line", line=(x.line + 2 * w.j) % x.n)
-            return FlatPartition("I2", x.n, kind="line", line=(2 * w.j - x.line) % x.n)
-        blocks = canonical_blocks(tuple(w(i) for i in b) for b in x.blocks)
-        return FlatPartition(x.family, x.n, blocks=blocks)
-
-    def isotropy_contains(self, x: FlatPartition, w) -> bool:
-        """True iff w fixes the flat x pointwise."""
-        if self.family == "I2":
-            if x.kind == "plane":
-                return w == self.identity()
-            if x.kind == "origin":
-                return True
-            return w == self.identity() or w == DihedralElement(x.n, True, x.line)
-        if not self.contains(w):
-            return False
-        zero = x.zero_block() or ()
-        where = {i: idx for idx, b in enumerate(x.blocks) for i in b}
-        for i in range(1, x.n + 1):
-            if i in zero:
-                if w(i) not in zero:
-                    return False
-            elif where[w(i)] != where[i]:
-                return False
-        return True
-
     def isotropy_elements(self, x: FlatPartition) -> list:
         """All of W_x, generated blockwise (no full group scan needed)."""
         f, p = self.family, self.spec.param
@@ -541,7 +456,7 @@ class ReflectionGroup:
                 return sorted([self.identity(), DihedralElement(p, True, x.line)])
             return self.elements()
         # a type A flat has no zero block, and every block counts as a positive pair
-        zero = x.zero_block() or ()
+        zero = zero_block(x.blocks) or ()
         pos_pairs = [b for b in x.blocks if b != zero and min(abs(t) for t in b) in b]
         out = [identity_perm(p)]
         for b in pos_pairs:
@@ -585,7 +500,7 @@ class ReflectionGroup:
             if x.kind == "origin":
                 return [DihedralElement(p, True, 0), DihedralElement(p, True, 1)]
             return []
-        zero = x.zero_block() or ()
+        zero = zero_block(x.blocks) or ()
         gens = []
         for b in x.blocks:
             if b != zero and min(abs(t) for t in b) in b:

@@ -2,8 +2,8 @@
 
 Noncrossing predicate, Kreweras complementation, the translation between
 noncrossing partitions and permutations, the multichain-to-k-divisible
-bijection nabla, exact counting formulas, and Reiner's periodic
-parenthesization for centrally symmetric partitions.
+bijection nabla, and Reiner's periodic parenthesization for centrally
+symmetric partitions.
 
 Ground sets are [n] or +-[n]; the +-[n] boundary order on the disc is
 1, 2, ..., n, -1, -2, ..., -n, read clockwise.
@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .reflgroup import (
     SignedPerm,
     canonical_blocks,
-    factorial,
     partition_refines,
     perm_from_cycles,
+    zero_block,
 )
 
 
@@ -54,16 +53,6 @@ class SetPartition:
             raise ValueError("blocks do not cover the ground set")
         return SetPartition(n, signed, blocks)
 
-    @staticmethod
-    def singletons(n: int, signed: bool = False) -> "SetPartition":
-        ground = range(1, n + 1) if not signed else list(range(1, n + 1)) + [-i for i in range(1, n + 1)]
-        return SetPartition.of(n, [(x,) for x in ground], signed)
-
-    @staticmethod
-    def full(n: int, signed: bool = False) -> "SetPartition":
-        ground = range(1, n + 1) if not signed else list(range(1, n + 1)) + [-i for i in range(1, n + 1)]
-        return SetPartition.of(n, [tuple(ground)], signed)
-
     def block_of(self, x: int) -> tuple[int, ...]:
         for b in self.blocks:
             if x in b:
@@ -77,36 +66,17 @@ class SetPartition:
         bset = {frozenset(b) for b in self.blocks}
         return all(frozenset(-x for x in b) in bset for b in self.blocks)
 
-    def zero_block(self) -> tuple[int, ...] | None:
-        for b in self.blocks:
-            if frozenset(b) == frozenset(-x for x in b):
-                return b
-        return None
-
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(sorted((len(b) for b in self.blocks), reverse=True))
-
     def __repr__(self):
         return "{" + format_partition(self) + "}"
 
 
-# -- literal syntax ---------------------------------------------------------
+# -- boundary order and literal syntax ---------------------------------------
 
 
 def circ_position(x: int, n: int) -> int:
-    """Index of x in the clockwise boundary order 1..n, -1..-n."""
+    """Index of x in the clockwise boundary order 1..n, -1..-n; one more
+    is its point under the identification +-[n] = [2n]: i -> i, -i -> n + i."""
     return x - 1 if x > 0 else n - x - 1
-
-
-def parse_partition(text: str, n: int, signed: bool = False) -> SetPartition:
-    """Parse the block literal syntax, e.g. "1,-4/2,3/-1,4/-2,-3"."""
-    blocks = []
-    for chunk in text.split("/"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise ValueError("empty block in literal")
-        blocks.append(tuple(int(t) for t in chunk.split(",")))
-    return SetPartition.of(n, blocks, signed)
 
 
 def format_partition(p: SetPartition) -> str:
@@ -162,21 +132,6 @@ def kreweras(p: SetPartition) -> SetPartition:
         for a, x in zip(b, b[1:] + b[:1]):
             image[x - 1] = a % n + 1
     return SetPartition.of(n, SignedPerm(tuple(image)).cycles())
-
-
-def rotate_partition(p: SetPartition, step: int = 1) -> SetPartition:
-    """Clockwise rotation: each element i moves to i+step around the circle."""
-    n = p.n
-    if not p.signed:
-        blocks = [tuple((x - 1 + step) % n + 1 for x in b) for b in p.blocks]
-    else:
-        order = list(range(1, n + 1)) + [-i for i in range(1, n + 1)]
-
-        def rot(x):
-            return order[(circ_position(x, n) + step) % (2 * n)]
-
-        blocks = [tuple(rot(x) for x in b) for b in p.blocks]
-    return SetPartition.of(n, blocks, p.signed)
 
 
 # -- partitions <-> permutations ------------------------------------------------
@@ -288,134 +243,16 @@ def nabla_block_map(pi: SetPartition, first: SetPartition, k: int) -> dict[tuple
     return out
 
 
-# -- counting ----------------------------------------------------------------
-
-
-def nc_lambda_count(lam: tuple[int, ...]) -> int:
-    """Number of noncrossing partitions of [n] with block sizes lam."""
-    lam = tuple(sorted(lam, reverse=True))
-    if not lam or any(x < 1 for x in lam):
-        raise ValueError(f"malformed partition {lam}")
-    n = sum(lam)
-    ell = len(lam)
-    denom = factorial(n - ell + 1)
-    for i in range(1, n + 1):
-        denom *= factorial(lam.count(i))
-    return factorial(n) // denom
-
-
-def all_noncrossing_partitions(n: int):
-    """All noncrossing partitions of [n], by direct recursive construction.
-
-    The block containing 1 splits the remaining elements into independent
-    linear segments, each partitioned recursively.
-    """
-    for blocks in _nc_on(list(range(1, n + 1))):
-        yield SetPartition.of(n, blocks)
-
-
-def _nc_on(elements: list[int]):
-    """Noncrossing partitions of a linearly ordered ground segment."""
-    if not elements:
-        yield []
-        return
-    first, rest = elements[0], elements[1:]
-    for size in range(0, len(rest) + 1):
-        for chosen in itertools.combinations(rest, size):
-            block = (first,) + chosen
-            bounds = [elements.index(x) for x in block] + [len(elements)]
-            segs = [elements[a + 1 : b] for a, b in zip(bounds, bounds[1:])]
-            for combo in itertools.product(*[list(_nc_on(s)) for s in segs]):
-                blocks = [block]
-                for sub in combo:
-                    blocks.extend(sub)
-                yield blocks
-
-
-def symmetric_kdiv_count(mu: tuple[int, ...], n: int, k: int, m: int) -> int:
-    """Count of m-fold symmetric k-divisible noncrossing partitions of [kn]
-    whose non-invariant blocks form mu_j orbits of blocks of size kj.
-
-    The value is (kn/m)(kn/m - 1)...(kn/m - (r-1)) / (mu_1! ... mu_n!)
-    with r = sum(mu); any leftover elements form the invariant block.
-    """
-    if m < 2 or (k * n) % m:
-        raise ValueError(f"m = {m} must be >= 2 and divide kn = {k * n}")
-    mu = tuple(mu) + (0,) * (n - len(mu))
-    r = sum(mu)
-    num = 1
-    base = Fraction(k * n, m)
-    for t in range(r):
-        num *= base - t
-    denom = 1
-    for mj in mu:
-        denom *= factorial(mj)
-    val = Fraction(num, denom)
-    if val.denominator != 1:
-        raise RuntimeError("count is not an integer (logic error)")
-    return int(val)
-
-
-def symmetric_kdiv_type(p: SetPartition, k: int, m: int) -> tuple[int, ...] | None:
-    """Orbit-type vector of an m-fold symmetric k-divisible partition of [kn].
-
-    Returns None when p is not m-fold symmetric, not k-divisible, or has a
-    non-invariant orbit shorter than m.  Entry j-1 counts length-m orbits of
-    blocks of size kj.
-    """
-    N = p.n
-    step = N // m
-    for b in p.blocks:
-        if len(b) % k:
-            return None
-    # p is m-fold symmetric when the rotation sends each block into one
-    # block; p is valid already, so its raw blocks need no SetPartition
-    owner = [0] * (N + 1)
-    for i, b in enumerate(p.blocks):
-        for x in b:
-            owner[x] = i
-    for b in p.blocks:
-        target = owner[(b[0] - 1 + step) % N + 1]
-        for x in b:
-            if owner[(x - 1 + step) % N + 1] != target:
-                return None
-    n = N // k
-    mu = [0] * n
-    seen = set()
-    for b in p.blocks:
-        fb = frozenset(b)
-        if fb in seen:
-            continue
-        orbit = {fb}
-        cur = b
-        while True:
-            cur = tuple((x - 1 + step) % N + 1 for x in cur)
-            if frozenset(cur) == fb:
-                break
-            orbit.add(frozenset(cur))
-        seen |= orbit
-        if len(orbit) == 1:
-            continue
-        if len(orbit) != m:
-            return None
-        mu[len(b) // k - 1] += 1
-    return tuple(mu)
-
-
 # -- type BC ------------------------------------------------------------------
 
 
-def signed_to_line(x: int, n: int) -> int:
-    """The identification +-[n] = [2n]: i -> i, -i -> n + i."""
-    return x if x > 0 else n - x
-
-
 def line_to_signed(x: int, n: int) -> int:
+    """Inverse of +-[n] = [2n], x -> circ_position(x, n) + 1."""
     return x if x <= n else n - x
 
 
 def to_line_partition(p: SetPartition) -> SetPartition:
-    blocks = [tuple(signed_to_line(x, p.n) for x in b) for b in p.blocks]
+    blocks = [tuple(circ_position(x, p.n) + 1 for x in b) for b in p.blocks]
     return SetPartition.of(2 * p.n, blocks)
 
 
@@ -461,14 +298,6 @@ class LabeledPartition:
                 mb = tuple(sorted(-x for x in b))
                 if set(lab[mb]) != {-x for x in l}:
                     raise ValueError("labels are not centrally symmetric")
-
-    @property
-    def k(self) -> int:
-        b, l = self.labels[0]
-        return len(b) // len(l)
-
-    def label_of(self, block) -> tuple[int, ...]:
-        return dict(self.labels)[tuple(sorted(block))]
 
     def __repr__(self):
         bits = ", ".join(
@@ -525,7 +354,7 @@ def openers(p: SetPartition) -> dict[tuple[int, ...], int]:
     n = p.n
     order = list(range(1, n + 1)) + [-i for i in range(1, n + 1)]
     alive = set(order)
-    zero = p.zero_block()
+    zero = zero_block(p.blocks)
     todo = [b for b in p.blocks if b != zero]
     out: dict[tuple[int, ...], int] = {}
 

@@ -1,13 +1,32 @@
-"""Shared oracles for the test suite."""
+"""Shared oracles for the test suite, and the helpers that only tests
+call: the library keeps what a command runs."""
 
 import itertools
+import math
+from fractions import Fraction
 from operator import eq
 
-from ncpark.locus import ZERO, LocusPoint, build_locus, locus_act_w, opener_to_exponent
+from ncpark.locus import (
+    ZERO,
+    LocusPoint,
+    build_locus,
+    diagonal_twist,
+    locus_act_w,
+    opener_to_exponent,
+)
 from ncpark.ncw import build_nc, chain_g_table, g_act_chain
 from ncpark.nonnesting import torus_matrix
-from ncpark.reflgroup import group
-from ncpark.setpart import SetPartition, is_noncrossing
+from ncpark.reflgroup import (
+    DihedralElement,
+    FlatPartition,
+    SignedPerm,
+    canonical_blocks,
+    group,
+    identity_perm,
+    partition_refines,
+    zero_block,
+)
+from ncpark.setpart import SetPartition, circ_position, is_noncrossing
 
 MAIN_GRID = (
     [("A", n) for n in (2, 3, 4)]
@@ -77,8 +96,8 @@ def fuss(spec, k):
 def absolute_leq(grp, u, v):
     """The absolute order by its length definition:
     u <= v iff l(v) = l(u) + l(u^-1 v)."""
-    return grp.reflection_length(v) == grp.reflection_length(u) + grp.reflection_length(
-        u.inverse() * v
+    return reflection_length(grp, v) == reflection_length(grp, u) + reflection_length(
+        grp, u.inverse() * v
     )
 
 
@@ -114,7 +133,7 @@ def integrate(factor, grp, c):
         chain.append(prod)
     if chain[-1] != c:
         raise ValueError("factor entries do not multiply to the Coxeter element")
-    if sum(grp.reflection_length(w) for w in factor) != grp.reflection_length(c):
+    if sum(reflection_length(grp, w) for w in factor) != reflection_length(grp, c):
         raise ValueError("factorization is not length additive")
     return tuple(chain[:-1])
 
@@ -191,7 +210,7 @@ def bc_phi_by_labels(space, p):
     coords = [ZERO] * n
     for b, opener in space.chain_picture(p.chain).openers.items():
         e = opener_to_exponent(opener, kn)
-        for t in lp.label_of(b):
+        for t in label_of(lp, b):
             if t > 0:
                 coords[t - 1] = e
             else:
@@ -275,7 +294,7 @@ def acts_as_minus_one(g, flat, w):
     """Whether w restricts to -1 on a one-dimensional flat."""
     fam = g.family
     if fam == "I2":
-        if flat.kind != "line" or g.act_on_flat(w, flat) != flat:
+        if flat.kind != "line" or act_on_flat(g, w, flat) != flat:
             return False
         if not w.refl:
             return w.j != 0  # c^(m/2) when m is even
@@ -402,8 +421,10 @@ def descending_filter_chains(poset, k):
 def ups_by_flat_leq(nc):
     """NCPoset._ups by |NC|^2 flat containment tests: the elements above
     u are those whose fixed flat lies in the flat of u."""
-    leq = nc.group.flat_leq
-    return {u: [v for v, y in nc.flat_of.items() if leq(x, y)] for u, x in nc.flat_of.items()}
+    grp = nc.group
+    return {
+        u: [v for v, y in nc.flat_of.items() if flat_leq(grp, x, y)] for u, x in nc.flat_of.items()
+    }
 
 
 def antichains(poset):
@@ -412,3 +433,383 @@ def antichains(poset):
         frozenset(a for a in f if not any(poset.leq(b, a) and b != a for b in f))
         for f in poset.filters()
     ]
+
+
+# ---------------------------------------------------------------------------
+# group elements and flats
+
+
+def element_order(w):
+    """The order of a signed permutation or of a dihedral element."""
+    if isinstance(w, DihedralElement):
+        if w.refl:
+            return 2
+        if w.j == 0:
+            return 1
+        return w.m // math.gcd(w.m, w.j)
+    k, u = 1, w
+    ident = identity_perm(w.n)
+    while u != ident:
+        u = u * w
+        k += 1
+    return k
+
+
+def reflection_length(grp, w):
+    """codim V^w, which is the reflection length by Carter's lemma."""
+    return grp.rank - grp.fixed_flat(w).dim
+
+
+def all_flats(grp):
+    """Every flat of the arrangement, as fixed spaces of group elements."""
+    return sorted({grp.fixed_flat(w) for w in grp.elements()})
+
+
+def flat_leq(grp, x, y):
+    """Intersection-lattice order by reverse inclusion: x <= y iff x contains y.
+
+    On the fixed flats of the elements below c this is the absolute
+    order (Brady-Watt); the tests check NCPoset's order against it."""
+    if grp.family == "I2":
+        if x.kind == "plane" or y.kind == "origin":
+            return True
+        return x == y
+    return partition_refines(x.blocks, y.blocks)
+
+
+def act_on_flat(grp, w, x):
+    """The flat w(x)."""
+    if grp.family == "I2":
+        if x.kind != "line":
+            return x
+        if not w.refl:
+            return FlatPartition("I2", x.n, kind="line", line=(x.line + 2 * w.j) % x.n)
+        return FlatPartition("I2", x.n, kind="line", line=(2 * w.j - x.line) % x.n)
+    blocks = canonical_blocks(tuple(w(i) for i in b) for b in x.blocks)
+    return FlatPartition(x.family, x.n, blocks=blocks)
+
+
+def contains(grp, w):
+    """Whether w is an element of the group."""
+    if grp.family == "I2":
+        return isinstance(w, DihedralElement) and w.m == grp.spec.param
+    if not isinstance(w, SignedPerm) or w.n != grp.spec.param:
+        return False
+    if grp.family == "A":
+        return w.is_positive()
+    if grp.family == "D":
+        return w.neg_count() % 2 == 0
+    return True
+
+
+def isotropy_contains(grp, x, w):
+    """True iff w fixes the flat x pointwise."""
+    if grp.family == "I2":
+        if x.kind == "plane":
+            return w == grp.identity()
+        if x.kind == "origin":
+            return True
+        return w == grp.identity() or w == DihedralElement(x.n, True, x.line)
+    if not contains(grp, w):
+        return False
+    zero = zero_block(x.blocks) or ()
+    where = {i: idx for idx, b in enumerate(x.blocks) for i in b}
+    for i in range(1, x.n + 1):
+        if i in zero:
+            if w(i) not in zero:
+                return False
+        elif where[w(i)] != where[i]:
+            return False
+    return True
+
+
+def is_noncrossing_flat(nc, x):
+    """Whether x is the flat of an element of NC(W), cross-checked in types
+    A and B against the boundary-order geometric predicate."""
+    ok = x in nc.element_of_flat
+    fam = nc.group.family
+    if fam in ("A", "B"):
+        # type D would need the annular model and every I2 flat qualifies
+        p = SetPartition.of(x.n, x.blocks, signed=fam == "B")
+        if is_noncrossing(p) != ok:
+            raise RuntimeError(f"geometric and poset noncrossing tests disagree on {x}")
+    return ok
+
+
+# ---------------------------------------------------------------------------
+# set partitions
+
+
+def parse_partition(text, n, signed=False):
+    """Parse the block literal syntax, e.g. "1,-4/2,3/-1,4/-2,-3"."""
+    blocks = []
+    for chunk in text.split("/"):
+        chunk = chunk.strip()
+        if not chunk:
+            raise ValueError("empty block in literal")
+        blocks.append(tuple(int(t) for t in chunk.split(",")))
+    return SetPartition.of(n, blocks, signed)
+
+
+def _ground(n, signed):
+    return list(range(1, n + 1)) + ([-i for i in range(1, n + 1)] if signed else [])
+
+
+def singletons(n, signed=False):
+    return SetPartition.of(n, [(x,) for x in _ground(n, signed)], signed)
+
+
+def full_partition(n, signed=False):
+    return SetPartition.of(n, [tuple(_ground(n, signed))], signed)
+
+
+def block_sizes(p):
+    return tuple(sorted((len(b) for b in p.blocks), reverse=True))
+
+
+def label_of(lp, block):
+    """The label set of a block of a LabeledPartition."""
+    return dict(lp.labels)[tuple(sorted(block))]
+
+
+def rotate_partition(p, step=1):
+    """Clockwise rotation: each element i moves to i+step around the circle."""
+    n = p.n
+    if not p.signed:
+        blocks = [tuple((x - 1 + step) % n + 1 for x in b) for b in p.blocks]
+    else:
+        order = _ground(n, True)
+
+        def rot(x):
+            return order[(circ_position(x, n) + step) % (2 * n)]
+
+        blocks = [tuple(rot(x) for x in b) for b in p.blocks]
+    return SetPartition.of(n, blocks, p.signed)
+
+
+def all_noncrossing_partitions(n):
+    """All noncrossing partitions of [n], by direct recursive construction.
+
+    The block containing 1 splits the remaining elements into independent
+    linear segments, each partitioned recursively.
+    """
+    for blocks in _nc_on(list(range(1, n + 1))):
+        yield SetPartition.of(n, blocks)
+
+
+def _nc_on(elements):
+    """Noncrossing partitions of a linearly ordered ground segment."""
+    if not elements:
+        yield []
+        return
+    first, rest = elements[0], elements[1:]
+    for size in range(0, len(rest) + 1):
+        for chosen in itertools.combinations(rest, size):
+            block = (first,) + chosen
+            bounds = [elements.index(x) for x in block] + [len(elements)]
+            segs = [elements[a + 1 : b] for a, b in zip(bounds, bounds[1:])]
+            for combo in itertools.product(*[list(_nc_on(s)) for s in segs]):
+                blocks = [block]
+                for sub in combo:
+                    blocks.extend(sub)
+                yield blocks
+
+
+def nc_lambda_count(lam):
+    """Number of noncrossing partitions of [n] with block sizes lam."""
+    lam = tuple(sorted(lam, reverse=True))
+    if not lam or any(x < 1 for x in lam):
+        raise ValueError(f"malformed partition {lam}")
+    n = sum(lam)
+    ell = len(lam)
+    denom = math.factorial(n - ell + 1)
+    for i in range(1, n + 1):
+        denom *= math.factorial(lam.count(i))
+    return math.factorial(n) // denom
+
+
+def symmetric_kdiv_count(mu, n, k, m):
+    """Count of m-fold symmetric k-divisible noncrossing partitions of [kn]
+    whose non-invariant blocks form mu_j orbits of blocks of size kj.
+
+    The value is (kn/m)(kn/m - 1)...(kn/m - (r-1)) / (mu_1! ... mu_n!)
+    with r = sum(mu); any leftover elements form the invariant block.
+    """
+    if m < 2 or (k * n) % m:
+        raise ValueError(f"m = {m} must be >= 2 and divide kn = {k * n}")
+    mu = tuple(mu) + (0,) * (n - len(mu))
+    r = sum(mu)
+    num = 1
+    base = Fraction(k * n, m)
+    for t in range(r):
+        num *= base - t
+    denom = 1
+    for mj in mu:
+        denom *= math.factorial(mj)
+    val = Fraction(num, denom)
+    if val.denominator != 1:
+        raise RuntimeError("count is not an integer (logic error)")
+    return int(val)
+
+
+def symmetric_kdiv_type(p, k, m):
+    """Orbit-type vector of an m-fold symmetric k-divisible partition of [kn].
+
+    Returns None when p is not m-fold symmetric, not k-divisible, or has a
+    non-invariant orbit shorter than m.  Entry j-1 counts length-m orbits of
+    blocks of size kj.
+    """
+    N = p.n
+    step = N // m
+    for b in p.blocks:
+        if len(b) % k:
+            return None
+    # p is m-fold symmetric when the rotation sends each block into one
+    # block; p is valid already, so its raw blocks need no SetPartition
+    owner = [0] * (N + 1)
+    for i, b in enumerate(p.blocks):
+        for x in b:
+            owner[x] = i
+    for b in p.blocks:
+        target = owner[(b[0] - 1 + step) % N + 1]
+        for x in b:
+            if owner[(x - 1 + step) % N + 1] != target:
+                return None
+    n = N // k
+    mu = [0] * n
+    seen = set()
+    for b in p.blocks:
+        fb = frozenset(b)
+        if fb in seen:
+            continue
+        orbit = {fb}
+        cur = b
+        while True:
+            cur = tuple((x - 1 + step) % N + 1 for x in cur)
+            if frozenset(cur) == fb:
+                break
+            orbit.add(frozenset(cur))
+        seen |= orbit
+        if len(orbit) == 1:
+            continue
+        if len(orbit) != m:
+            return None
+        mu[len(b) // k - 1] += 1
+    return tuple(mu)
+
+
+# ---------------------------------------------------------------------------
+# parking spaces and loci
+
+
+def orbit_decomposition(space):
+    """Multiplicity of each first-flat orbit type among the W-orbits.
+
+    W-orbits of classes biject with chains.  Type A keys are the block
+    size partitions of the first flat; other families key by the
+    lexicographically minimal flat in the W-orbit of the first flat.
+    """
+    out = {}
+    for ch in space.chains:
+        x1 = space.nc.flat_of[ch[0]]
+        if space.spec.family == "A":
+            key = tuple(sorted((len(b) for b in x1.blocks), reverse=True))
+        else:
+            key = min(act_on_flat(space.group, w, x1) for w in space.group.elements())
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def permute_sequence(w, seq):
+    """Coordinate action moving the entry at position i to position w(i);
+    equivalently (a_1,...,a_n) -> (a_{w^-1(1)},...,a_{w^-1(n)}).
+
+    This is the left action matching label permutation on disc pictures.
+    """
+    out = [0] * len(seq)
+    for i, a in enumerate(seq, start=1):
+        out[w(i) - 1] = a
+    return tuple(out)
+
+
+def equivariant_function_count(n, k, w, d):
+    """Brute-force count of functions f: [n] -> [kn] u {0} with
+    f(w(j)) = g^d f(j), where g cycles [kn] and fixes 0.
+
+    Asserted against (kn+1)^r where r counts cycles of w with length
+    divisible by the order of g^d.
+    """
+    kn = k * n
+    if d % kn == 0:
+        raise ValueError("d must be nonzero modulo kn")
+    d = d % kn
+    m = kn // math.gcd(kn, d)
+    wimg = [w(j) for j in range(1, n + 1)]
+    count = 0
+    for f in itertools.product(range(kn + 1), repeat=n):
+        for j in range(n):
+            fj = f[j]
+            target = 0 if fj == 0 else (fj - 1 + d) % kn + 1
+            if f[wimg[j] - 1] != target:
+                break
+        else:
+            count += 1
+    r = sum(1 for cyc in w.cycles() if len(cyc) % m == 0)
+    if count != (kn + 1) ** r:
+        raise RuntimeError(f"equivariant count {count} != (kn+1)^{r} (logic error)")
+    return count
+
+
+def point_dimension(spec, p):
+    """Minimum dimension of a flat containing the point.
+
+    Computed from coordinate coincidences: nonzero coordinates cluster by
+    equality up to sign; type B zeros pin to the zero block, type D zeros
+    only when at least two coordinates vanish.
+    """
+    if spec.family == "I2":
+        v1, v2 = p.coords
+        if v1 is ZERO and v2 is ZERO:
+            return 0
+        if v1 is ZERO or v2 is ZERO:
+            return 2
+        return 1 if (v1 - v2) % diagonal_twist(spec, p.order) == 0 else 2
+    kh = p.order
+    half = kh // 2
+    nonzero = [v for v in p.coords if v is not ZERO]
+    clusters = {min(v, (v + half) % kh) for v in nonzero}
+    zeros = len(p.coords) - len(nonzero)
+    if spec.family == "B":
+        return len(clusters)
+    return len(clusters) + (1 if zeros == 1 else 0)
+
+
+# ---------------------------------------------------------------------------
+# nonnesting partitions
+
+
+def antichain_to_partition(poset, antichain):
+    """Type A: the nonnesting partition generated by i ~ j per arc root."""
+    if poset.spec.family != "A":
+        raise ValueError("arc diagrams are a type A notion")
+    n = poset.spec.param
+    arcs = []
+    for root in antichain:
+        i = root.index(1) + 1
+        j = len(root) - tuple(reversed(root)).index(1) + 1
+        arcs.append((i, j))
+    part = SetPartition.of(n, merge_partitions(range(1, n + 1), [arcs]))
+    if _has_nesting(part):
+        raise RuntimeError(f"antichain produced a nesting partition {part}")
+    return part
+
+
+def _has_nesting(p):
+    arcs = []
+    for b in p.blocks:
+        b = sorted(b)
+        arcs.extend(zip(b, b[1:]))
+    for (a, d), (b, c) in itertools.permutations(arcs, 2):
+        if a < b < c < d:
+            return True
+    return False

@@ -8,7 +8,24 @@ import random
 import time
 from collections import Counter
 
-from conftest import KS, MAIN_GRID, act_g, act_w, acts_as_minus_one, fuss
+from conftest import (
+    KS,
+    MAIN_GRID,
+    act_g,
+    act_on_flat,
+    act_w,
+    acts_as_minus_one,
+    all_flats,
+    all_noncrossing_partitions,
+    block_sizes,
+    equivariant_function_count,
+    full_partition,
+    fuss,
+    label_of,
+    nc_lambda_count,
+    orbit_decomposition,
+    parse_partition,
+)
 
 from ncpark import ncw, qcatalan, setpart
 from ncpark.locus import (
@@ -21,13 +38,9 @@ from ncpark.locus import (
     verify_intermediate_character,
 )
 from ncpark.nonnesting import count_geometric, verify_nn_character
-from ncpark.parkspace import (
-    build_park,
-    enumerate_classical,
-    equivariant_function_count,
-)
+from ncpark.parkspace import build_park, enumerate_classical
 from ncpark.reflgroup import GroupSpec, balanced_cycle, group, paired_cycle, perm_from_cycles
-from ncpark.setpart import LabeledPartition, SetPartition, bc_nabla, parse_partition
+from ncpark.setpart import LabeledPartition, SetPartition, bc_nabla
 
 
 def report(name, ok, detail=""):
@@ -80,7 +93,7 @@ def test_criterion_04_bc_bijection():
     # pinned test vectors
     ps = build_park(GroupSpec("B", 3), 2)
     X1 = parse_partition("1,-3/2,-2/-1,3", 3, signed=True)
-    X2 = SetPartition.full(3, signed=True)
+    X2 = full_partition(3, signed=True)
     w = paired_cycle(3, (1, 3, -2))
     upper = ps.from_labeled_pair(bc_nabla((X1, X2), {b: tuple(w(x) for x in b) for b in X1.blocks}))
     assert bc_phi(ps, upper) == LocusPoint(12, (ZERO, 10, 10))
@@ -94,8 +107,8 @@ def test_criterion_04_bc_bijection():
     cls = bc_psi(ps4, LocusPoint(16, (4, ZERO, 12, 5)))
     lp = ps4.labeled_pair(cls)
     assert lp.partition == parse_partition("1,-4,-7,-8/2,3,-2,-3/4,7,8,-1/5,6/-5,-6", 8, signed=True)
-    assert set(lp.label_of((-1, 4, 7, 8))) == {1, -3}
-    assert set(lp.label_of((-3, -2, 2, 3))) == {2, -2}
+    assert set(label_of(lp, (-1, 4, 7, 8))) == {1, -3}
+    assert set(label_of(lp, (-3, -2, 2, 3))) == {2, -2}
     report("criterion 4: type BC bijection, inverses + equivariance + test vectors", True)
 
 
@@ -185,19 +198,19 @@ def _k1_sequences():
 def test_criterion_08_counting_oracles():
     # Kreweras counts against enumeration
     for n in range(1, 9):
-        counts = Counter(p.block_sizes() for p in setpart.all_noncrossing_partitions(n))
+        counts = Counter(block_sizes(p) for p in all_noncrossing_partitions(n))
         for lam, c in counts.items():
-            assert setpart.nc_lambda_count(lam) == c
+            assert nc_lambda_count(lam) == c
     # symmetric k-divisible counts against enumeration, kn <= 12: every N,
     # k and m are checked once, by test_setpart's
     # test_symmetric_kdiv_count_vs_enumeration[2..12]
     # orbit multiplicities against k-divisible block data
     for n in (2, 3, 4):
         for k in KS:
-            dec = build_park(GroupSpec("A", n), k).orbit_decomposition()
+            dec = orbit_decomposition(build_park(GroupSpec("A", n), k))
             expect = Counter()
-            for p in setpart.all_noncrossing_partitions(k * n):
-                sizes = p.block_sizes()
+            for p in all_noncrossing_partitions(k * n):
+                sizes = block_sizes(p)
                 if all(s % k == 0 for s in sizes):
                     expect[tuple(s // k for s in sizes)] += 1
             assert dec == dict(expect), (n, k)
@@ -249,28 +262,28 @@ def test_criterion_10_structural_suites():
     nc = ncw.build_nc(grp)
     for ch in nc.multichains(2):
         moved = ncw.g_act_chain(ch, grp, nc.c)
-        expected = grp.act_on_flat(nc.c * ch[-1].inverse(), grp.fixed_flat(ch[0]))
+        expected = act_on_flat(grp, nc.c * ch[-1].inverse(), grp.fixed_flat(ch[0]))
         assert grp.fixed_flat(moved[0]) == expected
     # flat-orbit properties and the even Coxeter number fact, exhaustively
     for fam, p in [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3)] + [
         ("I2", m) for m in range(3, 9)
     ]:
         g = group(fam, p)
-        nc_flats = ncw.build_nc(g).noncrossing_flats()
-        for x in g.all_flats():
-            assert any(g.act_on_flat(w, x) in nc_flats for w in g.elements())
+        nc_flats = set(ncw.build_nc(g).element_of_flat)
+        for x in all_flats(g):
+            assert any(act_on_flat(g, w, x) in nc_flats for w in g.elements())
         c = g.coxeter_element()
         for x in nc_flats:
             if x.dim != 1:
                 continue
-            orbit_nc = {g.act_on_flat(w, x) for w in g.elements()} & nc_flats
+            orbit_nc = {act_on_flat(g, w, x) for w in g.elements()} & nc_flats
             c_orbit = set()
             y = x
             for _ in range(g.spec.coxeter_number):
                 c_orbit.add(y)
-                y = g.act_on_flat(c, y)
+                y = act_on_flat(g, c, y)
             assert orbit_nc == c_orbit
         if g.spec.coxeter_number % 2 == 1:
-            lines = [x for x in g.all_flats() if x.dim == 1]
+            lines = [x for x in all_flats(g) if x.dim == 1]
             assert not any(acts_as_minus_one(g, x, w) for x in lines for w in g.elements())
     report("criterion 10: structural properties (fuzzing, action laws, flat lemmas)", True)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ncpark import cli, locus, parkspace
+from ncpark import cli, locus, parkspace, qcatalan
 from ncpark.cli import (
     COMMANDS,
     D_COMMANDS,
@@ -96,12 +96,14 @@ def test_d_filter(tmp_path):
     assert {r["d"] for r in lines if "d" in r} == {0, 1}
 
 
-@pytest.mark.parametrize("d", ["5:3", "2:2", "99", "3", "-1", "0:4"])
-def test_d_filter_rejects_empty_or_out_of_range(d, tmp_path):
-    # A2 k=1 has kh = 3: an empty range or a d outside [0, 3) checks nothing
+@pytest.mark.parametrize("d", ["5:3", "2:2", "99", "3", "-1", "0:4", "1:2:3", "x"])
+def test_d_filter_rejects_empty_or_out_of_range(d, tmp_path, capsys):
+    # A2 k=1 has kh = 3: an empty range or a d outside [0, 3) checks
+    # nothing, and a text that is not d or d0:d1 names no range
     out = tmp_path / "out.jsonl"
     args = ["verify-weak", "--family", "A", "--rank", "2", "--k", "1", "--d", d, "--out", str(out)]
     assert main(args) == EXIT_CONFIG
+    assert f"configuration error: --d {d} is not" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -239,6 +241,21 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out.jsonl"
     assert main(["verify-weak", "--family", "A", "--rank", "2", "--out", str(out)]) == EXIT_INTERNAL
     assert "internal error: psi did not invert phi" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_internal_value_error_exit_code(tmp_path, monkeypatch, capsys):
+    # only a ConfigError is bad input: a ValueError from a broken invariant,
+    # here an exact division with a remainder, is an internal error
+    divexact = qcatalan.IntPoly.divexact
+
+    def off_by_one(self, other):
+        return divexact(self + qcatalan.IntPoly.one(), other)
+
+    monkeypatch.setattr(qcatalan.IntPoly, "divexact", off_by_one)
+    out = tmp_path / "out.jsonl"
+    assert main(["verify-csp", "--family", "A", "--rank", "2", "--out", str(out)]) == EXIT_INTERNAL
+    assert "internal error: nonzero remainder" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,11 +3,16 @@ from conftest import (
     KS,
     MAIN_GRID,
     act_g,
+    all_flats,
     bc_phi_by_labels,
+    full_partition,
+    label_of,
     locus_act_g,
     locus_fixed_count,
     locus_stabilizer,
+    parse_partition,
     park_stabilizer,
+    point_dimension,
     table_oracle,
 )
 
@@ -25,7 +30,6 @@ from ncpark.locus import (
     locus_order,
     locus_position,
     locus_w_table,
-    point_dimension,
     stabilizer,
     verify_bc_bijection,
     verify_intermediate_character,
@@ -38,7 +42,7 @@ from ncpark.reflgroup import (
     group,
     paired_cycle,
 )
-from ncpark.setpart import SetPartition, bc_nabla, parse_partition
+from ncpark.setpart import bc_nabla
 
 
 def test_build_locus_counts():
@@ -109,7 +113,7 @@ def test_stratification(spec, k):
     assert sum(counts.values()) == (kh + 1) ** spec.rank
     # every one-dimensional flat carries exactly kh points of the 1-stratum
     grp = group(spec.family, spec.param)
-    lines = [x for x in grp.all_flats() if x.dim == 1]
+    lines = [x for x in all_flats(grp) if x.dim == 1]
     ones = sum(1 for d in dims if d == 1)
     assert ones == kh * len(lines)
 
@@ -117,7 +121,7 @@ def test_stratification(spec, k):
 def test_bc_phi_pinned_vectors():
     ps = build_park(GroupSpec("B", 3), 2)
     X1 = parse_partition("1,-3/2,-2/-1,3", 3, signed=True)
-    X2 = SetPartition.full(3, signed=True)
+    X2 = full_partition(3, signed=True)
     w = paired_cycle(3, (1, 3, -2))
     lp = bc_nabla((X1, X2), {b: tuple(w(x) for x in b) for b in X1.blocks})
     upper = ps.from_labeled_pair(lp)
@@ -139,11 +143,11 @@ def test_bc_psi_worked_example():
     assert lp.partition == parse_partition(
         "1,-4,-7,-8/2,3,-2,-3/4,7,8,-1/5,6/-5,-6", 8, signed=True
     )
-    assert set(lp.label_of((-1, 4, 7, 8))) == {1, -3}
+    assert set(label_of(lp, (-1, 4, 7, 8))) == {1, -3}
     # v_4 = w^5 and {5,6} is opened by +5, so 4 labels the positive block
-    assert set(lp.label_of((5, 6))) == {4}
-    assert set(lp.label_of((-6, -5))) == {-4}
-    assert set(lp.label_of((-3, -2, 2, 3))) == {2, -2}
+    assert set(label_of(lp, (5, 6))) == {4}
+    assert set(label_of(lp, (-6, -5))) == {-4}
+    assert set(label_of(lp, (-3, -2, 2, 3))) == {2, -2}
     assert bc_phi(ps, cls) == pt
 
 

@@ -2,15 +2,19 @@ import pytest
 from conftest import (
     KS,
     MAIN_GRID,
+    act_on_flat,
+    all_flats,
     g_act_chain_by_factors,
     g_act_factor,
     integrate,
+    is_noncrossing_flat,
     partial,
+    reflection_length,
     table_oracle,
     ups_by_flat_leq,
 )
 
-from ncpark.ncw import build_nc, chain_flats, chain_g_table, g_act_chain
+from ncpark.ncw import build_nc, chain_g_table, g_act_chain
 from ncpark.reflgroup import GroupSpec, group, identity_perm, perm_from_cycles
 from ncpark.setpart import SetPartition, is_noncrossing
 
@@ -116,9 +120,9 @@ def test_g_act_factor_rotates_length_multiset():
         for ch in nc.multichains(3):
             factor = partial(ch, nc.c)
             moved = g_act_factor(factor, nc.c)
-            lengths = [grp.reflection_length(w) for w in factor]
+            lengths = [reflection_length(grp, w) for w in factor]
             expected = [lengths[0]] + [lengths[-1]] + lengths[1:-1]
-            assert [grp.reflection_length(w) for w in moved] == expected
+            assert [reflection_length(grp, w) for w in moved] == expected
 
 
 @pytest.mark.parametrize("fam,p", [("A", 3), ("B", 2), ("I2", 3), ("I2", 4), ("I2", 5)])
@@ -133,7 +137,7 @@ def test_g_has_order_kh(fam, p, k):
         for step in range(1, kh + 1):
             cur = g_act_chain(cur, grp, nc.c)
             factor = partial(cur, nc.c)
-            assert sum(grp.reflection_length(w) for w in factor) == grp.reflection_length(nc.c)
+            assert sum(reflection_length(grp, w) for w in factor) == reflection_length(grp, nc.c)
             if cur == ch and step == kh:
                 seen_back = True
         assert seen_back or cur == ch
@@ -168,7 +172,7 @@ def test_first_component_rule():
     nc = build_nc(grp)
     for ch in nc.multichains(2):
         moved = g_act_chain(ch, grp, nc.c)
-        expected = grp.act_on_flat(nc.c * ch[-1].inverse(), grp.fixed_flat(ch[0]))
+        expected = act_on_flat(grp, nc.c * ch[-1].inverse(), grp.fixed_flat(ch[0]))
         assert grp.fixed_flat(moved[0]) == expected
 
 
@@ -188,16 +192,16 @@ def test_chain_flats():
     grp = group("A", 3)
     nc = build_nc(grp)
     ident = identity_perm(3)
-    assert [f.dim for f in chain_flats((ident, ident), grp)] == [2, 2]
-    assert [f.dim for f in chain_flats((nc.c, nc.c), grp)] == [0, 0]
+    assert [grp.fixed_flat(w).dim for w in (ident, ident)] == [2, 2]
+    assert [grp.fixed_flat(w).dim for w in (nc.c, nc.c)] == [0, 0]
     ch = (perm_from_cycles(3, (1, 2)), nc.c)
-    flats = chain_flats(ch, grp)
+    flats = tuple(grp.fixed_flat(w) for w in ch)
     assert flats[0].blocks == ((1, 2), (3,))
     assert flats[1].blocks == ((1, 2, 3),)
     # injective on chains
     for k in (1, 2):
         chains = nc.multichains(k)
-        assert len({chain_flats(c_, grp) for c_ in chains}) == len(chains)
+        assert len({tuple(grp.fixed_flat(w) for w in c_) for c_ in chains}) == len(chains)
 
 
 def test_noncrossing_flats():
@@ -205,39 +209,39 @@ def test_noncrossing_flats():
     for m in (3, 4, 5, 6, 7, 8):
         grp = group("I2", m)
         nc = build_nc(grp)
-        assert nc.noncrossing_flats() == set(grp.all_flats())
+        assert set(nc.element_of_flat) == set(all_flats(grp))
     # type A: the crossing pair pattern is not a noncrossing flat
     grp = group("A", 4)
     nc = build_nc(grp)
     crossing = grp.fixed_flat(perm_from_cycles(4, (1, 3), (2, 4)))
-    assert not nc.is_noncrossing_flat(crossing)
-    assert nc.is_noncrossing_flat(grp.fixed_flat(identity_perm(4)))
+    assert not is_noncrossing_flat(nc, crossing)
+    assert is_noncrossing_flat(nc, grp.fixed_flat(identity_perm(4)))
 
 
 @pytest.mark.parametrize("fam,p", [("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3)] + [("I2", m) for m in range(3, 9)])
 def test_every_flat_conjugate_to_noncrossing(fam, p):
     grp = group(fam, p)
     nc = build_nc(grp)
-    ncf = nc.noncrossing_flats()
-    for x in grp.all_flats():
-        assert any(grp.act_on_flat(w, x) in ncf for w in grp.elements())
+    ncf = set(nc.element_of_flat)
+    for x in all_flats(grp):
+        assert any(act_on_flat(grp, w, x) in ncf for w in grp.elements())
 
 
 @pytest.mark.parametrize("fam,p", [("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3)] + [("I2", m) for m in range(3, 9)])
 def test_w_orbit_of_line_meets_noncrossing_in_c_orbit(fam, p):
     grp = group(fam, p)
     nc = build_nc(grp)
-    ncf = nc.noncrossing_flats()
+    ncf = set(nc.element_of_flat)
     c = grp.coxeter_element()
     for x in ncf:
         if x.dim != 1:
             continue
-        w_orbit_nc = {grp.act_on_flat(w, x) for w in grp.elements()} & ncf
+        w_orbit_nc = {act_on_flat(grp, w, x) for w in grp.elements()} & ncf
         c_orbit = set()
         y = x
         for _ in range(grp.spec.coxeter_number):
             c_orbit.add(y)
-            y = grp.act_on_flat(c, y)
+            y = act_on_flat(grp, c, y)
         assert w_orbit_nc == c_orbit
 
 
@@ -245,7 +249,7 @@ def test_geometric_noncrossing_agrees_with_poset_for_a():
     # flats of A: noncrossing in [1,c] iff noncrossing as a partition
     grp = group("A", 4)
     nc = build_nc(grp)
-    for x in grp.all_flats():
+    for x in all_flats(grp):
         geom = is_noncrossing(SetPartition.of(4, x.blocks))
         assert geom == (x in nc.element_of_flat)
 
@@ -253,6 +257,6 @@ def test_geometric_noncrossing_agrees_with_poset_for_a():
 def test_geometric_noncrossing_agrees_with_poset_for_b():
     grp = group("B", 3)
     nc = build_nc(grp)
-    for x in grp.all_flats():
+    for x in all_flats(grp):
         geom = is_noncrossing(SetPartition.of(3, x.blocks, signed=True))
         assert geom == (x in nc.element_of_flat)

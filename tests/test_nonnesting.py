@@ -3,17 +3,18 @@ import pytest
 from conftest import (
     KS,
     MAIN_GRID,
+    antichain_to_partition,
     antichains,
     descending_filter_chains,
     filters_by_subsets,
     is_geometric_by_tuple_sums,
+    parse_partition,
     torus_fixed_count_bruteforce,
 )
 from ncpark import nonnesting
 from ncpark.ncw import build_nc
 from ncpark.nonnesting import (
     FilterChain,
-    antichain_to_partition,
     build_root_poset,
     count_geometric,
     fixed_vector_count,
@@ -24,7 +25,6 @@ from ncpark.nonnesting import (
     verify_nn_character,
 )
 from ncpark.reflgroup import GroupSpec, SignedPerm, group, identity_perm, perm_from_cycles
-from ncpark.setpart import parse_partition
 
 CRYST = [("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3), ("D", 4)]
 

@@ -9,8 +9,16 @@ from conftest import (
     act_g,
     act_g_power,
     act_w,
+    all_noncrossing_partitions,
+    block_sizes,
     coset_arrays_by_products,
+    equivariant_function_count,
     fixed_counts_by_powers,
+    nc_lambda_count,
+    orbit_decomposition,
+    parse_partition,
+    permute_sequence,
+    rotate_partition,
     table_oracle,
     to_classical_by_labels,
 )
@@ -20,10 +28,8 @@ from ncpark.parkspace import (
     Cycles,
     build_park,
     enumerate_classical,
-    equivariant_function_count,
     fixed_counts,
     is_classical_park,
-    permute_sequence,
 )
 from ncpark.reflgroup import (
     GroupSpec,
@@ -31,13 +37,7 @@ from ncpark.reflgroup import (
     identity_perm,
     perm_from_cycles,
 )
-from ncpark.setpart import (
-    LabeledPartition,
-    SetPartition,
-    all_noncrossing_partitions,
-    format_partition,
-    parse_partition,
-)
+from ncpark.setpart import LabeledPartition, SetPartition, format_partition
 
 TABLE_PARK_3 = {
     (1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 1, 3), (1, 3, 1), (3, 1, 1),
@@ -155,13 +155,13 @@ def test_g_action_well_defined_under_representative_fuzzing(fam, p, k):
 def test_fixed_count_examples():
     ps = build_park(GroupSpec("B", 1), 2)
     s = ps.group.coxeter_element()
-    assert ps.fixed_count(ps.group.identity(), 0) == 5
-    assert ps.fixed_count(s, 0) == 1
+    assert fixed_counts(ps.g_cycles(), ps.w_table(ps.group.identity()), 1)[0] == 5
+    assert fixed_counts(ps.g_cycles(), ps.w_table(s), 1)[0] == 1
     ps2 = build_park(GroupSpec("A", 3), 2)
-    assert ps2.fixed_count(identity_perm(3), 0) == 49
+    assert fixed_counts(ps2.g_cycles(), ps2.w_table(identity_perm(3)), 1)[0] == 49
     # (kn+1)^(r(w)-1): one cycle gives 7^0, two cycles give 7^1
-    assert ps2.fixed_count(perm_from_cycles(3, (1, 2, 3)), 0) == 1
-    assert ps2.fixed_count(perm_from_cycles(3, (1, 2)), 0) == 7
+    assert fixed_counts(ps2.g_cycles(), ps2.w_table(perm_from_cycles(3, (1, 2, 3))), 1)[0] == 1
+    assert fixed_counts(ps2.g_cycles(), ps2.w_table(perm_from_cycles(3, (1, 2))), 1)[0] == 7
 
 
 WEAK_GRID = [
@@ -254,14 +254,12 @@ def test_fixed_counts_small_tables():
 
 
 def test_fixed_count_reads_one_power():
-    # fixed_count(v, d) asks fixed_counts for steps = d + 1
+    # a single power d asks fixed_counts for steps = d + 1
     ps = build_park(GroupSpec("B", 2), 2)
     kh = 2 * ps.spec.coxeter_number
     for v in ps.group.conjugacy_class_reps():
         expected = fixed_counts_by_powers(ps.g_table(), ps.w_table(v), kh)
-        assert [ps.fixed_count(v, d) for d in range(kh)] == expected
-    with pytest.raises(ValueError):
-        ps.fixed_count(ps.group.identity(), kh)
+        assert [fixed_counts(ps.g_cycles(), ps.w_table(v), d + 1)[d] for d in range(kh)] == expected
 
 
 def test_classical_park_predicate():
@@ -352,7 +350,7 @@ def test_pinned_triple_n9_k1():
     w2 = w * (w1 * c.inverse())
     pi2 = SetPartition.of(9, grp.fixed_flat(chain2[0]).blocks)
     f2 = {b: tuple(w2(x) for x in b) for b in pi2.blocks}
-    assert pi2 == setpart.rotate_partition(nc_pi, 1)
+    assert pi2 == rotate_partition(nc_pi, 1)
     assert to_classical(pi2, f2) == (3, 6, 3, 1, 3, 3, 6, 1, 7)
 
 
@@ -368,25 +366,25 @@ def rep_with_labels(pi, labels):
 
 def test_orbit_decomposition_a2():
     ps = build_park(GroupSpec("A", 3), 1)
-    dec = ps.orbit_decomposition()
+    dec = orbit_decomposition(ps)
     assert dec == {(3,): 1, (2, 1): 3, (1, 1, 1): 1}
-    dec2 = build_park(GroupSpec("A", 3), 2).orbit_decomposition()
+    dec2 = orbit_decomposition(build_park(GroupSpec("A", 3), 2))
     assert sum(dec2.values()) == 12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_orbit_decomposition_matches_kreweras_at_k1(n):
-    dec = build_park(GroupSpec("A", n), 1).orbit_decomposition()
+    dec = orbit_decomposition(build_park(GroupSpec("A", n), 1))
     for lam, mult in dec.items():
-        assert mult == setpart.nc_lambda_count(lam)
+        assert mult == nc_lambda_count(lam)
 
 
 @pytest.mark.parametrize("n,k", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
 def test_orbit_decomposition_matches_kdivisible_counts(n, k):
-    dec = build_park(GroupSpec("A", n), k).orbit_decomposition()
+    dec = orbit_decomposition(build_park(GroupSpec("A", n), k))
     counts = Counter()
     for p in all_noncrossing_partitions(k * n):
-        sizes = p.block_sizes()
+        sizes = block_sizes(p)
         if all(s % k == 0 for s in sizes):
             counts[tuple(s // k for s in sizes)] += 1
     assert dec == dict(counts)
@@ -394,7 +392,7 @@ def test_orbit_decomposition_matches_kdivisible_counts(n, k):
 
 def test_rank1_orbits():
     for k in (1, 2, 3):
-        dec = build_park(GroupSpec("B", 1), k).orbit_decomposition()
+        dec = orbit_decomposition(build_park(GroupSpec("B", 1), k))
         # chains V^i 0^(k-i): k + 1 of them; i = 0 is the singleton orbit
         assert sum(dec.values()) == k + 1
 
