@@ -1,4 +1,9 @@
-"""Batch driver: build objects, run verification sweeps, emit JSON lines.
+"""Command line: check the input, run one command, emit JSON lines.
+
+TABLE holds each command's input policy: its families, whether it reads
+--d, and what the enumeration cap bounds.  run checks the spec, k, the
+cap's value, --d, the family and then the cap itself, all before any
+group is built; nothing below this module takes a cap.
 
 Every record carries schema: 1 and a pass field; each command ends with a
 summary record.  Exit code 0 means every check passed; 1 means at least
@@ -13,11 +18,13 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
-from .reflgroup import DEFAULT_CAP, CapExceeded, ConfigError, GroupSpec, group
+from .reflgroup import FAMILIES, ConfigError, GroupSpec, group
 from . import locus, ncw, nonnesting, parkspace, qcatalan
 
 SCHEMA = 1
+DEFAULT_CAP = 10**6
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -25,22 +32,93 @@ EXIT_CONFIG = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
-COMMANDS = (
-    "enumerate",
-    "verify-weak",
-    "verify-csp",
-    "verify-intermediate",
-    "verify-bijection",
-    "nonnesting-count",
-    "torus-character",
-    "classical-park",
-)
-
-# the sweeps over cyclic powers, the only commands that read --d
-D_COMMANDS = ("verify-weak", "verify-csp", "verify-intermediate")
-
 # json.dumps(r, sort_keys=True, default=str), without a new encoder per record
 ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
+
+class CapExceeded(RuntimeError):
+    """The input would make a command enumerate more than the cap allows."""
+
+
+class Command(NamedTuple):
+    """What a command takes and runs.  rows(spec, k) yields each record's
+    own fields; it calls the library through its modules, so a wrapper
+    installed there sees the call."""
+
+    rows: Callable
+    families: tuple[str, ...] = FAMILIES  # the families it takes
+    refusal: str = ""  # the configuration error for any other family
+    reads_d: bool = False  # a sweep over the cyclic powers d, which --d restricts
+    per_class: bool = True  # builds (kh+1)^n classes or locus points: the cap bounds that, not |W|
+
+
+def _count(expected: int, actual: int, **fields) -> dict:
+    return {**fields, "expected": expected, "actual": actual, "pass": expected == actual}
+
+
+def _enumerate(spec, k):
+    space = parkspace.build_park(spec, k)
+    for p in space.classes():
+        yield {"class": space.class_record(p), "pass": True}
+    yield _count((k * spec.coxeter_number + 1) ** spec.rank, len(space.classes()), summary=True)
+
+
+def _verify_csp(spec, k):
+    for row in qcatalan.verify_csp(spec, k):
+        expected, actual = row["polynomial_value"], row["fixed_chains"]
+        yield {"d": row["d"], "expected": expected, "actual": actual, "pass": row["pass"]}
+
+
+def _dihedral_bijection(spec, k):
+    fwd = locus.dihedral_bijection(spec.param, k)
+    yield _count((k * spec.coxeter_number + 1) ** 2, len(fwd), check="dihedral_bijection")
+
+
+def _nonnesting_count(spec, k):
+    expected = len(ncw.build_nc(group(spec.family, spec.param)).multichains(k))
+    yield _count(expected, nonnesting.count_geometric(spec, k))
+
+
+def _classical_park(spec, k):
+    n = spec.param
+    classical = parkspace.enumerate_classical(n, k)
+    expected = (k * n + 1) ** (n - 1)
+    yield _count(expected, len(classical), check="count")
+    space = parkspace.build_park(spec, k)
+    images = [space.to_classical(p) for p in space.classes()]
+    actual = len(set(images))
+    ok = actual == len(images) and set(images) == classical
+    yield {"check": "bijection_with_parking_space", "expected": expected, "actual": actual, "pass": ok}
+
+
+# (command, --kind) -> Command
+TABLE = {
+    ("enumerate", None): Command(_enumerate),
+    ("verify-weak", None): Command(lambda s, k: parkspace.build_park(s, k).verify_weak(), reads_d=True),
+    ("verify-csp", None): Command(_verify_csp, reads_d=True, per_class=False),
+    ("verify-intermediate", None): Command(
+        lambda s, k: locus.verify_intermediate_character(s, k),
+        ("B", "D", "I2"),
+        locus.NO_LOCUS,
+        reads_d=True,
+    ),
+    ("verify-bijection", "bc"): Command(
+        lambda s, k: locus.verify_bc_bijection(s, k), ("B",), "--kind bc needs --family B"
+    ),
+    ("verify-bijection", "dihedral"): Command(
+        _dihedral_bijection, ("I2",), "--kind dihedral needs --family I2"
+    ),
+    ("nonnesting-count", None): Command(
+        _nonnesting_count, ("A", "B", "D"), nonnesting.NO_DIHEDRAL.format("root posets"), per_class=False
+    ),
+    ("torus-character", None): Command(
+        lambda s, k: nonnesting.verify_nn_character(s, k),
+        ("A", "B", "D"),
+        nonnesting.NO_DIHEDRAL.format("root lattice"),
+        per_class=False,
+    ),
+    ("classical-park", None): Command(_classical_park, ("A",), "classical-park needs --family A"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,18 +127,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fuss noncrossing parking spaces: enumeration and verification",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in dict.fromkeys(name for name, _ in TABLE):
+        kinds = [kind for cmd, kind in TABLE if cmd == name]
         p = sub.add_parser(name)
-        p.add_argument("--family", required=True, choices=["A", "B", "D", "I2"])
+        p.add_argument("--family", required=True, choices=FAMILIES)
         p.add_argument("--rank", type=int, help="Coxeter label: A_r is S_{r+1}, B_r, D_r")
         p.add_argument("--m", type=int, help="m for I2(m)")
         p.add_argument("--k", type=int, default=1, help="Fuss parameter")
-        if name in D_COMMANDS:
+        if TABLE[name, kinds[0]].reads_d:
             p.add_argument("--d", type=str, default=None, help="restrict to d or d0:d1")
         p.add_argument("--out", type=str, default="-", help="output path or -")
         p.add_argument("--cap", type=int, help="enumeration cap (env NCPARK_CAP)")
-        if name == "verify-bijection":
-            p.add_argument("--kind", choices=["bc", "dihedral"], required=True)
+        if kinds != [None]:
+            p.add_argument("--kind", choices=kinds, required=True)
     return ap
 
 
@@ -118,6 +197,13 @@ def run(args) -> int:
         raise ConfigError("--k must be >= 1")
     kh = k * spec.coxeter_number
     cap = parse_cap(args)
+    cmd = TABLE[args.command, getattr(args, "kind", None)]
+    d_filter = parse_d_filter(args.d, kh) if cmd.reads_d else None
+    if spec.family not in cmd.families:
+        raise ConfigError(cmd.refusal)
+    size, what = ((kh + 1) ** spec.rank, "(kh+1)^n") if cmd.per_class else (spec.order, f"|{spec}|")
+    if size > cap:
+        raise CapExceeded(f"{what} = {size} exceeds cap {cap}")
     base = {
         "schema": SCHEMA,
         "command": args.command,
@@ -125,119 +211,12 @@ def run(args) -> int:
         "rank": spec.param,
         "k": k,
     }
-    records: list[dict] = []
-    d_filter = parse_d_filter(args.d, kh) if args.command in D_COMMANDS else None
-
-    if args.command == "enumerate":
-        space = parkspace.build_park(spec, k, cap=cap)
-        for p in space.classes():
-            records.append({**base, "class": space.class_record(p), "pass": True})
-        expected = (kh + 1) ** spec.rank
-        records.append(
-            {
-                **base,
-                "summary": True,
-                "expected": expected,
-                "actual": len(space.classes()),
-                "pass": expected == len(space.classes()),
-            }
-        )
-    elif args.command == "verify-weak":
-        space = parkspace.build_park(spec, k, cap=cap)
-        for row in space.verify_weak():
-            if row["d"] in d_filter:
-                records.append({**base, **row})
-        _summarize(records, base)
-    elif args.command == "verify-csp":
-        for row in qcatalan.verify_csp(spec, k, cap):
-            if row["d"] in d_filter:
-                records.append(
-                    {
-                        **base,
-                        "d": row["d"],
-                        "expected": row["polynomial_value"],
-                        "actual": row["fixed_chains"],
-                        "pass": row["pass"],
-                    }
-                )
-        _summarize(records, base)
-    elif args.command == "verify-intermediate":
-        for row in locus.verify_intermediate_character(spec, k, cap):
-            if row["d"] in d_filter:
-                records.append({**base, **row})
-        _summarize(records, base)
-    elif args.command == "verify-bijection":
-        if args.kind == "bc":
-            if spec.family != "B":
-                raise ConfigError("--kind bc needs --family B")
-            for row in locus.verify_bc_bijection(spec, k, cap):
-                records.append({**base, **row})
-        else:
-            if spec.family != "I2":
-                raise ConfigError("--kind dihedral needs --family I2")
-            fwd = locus.dihedral_bijection(spec.param, k, cap)
-            records.append(
-                {
-                    **base,
-                    "check": "dihedral_bijection",
-                    "expected": (kh + 1) ** 2,
-                    "actual": len(fwd),
-                    "pass": len(fwd) == (kh + 1) ** 2,
-                }
-            )
-        _summarize(records, base)
-    elif args.command == "nonnesting-count":
-        nonnesting.reject_dihedral(spec, "root posets")
-        expected = len(ncw.build_nc(group(spec.family, spec.param, cap)).multichains(k))
-        actual = nonnesting.count_geometric(spec, k)
-        records.append({**base, "expected": expected, "actual": actual, "pass": expected == actual})
-        _summarize(records, base)
-    elif args.command == "torus-character":
-        for row in nonnesting.verify_nn_character(spec, k, cap):
-            records.append({**base, **row})
-        _summarize(records, base)
-    elif args.command == "classical-park":
-        if spec.family != "A":
-            raise ConfigError("classical-park needs --family A")
-        n = spec.param
-        classical = parkspace.enumerate_classical(n, k)
-        expected = (k * n + 1) ** (n - 1)
-        records.append(
-            {
-                **base,
-                "check": "count",
-                "expected": expected,
-                "actual": len(classical),
-                "pass": len(classical) == expected,
-            }
-        )
-        space = parkspace.build_park(spec, k, cap=cap)
-        images = [space.to_classical(p) for p in space.classes()]
-        ok = len(set(images)) == len(images) and set(images) == classical
-        records.append(
-            {
-                **base,
-                "check": "bijection_with_parking_space",
-                "expected": expected,
-                "actual": len(set(images)),
-                "pass": ok,
-            }
-        )
-        _summarize(records, base)
+    records = [{**base, **row} for row in cmd.rows(spec, k) if d_filter is None or row["d"] in d_filter]
+    if not records or "summary" not in records[-1]:  # enumerate's rows end with its own summary
+        fails = sum(1 for r in records if not r.get("pass", True))
+        summary = {"summary": True, "checks": len(records), "failures": fails, "pass": fails == 0}
+        records.append({**base, **summary})
     return emit(records, args.out)
-
-
-def _summarize(records: list[dict], base: dict):
-    fails = sum(1 for r in records if not r.get("pass", True))
-    records.append(
-        {
-            **base,
-            "summary": True,
-            "checks": len(records),
-            "failures": fails,
-            "pass": fails == 0,
-        }
-    )
 
 
 def _temp_path(out: str) -> str:

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .reflgroup import (
-    DEFAULT_CAP,
-    CapExceeded,
     ConfigError,
     DihedralElement,
     GroupSpec,
@@ -26,6 +24,7 @@ from .reflgroup import (
 from . import parkspace, setpart
 
 ZERO = None
+NO_LOCUS = "explicit loci exist for families B, D, I2 only"
 
 
 @dataclass(frozen=True, order=True)
@@ -47,18 +46,15 @@ class LocusPoint:
 def locus_order(spec: GroupSpec, k: int) -> int:
     """Order of the root of unity parametrizing nonzero coordinates."""
     if spec.family not in ("B", "D", "I2"):
-        raise ConfigError("explicit loci exist for families B, D, I2 only")
+        raise ConfigError(NO_LOCUS)
     return k * spec.coxeter_number
 
 
-def build_locus(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list[LocusPoint]:
+def build_locus(spec: GroupSpec, k: int) -> list[LocusPoint]:
     """All (kh+1)^n locus points, deterministically ordered."""
     kh = locus_order(spec, k)
-    n = spec.rank
-    if (kh + 1) ** n > cap:
-        raise CapExceeded(f"(kh+1)^n = {(kh + 1) ** n} exceeds cap {cap}")
     values = [ZERO] + list(range(kh))
-    return [LocusPoint(kh, coords) for coords in itertools.product(values, repeat=n)]
+    return [LocusPoint(kh, coords) for coords in itertools.product(values, repeat=spec.rank)]
 
 
 def locus_act_w(spec: GroupSpec, w, p: LocusPoint) -> LocusPoint:
@@ -255,7 +251,7 @@ def close_parens(n: int, k: int, openers: tuple[int, ...]) -> setpart.SetPartiti
     return pi
 
 
-def verify_bc_bijection(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list[dict]:
+def verify_bc_bijection(spec: GroupSpec, k: int) -> list[dict]:
     """Mutual inversion and equivariance of the type BC pair, exhaustively.
 
     phi maps each position in classes() to a position in build_locus, so a
@@ -265,8 +261,8 @@ def verify_bc_bijection(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list
     does not send back (mutual_inverse), or a class, generator and the two
     disagreeing images (equivariance).
     """
-    space = parkspace.build_park(spec, k, cap)
-    pts = build_locus(spec, k, cap)
+    space = parkspace.build_park(spec, k)
+    pts = build_locus(spec, k)
     kh = locus_order(spec, k)
     classes = space.classes()
     phi = [locus_position(kh, bc_phi(space, p).coords) for p in classes]
@@ -325,7 +321,7 @@ def stabilizer(i: int, kh: int, g_table, w_tables) -> set[tuple[int, int]]:
     return out
 
 
-def dihedral_bijection(m: int, k: int, cap: int = DEFAULT_CAP) -> dict:
+def dihedral_bijection(m: int, k: int) -> dict:
     """Equivariant bijection Park -> locus for I2(m), built by extending
     seed assignments orbit by orbit and validated along the way.
 
@@ -338,8 +334,8 @@ def dihedral_bijection(m: int, k: int, cap: int = DEFAULT_CAP) -> dict:
     conflict is an error.
     """
     spec = GroupSpec("I2", m)
-    space = parkspace.build_park(spec, k, cap)
-    pts = build_locus(spec, k, cap)
+    space = parkspace.build_park(spec, k)
+    pts = build_locus(spec, k)
     grp = space.group
     els = grp.elements()
     ident = grp.identity()
@@ -407,13 +403,13 @@ def dihedral_bijection(m: int, k: int, cap: int = DEFAULT_CAP) -> dict:
 # character-level verification
 
 
-def verify_intermediate_character(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list[dict]:
+def verify_intermediate_character(spec: GroupSpec, k: int) -> list[dict]:
     """The rows of ParkSpace.verify_weak, one per class representative and
     d in order, with the locus fixed counts beside the parking ones; all
     three counts must agree.  A family without a locus is rejected before
     anything is built."""
     kh = locus_order(spec, k)
-    space = parkspace.build_park(spec, k, cap)
+    space = parkspace.build_park(spec, k)
     cycles = parkspace.Cycles(locus_g_table(spec, kh))
     rows = space.verify_weak()
     reps = space.group.conjugacy_class_reps()

@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .reflgroup import DEFAULT_CAP, ConfigError, GroupSpec, group
+from .reflgroup import ConfigError, GroupSpec, group
+
+NO_DIHEDRAL = "no dihedral {}: use A2 for I2(3), B2 for I2(4); G2 is unsupported"
 
 
 @dataclass(frozen=True)
@@ -94,9 +96,7 @@ def reject_dihedral(spec: GroupSpec, what: str):
     """I2(m) has no root poset or root lattice here: bad input, caught
     before any group is built."""
     if spec.family == "I2":
-        raise ConfigError(
-            f"no dihedral {what}: use A2 for I2(3), B2 for I2(4); G2 is unsupported"
-        )
+        raise ConfigError(NO_DIHEDRAL.format(what))
 
 
 def build_root_poset(spec: GroupSpec, long_roots: bool = False) -> RootPoset:
@@ -322,11 +322,9 @@ def torus_fixed_count(spec: GroupSpec, k: int, w) -> int:
     return fixed_vector_count(torus_matrix(spec, w), k * spec.coxeter_number + 1)
 
 
-def verify_nn_character(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list[dict]:
-    """Torus fixed counts against (kh+1)^dim(V^w), per conjugacy class; the
-    cap bounds |W|."""
-    reject_dihedral(spec, "root lattice")
-    grp = group(spec.family, spec.param, cap)
+def verify_nn_character(spec: GroupSpec, k: int) -> list[dict]:
+    """Torus fixed counts against (kh+1)^dim(V^w), per conjugacy class."""
+    grp = group(spec.family, spec.param)
     m = k * spec.coxeter_number + 1
     report = []
     for w in grp.conjugacy_class_reps():

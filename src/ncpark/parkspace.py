@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .reflgroup import (
-    DEFAULT_CAP,
-    CapExceeded,
     FlatPartition,
     GroupSpec,
     SignedPerm,
@@ -87,15 +85,12 @@ class ChainPicture:
 class ParkSpace:
     """Park^NC for one (group, k), with cached action tables."""
 
-    def __init__(self, spec: GroupSpec, k: int, cap: int = DEFAULT_CAP):
+    def __init__(self, spec: GroupSpec, k: int):
         if k < 1:
             raise ValueError("k must be >= 1")
         self.spec = spec
         self.k = k
-        self.group = group(spec.family, spec.param, cap)
-        total = (k * spec.coxeter_number + 1) ** spec.rank
-        if total > cap:
-            raise CapExceeded(f"(kh+1)^n = {total} exceeds cap {cap}")
+        self.group = group(spec.family, spec.param)
         self.nc = ncw.build_nc(self.group)
         self.c = self.nc.c
         self.chains = self.nc.multichains(k)
@@ -291,8 +286,8 @@ class ParkSpace:
         return {"chain": list(self.chain_picture(p.chain).record), "rep": rep}
 
 
-def build_park(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> ParkSpace:
-    return ParkSpace(spec, k, cap)
+def build_park(spec: GroupSpec, k: int) -> ParkSpace:
+    return ParkSpace(spec, k)
 
 
 class Cycles:

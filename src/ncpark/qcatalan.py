@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .reflgroup import DEFAULT_CAP, GroupSpec, group
+from .reflgroup import GroupSpec, group
 from . import ncw
 from .parkspace import Cycles, fixed_counts
 
@@ -163,19 +163,19 @@ def eval_at_root(p: IntPoly, m: int, d: int) -> CycloInt:
     return CycloInt.from_poly(IntPoly.of(folded), mp)
 
 
-def fixed_chain_counts(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list[int]:
+def fixed_chain_counts(spec: GroupSpec, k: int) -> list[int]:
     """Number of k-multichains fixed by g^d, for d = 0, ..., kh-1."""
-    nc = ncw.build_nc(group(spec.family, spec.param, cap))
+    nc = ncw.build_nc(group(spec.family, spec.param))
     garr = ncw.chain_g_table(nc, nc.multichains(k))
     return fixed_counts(Cycles(garr), range(len(garr)), k * spec.coxeter_number)
 
 
-def verify_csp(spec: GroupSpec, k: int, cap: int = DEFAULT_CAP) -> list[dict]:
+def verify_csp(spec: GroupSpec, k: int) -> list[dict]:
     """Check the sieving identity: fixed chains of g^d against the exact
     evaluation of the q-Fuss-Catalan polynomial at omega^d, for every d."""
     kh = k * spec.coxeter_number
     poly = cat_poly(spec, k)
-    counts = fixed_chain_counts(spec, k, cap)
+    counts = fixed_chain_counts(spec, k)
     report = []
     for d in range(kh):
         val = eval_at_root(poly, kh, d)

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-DEFAULT_CAP = 10**6
-
 FAMILIES = ("A", "B", "D", "I2")
-
-
-class CapExceeded(RuntimeError):
-    """Raised when a full enumeration would exceed the configured cap."""
 
 
 class ConfigError(ValueError):
@@ -335,9 +329,8 @@ def partition_refines(p: tuple[tuple[int, ...], ...], q: tuple[tuple[int, ...], 
 class ReflectionGroup:
     """Concrete group for a GroupSpec, with cached desk-scale enumerations."""
 
-    def __init__(self, spec: GroupSpec, cap: int = DEFAULT_CAP):
+    def __init__(self, spec: GroupSpec):
         self.spec = spec
-        self.cap = cap
         self._elements = None
         self._index = None
         self._right: dict = {}
@@ -376,8 +369,6 @@ class ReflectionGroup:
 
     def elements(self) -> list:
         if self._elements is None:
-            if self.spec.order > self.cap:
-                raise CapExceeded(f"|{self.spec}| = {self.spec.order} exceeds cap {self.cap}")
             f, p = self.family, self.spec.param
             if f == "I2":
                 els = [DihedralElement(p, r, j) for r in (False, True) for j in range(p)]
@@ -587,5 +578,5 @@ def orbits(size: int, tables) -> tuple[list[int], list[int]]:
 
 
 @lru_cache(maxsize=None)
-def group(family: str, param: int, cap: int = DEFAULT_CAP) -> ReflectionGroup:
-    return ReflectionGroup(GroupSpec(family, param), cap=cap)
+def group(family: str, param: int) -> ReflectionGroup:
+    return ReflectionGroup(GroupSpec(family, param))

@@ -3,21 +3,21 @@ import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from ncpark import cli, locus, parkspace, qcatalan
+from ncpark import cli, locus, nonnesting, parkspace, qcatalan
 from ncpark.cli import (
-    COMMANDS,
-    D_COMMANDS,
     EXIT_CAP,
     EXIT_CONFIG,
     EXIT_FAIL,
     EXIT_INTERNAL,
     EXIT_OK,
+    TABLE,
     main,
 )
-from ncpark.reflgroup import GroupSpec
+from ncpark.reflgroup import FAMILIES, GroupSpec, ReflectionGroup
 
 
 def run_cli(args, tmp_path, name="out.jsonl"):
@@ -107,7 +107,7 @@ def test_d_filter_rejects_empty_or_out_of_range(d, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [c for c in COMMANDS if c not in D_COMMANDS])
+@pytest.mark.parametrize("command", dict.fromkeys(c for (c, _), cmd in TABLE.items() if not cmd.reads_d))
 def test_d_rejected_where_not_read(command, tmp_path):
     out = tmp_path / "out.jsonl"
     args = [command, "--family", "A", "--rank", "2", "--k", "1", "--d", "1", "--out", str(out)]
@@ -154,11 +154,14 @@ B3 = ["--family", "B", "--rank", "3", "--k", "1"]
 @pytest.mark.parametrize(
     "args,cover",
     [
-        # |B3| = 48: the cap, not a torus size, is what these two exceed
+        # these build no classes: the cap bounds |W|, and |B3| = 48
         pytest.param(["torus-character"] + B3, 48, id="torus-character"),
         pytest.param(["nonnesting-count"] + B3, 48, id="nonnesting-count"),
-        # these also build (kh+1)^n classes or points: 7^3 for B3, 9^2 for I2(8)
-        pytest.param(["verify-csp"] + B3, 343, id="verify-csp"),
+        pytest.param(["verify-csp"] + B3, 48, id="verify-csp"),
+        # these build (kh+1)^n classes or points, and the cap bounds that:
+        # 7^3 for B3, 9^2 for I2(8), 4^2 for A2
+        pytest.param(["enumerate"] + B3, 343, id="enumerate"),
+        pytest.param(["verify-weak"] + B3, 343, id="verify-weak"),
         pytest.param(["verify-intermediate"] + B3, 343, id="verify-intermediate"),
         pytest.param(["verify-bijection", "--kind", "bc"] + B3, 343, id="verify-bijection-bc"),
         pytest.param(
@@ -166,13 +169,33 @@ B3 = ["--family", "B", "--rank", "3", "--k", "1"]
             81,
             id="verify-bijection-dihedral",
         ),
+        pytest.param(["classical-park", "--family", "A", "--rank", "2", "--k", "1"], 16, id="classical-park"),
     ],
 )
 def test_cap_bounds_group_order(args, cover, tmp_path):
     out = tmp_path / "out.jsonl"
     args = args + ["--out", str(out)]
-    assert main(args + ["--cap", "10"]) == EXIT_CAP
+    assert main(args + ["--cap", str(cover - 1)]) == EXIT_CAP
     assert main(args + ["--cap", str(cover)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command,kind", list(TABLE), ids=[f"{c}-{k}" if k else c for c, k in TABLE])
+def test_no_work_before_the_input_checks(command, kind, tmp_path, monkeypatch):
+    # the cap and the family are checked before any group is listed, any
+    # classical parking function scanned or any root poset built
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the input checks")
+
+    monkeypatch.setattr(ReflectionGroup, "elements", never)
+    monkeypatch.setattr(parkspace, "enumerate_classical", never)
+    monkeypatch.setattr(nonnesting, "build_root_poset", never)
+    out = tmp_path / "out.jsonl"
+    base = [command] + (["--kind", kind] if kind else []) + ["--k", "2", "--cap", "1", "--out", str(out)]
+    for family in FAMILIES:
+        size = ["--m", "8"] if family == "I2" else ["--rank", "5"]
+        code = main(base + ["--family", family] + size)
+        assert code == (EXIT_CAP if family in TABLE[command, kind].families else EXIT_CONFIG)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cap,env", [("0", None), ("-5", None), (None, "-5"), (None, "0")])
@@ -366,10 +389,12 @@ def test_cap_env_var_must_be_an_integer(tmp_path, monkeypatch, capsys):
 
 
 def test_console_entry_point():
+    # run from src/, so that a checkout needs no install and no PYTHONPATH
     proc = subprocess.run(
         [sys.executable, "-m", "ncpark.cli", "verify-csp", "--family", "A", "--rank", "2", "--k", "1"],
         capture_output=True,
         text=True,
+        cwd=Path(__file__).resolve().parents[1] / "src",
     )
     assert proc.returncode == 0
     assert all(json.loads(line)["schema"] == 1 for line in proc.stdout.splitlines())

@@ -302,10 +302,10 @@ def test_stabilizer_matches_object_oracles(m, k):
 
 
 def test_dihedral_bijection_builds_one_group():
-    # group is an lru_cache keyed on its arguments: the locus stabilizers
-    # must use the space's group, not a second one built without the cap
+    # group is an lru_cache keyed on (family, param): the parking space and
+    # the locus stabilizers share one group object
     group.cache_clear()
-    dihedral_bijection(8, 2, 10**6)
+    dihedral_bijection(8, 2)
     assert group.cache_info().misses == 1
 
 

@@ -17,10 +17,8 @@ from conftest import (
 
 from ncpark.ncw import build_nc
 from ncpark.reflgroup import (
-    CapExceeded,
     DihedralElement,
     GroupSpec,
-    ReflectionGroup,
     balanced_cycle,
     group,
     identity_perm,
@@ -207,12 +205,6 @@ def test_all_flats_counts():
     assert len(all_flats(group("A", 2))) == 2
     for m in (3, 4, 5, 6, 7, 8):
         assert len(all_flats(group("I2", m))) == m + 2
-
-
-def test_flat_count_cap():
-    g = ReflectionGroup(GroupSpec("B", 8), cap=100)
-    with pytest.raises(CapExceeded):
-        g.elements()
 
 
 def test_isotropy_examples():
