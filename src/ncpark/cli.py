@@ -6,10 +6,14 @@ cap's value, --d, the family and then the cap itself, all before any
 group is built; nothing below this module takes a cap.
 
 Every record carries schema: 1 and a pass field; each command ends with a
-summary record.  Exit code 0 means every check passed; 1 means at least
-one failed; 2 is a configuration error (a ConfigError); 3 means an
-enumeration cap was exceeded; 4 means an internal invariant failed,
-including any other ValueError.
+summary record.  run encodes each record as it is made, and emit takes the
+finished lines; enumerate encodes each chain once, and a class adds only
+its rep.
+
+Exit code 0 means every check passed; 1 means at least one failed; 2 is a
+configuration error (a ConfigError); 3 means an enumeration cap was
+exceeded; 4 means an internal invariant failed, including any other
+ValueError.
 """
 
 from __future__ import annotations
@@ -40,16 +44,38 @@ class CapExceeded(RuntimeError):
     """The input would make a command enumerate more than the cap allows."""
 
 
+# What the cap bounds, as (size, its name) for a spec and k.
+def _classes(spec, k):
+    """The (kh+1)^n classes or locus points; never below |W|."""
+    return (k * spec.coxeter_number + 1) ** spec.rank, "(kh+1)^n"
+
+
+def _group(spec, k):
+    return spec.order, f"|{spec}|"
+
+
+def _chains(spec, k):
+    """W and the k-multichains of NC(W), whichever is larger."""
+    cat = spec.fuss_catalan(k)
+    return (cat, f"Cat^({k})({spec})") if cat > spec.order else _group(spec, k)
+
+
 class Command(NamedTuple):
     """What a command takes and runs.  rows(spec, k) yields each record's
-    own fields; it calls the library through its modules, so a wrapper
+    own fields (enumerate: lists of finished class lines, then its summary
+    fields); it calls the library through its modules, so a wrapper
     installed there sees the call."""
 
     rows: Callable
     families: tuple[str, ...] = FAMILIES  # the families it takes
     refusal: str = ""  # the configuration error for any other family
     reads_d: bool = False  # a sweep over the cyclic powers d, which --d restricts
-    per_class: bool = True  # builds (kh+1)^n classes or locus points: the cap bounds that, not |W|
+    bound: Callable = _classes  # what it builds, which the cap bounds
+
+
+def _base(command: str, spec, k) -> dict:
+    """The fields every record of a run carries."""
+    return {"schema": SCHEMA, "command": command, "family": spec.family, "rank": spec.param, "k": k}
 
 
 def _count(expected: int, actual: int, **fields) -> dict:
@@ -57,10 +83,20 @@ def _count(expected: int, actual: int, **fields) -> dict:
 
 
 def _enumerate(spec, k):
+    """One list of class lines per chain.  A line is the chain's head, the
+    rep's JSON and the run's tail, so each chain and each rep is encoded
+    once: "class" sorts before the base fields, and the tail closes the
+    class field and holds them with "pass": true."""
     space = parkspace.build_park(spec, k)
-    for p in space.classes():
-        yield {"class": space.class_record(p), "pass": True}
-    yield _count((k * spec.coxeter_number + 1) ** spec.rank, len(space.classes()), summary=True)
+    encode = ENCODER.encode
+    tail = "}, " + encode({**_base("enumerate", spec, k), "pass": True})[1:] + "\n"
+    reps = [encode(space.rep_record(w)) for w in space.group.elements()]
+    count = 0
+    for chain, block in space.blocks():
+        head = '{"class": {"chain": ' + encode(list(space.chain_picture(chain).record)) + ', "rep": '
+        yield [head + reps[r] + tail for r in block]
+        count += len(block)
+    yield _count((k * spec.coxeter_number + 1) ** spec.rank, count, summary=True)
 
 
 def _verify_csp(spec, k):
@@ -95,7 +131,7 @@ def _classical_park(spec, k):
 TABLE = {
     ("enumerate", None): Command(_enumerate),
     ("verify-weak", None): Command(lambda s, k: parkspace.build_park(s, k).verify_weak(), reads_d=True),
-    ("verify-csp", None): Command(_verify_csp, reads_d=True, per_class=False),
+    ("verify-csp", None): Command(_verify_csp, reads_d=True, bound=_chains),
     ("verify-intermediate", None): Command(
         lambda s, k: locus.verify_intermediate_character(s, k),
         ("B", "D", "I2"),
@@ -109,13 +145,13 @@ TABLE = {
         _dihedral_bijection, ("I2",), "--kind dihedral needs --family I2"
     ),
     ("nonnesting-count", None): Command(
-        _nonnesting_count, ("A", "B", "D"), nonnesting.NO_DIHEDRAL.format("root posets"), per_class=False
+        _nonnesting_count, ("A", "B", "D"), nonnesting.NO_DIHEDRAL.format("root posets"), bound=_group
     ),
     ("torus-character", None): Command(
         lambda s, k: nonnesting.verify_nn_character(s, k),
         ("A", "B", "D"),
         nonnesting.NO_DIHEDRAL.format("root lattice"),
-        per_class=False,
+        bound=_group,
     ),
     ("classical-park", None): Command(_classical_park, ("A",), "classical-park needs --family A"),
 }
@@ -201,22 +237,25 @@ def run(args) -> int:
     d_filter = parse_d_filter(args.d, kh) if cmd.reads_d else None
     if spec.family not in cmd.families:
         raise ConfigError(cmd.refusal)
-    size, what = ((kh + 1) ** spec.rank, "(kh+1)^n") if cmd.per_class else (spec.order, f"|{spec}|")
+    size, what = cmd.bound(spec, k)
     if size > cap:
         raise CapExceeded(f"{what} = {size} exceeds cap {cap}")
-    base = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "family": spec.family,
-        "rank": spec.param,
-        "k": k,
-    }
-    records = [{**base, **row} for row in cmd.rows(spec, k) if d_filter is None or row["d"] in d_filter]
-    if not records or "summary" not in records[-1]:  # enumerate's rows end with its own summary
-        fails = sum(1 for r in records if not r.get("pass", True))
-        summary = {"summary": True, "checks": len(records), "failures": fails, "pass": fails == 0}
-        records.append({**base, **summary})
-    return emit(records, args.out)
+    base = _base(args.command, spec, k)
+    encode = ENCODER.encode
+    lines: list[str] = []
+    row, checks, fails = {}, 0, 0
+    for row in cmd.rows(spec, k):
+        if isinstance(row, list):  # enumerate's class lines, each "pass": true
+            lines += row
+        elif d_filter is None or row["d"] in d_filter:
+            lines.append(encode({**base, **row}) + "\n")
+            checks += 1
+            fails += not row.get("pass", True)
+    if "summary" not in row:  # enumerate's rows end with its own summary
+        summary = {"summary": True, "checks": checks, "failures": fails, "pass": fails == 0}
+        lines.append(encode({**base, **summary}) + "\n")
+    emit(lines, args.out)
+    return EXIT_FAIL if fails else EXIT_OK
 
 
 def _temp_path(out: str) -> str:
@@ -239,23 +278,17 @@ def reserve_out(out: str) -> str | None:
     return tmp
 
 
-def emit(records: list[dict], out: str) -> int:
-    """Write one JSON line per record, to stdout for "-".  A file goes to
-    the temporary name that reserve_out created and is renamed into place,
-    so a failed write leaves a previous file whole."""
+def emit(lines: list[str], out: str) -> None:
+    """Write the finished lines, one item per output line, to stdout for
+    "-".  A file goes to the temporary name that reserve_out created and is
+    renamed into place, so a failed write leaves a previous file whole."""
     if out == "-":
-        _write_lines(records, sys.stdout)
+        sys.stdout.writelines(lines)
     else:
         tmp = _temp_path(out)
         with open(tmp, "w") as fh:
-            _write_lines(records, fh)
+            fh.writelines(lines)
         os.replace(tmp, out)
-    return EXIT_OK if all(r.get("pass", True) for r in records) else EXIT_FAIL
-
-
-def _write_lines(records: list[dict], fh):
-    for r in records:
-        fh.write(ENCODER.encode(r) + "\n")
 
 
 def main(argv=None) -> int:

@@ -118,16 +118,22 @@ class ParkSpace:
             found = self._cosets[flat] = orbits(len(self._elements), tables)
         return found
 
+    def blocks(self):
+        """Each chain with the element indices of its coset minima, in
+        classes() order.  Classes sort by (chain, rep), so every chain owns
+        one contiguous block, in the lexicographic order of multichains(),
+        listing the coset minima of its first flat, ascending."""
+        flat_of = self.nc.flat_of
+        for ch in self.chains:
+            yield ch, self._coset_arrays(flat_of[ch[0]])[0]
+
     def _chain_offsets(self) -> dict[tuple, int]:
-        """Where each chain's block starts in classes().  Classes sort by
-        (chain, rep), so every chain owns one contiguous block, in the
-        lexicographic order of multichains(), listing the coset minima of
-        its first flat."""
+        """Where each chain's block starts in classes()."""
         if self._offsets is None:
             offsets, pos = {}, 0
-            for ch in self.chains:
+            for ch, reps in self.blocks():
                 offsets[ch] = pos
-                pos += len(self._coset_arrays(self.nc.flat_of[ch[0]])[0])
+                pos += len(reps)
             self._offsets = offsets
         return self._offsets
 
@@ -143,11 +149,7 @@ class ParkSpace:
     def classes(self) -> list[ParkClass]:
         if self._classes is None:
             els = self._elements
-            self._classes = [
-                ParkClass(ch, els[r])
-                for ch in self._chain_offsets()
-                for r in self._coset_arrays(self.nc.flat_of[ch[0]])[0]
-            ]
+            self._classes = [ParkClass(ch, els[r]) for ch, reps in self.blocks() for r in reps]
         return self._classes
 
     # -- action tables and characters -----------------------------------------
@@ -279,11 +281,14 @@ class ParkSpace:
     # -- serialization --------------------------------------------------------
 
     def class_record(self, p: ParkClass) -> dict:
+        return {"chain": list(self.chain_picture(p.chain).record), "rep": self.rep_record(p.rep)}
+
+    def rep_record(self, w) -> list:
+        """The rep field of class_record: the images, or the I2 element's
+        kind and exponent."""
         if self.spec.family == "I2":
-            rep = ["reflection" if p.rep.refl else "rotation", p.rep.j]
-        else:
-            rep = list(p.rep.images)
-        return {"chain": list(self.chain_picture(p.chain).record), "rep": rep}
+            return ["reflection" if w.refl else "rotation", w.j]
+        return list(w.images)
 
 
 def build_park(spec: GroupSpec, k: int) -> ParkSpace:

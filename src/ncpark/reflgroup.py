@@ -242,6 +242,15 @@ class GroupSpec:
             return tuple(range(2, 2 * p - 1, 2)) + (p,)
         return (2, p)
 
+    def fuss_catalan(self, k: int) -> int:
+        """Cat^(k)(W) = prod (kh + d_i) / d_i, exactly: the number of
+        k-multichains of NC(W)."""
+        num = den = 1
+        for d in self.degrees:
+            num *= k * self.coxeter_number + d
+            den *= d
+        return num // den
+
     @property
     def order(self) -> int:
         f, p = self.family, self.param

@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 from operator import eq
 
+from ncpark.cli import ENCODER
 from ncpark.locus import (
     ZERO,
     LocusPoint,
@@ -16,6 +17,7 @@ from ncpark.locus import (
 )
 from ncpark.ncw import build_nc, chain_g_table, g_act_chain
 from ncpark.nonnesting import torus_matrix
+from ncpark.parkspace import build_park
 from ncpark.reflgroup import (
     DihedralElement,
     FlatPartition,
@@ -64,6 +66,14 @@ def spec_chain_g_table(spec, k):
     return chain_g_table(nc, nc.multichains(k))
 
 
+def enumerate_lines_by_records(spec, k):
+    """enumerate's class lines by the per-class route: a record dict for
+    each class of classes(), encoded whole."""
+    space = build_park(spec, k)
+    base = {"schema": 1, "command": "enumerate", "family": spec.family, "rank": spec.param, "k": k}
+    return [ENCODER.encode({**base, "class": space.class_record(p), "pass": True}) for p in space.classes()]
+
+
 def chain_orbit_sizes(spec, k):
     """Sizes of the g-orbits on the k-multichains of NC(W), by walking the
     cycles of the chain g-table."""
@@ -81,16 +91,6 @@ def chain_orbit_sizes(spec, k):
             j = garr[j]
         sizes.append(size)
     return sizes
-
-
-def fuss(spec, k):
-    """Product formula count prod (kh + d_i)/d_i, exactly."""
-    num = den = 1
-    for d in spec.degrees:
-        num *= k * spec.coxeter_number + d
-        den *= d
-    assert num % den == 0
-    return num // den
 
 
 def absolute_leq(grp, u, v):

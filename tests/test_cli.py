@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import KS, MAIN_GRID, enumerate_lines_by_records
+from test_reference_outputs import REFERENCE
 
 from ncpark import cli, locus, nonnesting, parkspace, qcatalan
 from ncpark.cli import (
@@ -157,7 +160,10 @@ B3 = ["--family", "B", "--rank", "3", "--k", "1"]
         # these build no classes: the cap bounds |W|, and |B3| = 48
         pytest.param(["torus-character"] + B3, 48, id="torus-character"),
         pytest.param(["nonnesting-count"] + B3, 48, id="nonnesting-count"),
+        # verify-csp builds the k-multichains too: the cap bounds the larger
+        # of |W| and Cat^(k)(W), which is 20 for B3 k=1 and 6 for A1 k=5
         pytest.param(["verify-csp"] + B3, 48, id="verify-csp"),
+        pytest.param(["verify-csp", "--family", "A", "--rank", "1", "--k", "5"], 6, id="verify-csp-chains"),
         # these build (kh+1)^n classes or points, and the cap bounds that:
         # 7^3 for B3, 9^2 for I2(8), 4^2 for A2
         pytest.param(["enumerate"] + B3, 343, id="enumerate"),
@@ -348,21 +354,31 @@ def test_failed_run_leaves_no_temporary_file(tmp_path):
     assert out.read_text() == "previous\n"
 
 
+class FailingLines(list):
+    """Lines whose third fails as it is written."""
+
+    def __iter__(self):
+        for i, line in enumerate(list.__iter__(self)):
+            if i == 2:
+                raise RuntimeError("write failed")
+            yield line
+
+
 def test_out_is_replaced_whole(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out.jsonl"
     out.write_text("previous\n")
     args = ["enumerate", "--family", "A", "--rank", "2", "--k", "1"]
-    encode = cli.ENCODER.encode
-    calls = []
+    emit = cli.emit
+    written = []
 
-    def failing(record):
-        calls.append(record)
-        if len(calls) == 3:
-            raise RuntimeError("serialization failed")
-        return encode(record)
+    def failing(lines, path):
+        # the first two lines reach the temporary file before the third fails
+        written.append(path)
+        return emit(FailingLines(lines), path)
 
-    monkeypatch.setattr(cli.ENCODER, "encode", failing)
+    monkeypatch.setattr(cli, "emit", failing)
     assert main(args + ["--out", str(out)]) == EXIT_INTERNAL
+    assert written == [str(out)]
     assert out.read_text() == "previous\n"
     assert list(tmp_path.iterdir()) == [out]
     monkeypatch.undo()
@@ -398,3 +414,49 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert all(json.loads(line)["schema"] == 1 for line in proc.stdout.splitlines())
+
+
+@pytest.mark.parametrize("fam,p", MAIN_GRID)
+@pytest.mark.parametrize("k", KS)
+def test_enumerate_lines_match_per_class_records(fam, p, k, tmp_path):
+    # each line joins its chain's head, the rep and the run's tail; the
+    # oracle encodes one whole record per class
+    size = ["--m", str(p)] if fam == "I2" else ["--rank", str(p - 1 if fam == "A" else p)]
+    out = tmp_path / "out.jsonl"
+    assert main(["enumerate", "--family", fam, *size, "--k", str(k), "--out", str(out)]) == EXIT_OK
+    *lines, summary = out.read_text().splitlines()
+    assert lines == enumerate_lines_by_records(GroupSpec(fam, p), k)
+    assert json.loads(summary)["actual"] == len(lines)
+
+
+def test_enumerate_builds_no_class_list(tmp_path, monkeypatch):
+    def never(self):
+        raise AssertionError("enumerate listed the classes")
+
+    monkeypatch.setattr(parkspace.ParkSpace, "classes", never)
+    command = "enumerate --family D --rank 4 --k 2"
+    out = tmp_path / "out.jsonl"
+    assert main(command.split() + ["--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REFERENCE[command]
+
+
+@pytest.mark.parametrize("command,kind", list(TABLE), ids=[f"{c}-{k}" if k else c for c, k in TABLE])
+def test_emit_takes_one_item_per_line(command, kind, tmp_path, monkeypatch):
+    # the benchmark's tracer counts len(emit's first argument) as the
+    # records written
+    emit = cli.emit
+    seen = []
+
+    def counted(lines, path):
+        seen.append(lines)
+        return emit(lines, path)
+
+    monkeypatch.setattr(cli, "emit", counted)
+    family = TABLE[command, kind].families[0]
+    size = ["--m", "4"] if family == "I2" else ["--rank", "2"]
+    out = tmp_path / "out.jsonl"
+    args = [command] + (["--kind", kind] if kind else []) + ["--family", family, *size]
+    assert main(args + ["--k", "1", "--out", str(out)]) == EXIT_OK
+    [lines] = seen
+    assert type(lines) is list
+    assert len(lines) == len(out.read_text().splitlines())
