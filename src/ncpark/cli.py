@@ -55,7 +55,8 @@ def _group(spec, k):
 
 
 def _chains(spec, k):
-    """W and the k-multichains of NC(W), whichever is larger."""
+    """W and the k-multichains, of NC(W) or of root poset filters,
+    whichever is larger."""
     cat = spec.fuss_catalan(k)
     return (cat, f"Cat^({k})({spec})") if cat > spec.order else _group(spec, k)
 
@@ -145,7 +146,7 @@ TABLE = {
         _dihedral_bijection, ("I2",), "--kind dihedral needs --family I2"
     ),
     ("nonnesting-count", None): Command(
-        _nonnesting_count, ("A", "B", "D"), nonnesting.NO_DIHEDRAL.format("root posets"), bound=_group
+        _nonnesting_count, ("A", "B", "D"), nonnesting.NO_DIHEDRAL.format("root posets"), bound=_chains
     ),
     ("torus-character", None): Command(
         lambda s, k: nonnesting.verify_nn_character(s, k),

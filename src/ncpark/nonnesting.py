@@ -1,5 +1,5 @@
-"""Crystallographic side: root posets, geometric multichains of filters,
-and the finite torus character.
+"""Crystallographic side: the root system by closure, its root poset,
+geometric multichains of filters, and the finite torus character.
 
 Roots are integer vectors in simple-root coordinates, so the poset order
 is componentwise comparison and filter sums are exact vector sums.
@@ -7,10 +7,9 @@ is componentwise comparison and filter sums are exact vector sums.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .reflgroup import ConfigError, GroupSpec, group
 
@@ -99,63 +98,52 @@ def reject_dihedral(spec: GroupSpec, what: str):
         raise ConfigError(NO_DIHEDRAL.format(what))
 
 
-def build_root_poset(spec: GroupSpec, long_roots: bool = False) -> RootPoset:
-    """Positive roots of A/B/D in simple-root coordinates; pass long_roots
-    for the type C realization (the poset is isomorphic either way)."""
+def _ambient_simple_roots(spec: GroupSpec) -> list[tuple[int, ...]]:
+    """e_i - e_{i+1}, then e_n (type B) or e_{n-1} + e_n (type D)."""
+    reject_dihedral(spec, "root lattice")
+    p = spec.param
+    e = [[int(i == j) for j in range(p)] for i in range(p)]
+    out = [tuple(x - y for x, y in zip(e[i], e[i + 1])) for i in range(p - 1)]
+    if spec.family == "B":
+        out.append(tuple(e[p - 1]))
+    if spec.family == "D":
+        out.append(tuple(x + y for x, y in zip(e[p - 2], e[p - 1])))
+    return out
+
+
+@lru_cache(maxsize=None)
+def root_system(spec: GroupSpec) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Every root of spec, from its ambient vector to its simple-root
+    coordinates: the closure of the simple roots under the reflections
+    s_i(b) = b - c alpha_i, c = 2(b, alpha_i)/(alpha_i, alpha_i), an integer
+    on a crystallographic root system.  Built on first use, once per spec."""
+    simples = _ambient_simple_roots(spec)
+    norms = [sum(x * x for x in a) for a in simples]
+    roots = {a: tuple(int(i == j) for j in range(len(simples))) for i, a in enumerate(simples)}
+    todo = list(roots)
+    while todo:
+        b = todo.pop()
+        for i, (a, norm) in enumerate(zip(simples, norms)):
+            c, rem = divmod(2 * sum(x * y for x, y in zip(b, a)), norm)
+            if rem:
+                raise RuntimeError(f"2(b, a)/(a, a) is not an integer for b = {b}, a = {a}")
+            image = tuple(x - c * y for x, y in zip(b, a))
+            if image not in roots:
+                roots[image] = tuple(x - c * (i == j) for j, x in enumerate(roots[b]))
+                todo.append(image)
+    return roots
+
+
+def build_root_poset(spec: GroupSpec) -> RootPoset:
+    """The positive roots of root_system(spec): those with no negative
+    simple-root coordinate."""
     reject_dihedral(spec, "root posets")
-    f, p = spec.family, spec.param
-    n = spec.rank
-    roots = []
-    if f == "A":
-        for i in range(1, p):
-            for j in range(i + 1, p + 1):
-                v = [0] * n
-                for t in range(i, j):
-                    v[t - 1] += 1
-                roots.append(tuple(v))
-    elif f == "B":
-        # simples e1-e2, ..., e_{n-1}-e_n, then e_n (type B) or 2e_n (type C)
-        # e_i + e_j ends in 2 alpha_n (B) or alpha_n (C); e_i (B) or 2e_i (C)
-        # is alpha_i + ... + alpha_n, with alpha_i..alpha_{n-1} doubled in C
-        pair_tail, single_run = (1, 2) if long_roots else (2, 1)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                minus = [0] * n
-                for t in range(i, j):
-                    minus[t - 1] += 1
-                roots.append(tuple(minus))
-                plus = list(minus)
-                for t in range(j, n):
-                    plus[t - 1] += 2
-                plus[n - 1] += pair_tail
-                roots.append(tuple(plus))
-        for i in range(1, n + 1):
-            v = [0] * n
-            for t in range(i, n):
-                v[t - 1] += single_run
-            v[n - 1] += 1
-            roots.append(tuple(v))
-    elif f == "D":
-        # simples e1-e2, ..., e_{n-1}-e_n, e_{n-1}+e_n
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                minus = [0] * n
-                for t in range(i, j):
-                    minus[t - 1] += 1
-                roots.append(tuple(minus))
-                plus = [0] * n
-                for t in range(i, n - 1):
-                    plus[t - 1] += 1
-                plus[n - 1] += 1
-                if j < n:
-                    for t in range(j, n - 1):
-                        plus[t - 1] += 1
-                    plus[n - 2] += 1
-                roots.append(tuple(plus))
+    system = root_system(spec)
+    roots = sorted(r for r in system.values() if min(r) >= 0)
     expected = spec.rank * spec.coxeter_number // 2
-    if len(set(roots)) != expected:
-        raise RuntimeError(f"built {len(set(roots))} roots, expected {expected}")
-    poset = RootPoset(spec, tuple(sorted(set(roots))))
+    if (len(roots), len(system)) != (expected, 2 * expected):
+        raise RuntimeError(f"built {len(roots)} of {len(system)} roots positive, expected {expected}")
+    poset = RootPoset(spec, tuple(roots))
     poset.highest()
     return poset
 
@@ -177,45 +165,51 @@ class FilterChain:
                 raise ValueError("filters must descend")
 
 
+def closed_at(poset: RootPoset, fs: list[int], t: int) -> bool:
+    """Athanasiadis's closure conditions that end at zero-based index t of
+    the filter masks fs: for i + j = t - 1, (F_i + F_j) and Phi+ lies in
+    F_t, and (I_i + I_j) and Phi+ lies in I_t, where the ideal I_i is the
+    complement of F_i.  Each condition is one memoized sumset and one AND."""
+    full = (1 << len(poset.roots)) - 1
+    sums = poset.sums
+    return not any(
+        sums(fs[i], fs[t - 1 - i]) & ~fs[t] or sums(full ^ fs[i], full ^ fs[t - 1 - i]) & fs[t]
+        for i in range((t + 1) // 2)
+    )
+
+
 def is_geometric(chain: FilterChain) -> bool:
-    """Athanasiadis's closure conditions for all index pairs i + j <= k:
-    (F_i + F_j) and Phi+ lies in F_{i+j}, and (I_i + I_j) and Phi+ lies in
-    I_{i+j}, where the ideal I_i is the complement of F_i.  On root masks
-    each condition is one memoized sumset and one AND."""
+    """The closure conditions for all index pairs i + j <= k."""
     poset = chain.poset
     fs = [poset.mask(f) for f in chain.filters]
-    full = (1 << len(poset.roots)) - 1
-    ideals = [full ^ f for f in fs]
-    sums = poset.sums
-    k = len(fs)
-    # zero-based: F_{i+1} + F_{j+1} must lie in F_{i+j+2}, at position i + j + 1
-    for i in range(k):
-        for j in range(i, k - 1 - i):
-            if sums(fs[i], fs[j]) & ~fs[i + j + 1]:
-                return False
-            if sums(ideals[i], ideals[j]) & ~ideals[i + j + 1]:
-                return False
-    return True
+    return all(closed_at(poset, fs, t) for t in range(len(fs)))
 
 
 def geometric_chains(spec: GroupSpec, k: int) -> list[FilterChain]:
+    """Every geometric k-multichain of filters.  A prefix of a geometric
+    chain is geometric, so the search extends a prefix only by a filter
+    at which the conditions ending there hold, and lists Cat^(k)(W) chains
+    after at most #filters * sum_{j<k} Cat^(j)(W) checks."""
     poset = build_root_poset(spec)
     filters = poset.filters()
     masks = [poset.mask(f) for f in filters]
-    below = {f: [g for g, b in zip(filters, masks) if a | b == a] for f, a in zip(filters, masks)}
+    below = [[j for j, b in enumerate(masks) if a | b == a] for a in masks]
     chains: list[FilterChain] = []
 
-    def extend(prefix):
+    def extend(prefix, fs, nexts):
         if len(prefix) == k:
-            ch = FilterChain(poset, tuple(prefix))
-            if is_geometric(ch):
-                chains.append(ch)
+            ch = FilterChain(poset, tuple(filters[i] for i in prefix))
+            if not is_geometric(ch):
+                raise RuntimeError(f"the prefix search listed a chain that is not geometric: {prefix}")
+            chains.append(ch)
             return
-        for g in below[prefix[-1]]:
-            extend(prefix + [g])
+        for j in nexts:
+            fs.append(masks[j])
+            if closed_at(poset, fs, len(prefix)):
+                extend(prefix + [j], fs, below[j])
+            fs.pop()
 
-    for f in filters:
-        extend([f])
+    extend([], [], range(len(filters)))
     return chains
 
 
@@ -229,24 +223,6 @@ def count_geometric(spec: GroupSpec, k: int) -> int:
 # the finite torus
 
 
-def _ambient_simple_roots(spec: GroupSpec) -> list[tuple[int, ...]]:
-    """e_i - e_{i+1}, then e_n (type B) or e_{n-1} + e_n (type D)."""
-    reject_dihedral(spec, "root lattice")
-    f, p = spec.family, spec.param
-    out = []
-    for i in range(p - 1):
-        v = [0] * p
-        v[i], v[i + 1] = 1, -1
-        out.append(tuple(v))
-    if f in ("B", "D"):
-        v = [0] * p
-        v[p - 1] = 1
-        if f == "D":
-            v[p - 2] = 1
-        out.append(tuple(v))
-    return out
-
-
 def _act_ambient(w, vec) -> tuple[int, ...]:
     out = [0] * len(vec)
     for i, x in enumerate(vec, start=1):
@@ -258,31 +234,12 @@ def _act_ambient(w, vec) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _ambient_to_simple(spec: GroupSpec, vec) -> tuple[int, ...]:
-    """Simple-root coordinates of an integer ambient vector, by back
-    substitution: against e_i - e_{i+1}, the coordinates are the partial
-    sums s_i of vec. Type A needs s_{n+1} = 0 to be in the span; type D
-    reads its last two coordinates off e_{n-1} -+ e_n as s_n/2 - vec_n and
-    s_n/2, so s_n must be even."""
-    sums = list(itertools.accumulate(vec))
-    n = spec.rank
-    if spec.family == "A":
-        if sums[n] != 0:
-            raise RuntimeError("vector not in the root lattice span")
-        return tuple(sums[:n])
-    if spec.family == "D":
-        half, odd = divmod(sums[n - 1], 2)
-        if odd:
-            raise RuntimeError("non-integer root coordinates")
-        sums[n - 2 :] = [half - vec[n - 1], half]
-    return tuple(sums)
-
-
 def torus_matrix(spec: GroupSpec, w) -> list[list[int]]:
-    """Matrix of w on the root lattice in simple-root coordinates."""
-    n = spec.rank
-    cols = [_ambient_to_simple(spec, _act_ambient(w, a)) for a in _ambient_simple_roots(spec)]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    """Matrix of w on the root lattice in simple-root coordinates: column j
+    is w(alpha_j), looked up in root_system(spec)."""
+    roots = root_system(spec)
+    cols = [roots[_act_ambient(w, a)] for a in _ambient_simple_roots(spec)]
+    return [list(row) for row in zip(*cols)]
 
 
 def fixed_vector_count(mat: list[list[int]], m: int) -> int:

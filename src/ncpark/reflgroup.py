@@ -203,14 +203,11 @@ class GroupSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}")
-        if self.param < 1:
-            raise ConfigError("parameter must be positive")
-        if self.family == "A" and self.param < 2:
-            raise ConfigError("type A needs n >= 2")
-        if self.family == "D" and self.param < 3:
-            raise ConfigError("type D needs n >= 3")
-        if self.family == "I2" and self.param < 3:
-            raise ConfigError("type I2 needs m >= 3")
+        # in the CLI's terms: the Coxeter rank, or m for I2
+        name, given = ("m", self.param) if self.family == "I2" else ("rank", self.rank)
+        least = {"A": 1, "B": 1, "D": 3, "I2": 3}[self.family]
+        if given < least:
+            raise ConfigError(f"type {self.family} needs {name} >= {least}, got {given}")
 
     @property
     def rank(self) -> int:

@@ -16,7 +16,13 @@ from ncpark.locus import (
     opener_to_exponent,
 )
 from ncpark.ncw import build_nc, chain_g_table, g_act_chain
-from ncpark.nonnesting import torus_matrix
+from ncpark.nonnesting import (
+    RootPoset,
+    _act_ambient,
+    _ambient_simple_roots,
+    reject_dihedral,
+    torus_matrix,
+)
 from ncpark.parkspace import build_park
 from ncpark.reflgroup import (
     DihedralElement,
@@ -813,3 +819,97 @@ def _has_nesting(p):
         if a < b < c < d:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# root systems by coefficients and back substitution
+
+
+def build_root_poset_by_coefficients(spec, long_roots=False):
+    """nonnesting.build_root_poset by coefficient loops per family: the
+    positive roots of A/B/D in simple-root coordinates; pass long_roots
+    for the type C realization (the poset is isomorphic either way)."""
+    reject_dihedral(spec, "root posets")
+    f, p = spec.family, spec.param
+    n = spec.rank
+    roots = []
+    if f == "A":
+        for i in range(1, p):
+            for j in range(i + 1, p + 1):
+                v = [0] * n
+                for t in range(i, j):
+                    v[t - 1] += 1
+                roots.append(tuple(v))
+    elif f == "B":
+        # simples e1-e2, ..., e_{n-1}-e_n, then e_n (type B) or 2e_n (type C)
+        # e_i + e_j ends in 2 alpha_n (B) or alpha_n (C); e_i (B) or 2e_i (C)
+        # is alpha_i + ... + alpha_n, with alpha_i..alpha_{n-1} doubled in C
+        pair_tail, single_run = (1, 2) if long_roots else (2, 1)
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                minus = [0] * n
+                for t in range(i, j):
+                    minus[t - 1] += 1
+                roots.append(tuple(minus))
+                plus = list(minus)
+                for t in range(j, n):
+                    plus[t - 1] += 2
+                plus[n - 1] += pair_tail
+                roots.append(tuple(plus))
+        for i in range(1, n + 1):
+            v = [0] * n
+            for t in range(i, n):
+                v[t - 1] += single_run
+            v[n - 1] += 1
+            roots.append(tuple(v))
+    elif f == "D":
+        # simples e1-e2, ..., e_{n-1}-e_n, e_{n-1}+e_n
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                minus = [0] * n
+                for t in range(i, j):
+                    minus[t - 1] += 1
+                roots.append(tuple(minus))
+                plus = [0] * n
+                for t in range(i, n - 1):
+                    plus[t - 1] += 1
+                plus[n - 1] += 1
+                if j < n:
+                    for t in range(j, n - 1):
+                        plus[t - 1] += 1
+                    plus[n - 2] += 1
+                roots.append(tuple(plus))
+    expected = spec.rank * spec.coxeter_number // 2
+    if len(set(roots)) != expected:
+        raise RuntimeError(f"built {len(set(roots))} roots, expected {expected}")
+    poset = RootPoset(spec, tuple(sorted(set(roots))))
+    poset.highest()
+    return poset
+
+
+def ambient_to_simple(spec, vec):
+    """Simple-root coordinates of an integer ambient vector, by back
+    substitution: against e_i - e_{i+1}, the coordinates are the partial
+    sums s_i of vec. Type A needs s_{n+1} = 0 to be in the span; type D
+    reads its last two coordinates off e_{n-1} -+ e_n as s_n/2 - vec_n and
+    s_n/2, so s_n must be even."""
+    sums = list(itertools.accumulate(vec))
+    n = spec.rank
+    if spec.family == "A":
+        if sums[n] != 0:
+            raise RuntimeError("vector not in the root lattice span")
+        return tuple(sums[:n])
+    if spec.family == "D":
+        half, odd = divmod(sums[n - 1], 2)
+        if odd:
+            raise RuntimeError("non-integer root coordinates")
+        sums[n - 2 :] = [half - vec[n - 1], half]
+    return tuple(sums)
+
+
+def torus_matrix_by_back_substitution(spec, w):
+    """nonnesting.torus_matrix with each column w(alpha_j) converted to
+    simple-root coordinates by ambient_to_simple."""
+    n = spec.rank
+    cols = [ambient_to_simple(spec, _act_ambient(w, a)) for a in _ambient_simple_roots(spec)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]

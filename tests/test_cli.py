@@ -159,9 +159,13 @@ B3 = ["--family", "B", "--rank", "3", "--k", "1"]
     [
         # these build no classes: the cap bounds |W|, and |B3| = 48
         pytest.param(["torus-character"] + B3, 48, id="torus-character"),
+        # verify-csp and nonnesting-count list k-multichains too: the cap
+        # bounds the larger of |W| and Cat^(k)(W), which is 20 for B3 k=1
+        # and 6 for A1 k=5
         pytest.param(["nonnesting-count"] + B3, 48, id="nonnesting-count"),
-        # verify-csp builds the k-multichains too: the cap bounds the larger
-        # of |W| and Cat^(k)(W), which is 20 for B3 k=1 and 6 for A1 k=5
+        pytest.param(
+            ["nonnesting-count", "--family", "A", "--rank", "1", "--k", "5"], 6, id="nonnesting-count-chains"
+        ),
         pytest.param(["verify-csp"] + B3, 48, id="verify-csp"),
         pytest.param(["verify-csp", "--family", "A", "--rank", "1", "--k", "5"], 6, id="verify-csp-chains"),
         # these build (kh+1)^n classes or points, and the cap bounds that:
@@ -229,6 +233,23 @@ def test_cap_must_be_positive(cap, env, tmp_path, monkeypatch, capsys):
 def test_flags_outside_their_family(args, tmp_path):
     out = tmp_path / "out.jsonl"
     assert main(["enumerate"] + args + ["--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        pytest.param(["--family", "A", "--rank", "0"], "type A needs rank >= 1, got 0", id="A-rank-0"),
+        pytest.param(["--family", "B", "--rank", "0"], "type B needs rank >= 1, got 0", id="B-rank-0"),
+        pytest.param(["--family", "D", "--rank", "2"], "type D needs rank >= 3, got 2", id="D-rank-2"),
+        pytest.param(["--family", "I2", "--m", "2"], "type I2 needs m >= 3, got 2", id="I2-m-2"),
+    ],
+)
+def test_size_errors_name_the_flag_given(args, message, tmp_path, capsys):
+    # the group's size is reported as --rank (the Coxeter rank) or --m
+    out = tmp_path / "out.jsonl"
+    assert main(["enumerate"] + args + ["--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not out.exists()
 
 

@@ -3,13 +3,16 @@ import pytest
 from conftest import (
     KS,
     MAIN_GRID,
+    ambient_to_simple,
     antichain_to_partition,
     antichains,
+    build_root_poset_by_coefficients,
     descending_filter_chains,
     filters_by_subsets,
     is_geometric_by_tuple_sums,
     parse_partition,
     torus_fixed_count_bruteforce,
+    torus_matrix_by_back_substitution,
 )
 from ncpark import nonnesting
 from ncpark.ncw import build_nc
@@ -37,6 +40,27 @@ def test_root_counts(fam, p):
     poset.highest()
 
 
+@pytest.mark.parametrize(
+    "fam,p",
+    [("A", n) for n in range(2, 10)] + [("B", n) for n in range(2, 8)] + [("D", n) for n in range(3, 8)],
+)
+def test_closure_roots_match_coefficient_loops(fam, p):
+    # A1-A8, B2-B7 and D3-D7: the closure's positive roots are the
+    # coefficient loops' roots, and the negative roots are their negatives
+    spec = GroupSpec(fam, p)
+    roots = build_root_poset(spec).roots
+    assert roots == build_root_poset_by_coefficients(spec).roots
+    system = nonnesting.root_system(spec)
+    assert sorted(system.values()) == sorted(roots + tuple(tuple(-x for x in r) for r in roots))
+
+
+def test_closure_rejects_a_non_integer_cartan_entry(monkeypatch):
+    # (1, -1, 0) and (0, 3, 0): 2(a, b)/(b, b) = -2/3 is no Cartan integer
+    monkeypatch.setattr(nonnesting, "_ambient_simple_roots", lambda spec: [(1, -1, 0), (0, 3, 0)])
+    with pytest.raises(RuntimeError, match="not an integer"):
+        nonnesting.root_system.__wrapped__(GroupSpec("A", 3))
+
+
 def test_dihedral_posets_rejected():
     with pytest.raises(ValueError):
         build_root_poset(GroupSpec("I2", 5))
@@ -46,7 +70,7 @@ def test_dihedral_posets_rejected():
 
 def test_type_c_option_isomorphic_poset():
     b = build_root_poset(GroupSpec("B", 3))
-    c = build_root_poset(GroupSpec("B", 3), long_roots=True)
+    c = build_root_poset_by_coefficients(GroupSpec("B", 3), long_roots=True)
     # same number of relations means isomorphic here (both are root posets
     # with the same rank generating function)
     rel_b = sum(1 for x in b.roots for y in b.roots if b.leq(x, y))
@@ -145,6 +169,31 @@ def test_count_geometric_matches_nc(fam, p, k):
     assert count_geometric(spec, k) == spec.fuss_catalan(k)
 
 
+def test_prefix_search_checks_few_extensions(monkeypatch):
+    # A2 at k = 12: each geometric prefix of length j < k (Cat^(j) of them)
+    # is offered at most every filter, one check each; is_geometric's
+    # cross-check on each listed chain makes k more calls per chain
+    spec, k = GroupSpec("A", 3), 12
+    calls = {"closed_at": 0, "is_geometric": 0}
+
+    def counting(name):
+        original = getattr(nonnesting, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(nonnesting, name, wrapper)
+
+    counting("closed_at")
+    counting("is_geometric")
+    chains = geometric_chains(spec, k)
+    assert len(chains) == calls["is_geometric"] == spec.fuss_catalan(k)
+    filters = len(build_root_poset(spec).filters())
+    checks = calls["closed_at"] - k * calls["is_geometric"]
+    assert checks <= filters * sum(spec.fuss_catalan(j) for j in range(k))
+
+
 def test_count_geometric_examples():
     assert count_geometric(GroupSpec("A", 3), 2) == 12
     assert count_geometric(GroupSpec("A", 4), 2) == 55
@@ -160,6 +209,13 @@ def test_torus_matrices_are_integral_of_right_order():
         ident = torus_matrix(spec, grp.identity())
         n = spec.rank
         assert ident == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("fam,p", [fp for fp in MAIN_GRID if fp[0] != "I2"])
+def test_torus_matrix_matches_back_substitution(fam, p):
+    spec = GroupSpec(fam, p)
+    for w in group(fam, p).elements():
+        assert torus_matrix(spec, w) == torus_matrix_by_back_substitution(spec, w), w
 
 
 def test_torus_fixed_count_examples():
@@ -198,10 +254,10 @@ def test_torus_count_modulus_sharing_a_factor():
 
 def test_ambient_to_simple_rejects_vectors_off_the_lattice():
     with pytest.raises(RuntimeError, match="span"):
-        nonnesting._ambient_to_simple(GroupSpec("A", 3), (1, 0, 0))
+        ambient_to_simple(GroupSpec("A", 3), (1, 0, 0))
     with pytest.raises(RuntimeError, match="non-integer"):
-        nonnesting._ambient_to_simple(GroupSpec("D", 4), (1, 0, 0, 0))
-    assert nonnesting._ambient_to_simple(GroupSpec("D", 4), (0, 0, 1, 1)) == (0, 0, 0, 1)
+        ambient_to_simple(GroupSpec("D", 4), (1, 0, 0, 0))
+    assert ambient_to_simple(GroupSpec("D", 4), (0, 0, 1, 1)) == (0, 0, 0, 1)
 
 
 @pytest.mark.parametrize("fam,p", [("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3)])
