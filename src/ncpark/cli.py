@@ -100,12 +100,6 @@ def _enumerate(spec, k):
     yield _count((k * spec.coxeter_number + 1) ** spec.rank, count, summary=True)
 
 
-def _verify_csp(spec, k):
-    for row in qcatalan.verify_csp(spec, k):
-        expected, actual = row["polynomial_value"], row["fixed_chains"]
-        yield {"d": row["d"], "expected": expected, "actual": actual, "pass": row["pass"]}
-
-
 def _dihedral_bijection(spec, k):
     fwd = locus.dihedral_bijection(spec.param, k)
     yield _count((k * spec.coxeter_number + 1) ** 2, len(fwd), check="dihedral_bijection")
@@ -132,7 +126,7 @@ def _classical_park(spec, k):
 TABLE = {
     ("enumerate", None): Command(_enumerate),
     ("verify-weak", None): Command(lambda s, k: parkspace.build_park(s, k).verify_weak(), reads_d=True),
-    ("verify-csp", None): Command(_verify_csp, reads_d=True, bound=_chains),
+    ("verify-csp", None): Command(lambda s, k: qcatalan.verify_csp(s, k), reads_d=True, bound=_chains),
     ("verify-intermediate", None): Command(
         lambda s, k: locus.verify_intermediate_character(s, k),
         ("B", "D", "I2"),

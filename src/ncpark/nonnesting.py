@@ -195,21 +195,34 @@ def geometric_chains(spec: GroupSpec, k: int) -> list[FilterChain]:
     masks = [poset.mask(f) for f in filters]
     below = [[j for j, b in enumerate(masks) if a | b == a] for a in masks]
     chains: list[FilterChain] = []
-
-    def extend(prefix, fs, nexts):
-        if len(prefix) == k:
-            ch = FilterChain(poset, tuple(filters[i] for i in prefix))
-            if not is_geometric(ch):
-                raise RuntimeError(f"the prefix search listed a chain that is not geometric: {prefix}")
-            chains.append(ch)
-            return
-        for j in nexts:
-            fs.append(masks[j])
-            if closed_at(poset, fs, len(prefix)):
-                extend(prefix + [j], fs, below[j])
+    # a depth-first search on an explicit stack, so k is not bounded by
+    # the recursion limit: todo holds the candidates left at each depth,
+    # prefix the filters chosen above the last depth and fs their masks
+    prefix: list[int] = []
+    fs: list[int] = []
+    todo = [iter(range(len(filters)))]
+    while todo:
+        j = next(todo[-1], None)
+        if j is None:
+            todo.pop()
+            if prefix:
+                prefix.pop()
+                fs.pop()
+            continue
+        fs.append(masks[j])
+        if not closed_at(poset, fs, len(prefix)):
             fs.pop()
-
-    extend([], [], range(len(filters)))
+        elif len(fs) < k:
+            prefix.append(j)
+            todo.append(iter(below[j]))
+        else:
+            ch = FilterChain(poset, tuple(filters[i] for i in prefix + [j]))
+            if not is_geometric(ch):
+                raise RuntimeError(
+                    f"the prefix search listed a chain that is not geometric: {prefix + [j]}"
+                )
+            chains.append(ch)
+            fs.pop()
     return chains
 
 

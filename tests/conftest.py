@@ -3,7 +3,9 @@ call: the library keeps what a command runs."""
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import eq
 
 from ncpark.cli import ENCODER
@@ -105,18 +107,6 @@ def absolute_leq(grp, u, v):
     return reflection_length(grp, v) == reflection_length(grp, u) + reflection_length(
         grp, u.inverse() * v
     )
-
-
-def eval_float(poly, z):
-    """An integer polynomial evaluated at a complex number, by Horner."""
-    out = 0j
-    for c in reversed(poly.coeffs):
-        out = out * z + c
-    return out
-
-
-def is_palindromic(poly):
-    return poly.coeffs == tuple(reversed(poly.coeffs))
 
 
 def partial(chain, c):
@@ -913,3 +903,160 @@ def torus_matrix_by_back_substitution(spec, w):
     n = spec.rank
     cols = [ambient_to_simple(spec, _act_ambient(w, a)) for a in _ambient_simple_roots(spec)]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# the q-Fuss-Catalan polynomial by dense integer polynomials, reduced mod
+# cyclotomic polynomials at roots of unity
+
+
+@dataclass(frozen=True)
+class IntPoly:
+    """Dense integer polynomial; trailing zeros trimmed on construction."""
+
+    coeffs: tuple[int, ...]
+
+    @staticmethod
+    def of(coeffs) -> "IntPoly":
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return IntPoly(tuple(coeffs))
+
+    @staticmethod
+    def one() -> "IntPoly":
+        return IntPoly((1,))
+
+    @staticmethod
+    def monomial(d: int, c: int = 1) -> "IntPoly":
+        return IntPoly.of([0] * d + [c])
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __add__(self, other: "IntPoly") -> "IntPoly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, x in enumerate(b):
+            out[i] += x
+        return IntPoly.of(out)
+
+    def __sub__(self, other: "IntPoly") -> "IntPoly":
+        return self + IntPoly.of([-x for x in other.coeffs])
+
+    def __mul__(self, other: "IntPoly") -> "IntPoly":
+        if not self.coeffs or not other.coeffs:
+            return IntPoly(())
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, x in enumerate(self.coeffs):
+            if x:
+                for j, y in enumerate(other.coeffs):
+                    out[i + j] += x * y
+        return IntPoly.of(out)
+
+    def divexact(self, other: "IntPoly") -> "IntPoly":
+        """Exact division; raises when the remainder does not vanish."""
+        q, r = self.divmod(other)
+        if r.coeffs:
+            raise ValueError(f"nonzero remainder {r.coeffs} dividing by {other.coeffs}")
+        return q
+
+    def divmod(self, other: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
+        if not other.coeffs:
+            raise ZeroDivisionError
+        rem = list(self.coeffs)
+        lead = other.coeffs[-1]
+        db = other.degree
+        q = [0] * max(len(rem) - db, 0)
+        for i in range(len(rem) - 1, db - 1, -1):
+            if rem[i] == 0:
+                continue
+            if rem[i] % lead:
+                raise ValueError("division does not stay integral")
+            f = rem[i] // lead
+            q[i - db] = f
+            for j, y in enumerate(other.coeffs):
+                rem[i - db + j] -= f * y
+        return IntPoly.of(q), IntPoly.of(rem)
+
+    def __call__(self, x: int) -> int:
+        out = 0
+        for c in reversed(self.coeffs):
+            out = out * x + c
+        return out
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(m):
+    """The m-th cyclotomic polynomial by iterated exact division."""
+    num = IntPoly.monomial(m) - IntPoly.one()
+    for d in range(1, m):
+        if m % d == 0:
+            num = num.divexact(cyclotomic(d))
+    return num
+
+
+@dataclass(frozen=True)
+class CycloInt:
+    """Element of Z[zeta_m], coefficients reduced mod the m-th cyclotomic
+    polynomial."""
+
+    m: int
+    coeffs: tuple[int, ...]
+
+    @staticmethod
+    def from_poly(p: IntPoly, m: int) -> "CycloInt":
+        _, rem = p.divmod(cyclotomic(m))
+        deg = cyclotomic(m).degree
+        coeffs = list(rem.coeffs) + [0] * (deg - len(rem.coeffs))
+        return CycloInt(m, tuple(coeffs))
+
+    def is_integer(self) -> bool:
+        return all(c == 0 for c in self.coeffs[1:])
+
+    def as_integer(self) -> int:
+        if not self.is_integer():
+            raise ValueError(f"{self} is not a rational integer")
+        return self.coeffs[0] if self.coeffs else 0
+
+
+def cat_poly_dense(spec, k):
+    """The q-Fuss-Catalan polynomial prod (1 - q^(kh+d)) / (1 - q^d) as a
+    dense polynomial, by exact division."""
+    h = spec.coxeter_number
+    num = IntPoly.one()
+    den = IntPoly.one()
+    for d in spec.degrees:
+        num = num * (IntPoly.one() - IntPoly.monomial(k * h + d))
+        den = den * (IntPoly.one() - IntPoly.monomial(d))
+    return num.divexact(den)
+
+
+def eval_at_root_dense(p, m, d):
+    """p at omega^d, omega a primitive m-th root of unity: omega^d has
+    order m' = m/gcd(m,d), so the exponents fold mod m' and the result is
+    reduced mod the m'-th cyclotomic polynomial."""
+    if m < 1 or not 0 <= d < m:
+        raise ValueError(f"need 0 <= d < m, got d={d}, m={m}")
+    g = math.gcd(m, d)
+    mp = m // g
+    dp = d // g
+    folded = [0] * mp
+    for e, c in enumerate(p.coeffs):
+        folded[(e * dp) % mp] += c
+    return CycloInt.from_poly(IntPoly.of(folded), mp)
+
+
+def eval_float(poly, z):
+    """An integer polynomial evaluated at a complex number, by Horner."""
+    out = 0j
+    for c in reversed(poly.coeffs):
+        out = out * z + c
+    return out
+
+
+def is_palindromic(poly):
+    return poly.coeffs == tuple(reversed(poly.coeffs))

@@ -296,17 +296,33 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
 
 def test_internal_value_error_exit_code(tmp_path, monkeypatch, capsys):
     # only a ConfigError is bad input: a ValueError from a broken invariant,
-    # here an exact division with a remainder, is an internal error
-    divexact = qcatalan.IntPoly.divexact
-
-    def off_by_one(self, other):
-        return divexact(self + qcatalan.IntPoly.one(), other)
-
-    monkeypatch.setattr(qcatalan.IntPoly, "divexact", off_by_one)
+    # here a factor (1 - q^4)/(1 - q^2) whose exponents differ mod the
+    # order 3 of omega^1, where the product rule does not apply, is an
+    # internal error
+    monkeypatch.setattr(qcatalan, "cat_poly", lambda spec, k: ((4, 2),))
     out = tmp_path / "out.jsonl"
     assert main(["verify-csp", "--family", "A", "--rank", "2", "--out", str(out)]) == EXIT_INTERNAL
-    assert "internal error: nonzero remainder" in capsys.readouterr().err
+    assert "internal error: factors [(4, 2)] have exponents that differ" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_csp_failure_carries_a_witness(tmp_path, monkeypatch):
+    # one count off by one at d = 1 fails that row only, and the row names
+    # the order of omega^1 and the factors the product rule multiplied
+    counts = qcatalan.fixed_chain_counts
+
+    def off_at_one(spec, k):
+        return [c + (d == 1) for d, c in enumerate(counts(spec, k))]
+
+    monkeypatch.setattr(qcatalan, "fixed_chain_counts", off_at_one)
+    code, lines = run_cli(["verify-csp", "--family", "A", "--rank", "2"], tmp_path)
+    assert code == EXIT_FAIL
+    rows = [r for r in lines if "summary" not in r]
+    assert [r["pass"] for r in rows] == [True, False, True]
+    assert [r["d"] for r in rows if "witness" in r] == [1]
+    assert rows[1]["witness"] == {"order": 3, "factors": [[6, 3]]}
+    assert (rows[1]["expected"], rows[1]["actual"]) == (2, 3)
+    assert lines[-1]["failures"] == 1
 
 
 def test_missing_key_is_an_internal_error(tmp_path, monkeypatch, capsys):

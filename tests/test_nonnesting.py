@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from conftest import (
@@ -192,6 +194,22 @@ def test_prefix_search_checks_few_extensions(monkeypatch):
     filters = len(build_root_poset(spec).filters())
     checks = calls["closed_at"] - k * calls["is_geometric"]
     assert checks <= filters * sum(spec.fuss_catalan(j) for j in range(k))
+
+
+def test_geometric_chains_deeper_than_the_recursion_limit():
+    # one frame per chain entry would need k frames: allow only a few dozen
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    k = 120
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        chains = geometric_chains(GroupSpec("A", 2), k)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(chains) == k + 1
+    assert all(len(ch.filters) == k for ch in chains)
 
 
 def test_count_geometric_examples():

@@ -5,22 +5,19 @@ import pytest
 from conftest import (
     KS,
     MAIN_GRID,
+    CycloInt,
+    IntPoly,
+    cat_poly_dense,
     chain_orbit_sizes,
+    cyclotomic,
+    eval_at_root_dense,
     eval_float,
     fixed_counts_by_powers,
     is_palindromic,
     spec_chain_g_table,
 )
 
-from ncpark.qcatalan import (
-    CycloInt,
-    IntPoly,
-    cat_poly,
-    cyclotomic,
-    eval_at_root,
-    fixed_chain_counts,
-    verify_csp,
-)
+from ncpark.qcatalan import cat_poly, eval_at_root, fixed_chain_counts, verify_csp
 from ncpark.reflgroup import GroupSpec
 
 GRID = [
@@ -79,9 +76,9 @@ def test_cyclo_int():
 
 def test_cat_poly_values():
     # the A1 factor (1 - q^(kh+d))/(1 - q^d) with d = h = 2
-    assert cat_poly(GroupSpec("A", 2), 1) == IntPoly.of([1, 0, 1])
-    assert cat_poly(GroupSpec("A", 3), 1)(1) == 5
-    assert cat_poly(GroupSpec("A", 3), 2)(1) == 12
+    assert cat_poly_dense(GroupSpec("A", 2), 1) == IntPoly.of([1, 0, 1])
+    assert cat_poly_dense(GroupSpec("A", 3), 1)(1) == 5
+    assert cat_poly_dense(GroupSpec("A", 3), 2)(1) == 12
     for fam, p in GRID:
         spec = GroupSpec(fam, p)
         for k in (1, 2, 3):
@@ -89,25 +86,65 @@ def test_cat_poly_values():
             for d in spec.degrees:
                 num *= k * spec.coxeter_number + d
                 den *= d
-            assert cat_poly(spec, k)(1) * den == num
+            assert cat_poly_dense(spec, k)(1) * den == num
 
 
 @pytest.mark.parametrize("fam,p", GRID)
 def test_cat_poly_palindromic_nonneg(fam, p):
     for k in (1, 2, 3):
-        cp = cat_poly(GroupSpec(fam, p), k)
+        cp = cat_poly_dense(GroupSpec(fam, p), k)
         assert all(c >= 0 for c in cp.coeffs)
         assert is_palindromic(cp)
 
 
-def test_eval_at_root_examples():
+def test_eval_at_root_dense_examples():
     p = IntPoly.of([1, 1, 1])
-    assert eval_at_root(p, 3, 0).as_integer() == 3
-    assert eval_at_root(p, 3, 1).as_integer() == 0
-    cat = cat_poly(GroupSpec("A", 3), 1)
-    assert eval_at_root(cat, 3, 1).as_integer() == 2
+    assert eval_at_root_dense(p, 3, 0).as_integer() == 3
+    assert eval_at_root_dense(p, 3, 1).as_integer() == 0
+    cat = cat_poly_dense(GroupSpec("A", 3), 1)
+    assert eval_at_root_dense(cat, 3, 1).as_integer() == 2
     with pytest.raises(ValueError):
-        eval_at_root(p, 3, 3)
+        eval_at_root_dense(p, 3, 3)
+
+
+def test_eval_at_root_examples():
+    # A2: degrees 2, 3 and h = 3
+    factors = cat_poly(GroupSpec("A", 3), 1)
+    assert factors == ((5, 2), (6, 3))
+    assert eval_at_root(factors, 3, 0) == 5
+    assert eval_at_root(factors, 3, 1) == 2
+    # order 2: (1 - q^3)/(1 - q) = 1 + q + q^2 is 1 at q = -1
+    assert eval_at_root(((3, 1),), 2, 1) == 1
+    # (1 - q^3)/(1 - q^2) is no polynomial: its value 3/2 at q = 1 is not an integer
+    assert eval_at_root(((3, 2),), 1, 0) is None
+    with pytest.raises(ValueError, match="need 0 <= d < m"):
+        eval_at_root(factors, 3, 3)
+    # 4 and 2 differ mod 3: the rule does not apply
+    with pytest.raises(ValueError, match="differ mod the order 3"):
+        eval_at_root(((4, 2),), 3, 1)
+
+
+SIEVING_GRID = (
+    [GroupSpec("A", n + 1) for n in range(1, 9)]
+    + [GroupSpec("B", n) for n in range(1, 9)]
+    + [GroupSpec("D", n) for n in range(3, 9)]
+    + [GroupSpec("I2", m) for m in range(3, 15)]
+)
+
+
+def test_product_rule_matches_dense_evaluation():
+    cases = 0
+    for spec in SIEVING_GRID:
+        for k in range(1, 6):
+            kh = k * spec.coxeter_number
+            factors = cat_poly(spec, k)
+            dense = cat_poly_dense(spec, k)
+            for d in range(kh):
+                val = eval_at_root_dense(dense, kh, d)
+                assert val.is_integer(), (spec, k, d)
+                assert eval_at_root(factors, kh, d) == val.as_integer(), (spec, k, d)
+                cases += 1
+    assert cases == 4080
 
 
 def test_eval_at_root_matches_float():
@@ -117,7 +154,7 @@ def test_eval_at_root_matches_float():
         p = IntPoly.of([rng.randrange(-9, 10) for _ in range(deg + 1)])
         m = rng.randrange(1, 13)
         d = rng.randrange(0, m)
-        exact = eval_at_root(p, m, d)
+        exact = eval_at_root_dense(p, m, d)
         mp = m // (m if d == 0 else __import__("math").gcd(m, d))
         zeta = cmath.exp(2j * cmath.pi / mp)
         approx = eval_float(p, cmath.exp(2j * cmath.pi * d / m))
@@ -130,11 +167,11 @@ def test_eval_at_root_matches_float():
 def test_csp(fam, p, k):
     report = verify_csp(GroupSpec(fam, p), k)
     assert all(r["pass"] for r in report)
-    assert report[0]["fixed_chains"] == cat_poly(GroupSpec(fam, p), k)(1)
+    assert report[0]["actual"] == cat_poly_dense(GroupSpec(fam, p), k)(1)
 
 
 def test_csp_vector_a2():
-    assert [r["fixed_chains"] for r in verify_csp(GroupSpec("A", 3), 1)] == [5, 2, 2]
+    assert [r["actual"] for r in verify_csp(GroupSpec("A", 3), 1)] == [5, 2, 2]
 
 
 def test_orbit_sizes_partition_the_chains():
