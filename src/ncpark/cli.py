@@ -125,13 +125,16 @@ def _classical_park(spec, k):
 # (command, --kind) -> Command
 TABLE = {
     ("enumerate", None): Command(_enumerate),
-    ("verify-weak", None): Command(lambda s, k: parkspace.build_park(s, k).verify_weak(), reads_d=True),
+    ("verify-weak", None): Command(
+        lambda s, k: parkspace.build_park(s, k).verify_weak(), reads_d=True, bound=_chains
+    ),
     ("verify-csp", None): Command(lambda s, k: qcatalan.verify_csp(s, k), reads_d=True, bound=_chains),
     ("verify-intermediate", None): Command(
         lambda s, k: locus.verify_intermediate_character(s, k),
         ("B", "D", "I2"),
         locus.NO_LOCUS,
         reads_d=True,
+        bound=_chains,
     ),
     ("verify-bijection", "bc"): Command(
         lambda s, k: locus.verify_bc_bijection(s, k), ("B",), "--kind bc needs --family B"

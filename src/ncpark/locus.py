@@ -92,19 +92,56 @@ def locus_position(order: int, coords) -> int:
     return pos
 
 
-def locus_w_table(spec: GroupSpec, order: int, w) -> list[int]:
-    """locus_act_w(spec, w, -) on build_locus positions.  w sends each
-    coordinate to one coordinate, shifting a nonzero exponent by a fixed
-    amount; these moves mirror locus_act_w."""
+def locus_moves(spec: GroupSpec, order: int, w) -> list[tuple[int, int]]:
+    """Where w sends each coordinate of a locus point: coordinate i goes to
+    coordinate moves[i][0], its nonzero exponent shifted by moves[i][1]
+    (order/2 for a sign change in B and D, the diagonal twist in I2).
+    These moves mirror locus_act_w."""
     if spec.family == "I2":
         a = diagonal_twist(spec, order) * w.j
-        moves = [(1, -a), (0, a)] if w.refl else [(0, a), (1, -a)]
-    else:
-        moves = []
-        for i in range(1, spec.rank + 1):
-            j = w(i)
-            moves.append((j - 1, 0) if j > 0 else (-j - 1, order // 2))
-    return _digit_table(order, moves)
+        return [(1, -a), (0, a)] if w.refl else [(0, a), (1, -a)]
+    moves = []
+    for i in range(1, spec.rank + 1):
+        j = w(i)
+        moves.append((j - 1, 0) if j > 0 else (-j - 1, order // 2))
+    return moves
+
+
+def locus_w_table(spec: GroupSpec, order: int, w) -> list[int]:
+    """locus_act_w(spec, w, -) on build_locus positions."""
+    return _digit_table(order, locus_moves(spec, order, w))
+
+
+def locus_cycles(spec: GroupSpec, order: int, w) -> list[list[int]]:
+    """[length, total shift mod order] for each cycle of w's coordinate
+    moves, cycles in order of their least coordinate."""
+    moves = locus_moves(spec, order, w)
+    seen = [False] * len(moves)
+    out = []
+    for first in range(len(moves)):
+        length = shift = 0
+        i = first
+        while not seen[i]:
+            seen[i] = True
+            length += 1
+            shift += moves[i][1]
+            i = moves[i][0]
+        if length:
+            out.append([length, shift % order])
+    return out
+
+
+def locus_fixed(cycles: list[list[int]], order: int, d: int) -> int:
+    """The points (v, g^d) fixes, where cycles are locus_cycles of v: the
+    product of 1 + order * [l*d + s = 0 mod order] over them.  On a cycle of
+    length l and shift s the coordinates are all 0, or all nonzero with the
+    first exponent free and the others following from it, which closes up
+    exactly when l*d + s = 0 mod order."""
+    count = 1
+    for length, shift in cycles:
+        if (length * d + shift) % order == 0:
+            count *= order + 1
+    return count
 
 
 def locus_g_table(spec: GroupSpec, order: int) -> list[int]:
@@ -405,17 +442,22 @@ def dihedral_bijection(m: int, k: int) -> dict:
 
 def verify_intermediate_character(spec: GroupSpec, k: int) -> list[dict]:
     """The rows of ParkSpace.verify_weak, one per class representative and
-    d in order, with the locus fixed counts beside the parking ones; all
-    three counts must agree.  A family without a locus is rejected before
+    d in order, with the locus fixed counts (locus_fixed) beside the
+    parking ones; all three counts must agree.  A failing row carries the
+    multiplicity of omega^d in v and the [length, shift] cycles that
+    locus_fixed multiplied.  A family without a locus is rejected before
     anything is built."""
     kh = locus_order(spec, k)
     space = parkspace.build_park(spec, k)
-    cycles = parkspace.Cycles(locus_g_table(spec, kh))
     rows = space.verify_weak()
     reps = space.group.conjugacy_class_reps()
-    locus_counts = [n for v in reps for n in parkspace.fixed_counts(cycles, locus_w_table(spec, kh, v), kh)]
-    for row, locus_fixed in zip(rows, locus_counts):
+    cycles = [locus_cycles(spec, kh, v) for v in reps]
+    for i, row in enumerate(rows):
+        c, d = i // kh, row["d"]
         row["park_fixed"] = row.pop("fixed")
-        row["locus_fixed"] = locus_fixed
-        row["pass"] = row["pass"] and locus_fixed == row["park_fixed"]
+        row["locus_fixed"] = locus_fixed(cycles[c], kh, d)
+        row["pass"] = row["expected"] == row["park_fixed"] == row["locus_fixed"]
+        if not row["pass"]:
+            mult = space.group.eigenvalue_multiplicity(reps[c], d, kh)
+            row["witness"] = {"multiplicity": mult, "cycles": cycles[c]}
     return rows

@@ -342,6 +342,7 @@ class ReflectionGroup:
         self._right: dict = {}
         self._reflections = None
         self._conj_reps = None
+        self._class_ids = None
 
     # -- basics ------------------------------------------------------------
 
@@ -554,9 +555,22 @@ class ReflectionGroup:
         if self._conj_reps is None:
             els, idx = self.elements(), self.index()
             gens = self.isotropy_generators(self.fixed_flat(self.coxeter_element()))
-            reps, _ = orbits(len(els), [[idx[s * w * s] for w in els] for s in gens])
+            reps, self._class_ids = orbits(len(els), [[idx[s * w * s] for w in els] for s in gens])
             self._conj_reps = [els[i] for i in reps]
         return self._conj_reps
+
+    def class_ids(self) -> list[int]:
+        """The position in conjugacy_class_reps() of each element's class,
+        by element index."""
+        self.conjugacy_class_reps()
+        return self._class_ids
+
+    def class_sizes(self) -> list[int]:
+        """|Cl(v)| for each v in conjugacy_class_reps()."""
+        sizes = [0] * len(self.conjugacy_class_reps())
+        for c in self.class_ids():
+            sizes[c] += 1
+        return sizes
 
 
 def orbits(size: int, tables) -> tuple[list[int], list[int]]:

@@ -25,7 +25,7 @@ from ncpark.nonnesting import (
     reject_dihedral,
     torus_matrix,
 )
-from ncpark.parkspace import build_park
+from ncpark.parkspace import Cycles, build_park, fixed_counts
 from ncpark.reflgroup import (
     DihedralElement,
     FlatPartition,
@@ -178,6 +178,25 @@ def act_g_power(space, p, d):
     for _ in range(d % (space.k * space.spec.coxeter_number)):
         p = act_g(space, p)
     return p
+
+
+def g_cycles(space):
+    """The cycles of space.g_table(), decomposed once for every v."""
+    return Cycles(space.g_table())
+
+
+def verify_weak_by_tables(space):
+    """ParkSpace.verify_weak's rows by the class tables: fixed_counts over
+    the cycles of g_table() and the w_table() of each class representative,
+    against (kh+1)^mult.  Failing rows carry no witness."""
+    kh = space.k * space.spec.coxeter_number
+    cycles = g_cycles(space)
+    rows = []
+    for v in space.group.conjugacy_class_reps():
+        for d, count in enumerate(fixed_counts(cycles, space.w_table(v), kh)):
+            expected = (kh + 1) ** space.group.eigenvalue_multiplicity(v, d, kh)
+            rows.append({"v": repr(v), "d": d, "fixed": count, "expected": expected, "pass": count == expected})
+    return rows
 
 
 def coset_arrays_by_products(space, flat):

@@ -159,20 +159,23 @@ B3 = ["--family", "B", "--rank", "3", "--k", "1"]
     [
         # these build no classes: the cap bounds |W|, and |B3| = 48
         pytest.param(["torus-character"] + B3, 48, id="torus-character"),
-        # verify-csp and nonnesting-count list k-multichains too: the cap
-        # bounds the larger of |W| and Cat^(k)(W), which is 20 for B3 k=1
-        # and 6 for A1 k=5
+        # the next five list k-multichains too: the cap bounds the larger of
+        # |W| and Cat^(k)(W), which is 20 for B3 k=1 and 6 for A1 k=5
         pytest.param(["nonnesting-count"] + B3, 48, id="nonnesting-count"),
         pytest.param(
             ["nonnesting-count", "--family", "A", "--rank", "1", "--k", "5"], 6, id="nonnesting-count-chains"
         ),
         pytest.param(["verify-csp"] + B3, 48, id="verify-csp"),
         pytest.param(["verify-csp", "--family", "A", "--rank", "1", "--k", "5"], 6, id="verify-csp-chains"),
+        # verify-weak and verify-intermediate count by the class equation
+        # over chain g-cycles and by the locus closed form: no class or
+        # point is built, so they bound the same
+        pytest.param(["verify-weak"] + B3, 48, id="verify-weak"),
+        pytest.param(["verify-weak", "--family", "A", "--rank", "1", "--k", "5"], 6, id="verify-weak-chains"),
+        pytest.param(["verify-intermediate"] + B3, 48, id="verify-intermediate"),
         # these build (kh+1)^n classes or points, and the cap bounds that:
         # 7^3 for B3, 9^2 for I2(8), 4^2 for A2
         pytest.param(["enumerate"] + B3, 343, id="enumerate"),
-        pytest.param(["verify-weak"] + B3, 343, id="verify-weak"),
-        pytest.param(["verify-intermediate"] + B3, 343, id="verify-intermediate"),
         pytest.param(["verify-bijection", "--kind", "bc"] + B3, 343, id="verify-bijection-bc"),
         pytest.param(
             ["verify-bijection", "--kind", "dihedral", "--family", "I2", "--m", "8", "--k", "1"],
@@ -323,6 +326,80 @@ def test_csp_failure_carries_a_witness(tmp_path, monkeypatch):
     assert rows[1]["witness"] == {"order": 3, "factors": [[6, 3]]}
     assert (rows[1]["expected"], rows[1]["actual"]) == (2, 3)
     assert lines[-1]["failures"] == 1
+
+
+def off_by_one(monkeypatch, c, d):
+    """Patch ParkSpace.burnside_counts to count one class too many for the
+    c-th class representative at d."""
+    counts = parkspace.ParkSpace.burnside_counts
+
+    def patched(self):
+        out = counts(self)
+        out[c][d] += 1
+        return out
+
+    monkeypatch.setattr(parkspace.ParkSpace, "burnside_counts", patched)
+
+
+def test_weak_failure_carries_a_witness(tmp_path, monkeypatch):
+    # A2 k=1: the third class is the 3-cycle, with omega^1 once in its
+    # spectrum, so (kh+1)^1 = 4 classes are fixed at d = 1
+    off_by_one(monkeypatch, 2, 1)
+    code, lines = run_cli(["verify-weak", "--family", "A", "--rank", "2"], tmp_path)
+    assert code == EXIT_FAIL
+    rows = [r for r in lines if "summary" not in r]
+    assert [i for i, r in enumerate(rows) if not r["pass"]] == [7]
+    assert [i for i, r in enumerate(rows) if "witness" in r] == [7]
+    assert (rows[7]["d"], rows[7]["expected"], rows[7]["fixed"]) == (1, 4, 5)
+    assert rows[7]["witness"] == {"multiplicity": 1}
+    assert lines[-1]["failures"] == 1
+
+
+def test_intermediate_failure_carries_a_witness(tmp_path, monkeypatch):
+    # B2 k=1: the second class, v = [-2, 1], moves coordinate 1 to 2 with a
+    # sign change and 2 to 1: one cycle of length 2 and shift kh/2 = 2,
+    # which closes up at d = 1, where 5 points are fixed
+    off_by_one(monkeypatch, 1, 1)
+    code, lines = run_cli(["verify-intermediate", "--family", "B", "--rank", "2"], tmp_path)
+    assert code == EXIT_FAIL
+    rows = [r for r in lines if "summary" not in r]
+    assert [i for i, r in enumerate(rows) if not r["pass"]] == [5]
+    assert [i for i, r in enumerate(rows) if "witness" in r] == [5]
+    row = rows[5]
+    assert (row["d"], row["expected"], row["park_fixed"], row["locus_fixed"]) == (1, 5, 6, 5)
+    assert row["witness"] == {"multiplicity": 1, "cycles": [[2, 2]]}
+    assert lines[-1]["failures"] == 1
+
+
+@pytest.mark.parametrize("command", ["verify-weak", "verify-intermediate"])
+def test_burnside_remainder_is_an_internal_error(command, tmp_path, monkeypatch, capsys):
+    # B2 k=1, with class 0 given |W| + 1 = 9 members: 9 is prime to
+    # |W| = 8, so the first chain whose W_X1 y_d^-1 meets the class leaves
+    # a remainder
+    sizes = ReflectionGroup.class_sizes
+
+    def grown(self):
+        out = sizes(self)
+        out[0] = self.spec.order + 1
+        return out
+
+    monkeypatch.setattr(ReflectionGroup, "class_sizes", grown)
+    out = tmp_path / "out.jsonl"
+    assert main([command, "--family", "B", "--rank", "2", "--out", str(out)]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: class 0 meets W_X1 y_d^-1 in ")
+    assert "is not a multiple of 9 * " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify-weak", "verify-intermediate"])
+def test_weak_sweeps_pass_past_the_class_count(command, tmp_path):
+    # B5 k=2 has 21^5 = 4,084,101 classes, over the default cap, but
+    # |B5| = 3,840 and Cat^(2)(B5) = 3,003
+    code, lines = run_cli([command, "--family", "B", "--rank", "5", "--k", "2"], tmp_path)
+    assert code == EXIT_OK
+    assert lines[-1]["checks"] == 720
+    assert lines[-1]["failures"] == 0
 
 
 def test_missing_key_is_an_internal_error(tmp_path, monkeypatch, capsys):

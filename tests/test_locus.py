@@ -26,6 +26,8 @@ from ncpark.locus import (
     close_parens,
     dihedral_bijection,
     locus_act_w,
+    locus_cycles,
+    locus_fixed,
     locus_g_table,
     locus_order,
     locus_position,
@@ -34,7 +36,7 @@ from ncpark.locus import (
     verify_bc_bijection,
     verify_intermediate_character,
 )
-from ncpark.parkspace import build_park
+from ncpark.parkspace import Cycles, build_park, fixed_counts
 from ncpark.reflgroup import (
     DihedralElement,
     GroupSpec,
@@ -332,6 +334,17 @@ def test_locus_tables_match_point_actions(fam, p, k):
     assert locus_g_table(spec, kh) == table_oracle(pts, locus_act_g)
     for v in group(fam, p).conjugacy_class_reps():
         assert locus_w_table(spec, kh, v) == table_oracle(pts, lambda q: locus_act_w(spec, v, q))
+
+
+@pytest.mark.parametrize("fam,p", [fp for fp in MAIN_GRID if fp[0] != "A"])
+@pytest.mark.parametrize("k", KS)
+def test_locus_closed_form_matches_tables(fam, p, k):
+    spec = GroupSpec(fam, p)
+    kh = locus_order(spec, k)
+    cycles = Cycles(locus_g_table(spec, kh))
+    for v in group(fam, p).conjugacy_class_reps():
+        by_tables = fixed_counts(cycles, locus_w_table(spec, kh, v), kh)
+        assert [locus_fixed(locus_cycles(spec, kh, v), kh, d) for d in range(kh)] == by_tables
 
 
 def test_locus_point_json():

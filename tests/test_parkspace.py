@@ -14,6 +14,7 @@ from conftest import (
     coset_arrays_by_products,
     equivariant_function_count,
     fixed_counts_by_powers,
+    g_cycles,
     nc_lambda_count,
     orbit_decomposition,
     parse_partition,
@@ -21,6 +22,7 @@ from conftest import (
     rotate_partition,
     table_oracle,
     to_classical_by_labels,
+    verify_weak_by_tables,
 )
 
 from ncpark import cli, ncw, setpart
@@ -154,14 +156,16 @@ def test_g_action_well_defined_under_representative_fuzzing(fam, p, k):
 
 def test_fixed_count_examples():
     ps = build_park(GroupSpec("B", 1), 2)
+    cycles = g_cycles(ps)
     s = ps.group.coxeter_element()
-    assert fixed_counts(ps.g_cycles(), ps.w_table(ps.group.identity()), 1)[0] == 5
-    assert fixed_counts(ps.g_cycles(), ps.w_table(s), 1)[0] == 1
+    assert fixed_counts(cycles, ps.w_table(ps.group.identity()), 1)[0] == 5
+    assert fixed_counts(cycles, ps.w_table(s), 1)[0] == 1
     ps2 = build_park(GroupSpec("A", 3), 2)
-    assert fixed_counts(ps2.g_cycles(), ps2.w_table(identity_perm(3)), 1)[0] == 49
+    cycles = g_cycles(ps2)
+    assert fixed_counts(cycles, ps2.w_table(identity_perm(3)), 1)[0] == 49
     # (kn+1)^(r(w)-1): one cycle gives 7^0, two cycles give 7^1
-    assert fixed_counts(ps2.g_cycles(), ps2.w_table(perm_from_cycles(3, (1, 2, 3))), 1)[0] == 1
-    assert fixed_counts(ps2.g_cycles(), ps2.w_table(perm_from_cycles(3, (1, 2))), 1)[0] == 7
+    assert fixed_counts(cycles, ps2.w_table(perm_from_cycles(3, (1, 2, 3))), 1)[0] == 1
+    assert fixed_counts(cycles, ps2.w_table(perm_from_cycles(3, (1, 2))), 1)[0] == 7
 
 
 WEAK_GRID = [
@@ -198,6 +202,18 @@ def test_weak_identity_rank_four():
         assert all(r["pass"] for r in report)
 
 
+@pytest.mark.parametrize(
+    "fam,p,k",
+    [(fam, p, k) for fam, p in MAIN_GRID for k in KS] + [("D", 4, 2), ("A", 6, 1), ("B", 4, 1)],
+)
+def test_burnside_counts_match_tables(fam, p, k):
+    # the class equation over chain g-cycles against the fixed points of
+    # the class tables, row by row, on the grid and on the larger groups
+    # that the benchmark's verify-weak runs
+    ps = build_park(GroupSpec(fam, p), k)
+    assert ps.verify_weak() == verify_weak_by_tables(ps)
+
+
 @pytest.mark.parametrize("fam,p", MAIN_GRID)
 @pytest.mark.parametrize("k", KS)
 def test_action_tables_match_class_actions(fam, p, k):
@@ -223,10 +239,10 @@ def test_index_matches_make_class(fam, p, k):
 def test_fixed_counts_match_powers(fam, p, k):
     ps = build_park(GroupSpec(fam, p), k)
     kh = k * ps.spec.coxeter_number
-    garr = ps.g_table()
+    garr, cycles = ps.g_table(), g_cycles(ps)
     for v in ps.group.conjugacy_class_reps():
         varr = ps.w_table(v)
-        assert fixed_counts(ps.g_cycles(), varr, kh) == fixed_counts_by_powers(garr, varr, kh)
+        assert fixed_counts(cycles, varr, kh) == fixed_counts_by_powers(garr, varr, kh)
 
 
 # the cycles (0)(1 2)(3 4 5)
@@ -257,9 +273,10 @@ def test_fixed_count_reads_one_power():
     # a single power d asks fixed_counts for steps = d + 1
     ps = build_park(GroupSpec("B", 2), 2)
     kh = 2 * ps.spec.coxeter_number
+    cycles = g_cycles(ps)
     for v in ps.group.conjugacy_class_reps():
         expected = fixed_counts_by_powers(ps.g_table(), ps.w_table(v), kh)
-        assert [fixed_counts(ps.g_cycles(), ps.w_table(v), d + 1)[d] for d in range(kh)] == expected
+        assert [fixed_counts(cycles, ps.w_table(v), d + 1)[d] for d in range(kh)] == expected
 
 
 def test_classical_park_predicate():
