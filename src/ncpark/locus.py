@@ -13,13 +13,13 @@ import itertools
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import getitem
 
 from .reflgroup import (
     ConfigError,
     DihedralElement,
     GroupSpec,
-    zero_block,
 )
 from . import parkspace, setpart
 
@@ -90,6 +90,15 @@ def locus_position(order: int, coords) -> int:
     for v in coords:
         pos = pos * (order + 1) + (0 if v is ZERO else v + 1)
     return pos
+
+
+def locus_point(order: int, n: int, pos: int) -> LocusPoint:
+    """The point at a build_locus position: its n digits in base order+1."""
+    coords = []
+    for _ in range(n):
+        pos, d = divmod(pos, order + 1)
+        coords.append(d - 1 if d else ZERO)
+    return LocusPoint(order, tuple(reversed(coords)))
 
 
 def locus_moves(spec: GroupSpec, order: int, w) -> list[tuple[int, int]]:
@@ -183,54 +192,92 @@ def opener_to_exponent(o: int, half: int) -> int:
     return o % (2 * half) if o > 0 else (half - o) % (2 * half)
 
 
-def bc_phi(space: parkspace.ParkSpace, p: parkspace.ParkClass) -> LocusPoint:
-    """Type B class to locus point, read off the chain's record: each x in
-    the first-entry block under a block b of nabla(chain) sends coordinate
-    |rep(x)| to the exponent of b's opener, plus kn when rep(x) < 0."""
+def bc_phi(space: parkspace.ParkSpace) -> array:
+    """The locus position of each type B class, indexed by class position.
+
+    Each x in the first-entry block under a block b of nabla(chain) sends
+    coordinate |rep(x)| to the exponent e of b's opener, plus kn when
+    rep(x) < 0.  So per chain block, once, each x in [n] gets a digit for
+    a positive image (e + 1) and one for a negative image
+    ((e + kn) mod 2kn + 1), and 0 in the zero block; the class with coset
+    minimum r then lies at the sum of digit * (2kn + 1)^(n - |r(x)|) over
+    x (see locus_position).
+    """
     if space.spec.family != "B":
         raise ValueError("bc_phi is a type B/C operation")
     n = space.spec.param
     kn = space.k * n
-    pic = space.chain_picture(p.chain)
-    coords = [ZERO] * n
-    for b, opener in pic.openers.items():
-        e = opener_to_exponent(opener, kn)
-        for x in pic.block_map[b]:
-            t = p.rep(x)
-            if t > 0:
-                coords[t - 1] = e
-            else:
-                coords[-t - 1] = (e + kn) % (2 * kn)
-    return LocusPoint(2 * kn, tuple(coords))
+    weight = [(2 * kn + 1) ** (n - t) for t in range(n + 1)]
+    images = [w.images for w in space.group.elements()]
+    out = array("q")
+    for ch, reps in space.blocks():
+        pic = space.chain_picture(ch)
+        # rows[x - 1][t]: what x adds when rep(x) = t; 2n + 1 slots, so a
+        # negative t indexes from the end
+        rows = [[0] * (2 * n + 1) for _ in range(n)]
+        for b, opener in pic.openers.items():
+            e = opener_to_exponent(opener, kn)
+            for x in pic.block_map[b]:
+                if x > 0:
+                    for t in range(1, n + 1):
+                        rows[x - 1][t] = (e + 1) * weight[t]
+                        rows[x - 1][-t] = ((e + kn) % (2 * kn) + 1) * weight[t]
+        out.extend(sum(map(getitem, rows, images[r])) for r in reps)
+    return out
 
 
-def bc_psi(space: parkspace.ParkSpace, pt: LocusPoint) -> parkspace.ParkClass:
-    """Locus point to type B class: place parentheses at the openers named
-    by the coordinates and close them innermost first with prescribed
-    block sizes.  The opener multiset fixes the chain, so close_parens
-    runs once per chain; each coordinate then labels the block its
-    opener opens, and the zero coordinates label the zero block.
+def bc_psi(space: parkspace.ParkSpace, points) -> array:
+    """The type B class position of each locus position in points.
 
-    There is no self-check phi(psi(pt)) == pt: verify_bc_bijection's rows
-    imply it.  The bijection row shows phi is a bijection and the
-    mutual_inverse row that psi(phi(p)) == p for every class p; so for any
-    point pt = phi(p), phi(psi(pt)) = phi(p) = pt.  A psi fault is a
-    failing mutual_inverse row that carries the point.
+    A point's digits name its coordinates' signed openers.  Parentheses
+    placed at the openers and closed innermost first with prescribed block
+    sizes give nabla of the chain (close_parens, memoized on the opener
+    multiset, which fixes the chain).  A coordinate whose opener opens a
+    block b of nabla(chain) is the image of an element of b's first-entry
+    block; a zero coordinate, of one of the zero block.  So the point
+    names, for each coordinate i, the block holding rep^-1(i), and that
+    fixes the coset (ParkSpace.coset_keys).
+
+    A position's digits are those of its high and low halves, read from
+    two tables, with each half's opener multiset as an integer: the count
+    of |opener| j in base n + 1, at (n + 1)^(j - 1).  Per multiset, once,
+    the rule maps a digit to the signed id of the block its opener opens.
     """
     if space.spec.family != "B":
         raise ValueError("bc_psi is a type B/C operation")
-    n = space.spec.param
-    k = space.k
-    ops = [0 if v is ZERO else exponent_to_opener(v, k * n) for v in pt.coords]
-    pic = space.picture_of(close_parens(n, k, tuple(sorted(abs(o) for o in ops if o))))
-    labels = {
-        b: tuple(i if o == opener else -i for i, o in enumerate(ops, 1) if abs(o) == abs(opener))
-        for b, opener in pic.openers.items()
-    }
-    zero = tuple(s * i for i, o in enumerate(ops, 1) if not o for s in (1, -1))
-    if zero:
-        labels[zero_block(pic.pi.blocks)] = zero
-    return space.make_class(pic.chain, parkspace.rep_from_labels(space, pic.chain, labels))
+    n, k = space.spec.param, space.k
+    kn = k * n
+    base = 2 * kn + 1
+    opener_of = [0] + [exponent_to_opener(e, kn) for e in range(2 * kn)]
+    mult = [0] + [(n + 1) ** (abs(o) - 1) for o in opener_of[1:]]
+    halves = []
+    for length in (n // 2, n - n // 2):
+        halves.append([(ds, sum(mult[d] for d in ds)) for ds in itertools.product(range(base), repeat=length)])
+    high, low = halves
+    split = len(low)
+    offsets = space.chain_offsets()
+    flats: dict = {}
+    rules: dict = {}
+    out = array("q")
+    for p in points:
+        h, l = divmod(p, split)
+        (hd, hm), (ld, lm) = high[h], low[l]
+        rule = rules.get(hm + lm)
+        if rule is None:
+            key = tuple(sorted(abs(opener_of[d]) for d in hd + ld if d))
+            pic = space.picture_of(close_parens(n, k, key))
+            flat = space.nc.flat_of[pic.chain[0]]
+            if flat not in flats:
+                flats[flat] = space.coset_keys(flat)
+            bid, cosets = flats[flat]
+            sid = {o: bid[pic.block_map[b][0]] for b, o in pic.openers.items()}
+            sid[0] = 0
+            # digits whose opener is not in the multiset never meet this rule
+            digit_id = [sid.get(o) for o in opener_of]
+            rule = rules[hm + lm] = offsets[pic.chain], digit_id.__getitem__, cosets
+        start, sid, cosets = rule
+        out.append(start + cosets[tuple(map(sid, hd + ld))])
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -291,56 +338,80 @@ def close_parens(n: int, k: int, openers: tuple[int, ...]) -> setpart.SetPartiti
 def verify_bc_bijection(spec: GroupSpec, k: int) -> list[dict]:
     """Mutual inversion and equivariance of the type BC pair, exhaustively.
 
-    phi maps each position in classes() to a position in build_locus, so a
-    generator with class table T and locus table L commutes with phi when
-    phi[T[i]] == L[phi[i]] for every i.  A failing row carries a witness:
-    two colliding classes or the size mismatch (bijection), a point psi
-    does not send back (mutual_inverse), or a class, generator and the two
-    disagreeing images (equivariance).
+    Both maps run between positions: phi = bc_phi(space) sends each class
+    position to a locus position (build_locus order), and psi = bc_psi
+    sends the points phi lists back.  A generator with class table T and
+    locus table L commutes with phi when phi[T[i]] == L[phi[i]] for every
+    i; the tables are built one generator at a time.  There is no check
+    phi(psi(pt)) == pt: the bijection row shows phi is a bijection and the
+    mutual_inverse row that psi(phi(i)) == i for every class i, so for any
+    point pt = phi(i), phi(psi(pt)) = pt.
+
+    No class or point is built unless a row fails.  A failing row carries
+    a witness: two colliding classes or the size mismatch (bijection), a
+    point psi does not send back (mutual_inverse), or a class, generator
+    and the two disagreeing images (equivariance).
     """
     space = parkspace.build_park(spec, k)
-    pts = build_locus(spec, k)
     kh = locus_order(spec, k)
-    classes = space.classes()
-    phi = [locus_position(kh, bc_phi(space, p).coords) for p in classes]
+    size = (kh + 1) ** spec.rank
+
+    def point(j):
+        return locus_point(kh, spec.rank, j).to_json()
+
+    phi = bc_phi(space)
     report = []
-    row = {"check": "bijection", "pass": len(set(phi)) == len(pts) == len(phi)}
-    if not row["pass"]:
-        first: dict[int, int] = {}
-        for i, j in enumerate(phi):
-            if j in first:
-                row["witness"] = {
-                    "classes": [space.class_record(classes[first[j]]), space.class_record(classes[i])],
-                    "point": pts[j].to_json(),
-                }
-                break
-            first[j] = i
-        else:
-            row["witness"] = {"classes": len(phi), "points": len(pts)}
+    seen, clash = bytearray(size), None
+    for i, j in enumerate(phi):
+        if seen[j]:
+            clash = i
+            break
+        seen[j] = 1
+    row = {"check": "bijection", "pass": clash is None and len(phi) == size}
+    if clash is not None:
+        j = phi[clash]
+        row["witness"] = {"classes": [class_at(space, phi.index(j)), class_at(space, clash)], "point": point(j)}
+    elif not row["pass"]:
+        row["witness"] = {"classes": len(phi), "points": size}
     report.append(row)
-    bad_inv = [pts[j] for p, j in zip(classes, phi) if bc_psi(space, pts[j]) != p]
-    row = {"check": "mutual_inverse", "pass": not bad_inv}
-    if bad_inv:
-        row["witness"] = bad_inv[0].to_json()
+    bad = next((i for i, j in enumerate(bc_psi(space, phi)) if j != i), None)
+    row = {"check": "mutual_inverse", "pass": bad is None}
+    if bad is not None:
+        row["witness"] = point(phi[bad])
     report.append(row)
     gens = list(space.group.reflections()[:2]) + [space.group.coxeter_element()]
-    moves = [("g", space.g_table(), locus_g_table(spec, kh))]
-    moves += [(repr(v), space.w_table(v), locus_w_table(spec, kh, v)) for v in gens]
+    moves = [("g", space.g_table, partial(locus_g_table, spec, kh))]
+    moves += [(repr(v), partial(space.w_table, v), partial(locus_w_table, spec, kh, v)) for v in gens]
     row = {"check": "equivariance", "pass": True}
-    for i, j in enumerate(phi):
-        bad = next((m for m in moves if phi[m[1][i]] != m[2][j]), None)
-        if bad is not None:
-            gen, park, loc = bad
+    first = len(phi)
+    for gen, park, loc in moves:
+        # phi after the class table, and the locus table after phi; each
+        # table lives only while its map runs
+        moved = array("q", map(phi.__getitem__, park()))
+        expected = array("q", map(loc().__getitem__, phi))
+        if moved == expected:
+            continue
+        i = next(i for i, (a, b) in enumerate(zip(moved, expected)) if a != b)
+        if i < first:
+            first = i
             row["pass"] = False
             row["witness"] = {
-                "class": space.class_record(classes[i]),
+                "class": class_at(space, i),
                 "generator": gen,
-                "park_image": pts[phi[park[i]]].to_json(),
-                "locus_image": pts[loc[j]].to_json(),
+                "park_image": point(moved[i]),
+                "locus_image": point(expected[i]),
             }
-            break
     report.append(row)
     return report
+
+
+def class_at(space: parkspace.ParkSpace, i: int) -> dict:
+    """class_record of the class at position i, read off its chain block."""
+    for ch, reps in space.blocks():
+        if i < len(reps):
+            return space.class_record(parkspace.ParkClass(ch, space.group.elements()[reps[i]]))
+        i -= len(reps)
+    raise IndexError(i)
 
 
 # ---------------------------------------------------------------------------

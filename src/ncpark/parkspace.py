@@ -21,6 +21,7 @@ from .reflgroup import (
     SignedPerm,
     group,
     orbits,
+    zero_block,
 )
 from . import ncw, setpart
 
@@ -84,7 +85,8 @@ class ChainPicture:
 
 
 class ParkSpace:
-    """Park^NC for one (group, k), with cached action tables."""
+    """Park^NC for one (group, k): its classes by position, with the coset
+    arrays and chain pictures cached, and its action tables."""
 
     def __init__(self, spec: GroupSpec, k: int):
         if k < 1:
@@ -99,7 +101,6 @@ class ParkSpace:
         self._cosets: dict[FlatPartition, tuple[list[int], list[int]]] = {}
         self._offsets = None
         self._classes = None
-        self._garr = None
         self._pictures: dict[tuple, ChainPicture] = {}
         self._nabla_inv = None
 
@@ -127,7 +128,7 @@ class ParkSpace:
         for ch in self.chains:
             yield ch, self._coset_arrays(flat_of[ch[0]])[0]
 
-    def _chain_offsets(self) -> dict[tuple, int]:
+    def chain_offsets(self) -> dict[tuple, int]:
         """Where each chain's block starts in classes()."""
         if self._offsets is None:
             offsets, pos = {}, 0
@@ -137,6 +138,32 @@ class ParkSpace:
             self._offsets = offsets
         return self._offsets
 
+    def coset_keys(self, flat: FlatPartition) -> tuple[dict, dict]:
+        """Signed ids for the blocks of a type B flat X (j and -j for a
+        block and its mirror, 0 for the zero block), and the position of
+        each coset minimum w keyed by the ids of the blocks holding
+        w^-1(1), ..., w^-1(n).  W_X is the stabilizer of every block of X,
+        so w W_X is fixed by where w sends each block."""
+        bid, j = {}, 0
+        zero = zero_block(flat.blocks)
+        for b in flat.blocks:
+            if b == zero:
+                bid.update(dict.fromkeys(b, 0))
+            elif b[0] not in bid:
+                j += 1
+                for x in b:
+                    bid[x], bid[-x] = j, -j
+        cosets = {}
+        for pos, r in enumerate(self._coset_arrays(flat)[0]):
+            key = [0] * flat.n
+            for x, t in enumerate(self._elements[r].images, 1):
+                if t > 0:
+                    key[t - 1] = bid[x]
+                else:
+                    key[-t - 1] = -bid[x]
+            cosets[tuple(key)] = pos
+        return bid, cosets
+
     def make_class(self, chain: tuple, w) -> ParkClass:
         reps, arr = self._coset_arrays(self.nc.flat_of[chain[0]])
         return ParkClass(chain, self._elements[reps[arr[self.group.index()[w]]]])
@@ -144,7 +171,7 @@ class ParkSpace:
     def index(self, chain: tuple, w) -> int:
         """The position in classes() of the class [w, chain]."""
         arr = self._coset_arrays(self.nc.flat_of[chain[0]])[1]
-        return self._chain_offsets()[chain] + arr[self.group.index()[w]]
+        return self.chain_offsets()[chain] + arr[self.group.index()[w]]
 
     def classes(self) -> list[ParkClass]:
         if self._classes is None:
@@ -163,28 +190,26 @@ class ParkSpace:
         by t^-1 per coset minimum.  The chains are taken grouped by u_k, so
         the products that chains sharing t^-1 read are made once, in a dict
         kept only while that group is in work."""
-        if self._garr is None:
-            els, idx, flat_of = self._elements, self.group.index(), self.nc.flat_of
-            chains, gtab = self.chains, ncw.chain_g_table(self.nc, self.chains)
-            starts = list(self._chain_offsets().values())
-            groups: dict = {}
-            for i, ch in enumerate(chains):
-                groups.setdefault(ch[-1], []).append(i)
-            c_inv = self.c.inverse()
-            out = [0] * (starts[-1] + len(self._coset_arrays(flat_of[chains[-1][0]])[0]))
-            for u_k, members in groups.items():
-                t_inv = u_k * c_inv
-                rm: dict = {}
-                for i in members:
-                    reps = self._coset_arrays(flat_of[chains[i][0]])[0]
-                    for r in reps:
-                        if r not in rm:
-                            rm[r] = idx[els[r] * t_inv]
-                    gi = gtab[i]
-                    arr, off = self._coset_arrays(flat_of[chains[gi][0]])[1], starts[gi]
-                    out[starts[i] : starts[i] + len(reps)] = [off + arr[rm[r]] for r in reps]
-            self._garr = out
-        return self._garr
+        els, idx, flat_of = self._elements, self.group.index(), self.nc.flat_of
+        chains, gtab = self.chains, ncw.chain_g_table(self.nc, self.chains)
+        starts = list(self.chain_offsets().values())
+        groups: dict = {}
+        for i, ch in enumerate(chains):
+            groups.setdefault(ch[-1], []).append(i)
+        c_inv = self.c.inverse()
+        out = [0] * (starts[-1] + len(self._coset_arrays(flat_of[chains[-1][0]])[0]))
+        for u_k, members in groups.items():
+            t_inv = u_k * c_inv
+            rm: dict = {}
+            for i in members:
+                reps = self._coset_arrays(flat_of[chains[i][0]])[0]
+                for r in reps:
+                    if r not in rm:
+                        rm[r] = idx[els[r] * t_inv]
+                gi = gtab[i]
+                arr, off = self._coset_arrays(flat_of[chains[gi][0]])[1], starts[gi]
+                out[starts[i] : starts[i] + len(reps)] = [off + arr[rm[r]] for r in reps]
+        return out
 
     def w_table(self, v) -> list[int]:
         """Permutation of class indices induced by v: the chain stays, and
@@ -193,7 +218,7 @@ class ParkSpace:
         lm = [idx[v * w] for w in self._elements]
         perms: dict[FlatPartition, list[int]] = {}
         out: list[int] = []
-        for ch, off in self._chain_offsets().items():
+        for ch, off in self.chain_offsets().items():
             flat = flat_of[ch[0]]
             perm = perms.get(flat)
             if perm is None:

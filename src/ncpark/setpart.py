@@ -11,7 +11,6 @@ Ground sets are [n] or +-[n]; the +-[n] boundary order on the disc is
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .reflgroup import (
@@ -90,17 +89,25 @@ def format_partition(p: SetPartition) -> str:
 
 
 def _crossing_free(blocks, pos) -> bool:
-    """No two blocks interleave around the circle given by position map."""
-    indexed = [sorted(pos(x) for x in b) for b in blocks]
-    for b1, b2 in itertools.combinations(indexed, 2):
-        # b1, b2 cross iff b2 meets both gaps determined by some pair of b1
-        inside = outside = False
-        for a, b in zip(b1, b1[1:] + b1[:1]):
-            lo, hi = (a, b) if a < b else (b, a)
-            inside = any(lo < x < hi for x in b2)
-            outside = any(not lo < x < hi for x in b2)
-            if inside and outside:
+    """No two blocks interleave around the circle given by position map.
+
+    One walk around the circle keeps a stack of the open blocks: a block
+    may continue only while it is the innermost open one (on top), and
+    it closes at its last element.  Two blocks cross exactly when some
+    element of an open block turns up while another block sits above it.
+    """
+    walk = sorted((pos(x), i) for i, b in enumerate(blocks) for x in b)
+    last = {i: p for p, i in walk}
+    stack: list[int] = []
+    opened: set[int] = set()
+    for p, i in walk:
+        if not stack or stack[-1] != i:
+            if i in opened:
                 return False
+            opened.add(i)
+            stack.append(i)
+        if last[i] == p:
+            stack.pop()
     return True
 
 

@@ -13,7 +13,9 @@ from ncpark.locus import (
     ZERO,
     LocusPoint,
     build_locus,
+    close_parens,
     diagonal_twist,
+    exponent_to_opener,
     locus_act_w,
     opener_to_exponent,
 )
@@ -25,7 +27,7 @@ from ncpark.nonnesting import (
     reject_dihedral,
     torus_matrix,
 )
-from ncpark.parkspace import Cycles, build_park, fixed_counts
+from ncpark.parkspace import Cycles, build_park, fixed_counts, rep_from_labels
 from ncpark.reflgroup import (
     DihedralElement,
     FlatPartition,
@@ -213,6 +215,71 @@ def coset_arrays_by_products(space, flat):
             for h in iso:
                 arr[idx[w * h]] = len(reps) - 1
     return reps, arr
+
+
+def bc_phi_by_class(space, p):
+    """locus.bc_phi on one class, read off the chain's record: each x in
+    the first-entry block under a block b of nabla(chain) sends coordinate
+    |rep(x)| to the exponent of b's opener, plus kn when rep(x) < 0."""
+    n = space.spec.param
+    kn = space.k * n
+    pic = space.chain_picture(p.chain)
+    coords = [ZERO] * n
+    for b, opener in pic.openers.items():
+        e = opener_to_exponent(opener, kn)
+        for x in pic.block_map[b]:
+            t = p.rep(x)
+            if t > 0:
+                coords[t - 1] = e
+            else:
+                coords[-t - 1] = (e + kn) % (2 * kn)
+    return LocusPoint(2 * kn, tuple(coords))
+
+
+def bc_psi_by_class(space, pt):
+    """locus.bc_psi on one point, through a representative: each
+    coordinate labels the block its opener opens (its negative, the mirror
+    block), the zero coordinates label the zero block, and
+    rep_from_labels reads a group element off the labels."""
+    n, k = space.spec.param, space.k
+    ops = [0 if v is ZERO else exponent_to_opener(v, k * n) for v in pt.coords]
+    pic = space.picture_of(close_parens(n, k, tuple(sorted(abs(o) for o in ops if o))))
+    labels = {
+        b: tuple(i if o == opener else -i for i, o in enumerate(ops, 1) if abs(o) == abs(opener))
+        for b, opener in pic.openers.items()
+    }
+    zero = tuple(s * i for i, o in enumerate(ops, 1) if not o for s in (1, -1))
+    if zero:
+        labels[zero_block(pic.pi.blocks)] = zero
+    return space.make_class(pic.chain, rep_from_labels(space, pic.chain, labels))
+
+
+def crossing_free_pairwise(blocks, pos):
+    """setpart._crossing_free pair by pair: b1 and b2 cross iff b2 meets
+    both gaps determined by some pair of cyclically consecutive elements
+    of b1."""
+    indexed = [sorted(pos(x) for x in b) for b in blocks]
+    for b1, b2 in itertools.combinations(indexed, 2):
+        inside = outside = False
+        for a, b in zip(b1, b1[1:] + b1[:1]):
+            lo, hi = (a, b) if a < b else (b, a)
+            inside = any(lo < x < hi for x in b2)
+            outside = any(not lo < x < hi for x in b2)
+            if inside and outside:
+                return False
+    return True
+
+
+def set_partitions(ground):
+    """Every set partition of the list ground, as lists of blocks."""
+    if not ground:
+        yield []
+        return
+    first, rest = ground[0], ground[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
 
 
 def bc_phi_by_labels(space, p):

@@ -29,10 +29,10 @@ from conftest import (
 from ncpark import ncw, qcatalan, setpart
 from ncpark.locus import (
     ZERO,
-    LocusPoint,
     bc_phi,
     bc_psi,
     dihedral_bijection,
+    locus_position,
     verify_bc_bijection,
     verify_intermediate_character,
 )
@@ -95,15 +95,16 @@ def test_criterion_04_bc_bijection():
     X2 = full_partition(3, signed=True)
     w = paired_cycle(3, (1, 3, -2))
     upper = ps.from_labeled_pair(bc_nabla((X1, X2), {b: tuple(w(x) for x in b) for b in X1.blocks}))
-    assert bc_phi(ps, upper) == LocusPoint(12, (ZERO, 10, 10))
+    phi = bc_phi(ps)
+    assert phi[ps.index(upper.chain, upper.rep)] == locus_position(12, (ZERO, 10, 10))
     Y1 = parse_partition("1,2/3/-1,-2/-3", 3, signed=True)
     Y2 = parse_partition("1,2,3/-1,-2,-3", 3, signed=True)
     w2 = paired_cycle(3, (1, -3)) * balanced_cycle(3, (2,))
     lower = ps.from_labeled_pair(bc_nabla((Y1, Y2), {b: tuple(w2(x) for x in b) for b in Y1.blocks}))
-    assert bc_phi(ps, lower) == LocusPoint(12, (10, 7, 7))
+    assert phi[ps.index(lower.chain, lower.rep)] == locus_position(12, (10, 7, 7))
     # the pinned inverse example
     ps4 = build_park(GroupSpec("B", 4), 2)
-    cls = bc_psi(ps4, LocusPoint(16, (4, ZERO, 12, 5)))
+    cls = ps4.classes()[bc_psi(ps4, [locus_position(16, (4, ZERO, 12, 5))])[0]]
     lp = ps4.labeled_pair(cls)
     assert lp.partition == parse_partition("1,-4,-7,-8/2,3,-2,-3/4,7,8,-1/5,6/-5,-6", 8, signed=True)
     assert set(label_of(lp, (-1, 4, 7, 8))) == {1, -3}

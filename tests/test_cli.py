@@ -421,16 +421,24 @@ def test_psi_fault_is_a_failing_row(tmp_path, monkeypatch):
     space = parkspace.build_park(spec, 1)
     chain = (space.group.identity(),)  # first flat V: trivial isotropy, so w t != w
     assert chain in space.chains
+    flat = space.nc.flat_of[chain[0]]
+    assert [ch for ch in space.chains if space.nc.flat_of[ch[0]] == flat] == [chain]
     t = space.group.reflections()[0]
-    real = parkspace.rep_from_labels
-    first = next(p for p in space.classes() if p.chain == chain)
-    witness = locus.bc_phi(space, first).to_json()
+    els, idx = space.group.elements(), space.group.index()
+    # every element is a coset minimum of V, so a coset position is an element index
+    assert sum(1 for p in space.classes() if p.chain == chain) == len(els)
+    real = parkspace.ParkSpace.coset_keys
+    first = next(i for i, p in enumerate(space.classes()) if p.chain == chain)
+    witness = locus.build_locus(spec, 1)[locus.bc_phi(space)[first]].to_json()
 
-    def wrong(sp, ch, labels):
-        w = real(sp, ch, labels)
-        return w * t if ch == chain else w
+    def wrong(sp, x):
+        # the coset of w goes to that of w t, over the flat of this chain only
+        bid, cosets = real(sp, x)
+        if x == flat:
+            cosets = {key: idx[els[pos] * t] for key, pos in cosets.items()}
+        return bid, cosets
 
-    monkeypatch.setattr(parkspace, "rep_from_labels", wrong)
+    monkeypatch.setattr(parkspace.ParkSpace, "coset_keys", wrong)
     code, lines = run_cli(
         ["verify-bijection", "--family", "B", "--rank", "2", "--k", "1", "--kind", "bc"], tmp_path
     )

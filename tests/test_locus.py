@@ -1,10 +1,14 @@
+from array import array
+
 import pytest
 from conftest import (
     KS,
     MAIN_GRID,
     act_g,
     all_flats,
+    bc_phi_by_class,
     bc_phi_by_labels,
+    bc_psi_by_class,
     full_partition,
     label_of,
     locus_act_g,
@@ -127,20 +131,22 @@ def test_bc_phi_pinned_vectors():
     w = paired_cycle(3, (1, 3, -2))
     lp = bc_nabla((X1, X2), {b: tuple(w(x) for x in b) for b in X1.blocks})
     upper = ps.from_labeled_pair(lp)
-    assert bc_phi(ps, upper) == LocusPoint(12, (ZERO, 10, 10))
+    phi = bc_phi(ps)
+    assert phi[ps.index(upper.chain, upper.rep)] == locus_position(12, (ZERO, 10, 10))
 
     Y1 = parse_partition("1,2/3/-1,-2/-3", 3, signed=True)
     Y2 = parse_partition("1,2,3/-1,-2,-3", 3, signed=True)
     w2 = paired_cycle(3, (1, -3)) * balanced_cycle(3, (2,))
     lp2 = bc_nabla((Y1, Y2), {b: tuple(w2(x) for x in b) for b in Y1.blocks})
     lower = ps.from_labeled_pair(lp2)
-    assert bc_phi(ps, lower) == LocusPoint(12, (10, 7, 7))
+    assert phi[ps.index(lower.chain, lower.rep)] == locus_position(12, (10, 7, 7))
 
 
 def test_bc_psi_worked_example():
     ps = build_park(GroupSpec("B", 4), 2)
-    pt = LocusPoint(16, (4, ZERO, 12, 5))
-    cls = bc_psi(ps, pt)
+    pt = locus_position(16, (4, ZERO, 12, 5))
+    [i] = bc_psi(ps, [pt])
+    cls = ps.classes()[i]
     lp = ps.labeled_pair(cls)
     assert lp.partition == parse_partition(
         "1,-4,-7,-8/2,3,-2,-3/4,7,8,-1/5,6/-5,-6", 8, signed=True
@@ -150,7 +156,7 @@ def test_bc_psi_worked_example():
     assert set(label_of(lp, (5, 6))) == {4}
     assert set(label_of(lp, (-6, -5))) == {-4}
     assert set(label_of(lp, (-3, -2, 2, 3))) == {2, -2}
-    assert bc_phi(ps, cls) == pt
+    assert bc_phi(ps)[i] == pt
 
 
 def test_close_parens_structure():
@@ -188,15 +194,29 @@ def test_one_nabla_per_chain(monkeypatch):
     assert len(calls) == len(set(calls)) == len(space.chains)
 
 
-@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
 def test_bc_pair_matches_labeled_route(n, k):
     # phi read off the chain record agrees with the labeled-picture route,
     # and psi inverts it, on every class
     space = build_park(GroupSpec("B", n), k)
-    for p in space.classes():
-        pt = bc_phi(space, p)
-        assert pt == bc_phi_by_labels(space, p)
-        assert bc_psi(space, pt) == p
+    kh = locus_order(space.spec, k)
+    phi = bc_phi(space)
+    assert list(bc_psi(space, phi)) == list(range(len(phi)))
+    for p, j in zip(space.classes(), phi):
+        assert j == locus_position(kh, bc_phi_by_labels(space, p).coords)
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
+def test_bc_position_maps_match_per_class_route(n, k):
+    # the position maps against the per-class bodies they replaced: phi
+    # class by class through a representative, psi point by point through
+    # rep_from_labels, on every class and every point
+    space = build_park(GroupSpec("B", n), k)
+    kh = locus_order(space.spec, k)
+    classes, pts = space.classes(), build_locus(space.spec, k)
+    phi = bc_phi(space)
+    assert list(phi) == [locus_position(kh, bc_phi_by_class(space, p).coords) for p in classes]
+    assert [classes[i] for i in bc_psi(space, range(len(pts)))] == [bc_psi_by_class(space, pt) for pt in pts]
 
 
 def test_one_close_parens_per_chain():
@@ -212,18 +232,14 @@ def test_bc_equivariance_failure_has_witness(monkeypatch):
     # and bc_psi is patched to invert the swapped map, but not equivariant
     spec = GroupSpec("B", 2)
     space = build_park(spec, 1)
-    real_phi = locus.bc_phi
-    a = next(p for p in space.classes() if act_g(space, act_g(space, p)) != p)
-    pa, pb = real_phi(space, a), real_phi(space, act_g(space, a))
-    swap = {pa: pb, pb: pa}
-
-    def swapped_phi(sp, p):
-        pt = real_phi(sp, p)
-        return swap.get(pt, pt)
-
-    inverse = {swapped_phi(space, p): p for p in space.classes()}
-    monkeypatch.setattr(locus, "bc_phi", swapped_phi)
-    monkeypatch.setattr(locus, "bc_psi", lambda sp, pt: inverse[pt])
+    classes = space.classes()
+    a = next(i for i, p in enumerate(classes) if act_g(space, act_g(space, p)) != p)
+    b = classes.index(act_g(space, classes[a]))
+    swapped = bc_phi(space)
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    inverse = {j: i for i, j in enumerate(swapped)}
+    monkeypatch.setattr(locus, "bc_phi", lambda sp: array("q", swapped))
+    monkeypatch.setattr(locus, "bc_psi", lambda sp, points: array("q", [inverse[j] for j in points]))
     rows = {r["check"]: r for r in verify_bc_bijection(spec, 1)}
     assert rows["bijection"] == {"check": "bijection", "pass": True}
     assert rows["mutual_inverse"] == {"check": "mutual_inverse", "pass": True}
@@ -238,16 +254,16 @@ def test_bc_equivariance_failure_has_witness(monkeypatch):
 
 def test_bc_bijection_failure_names_colliding_classes(monkeypatch):
     spec = GroupSpec("B", 2)
-    real_phi = locus.bc_phi
     space = build_park(spec, 1)
     a, b = space.classes()[:2]
-    target = real_phi(space, a)
-    monkeypatch.setattr(locus, "bc_phi", lambda sp, p: target if p == b else real_phi(sp, p))
+    collided = bc_phi(space)
+    collided[1] = target = collided[0]
+    monkeypatch.setattr(locus, "bc_phi", lambda sp: array("q", collided))
     row = verify_bc_bijection(spec, 1)[0]
     assert row["pass"] is False
     assert row["witness"] == {
         "classes": [space.class_record(a), space.class_record(b)],
-        "point": target.to_json(),
+        "point": build_locus(spec, 1)[target].to_json(),
     }
 
 

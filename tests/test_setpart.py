@@ -5,12 +5,14 @@ import pytest
 from conftest import (
     all_noncrossing_partitions,
     block_sizes,
+    crossing_free_pairwise,
     full_partition,
     kreweras_by_separation,
     label_of,
     nc_lambda_count,
     parse_partition,
     rotate_partition,
+    set_partitions,
     singletons,
     symmetric_kdiv_count,
     symmetric_kdiv_type,
@@ -22,6 +24,7 @@ from ncpark.setpart import (
     SetPartition,
     bc_nabla,
     boundary_delta,
+    circ_position,
     format_partition,
     is_noncrossing,
     kreweras,
@@ -72,6 +75,23 @@ def test_is_noncrossing():
     # signed boundary order 1..n,-1..-n
     assert is_noncrossing(parse_partition("1,-3/2,-2/-1,3", 3, signed=True))
     assert not is_noncrossing(parse_partition("1,-1/2,-3/-2,3", 3, signed=True))
+
+
+def test_noncrossing_walk_matches_pairwise_oracle():
+    # every set partition of [n], n <= 8 (5,295 of them), and every
+    # partition of +-[n], n <= 4, in the signed boundary order
+    count = 0
+    for n in range(1, 9):
+        for blocks in set_partitions(list(range(1, n + 1))):
+            p = SetPartition.of(n, blocks)
+            assert is_noncrossing(p) == crossing_free_pairwise(p.blocks, lambda x: x - 1), p
+            count += 1
+    assert count == 5295
+    for n in range(1, 5):
+        for blocks in set_partitions(list(range(1, n + 1)) + [-i for i in range(1, n + 1)]):
+            p = SetPartition.of(n, blocks, signed=True)
+            pos = lambda x: circ_position(x, n)
+            assert is_noncrossing(p) == crossing_free_pairwise(p.blocks, pos), p
 
 
 def test_kreweras_examples():
