@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import getitem
 
@@ -20,6 +19,8 @@ from .reflgroup import (
     ConfigError,
     DihedralElement,
     GroupSpec,
+    Value,
+    set_field,
 )
 from . import parkspace, setpart
 
@@ -27,12 +28,14 @@ ZERO = None
 NO_LOCUS = "explicit loci exist for families B, D, I2 only"
 
 
-@dataclass(frozen=True, order=True)
-class LocusPoint:
+class LocusPoint(Value):
     """Coordinate vector over {0} u <omega>, exponents mod the root order."""
 
-    order: int
-    coords: tuple
+    __slots__ = _fields = ("order", "coords")
+
+    def __init__(self, order: int, coords: tuple):
+        set_field(self, "order", order)
+        set_field(self, "coords", coords)
 
     def to_json(self) -> list:
         """JSON array mixing the literal "0" and integer exponents."""
@@ -116,7 +119,7 @@ def locus_moves(spec: GroupSpec, order: int, w) -> list[tuple[int, int]]:
     return moves
 
 
-def locus_w_table(spec: GroupSpec, order: int, w) -> list[int]:
+def locus_w_table(spec: GroupSpec, order: int, w) -> array:
     """locus_act_w(spec, w, -) on build_locus positions."""
     return _digit_table(order, locus_moves(spec, order, w))
 
@@ -153,26 +156,29 @@ def locus_fixed(cycles: list[list[int]], order: int, d: int) -> int:
     return count
 
 
-def locus_g_table(spec: GroupSpec, order: int) -> list[int]:
+def locus_g_table(spec: GroupSpec, order: int) -> array:
     """The cyclic generator on build_locus positions: it adds 1 to every
     nonzero exponent."""
     return _digit_table(order, [(i, 1) for i in range(spec.rank)])
 
 
-def _digit_table(order: int, moves: list[tuple[int, int]]) -> list[int]:
+def _digit_table(order: int, moves: list[tuple[int, int]]) -> array:
     """Positions of the images of all points when coordinate i goes to
     coordinate moves[i][0] with its nonzero exponent shifted by moves[i][1].
 
     build_locus lists points in itertools.product order, so a point's
     position is its digits in base order+1 (ZERO -> 0, exponent e -> e+1),
-    the first coordinate most significant."""
+    the first coordinate most significant.  Built as an array('q'), one
+    coordinate at a time, so no list of all the positions is ever held."""
     n = len(moves)
     base = order + 1
-    out = [0]
+    out = array("q", [0])
     for target, shift in moves:
         weight = base ** (n - 1 - target)
         digit = [0] + [((e + shift) % order + 1) * weight for e in range(order)]
-        out = [a + b for a in out for b in digit]
+        prev, out = out, array("q")
+        for a in prev:
+            out.extend(map(a.__add__, digit))
     return out
 
 
@@ -453,7 +459,7 @@ def dihedral_bijection(m: int, k: int) -> dict:
     park_g, locus_g = space.g_table(), locus_g_table(spec, km)
     # one table per element and side: compact arrays keep the peak memory down
     park_w = [array("q", space.w_table(v)) for v in els]
-    locus_w = [array("q", locus_w_table(spec, km, v)) for v in els]
+    locus_w = [locus_w_table(spec, km, v) for v in els]
 
     def chain_of(flats_word):
         elems = {"V": ident, "H": s, "Hp": DihedralElement(m, True, (m - 1) % m), "0": c}

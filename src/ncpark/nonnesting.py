@@ -8,22 +8,26 @@ is componentwise comparison and filter sums are exact vector sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .reflgroup import ConfigError, GroupSpec, group
+from .reflgroup import ConfigError, GroupSpec, Value, group, set_field
 
 NO_DIHEDRAL = "no dihedral {}: use A2 for I2(3), B2 for I2(4); G2 is unsupported"
 
 
-@dataclass(frozen=True)
-class RootPoset:
-    """Positive roots of a crystallographic family in simple coordinates."""
+class RootPoset(Value):
+    """Positive roots of a crystallographic family in simple coordinates.
 
-    spec: GroupSpec
-    roots: tuple[tuple[int, ...], ...]
-    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    Declares no __slots__: its memos (_masks, _sums and the cached _table)
+    live in its __dict__, outside equality, hash and repr."""
+
+    _fields = ("spec", "roots")
+
+    def __init__(self, spec: GroupSpec, roots: tuple[tuple[int, ...], ...]):
+        set_field(self, "spec", spec)
+        set_field(self, "roots", roots)
+        set_field(self, "_masks", {})
+        set_field(self, "_sums", {})
 
     def leq(self, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
         return all(x <= y for x, y in zip(a, b))
@@ -152,17 +156,17 @@ def build_root_poset(spec: GroupSpec) -> RootPoset:
 # geometric multichains
 
 
-@dataclass(frozen=True)
-class FilterChain:
+class FilterChain(Value):
     """Descending multichain F_1 contains F_2 contains ... contains F_k."""
 
-    poset: RootPoset
-    filters: tuple[frozenset, ...]
+    __slots__ = _fields = ("poset", "filters")
 
-    def __post_init__(self):
-        for a, b in zip(self.filters, self.filters[1:]):
+    def __init__(self, poset: RootPoset, filters: tuple[frozenset, ...]):
+        for a, b in zip(filters, filters[1:]):
             if not b <= a:
                 raise ValueError("filters must descend")
+        set_field(self, "poset", poset)
+        set_field(self, "filters", filters)
 
 
 def closed_at(poset: RootPoset, fs: list[int], t: int) -> bool:

@@ -12,26 +12,29 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 
 from .reflgroup import (
     FlatPartition,
     GroupSpec,
     SignedPerm,
+    Value,
     group,
     orbits,
+    set_field,
     zero_block,
 )
 from . import ncw, setpart
 
 
-@dataclass(frozen=True, order=True)
-class ParkClass:
+class ParkClass(Value):
     """[w, X_1 <= ... <= X_k], stored by the NC multichain below the flats."""
 
-    chain: tuple
-    rep: object
+    __slots__ = _fields = ("chain", "rep")
+
+    def __init__(self, chain: tuple, rep):
+        set_field(self, "chain", chain)
+        set_field(self, "rep", rep)
 
     def __repr__(self):
         return f"ParkClass(rep={self.rep!r}, chain={self.chain!r})"

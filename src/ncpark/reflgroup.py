@@ -1,17 +1,16 @@
 """Concrete finite reflection groups of types A, B/C, D and I2(m).
 
-Elements are exact value objects: signed permutations for the infinite
-families, symbolic rotation/reflection pairs for the dihedral groups.
-Eigenvalues are tracked as rational rotation numbers in Q/Z, so every
-character count in the rest of the package is integer arithmetic.
+Elements are exact value objects (see Value): signed permutations for the
+infinite families, symbolic rotation/reflection pairs for the dihedral
+groups.  Eigenvalue multiplicities are counted by integer divisibility
+rules, so every character count in the package is integer arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+import operator
 from functools import lru_cache
 
 FAMILIES = ("A", "B", "D", "I2")
@@ -23,19 +22,93 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# value objects
+
+# sets a field from __init__, past Value's guard
+set_field = object.__setattr__
+
+
+def _compare(op):
+    def method(self, other):
+        if other.__class__ is self.__class__:
+            return op(self._key(self), other._key(other))
+        return NotImplemented
+
+    return method
+
+
+class Value:
+    """An immutable record of the fields named in _fields.
+
+    Equality, order and hash are those of the tuple of the fields, and an
+    object compares only against its own class: against any other, == is
+    False and < raises TypeError.  repr is Class(field=value, ...).  A
+    subclass sets its fields in __init__ through set_field and keeps them in
+    __slots__ (or in a __dict__, when it declares no __slots__); assigning
+    a field afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        get = operator.attrgetter(*cls._fields)
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda x: (get(x),))
+
+    __eq__ = _compare(operator.eq)
+    __lt__ = _compare(operator.lt)
+    __le__ = _compare(operator.le)
+    __gt__ = _compare(operator.gt)
+    __ge__ = _compare(operator.ge)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._key(self)
+
+
+# ---------------------------------------------------------------------------
 # group elements
 
 
-@dataclass(frozen=True, order=True)
-class SignedPerm:
+class SignedPerm(Value):
     """A permutation w of +-[n] with w(-i) = -w(i), stored as (w(1),...,w(n)).
 
     Plain (type A) permutations are the special case with all images
     positive.  Ordering is lexicographic on the image vector, which makes
-    canonical coset representatives deterministic.
+    canonical coset representatives deterministic.  The hot element: its
+    comparisons and hash read images directly.
     """
 
-    images: tuple[int, ...]
+    __slots__ = _fields = ("images",)
+
+    def __init__(self, images: tuple[int, ...]):
+        set_field(self, "images", images)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images == other.images
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images < other.images
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.images,))
 
     @property
     def n(self) -> int:
@@ -161,13 +234,15 @@ def balanced_cycle(n: int, cyc: tuple[int, ...]) -> SignedPerm:
     return SignedPerm(tuple(img))
 
 
-@dataclass(frozen=True, order=True)
-class DihedralElement:
+class DihedralElement(Value):
     """Element of I2(m): rotation c^j, or reflection c^j s in normal form."""
 
-    m: int
-    refl: bool
-    j: int
+    __slots__ = _fields = ("m", "refl", "j")
+
+    def __init__(self, m: int, refl: bool, j: int):
+        set_field(self, "m", m)
+        set_field(self, "refl", refl)
+        set_field(self, "j", j)
 
     def __mul__(self, other: "DihedralElement") -> "DihedralElement":
         m = self.m
@@ -188,8 +263,7 @@ class DihedralElement:
 # group specification
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Value):
     """Which group: family in {A, B, D, I2} plus its index parameter.
 
     GroupSpec("A", n) is A_{n-1} acting on +-free permutations of [n];
@@ -197,12 +271,13 @@ class GroupSpec:
     GroupSpec("I2", m) needs m >= 3.
     """
 
-    family: str
-    param: int
+    __slots__ = _fields = ("family", "param")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ConfigError(f"unknown family {self.family!r}")
+    def __init__(self, family: str, param: int):
+        set_field(self, "family", family)
+        set_field(self, "param", param)
+        if family not in FAMILIES:
+            raise ConfigError(f"unknown family {family!r}")
         # in the CLI's terms: the Coxeter rank, or m for I2
         name, given = ("m", self.param) if self.family == "I2" else ("rank", self.rank)
         least = {"A": 1, "B": 1, "D": 3, "I2": 3}[self.family]
@@ -271,8 +346,7 @@ class GroupSpec:
 # flats
 
 
-@dataclass(frozen=True, order=True)
-class FlatPartition:
+class FlatPartition(Value):
     """A flat of the reflection arrangement, in coordinate-equality form.
 
     Types A/B/D store the set partition of [n] resp. +-[n] (blocks as
@@ -281,11 +355,14 @@ class FlatPartition:
     the reflection c^j s.
     """
 
-    family: str
-    n: int
-    blocks: tuple[tuple[int, ...], ...] = ()
-    kind: str = ""
-    line: int = -1
+    __slots__ = _fields = ("family", "n", "blocks", "kind", "line")
+
+    def __init__(self, family: str, n: int, blocks: tuple = (), kind: str = "", line: int = -1):
+        set_field(self, "family", family)
+        set_field(self, "n", n)
+        set_field(self, "blocks", blocks)
+        set_field(self, "kind", kind)
+        set_field(self, "line", line)
 
     @property
     def dim(self) -> int:
@@ -515,36 +592,32 @@ class ReflectionGroup:
 
     # -- spectra -------------------------------------------------------------
 
-    def eigenvalue_rotations(self, w) -> tuple[Fraction, ...]:
-        """Eigenvalues of w on the reflection representation V, as sorted
-        rotation numbers q in [0,1) meaning e^{2 pi i q}."""
+    def eigenvalue_multiplicity(self, w, d: int, order: int) -> int:
+        """Multiplicity of e^{2 pi i d/order} in the spectrum of w on V.
+
+        A cycle of length L on [n] (or a paired cycle on +-[n]) has the L-th
+        roots of unity as eigenvalues, so it holds this one when order
+        divides d*L; a balanced cycle of length 2l has the odd powers of
+        the primitive 2l-th root, so it holds it when 2ld/order is an odd
+        integer.  Type A drops the trivial line, where all coordinates are
+        equal.  An I2(m) reflection has eigenvalues 1 and -1, a rotation
+        by j has e^{+-2 pi i j/m}."""
+        if not 0 <= d < order:
+            raise ValueError(f"d = {d} outside [0, {order})")
         f = self.family
-        rots: list[Fraction] = []
         if f == "I2":
             m = self.spec.param
             if w.refl:
-                rots = [Fraction(0), Fraction(1, 2)]
-            else:
-                rots = [Fraction(w.j % m, m), Fraction((-w.j) % m, m)]
-        elif f == "A":
-            for cyc in w.cycles():
-                rots.extend(Fraction(j, len(cyc)) for j in range(len(cyc)))
-            rots.remove(Fraction(0))
-        else:
-            balanced, paired = w.signed_cycle_pairs()
-            for cyc in balanced:
-                l = len(cyc) // 2
-                rots.extend(Fraction(2 * j + 1, 2 * l) for j in range(l))
-            for cyc in paired:
-                rots.extend(Fraction(j, len(cyc)) for j in range(len(cyc)))
-        return tuple(sorted(rots))
-
-    def eigenvalue_multiplicity(self, w, d: int, order: int) -> int:
-        """Multiplicity of e^{2 pi i d/order} in the spectrum of w on V."""
-        if not 0 <= d < order:
-            raise ValueError(f"d = {d} outside [0, {order})")
-        target = Fraction(d, order)
-        return sum(1 for q in self.eigenvalue_rotations(w) if q == target)
+                return (d == 0) + (2 * d == order)
+            return (w.j * order == d * m) + ((-w.j) % m * order == d * m)
+        if f == "A":
+            return sum(1 for cyc in w.cycles() if d * len(cyc) % order == 0) - (d == 0)
+        balanced, paired = w.signed_cycle_pairs()
+        count = sum(1 for cyc in paired if d * len(cyc) % order == 0)
+        for cyc in balanced:
+            odd, rem = divmod(len(cyc) * d, order)
+            count += rem == 0 and odd % 2 == 1
+        return count
 
     # -- conjugacy ------------------------------------------------------------
 

@@ -11,28 +11,30 @@ Ground sets are [n] or +-[n]; the +-[n] boundary order on the disc is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .reflgroup import (
     SignedPerm,
+    Value,
     canonical_blocks,
     partition_refines,
     perm_from_cycles,
+    set_field,
     zero_block,
 )
 
 
-@dataclass(frozen=True, order=True)
-class SetPartition:
+class SetPartition(Value):
     """Partition of [n] (signed=False) or of +-[n] (signed=True).
 
     Blocks are stored sorted for canonical equality; +-[n] partitions used
     here are centrally symmetric with at most one zero block.
     """
 
-    n: int
-    signed: bool
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("n", "signed", "blocks")
+
+    def __init__(self, n: int, signed: bool, blocks: tuple[tuple[int, ...], ...]):
+        set_field(self, "n", n)
+        set_field(self, "signed", signed)
+        set_field(self, "blocks", blocks)
 
     @staticmethod
     def of(n: int, blocks, signed: bool = False) -> "SetPartition":
@@ -268,13 +270,15 @@ def from_line_partition(p: SetPartition, n: int) -> SetPartition:
     return SetPartition.of(n, blocks, signed=True)
 
 
-@dataclass(frozen=True)
-class LabeledPartition:
+class LabeledPartition(Value):
     """A k-divisible partition with block labels: |B| = k |f(B)|, labels
     partition the label ground set, and f(-B) = -f(B) in the signed case."""
 
-    partition: SetPartition
-    labels: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    __slots__ = _fields = ("partition", "labels")
+
+    def __init__(self, partition: SetPartition, labels: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]):
+        set_field(self, "partition", partition)
+        set_field(self, "labels", labels)
 
     @staticmethod
     def of(partition: SetPartition, labels: dict) -> "LabeledPartition":

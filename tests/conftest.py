@@ -537,6 +537,31 @@ def element_order(w):
     return k
 
 
+def eigenvalue_rotations(g, w):
+    """Eigenvalues of w on the reflection representation V of g, as sorted
+    rotation numbers q in [0, 1) meaning e^{2 pi i q}: the rational route
+    that ReflectionGroup.eigenvalue_multiplicity's integer rule replaces."""
+    rots = []
+    if g.family == "I2":
+        m = g.spec.param
+        if w.refl:
+            rots = [Fraction(0), Fraction(1, 2)]
+        else:
+            rots = [Fraction(w.j % m, m), Fraction((-w.j) % m, m)]
+    elif g.family == "A":
+        for cyc in w.cycles():
+            rots.extend(Fraction(j, len(cyc)) for j in range(len(cyc)))
+        rots.remove(Fraction(0))
+    else:
+        balanced, paired = w.signed_cycle_pairs()
+        for cyc in balanced:
+            l = len(cyc) // 2
+            rots.extend(Fraction(2 * j + 1, 2 * l) for j in range(l))
+        for cyc in paired:
+            rots.extend(Fraction(j, len(cyc)) for j in range(len(cyc)))
+    return tuple(sorted(rots))
+
+
 def reflection_length(grp, w):
     """codim V^w, which is the reflection length by Carter's lemma."""
     return grp.rank - grp.fixed_flat(w).dim

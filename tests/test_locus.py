@@ -347,9 +347,9 @@ def test_locus_tables_match_point_actions(fam, p, k):
     kh = locus_order(spec, k)
     pts = build_locus(spec, k)
     assert [locus_position(kh, q.coords) for q in pts] == list(range(len(pts)))
-    assert locus_g_table(spec, kh) == table_oracle(pts, locus_act_g)
+    assert locus_g_table(spec, kh) == array("q", table_oracle(pts, locus_act_g))
     for v in group(fam, p).conjugacy_class_reps():
-        assert locus_w_table(spec, kh, v) == table_oracle(pts, lambda q: locus_act_w(spec, v, q))
+        assert locus_w_table(spec, kh, v) == array("q", table_oracle(pts, lambda q: locus_act_w(spec, v, q)))
 
 
 @pytest.mark.parametrize("fam,p", [fp for fp in MAIN_GRID if fp[0] != "A"])

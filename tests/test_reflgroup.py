@@ -8,6 +8,7 @@ from conftest import (
     all_flats,
     bfs_reflection_length,
     conjugacy_class_reps_by_sets,
+    eigenvalue_rotations,
     element_order,
     flat_leq,
     isotropy_contains,
@@ -179,7 +180,7 @@ def test_eigenvalues_match_numeric_diagonalization():
                 j = w(i)
                 mat[abs(j) - 1, i - 1] = 1 if j > 0 else -1
             eig = sorted(numpy.angle(numpy.linalg.eigvals(mat)) / (2 * numpy.pi) % 1)
-            rots = g.eigenvalue_rotations(w)
+            rots = eigenvalue_rotations(g, w)
             if fam == "A":
                 rots = tuple(sorted(rots + (Fraction(0),)))  # ambient adds a trivial line
             assert len(eig) == len(rots)
@@ -196,8 +197,31 @@ def test_eigenvalue_sum_property():
         assert sum(g.eigenvalue_multiplicity(c, d, h) for d in range(h)) == g.rank
         for w in g.elements():
             total = sum(g.eigenvalue_multiplicity(w, d, h) for d in range(h))
-            full = len([q for q in g.eigenvalue_rotations(w) if (q * h).denominator == 1])
+            full = len([q for q in eigenvalue_rotations(g, w) if (q * h).denominator == 1])
             assert total == full
+
+
+@pytest.mark.parametrize(
+    "fam,p",
+    [("A", n) for n in range(2, 7)]
+    + [("B", n) for n in range(2, 6)]
+    + [("D", n) for n in range(3, 6)]
+    + [("I2", m) for m in range(3, 11)],
+)
+def test_eigenvalue_multiplicity_matches_rotations(fam, p):
+    # the integer rule against the rational oracle, for every element and
+    # every power of the order-kh root
+    g = group(fam, p)
+    h = g.spec.coxeter_number
+    for w in g.elements():
+        rots = eigenvalue_rotations(g, w)
+        for k in (1, 2, 3):
+            order = k * h
+            expected = [0] * order
+            for q in rots:
+                if (q * order).denominator == 1:
+                    expected[int(q * order)] += 1
+            assert [g.eigenvalue_multiplicity(w, d, order) for d in range(order)] == expected, (w, order)
 
 
 def test_all_flats_counts():
