@@ -61,6 +61,15 @@ def _chains(spec, k):
     return (cat, f"Cat^({k})({spec})") if cat > spec.order else _group(spec, k)
 
 
+def _closure_checks(spec, k):
+    """W and the closure conditions nonnesting-count tests, whichever is
+    larger: each of the Cat^(k)(W) geometric chains is cross-checked by
+    floor(k^2/4) of them, one per index pair i + j < k."""
+    work = spec.fuss_catalan(k) * max(1, k * k // 4)
+    what = f"Cat^({k})({spec}) * max(1, floor(k^2/4))"
+    return (work, what) if work > spec.order else _group(spec, k)
+
+
 class Command(NamedTuple):
     """What a command takes and runs.  rows(spec, k) yields each record's
     own fields (enumerate: lists of finished class lines, then its summary
@@ -111,15 +120,47 @@ def _nonnesting_count(spec, k):
 
 
 def _classical_park(spec, k):
+    """The count of classical k-parking functions, and the bijection from
+    the parking space to them: to_classical maps each chain block, and
+    each sequence it reaches leaves the set of those not yet reached.  A
+    failing row carries a witness: the first class whose sequence is
+    reached twice (with the records of both classes) or is not a parking
+    function, else the least parking function no class reaches."""
     n = spec.param
-    classical = parkspace.enumerate_classical(n, k)
+    unreached = parkspace.enumerate_classical(n, k)
     expected = (k * n + 1) ** (n - 1)
-    yield _count(expected, len(classical), check="count")
+    yield _count(expected, len(unreached), check="count")
     space = parkspace.build_park(spec, k)
-    images = [space.to_classical(p) for p in space.classes()]
-    actual = len(set(images))
-    ok = actual == len(images) and set(images) == classical
-    yield {"check": "bijection_with_parking_space", "expected": expected, "actual": actual, "pass": ok}
+    count, bad = 0, None
+    for chain, reps in space.blocks():
+        for seq in space.to_classical(chain, reps):
+            try:
+                unreached.remove(seq)
+            except KeyError:
+                if bad is None:
+                    bad = seq, count
+            count += 1
+    row = {"check": "bijection_with_parking_space", "expected": expected, "actual": count}
+    row["pass"] = bad is None and not unreached
+    if bad is not None:
+        row["actual"], row["witness"] = _bad_sequence(space, *bad)
+    elif unreached:
+        row["witness"] = {"unreached": list(min(unreached))}
+    yield row
+
+
+def _bad_sequence(space, seq: tuple, pos: int) -> tuple[int, dict]:
+    """The number of distinct sequences the classes reach, and the witness
+    for the class at pos, whose sequence seq was reached before or is not
+    a parking function: found by listing the classes again."""
+    seqs = [s for chain, reps in space.blocks() for s in space.to_classical(chain, reps)]
+    first = seqs.index(seq)
+    record = lambda i: space.class_record(space.classes()[i])
+    if first < pos:
+        witness = {"repeated": list(seq), "classes": [record(first), record(pos)]}
+    else:
+        witness = {"not_parking": list(seq), "class": record(pos)}
+    return len(set(seqs)), witness
 
 
 # (command, --kind) -> Command
@@ -143,7 +184,10 @@ TABLE = {
         _dihedral_bijection, ("I2",), "--kind dihedral needs --family I2"
     ),
     ("nonnesting-count", None): Command(
-        _nonnesting_count, ("A", "B", "D"), nonnesting.NO_DIHEDRAL.format("root posets"), bound=_chains
+        _nonnesting_count,
+        ("A", "B", "D"),
+        nonnesting.NO_DIHEDRAL.format("root posets"),
+        bound=_closure_checks,
     ),
     ("torus-character", None): Command(
         lambda s, k: nonnesting.verify_nn_character(s, k),

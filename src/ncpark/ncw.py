@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from . import setpart
 from .reflgroup import ReflectionGroup
 
 
@@ -36,6 +37,21 @@ class NCPoset:
         if len(set(self.flat_of.values())) != len(self.elements):
             raise RuntimeError("element-to-flat map is not injective on NC(W)")
         self.element_of_flat = {x: w for w, x in self.flat_of.items()}
+
+    @cached_property
+    def part_of(self) -> dict:
+        """Each element's flat as a set partition (types A, B, D), built on
+        first use: one per element, however many chains hold it."""
+        signed = self.group.family != "A"
+        return {w: setpart.SetPartition.of(x.n, x.blocks, signed) for w, x in self.flat_of.items()}
+
+    @cached_property
+    def literal_of(self) -> dict:
+        """Each element's flat as class_record writes it, built on first
+        use: the partition literal, or the I2 flat kind."""
+        if self.group.family == "I2":
+            return {w: x.kind if x.kind != "line" else f"line:{x.line}" for w, x in self.flat_of.items()}
+        return {w: setpart.format_partition(q) for w, q in self.part_of.items()}
 
     @cached_property
     def _ups(self) -> dict:

@@ -43,29 +43,26 @@ class ParkClass(Value):
 class ChainPicture:
     """What a class takes from its chain alone: the per-chain record.
 
-    Holds the chain and the flats of its entries and, each from first use
-    on, the entries as set partitions (types A, B, D), the chain as
-    class_record writes it, pi = nabla of the chain (pulled back to +-[kn]
-    in type B), the map from blocks of pi to blocks of the first entry, and
-    the openers of pi (type B).
+    Holds the chain and, each from first use on, its entries as set
+    partitions (types A, B, D) and as class_record writes them, both read
+    off the per-element maps of NC(W), pi = nabla of the chain (on +-[kn]
+    in type B), the map from blocks of pi to blocks of the first entry,
+    and the openers of pi (type B).
     """
 
-    def __init__(self, chain: tuple, flats: tuple[FlatPartition, ...]):
+    def __init__(self, chain: tuple, nc: ncw.NCPoset):
         self.chain = chain
-        self.flats = flats
+        self.nc = nc
 
     @cached_property
     def parts(self) -> tuple[setpart.SetPartition, ...]:
-        signed = self.flats[0].family != "A"
-        return tuple(setpart.SetPartition.of(x.n, x.blocks, signed=signed) for x in self.flats)
+        return tuple(map(self.nc.part_of.__getitem__, self.chain))
 
     @cached_property
     def record(self) -> tuple[str, ...]:
         """The chain field of class_record: partition literals, or the I2
         flat kinds."""
-        if self.flats[0].family == "I2":
-            return tuple(x.kind if x.kind != "line" else f"line:{x.line}" for x in self.flats)
-        return tuple(setpart.format_partition(q) for q in self.parts)
+        return tuple(map(self.nc.literal_of.__getitem__, self.chain))
 
     @cached_property
     def _nabla(self) -> tuple[setpart.SetPartition, dict]:
@@ -300,8 +297,7 @@ class ParkSpace:
         class over that chain."""
         pic = self._pictures.get(chain)
         if pic is None:
-            flats = tuple(self.nc.flat_of[w] for w in chain)
-            pic = self._pictures[chain] = ChainPicture(chain, flats)
+            pic = self._pictures[chain] = ChainPicture(chain, self.nc)
         return pic
 
     def labeled_pair(self, p: ParkClass) -> setpart.LabeledPartition:
@@ -331,17 +327,24 @@ class ParkSpace:
             self._nabla_inv = {self.chain_picture(ch).pi: ch for ch in self.chains}
         return self._nabla_inv
 
-    def to_classical(self, p: ParkClass) -> tuple[int, ...]:
-        """Type A: the k-parking sequence, read off the chain's record:
-        a_{rep(x)} = min(b) for each x in the first-entry block under a
-        block b of nabla(chain)."""
+    def to_classical(self, chain: tuple, reps) -> list[tuple[int, ...]]:
+        """Type A: the k-parking sequence of each class over chain, its
+        coset minimum r given by element index as blocks() lists it:
+        a_{r(x)} = min(b) for each x in the first-entry block under a block
+        b of nabla(chain)."""
         if self.spec.family != "A":
             raise ValueError("to_classical is a type A operation")
-        out = [0] * self.spec.param
-        for b, src in self.chain_picture(p.chain).block_map.items():
+        least = [0] * self.spec.param
+        for b, src in self.chain_picture(chain).block_map.items():
             for x in src:
-                out[p.rep(x) - 1] = min(b)
-        return tuple(out)
+                least[x - 1] = b[0]
+        out = []
+        seq = [0] * len(least)
+        for r in reps:
+            for a, t in zip(least, self._elements[r].images):
+                seq[t - 1] = a
+            out.append(tuple(seq))
+        return out
 
     # -- serialization --------------------------------------------------------
 
@@ -451,9 +454,26 @@ def is_classical_park(seq, n: int, k: int) -> bool:
 
 
 def enumerate_classical(n: int, k: int) -> set[tuple[int, ...]]:
-    top = k * (n - 1) + 1
-    return {
-        seq
-        for seq in itertools.product(range(1, top + 1), repeat=n)
-        if is_classical_park(seq, n, k)
-    }
+    """Every classical k-parking function of length n: the distinct
+    rearrangements of each nondecreasing sequence is_classical_park
+    accepts, made by stepping through them in lexicographic order."""
+    out = set()
+    for b in itertools.combinations_with_replacement(range(1, k * (n - 1) + 2), n):
+        if not is_classical_park(b, n, k):
+            continue
+        a = list(b)
+        while True:
+            out.add(tuple(a))
+            # the next rearrangement: raise the last ascent's head to the
+            # least larger value after it, and sort the tail ascending
+            i = n - 2
+            while i >= 0 and a[i] >= a[i + 1]:
+                i -= 1
+            if i < 0:
+                break
+            j = n - 1
+            while a[j] <= a[i]:
+                j -= 1
+            a[i], a[j] = a[j], a[i]
+            a[i + 1 :] = reversed(a[i + 1 :])
+    return out

@@ -1,9 +1,8 @@
 """Classical and type-BC set partition combinatorics.
 
-Noncrossing predicate, Kreweras complementation, the translation between
-noncrossing partitions and permutations, the multichain-to-k-divisible
-bijection nabla, and Reiner's periodic parenthesization for centrally
-symmetric partitions.
+Noncrossing predicate, Kreweras complementation, the multichain-to-
+k-divisible bijection nabla (one pass on integer permutations), and
+Reiner's periodic parenthesization for centrally symmetric partitions.
 
 Ground sets are [n] or +-[n]; the +-[n] boundary order on the disc is
 1, 2, ..., n, -1, -2, ..., -n, read clockwise.
@@ -16,7 +15,6 @@ from .reflgroup import (
     Value,
     canonical_blocks,
     partition_refines,
-    perm_from_cycles,
     set_field,
     zero_block,
 )
@@ -143,103 +141,147 @@ def kreweras(p: SetPartition) -> SetPartition:
     return SetPartition.of(n, SignedPerm(tuple(image)).cycles())
 
 
-# -- partitions <-> permutations ------------------------------------------------
+# -- nabla -------------------------------------------------------------------
 
 
-def omega(p: SetPartition) -> SignedPerm:
-    """The permutation whose cycles are the blocks of p in clockwise order.
-
-    Centrally symmetric partitions of +-[n] yield the signed permutation
-    whose cycles are the blocks read in the boundary order; this is the
-    noncrossing group element with that coordinate-equality fixed space.
-    """
-    if not is_noncrossing(p):
-        raise ValueError(f"omega needs a noncrossing partition, got {p!r}")
-    if not p.signed:
-        return perm_from_cycles(p.n, *[tuple(sorted(b)) for b in p.blocks])
-    img = list(range(1, p.n + 1))
+def _line_omega(p: SetPartition, pos, size: int) -> list[int]:
+    """omega(p) on the 0-based points of the boundary line: each block
+    cycles in boundary order, pos giving a point's place on the line."""
+    w = list(range(size))
     for b in p.blocks:
-        cyc = sorted(b, key=lambda x: circ_position(x, p.n))
-        for a, c in zip(cyc, cyc[1:] + cyc[:1]):
-            if a > 0:
-                img[a - 1] = c
-            else:
-                img[-a - 1] = -c
-    return SignedPerm(tuple(img))
+        ps = sorted(map(pos, b))
+        for a, t in zip(ps, ps[1:] + ps[:1]):
+            w[a] = t
+    return w
 
 
-def pi_of(w: SignedPerm, n: int | None = None) -> SetPartition:
-    """Inverse of omega on its image: cycles must be increasing along 1..n."""
-    n = n if n is not None else w.n
-    blocks = w.cycles()
-    for cyc in blocks:
-        if list(cyc) != sorted(cyc):
-            raise ValueError(f"cycle {cyc} of {w!r} is not increasing")
-    return SetPartition.of(n, blocks)
+def _boundary_factors(omegas: list[list[int]]) -> list[list[int]]:
+    """(w_1, ..., w_k) -> (w_1^-1 w_2, ..., w_(k-1)^-1 w_k, w_k^-1 c), with
+    c = (0 1 ... N-1) and (u v)(x) = u(v(x))."""
+    size = len(omegas[0])
+    out = []
+    for w, nxt in zip(omegas, omegas[1:] + [list(range(1, size)) + [0]]):
+        inv = [0] * size
+        for x, y in enumerate(w):
+            inv[y] = x
+        out.append([inv[y] for y in nxt])
+    return out
 
 
-def boundary_delta(ws: tuple[SignedPerm, ...], c: SignedPerm) -> tuple[SignedPerm, ...]:
-    """(w1,...,wk) -> (w1^-1 w2, ..., w_{k-1}^-1 wk, wk^-1 c)."""
-    out = [ws[i].inverse() * ws[i + 1] for i in range(len(ws) - 1)]
-    out.append(ws[-1].inverse() * c)
-    return tuple(out)
+def _shuffle(deltas: list[list[int]]) -> list[int]:
+    """The permutation sigma of [kN] with delta_i on slot i:
+    sigma(i + xk) = i + delta_i(x) k, 0-based."""
+    k = len(deltas)
+    sigma = [0] * (k * len(deltas[0]))
+    for i, d in enumerate(deltas):
+        sigma[i::k] = [i + y * k for y in d]
+    return sigma
 
 
-# -- shuffles and nabla -----------------------------------------------------------
+def _cycles(perm: list[int]) -> list[list[int]]:
+    seen = bytearray(len(perm))
+    out = []
+    for first in range(len(perm)):
+        if not seen[first]:
+            cyc = []
+            x = first
+            while not seen[x]:
+                seen[x] = 1
+                cyc.append(x)
+                x = perm[x]
+            out.append(cyc)
+    return out
 
 
-def relabel(p: SetPartition, targets: list[int]) -> list[tuple[int, ...]]:
-    """The partition p(B): order-isomorphic copy of p on the index set B."""
-    if len(targets) != p.n:
-        raise ValueError("target set has wrong size")
-    targets = sorted(targets)
-    return [tuple(targets[x - 1] for x in b) for b in p.blocks]
-
-
-def shuffle(ps: tuple[SetPartition, ...]) -> SetPartition:
-    """Partition of [kn] generated by p_i placed on {i, i+k, ..., i+(n-1)k}."""
-    k = len(ps)
-    n = ps[0].n
-    blocks = []
-    for i, p in enumerate(ps, start=1):
-        blocks.extend(relabel(p, [i + j * k for j in range(n)]))
-    return SetPartition.of(k * n, blocks)
+def _check_multichain(chain: tuple[SetPartition, ...]) -> None:
+    for p in chain:
+        if not is_noncrossing(p):
+            raise ValueError(f"chain entry is not noncrossing: {p!r}")
+    for a, b in zip(chain, chain[1:]):
+        if not a.refines(b):
+            raise ValueError("input is not a refinement multichain")
 
 
 def nabla(chain: tuple[SetPartition, ...]) -> SetPartition:
     """Bijection from k-multichains of noncrossing partitions of [n] to
     k-divisible noncrossing partitions of [kn]: the Kreweras complement of
-    the shuffle of the boundary factors.
+    the shuffle of the boundary factors.  A chain on +-[n] runs on the
+    line [2n] of its boundary order and comes back on +-[kn].
 
-    The factor tuple enters the shuffle in its literal order; this is the
-    unique slot order that is defined on every multichain and transports
-    the cyclic action on multichains to one-step clockwise rotation.
+    One pass on integer arrays over the N points of the line, 0-based:
+    omega_i cycles each block of entry i in boundary order; the boundary
+    factors are delta_i = omega_i^-1 omega_(i+1) and delta_k = omega_k^-1 c;
+    the shuffle is sigma(i + xk) = i + delta_i(x) k on [kN]; and the blocks
+    of the result are the cycles of K(x) = c(sigma^-1(x)).  The factor
+    tuple enters the shuffle in its literal order; this is the unique slot
+    order that is defined on every multichain and transports the cyclic
+    action on multichains to one-step clockwise rotation.
+
+    The result is checked once: cyc(K) + cyc(sigma) = kN + 1 (Biane:
+    sigma is the omega of a noncrossing partition), every block is
+    k-divisible, and the blocks match those of the first entry one to one
+    through the points 0, k, ..., (N-1)k.  The first and the block count
+    make c = omega_1 delta_1 ... delta_k length additive, which holds only
+    on a noncrossing multichain; so the input is checked only when a
+    condition fails: a ValueError if it is not a multichain, else a
+    RuntimeError.
     """
     k = len(chain)
-    n = chain[0].n
-    for a, b in zip(chain, chain[1:]):
-        if not a.refines(b):
-            raise ValueError("input is not a refinement multichain")
-    c = perm_from_cycles(n, tuple(range(1, n + 1)))
-    ws = tuple(omega(p) for p in chain)
-    deltas = boundary_delta(ws, c)
-    parts = tuple(pi_of(w) for w in deltas)
-    mixed = shuffle(parts)
-    out = kreweras(mixed)
-    if any(len(b) % k for b in out.blocks):
-        raise RuntimeError("nabla output is not k-divisible (logic error)")
-    return out
+    first = chain[0]
+    n, signed = first.n, first.signed
+    if any(p.n != n or p.signed != signed for p in chain):
+        raise ValueError("chain entries have different ground sets")
+    size = 2 * n if signed else n
+    # circ_position by lookup; a negative x indexes from the end
+    line = [0] * (2 * n + 1)
+    for x in range(1, n + 1):
+        line[x], line[-x] = x - 1, n + x - 1
+    pos = line.__getitem__
+    sigma = _shuffle(_boundary_factors([_line_omega(p, pos, size) for p in chain]))
+    total = k * size
+    # K(sigma(x)) = c(x)
+    kreweras_perm = [0] * total
+    for x, y in enumerate(sigma, 1):
+        kreweras_perm[y] = x
+    kreweras_perm[sigma[-1]] = 0
+    blocks = _cycles(kreweras_perm)
+    block_id = [0] * total
+    for j, b in enumerate(blocks):
+        for y in b:
+            block_id[y] = j
+    first_id = [0] * size
+    for j, b in enumerate(first.blocks):
+        for x in b:
+            first_id[pos(x)] = j
+    pairs = {(block_id[x * k], first_id[x]) for x in range(size)}
+    if len(blocks) + len(_cycles(sigma)) != total + 1:
+        failed = "cyc(K) + cyc(sigma) != kN + 1"
+    elif any(len(b) % k for b in blocks):
+        failed = "a block is not k-divisible"
+    elif not len(pairs) == len({j for j, _ in pairs}) == len(blocks) == len(first.blocks):
+        failed = "restriction is not order isomorphic to the first entry"
+    else:
+        if signed:
+            kn = k * n
+            blocks = [[line_to_signed(y + 1, kn) for y in b] for b in blocks]
+        else:
+            blocks = [[y + 1 for y in b] for b in blocks]
+        return SetPartition(k * n, signed, canonical_blocks(blocks))
+    _check_multichain(chain)
+    raise RuntimeError(f"nabla: {failed} (logic error)")
 
 
 def nabla_block_map(pi: SetPartition, first: SetPartition, k: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Match blocks of pi = nabla(chain) with blocks of chain[0].
 
     Sends each block B of pi to the block of chain[0] whose image under
-    i -> (i-1)k + 1 lies in B.  Blocks of pi disjoint from the restriction
-    positions do not occur (every block meets them).
+    x -> sign(x)((|x|-1)k + 1) lies in B: the points 0, k, ..., (N-1)k of
+    the line.  Blocks of pi disjoint from the restriction positions do not
+    occur (every block meets them).
     """
-    n = first.n
-    positions = {(i - 1) * k + 1: i for i in range(1, n + 1)}
+    positions = {(i - 1) * k + 1: i for i in range(1, first.n + 1)}
+    if first.signed:
+        positions.update({-y: -i for y, i in positions.items()})
     out = {}
     for b in pi.blocks:
         src = sorted(positions[x] for x in b if x in positions)
@@ -258,16 +300,6 @@ def nabla_block_map(pi: SetPartition, first: SetPartition, k: int) -> dict[tuple
 def line_to_signed(x: int, n: int) -> int:
     """Inverse of +-[n] = [2n], x -> circ_position(x, n) + 1."""
     return x if x <= n else n - x
-
-
-def to_line_partition(p: SetPartition) -> SetPartition:
-    blocks = [tuple(circ_position(x, p.n) + 1 for x in b) for b in p.blocks]
-    return SetPartition.of(2 * p.n, blocks)
-
-
-def from_line_partition(p: SetPartition, n: int) -> SetPartition:
-    blocks = [tuple(line_to_signed(x, n) for x in b) for b in p.blocks]
-    return SetPartition.of(n, blocks, signed=True)
 
 
 class LabeledPartition(Value):
@@ -320,25 +352,17 @@ class LabeledPartition(Value):
 def bc_nabla_picture(chain: tuple[SetPartition, ...]) -> tuple[SetPartition, dict]:
     """nabla for a centrally symmetric chain on +-[n], with its block map.
 
-    The chain is pushed through the +-[n] = [2n] identification, nabla is
-    applied there, and the result is pulled back to +-[kn].  The map sends
-    each block of the result to the block of chain[0] it restricts to.
+    nabla runs on the +-[n] = [2n] line and returns the partition of
+    +-[kn]; the map sends each block of it to the block of chain[0] it
+    restricts to.  The result is centrally symmetric exactly when the
+    entries are, so the entries are checked only when it is not.
     """
-    n = chain[0].n
-    k = len(chain)
-    for p in chain:
-        if not p.is_centrally_symmetric():
-            raise ValueError("chain entries must be centrally symmetric")
-    line_chain = tuple(to_line_partition(p) for p in chain)
-    pi_line = nabla(line_chain)
-    pi = from_line_partition(pi_line, k * n)
+    pi = nabla(chain)
     if not pi.is_centrally_symmetric():
+        if not all(p.is_centrally_symmetric() for p in chain):
+            raise ValueError("chain entries must be centrally symmetric")
         raise RuntimeError("central symmetry lost under nabla (logic error)")
-    block_map = {}
-    for b, src in nabla_block_map(pi_line, line_chain[0], k).items():
-        signed_b = tuple(sorted(line_to_signed(x, k * n) for x in b))
-        block_map[signed_b] = tuple(sorted(line_to_signed(x, n) for x in src))
-    return pi, block_map
+    return pi, nabla_block_map(pi, chain[0], len(chain))
 
 
 def bc_nabla(chain: tuple[SetPartition, ...], labels: dict) -> LabeledPartition:

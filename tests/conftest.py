@@ -27,7 +27,7 @@ from ncpark.nonnesting import (
     reject_dihedral,
     torus_matrix,
 )
-from ncpark.parkspace import Cycles, build_park, fixed_counts, rep_from_labels
+from ncpark.parkspace import Cycles, build_park, fixed_counts, is_classical_park, rep_from_labels
 from ncpark.reflgroup import (
     DihedralElement,
     FlatPartition,
@@ -36,9 +36,17 @@ from ncpark.reflgroup import (
     group,
     identity_perm,
     partition_refines,
+    perm_from_cycles,
     zero_block,
 )
-from ncpark.setpart import SetPartition, circ_position, is_noncrossing
+from ncpark.setpart import (
+    SetPartition,
+    circ_position,
+    is_noncrossing,
+    kreweras,
+    line_to_signed,
+    nabla_block_map,
+)
 
 MAIN_GRID = (
     [("A", n) for n in (2, 3, 4)]
@@ -308,6 +316,22 @@ def to_classical_by_labels(space, p):
         for i in lab:
             out[i - 1] = min(b)
     return tuple(out)
+
+
+def to_classical_of(space, p):
+    """ParkSpace.to_classical for one class, given by its coset minimum."""
+    return space.to_classical(p.chain, [space.group.index()[p.rep]])[0]
+
+
+def enumerate_classical_by_scan(n, k):
+    """The classical k-parking functions, by scanning every sequence in
+    [k(n-1)+1]^n."""
+    top = k * (n - 1) + 1
+    return {
+        seq
+        for seq in itertools.product(range(1, top + 1), repeat=n)
+        if is_classical_park(seq, n, k)
+    }
 
 
 def locus_act_g(p, d=1):
@@ -692,6 +716,109 @@ def rotate_partition(p, step=1):
 
         blocks = [tuple(rot(x) for x in b) for b in p.blocks]
     return SetPartition.of(n, blocks, p.signed)
+
+
+# The partition route of nabla, the oracle for setpart.nabla's one pass on
+# integer permutations: every step builds and checks a SetPartition or a
+# SignedPerm.
+
+
+def omega(p):
+    """The permutation whose cycles are the blocks of p in clockwise order.
+
+    Centrally symmetric partitions of +-[n] yield the signed permutation
+    whose cycles are the blocks read in the boundary order; this is the
+    noncrossing group element with that coordinate-equality fixed space.
+    """
+    if not is_noncrossing(p):
+        raise ValueError(f"omega needs a noncrossing partition, got {p!r}")
+    if not p.signed:
+        return perm_from_cycles(p.n, *[tuple(sorted(b)) for b in p.blocks])
+    img = list(range(1, p.n + 1))
+    for b in p.blocks:
+        cyc = sorted(b, key=lambda x: circ_position(x, p.n))
+        for a, c in zip(cyc, cyc[1:] + cyc[:1]):
+            if a > 0:
+                img[a - 1] = c
+            else:
+                img[-a - 1] = -c
+    return SignedPerm(tuple(img))
+
+
+def pi_of(w, n=None):
+    """Inverse of omega on its image: cycles must be increasing along 1..n."""
+    n = n if n is not None else w.n
+    blocks = w.cycles()
+    for cyc in blocks:
+        if list(cyc) != sorted(cyc):
+            raise ValueError(f"cycle {cyc} of {w!r} is not increasing")
+    return SetPartition.of(n, blocks)
+
+
+def boundary_delta(ws, c):
+    """(w1,...,wk) -> (w1^-1 w2, ..., w_{k-1}^-1 wk, wk^-1 c)."""
+    out = [ws[i].inverse() * ws[i + 1] for i in range(len(ws) - 1)]
+    out.append(ws[-1].inverse() * c)
+    return tuple(out)
+
+
+def relabel(p, targets):
+    """The partition p(B): order-isomorphic copy of p on the index set B."""
+    if len(targets) != p.n:
+        raise ValueError("target set has wrong size")
+    targets = sorted(targets)
+    return [tuple(targets[x - 1] for x in b) for b in p.blocks]
+
+
+def shuffle(ps):
+    """Partition of [kn] generated by p_i placed on {i, i+k, ..., i+(n-1)k}."""
+    k = len(ps)
+    n = ps[0].n
+    blocks = []
+    for i, p in enumerate(ps, start=1):
+        blocks.extend(relabel(p, [i + j * k for j in range(n)]))
+    return SetPartition.of(k * n, blocks)
+
+
+def nabla_by_partitions(chain):
+    """nabla on [n] as the Kreweras complement of the shuffle of the
+    boundary factors, through validated partitions and permutations."""
+    k = len(chain)
+    n = chain[0].n
+    for a, b in zip(chain, chain[1:]):
+        if not a.refines(b):
+            raise ValueError("input is not a refinement multichain")
+    c = perm_from_cycles(n, tuple(range(1, n + 1)))
+    deltas = boundary_delta(tuple(omega(p) for p in chain), c)
+    out = kreweras(shuffle(tuple(pi_of(w) for w in deltas)))
+    if any(len(b) % k for b in out.blocks):
+        raise RuntimeError("nabla output is not k-divisible (logic error)")
+    return out
+
+
+def to_line_partition(p):
+    blocks = [tuple(circ_position(x, p.n) + 1 for x in b) for b in p.blocks]
+    return SetPartition.of(2 * p.n, blocks)
+
+
+def from_line_partition(p, n):
+    blocks = [tuple(line_to_signed(x, n) for x in b) for b in p.blocks]
+    return SetPartition.of(n, blocks, signed=True)
+
+
+def bc_nabla_picture_by_line(chain):
+    """nabla of a centrally symmetric chain and its block map, pushed
+    through +-[n] = [2n] as partitions, run there by nabla_by_partitions,
+    and pulled back to +-[kn]."""
+    n = chain[0].n
+    k = len(chain)
+    line_chain = tuple(to_line_partition(p) for p in chain)
+    pi_line = nabla_by_partitions(line_chain)
+    block_map = {}
+    for b, src in nabla_block_map(pi_line, line_chain[0], k).items():
+        signed_b = tuple(sorted(line_to_signed(x, k * n) for x in b))
+        block_map[signed_b] = tuple(sorted(line_to_signed(x, n) for x in src))
+    return from_line_partition(pi_line, k * n), block_map
 
 
 def all_noncrossing_partitions(n):

@@ -22,11 +22,13 @@ from conftest import (
     full_partition,
     label_of,
     nc_lambda_count,
+    omega,
     orbit_decomposition,
     parse_partition,
+    to_classical_of,
 )
 
-from ncpark import ncw, qcatalan, setpart
+from ncpark import ncw, qcatalan
 from ncpark.locus import (
     ZERO,
     bc_phi,
@@ -134,7 +136,7 @@ def test_criterion_07_type_a_models():
     for n in (2, 3, 4):
         for k in KS:
             space = build_park(GroupSpec("A", n), k)
-            images = [space.to_classical(cls) for cls in space.classes()]
+            images = [to_classical_of(space, cls) for cls in space.classes()]
             classical = enumerate_classical(n, k)
             assert len(classical) == (k * n + 1) ** (n - 1)
             assert len(set(images)) == len(images)
@@ -143,9 +145,9 @@ def test_criterion_07_type_a_models():
     pi = parse_partition("1,8,9/2,3,4,5,6,7", 9)
     left = ps.from_labeled_pair(LabeledPartition.of(pi, {(1, 8, 9): (2,), (2, 3, 4, 5, 6, 7): (1, 3)}))
     triple_a = (
-        ps.to_classical(left),
-        ps.to_classical(act_w(ps, perm_from_cycles(3, (1, 2)), left)),
-        ps.to_classical(act_g(ps, left)),
+        to_classical_of(ps, left),
+        to_classical_of(ps, act_w(ps, perm_from_cycles(3, (1, 2)), left)),
+        to_classical_of(ps, act_g(ps, left)),
     )
     assert triple_a == ((2, 1, 2), (1, 2, 2), (3, 1, 3))
     triple_k1 = _k1_sequences()
@@ -187,7 +189,7 @@ def _k1_sequences():
     from ncpark.reflgroup import SignedPerm
 
     w = SignedPerm(tuple(img))
-    w1 = setpart.omega(pi)
+    w1 = omega(pi)
     chain2 = ncw.g_act_chain((w1,), grp)
     w2 = w * (w1 * grp.coxeter_element().inverse())
     pi2 = SetPartition.of(9, grp.fixed_flat(chain2[0]).blocks)

@@ -91,6 +91,62 @@ def test_classical_park(tmp_path):
     assert counts["count"]["actual"] == 49
 
 
+def collide(real):
+    """to_classical with every class over a chain sent to its first
+    class's sequence."""
+    return lambda self, chain, reps: [real(self, chain, reps)[0]] * len(reps)
+
+
+@pytest.mark.parametrize(
+    "patch,witness",
+    [
+        # A2 k=1: the first chain is the identity, whose six coset minima
+        # are all of S3; its first class, with rep the identity, reaches
+        # (1, 2, 3), and the second class repeats it
+        pytest.param(
+            ("ParkSpace", "to_classical", collide),
+            {
+                "repeated": [1, 2, 3],
+                "classes": [
+                    {"chain": ["1/2/3"], "rep": [1, 2, 3]},
+                    {"chain": ["1/2/3"], "rep": [1, 3, 2]},
+                ],
+            },
+            id="repeated",
+        ),
+        # a parking function list with one sequence too many: none reaches it
+        pytest.param(
+            (None, "enumerate_classical", lambda real: lambda n, k: real(n, k) | {(3, 3, 3)}),
+            {"unreached": [3, 3, 3]},
+            id="unreached",
+        ),
+        # and with (1, 2, 3) left out: the first class still reaches it
+        pytest.param(
+            (None, "enumerate_classical", lambda real: lambda n, k: real(n, k) - {(1, 2, 3)}),
+            {"not_parking": [1, 2, 3], "class": {"chain": ["1/2/3"], "rep": [1, 2, 3]}},
+            id="not-parking",
+        ),
+    ],
+)
+def test_classical_bijection_failure_carries_a_witness(patch, witness, tmp_path, monkeypatch):
+    owner, name, wrap = patch
+    owner = getattr(parkspace, owner) if owner else parkspace
+    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    code, lines = run_cli(["classical-park", "--family", "A", "--rank", "2", "--k", "1"], tmp_path)
+    assert code == EXIT_FAIL
+    row = {r["check"]: r for r in lines if "check" in r}["bijection_with_parking_space"]
+    assert not row["pass"]
+    assert row["witness"] == witness
+
+
+def test_nonnesting_cap_counts_the_closure_checks(tmp_path, capsys):
+    # A1 k=300: 301 chains, each cross-checked by 22,500 closure conditions
+    out = tmp_path / "out.jsonl"
+    assert main(["nonnesting-count", "--family", "A", "--rank", "1", "--k", "300", "--out", str(out)]) == EXIT_CAP
+    assert "= 6772500 exceeds cap 1000000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_d_filter(tmp_path):
     code, lines = run_cli(
         ["verify-weak", "--family", "A", "--rank", "2", "--k", "1", "--d", "0:2"], tmp_path
@@ -160,10 +216,12 @@ B3 = ["--family", "B", "--rank", "3", "--k", "1"]
         # these build no classes: the cap bounds |W|, and |B3| = 48
         pytest.param(["torus-character"] + B3, 48, id="torus-character"),
         # the next five list k-multichains too: the cap bounds the larger of
-        # |W| and Cat^(k)(W), which is 20 for B3 k=1 and 6 for A1 k=5
+        # |W| and Cat^(k)(W), which is 20 for B3 k=1 and 6 for A1 k=5, and
+        # nonnesting-count checks floor(k^2/4) closure conditions per
+        # chain: 20 for B3 k=1, 6 * 6 = 36 for A1 k=5
         pytest.param(["nonnesting-count"] + B3, 48, id="nonnesting-count"),
         pytest.param(
-            ["nonnesting-count", "--family", "A", "--rank", "1", "--k", "5"], 6, id="nonnesting-count-chains"
+            ["nonnesting-count", "--family", "A", "--rank", "1", "--k", "5"], 36, id="nonnesting-count-chains"
         ),
         pytest.param(["verify-csp"] + B3, 48, id="verify-csp"),
         pytest.param(["verify-csp", "--family", "A", "--rank", "1", "--k", "5"], 6, id="verify-csp-chains"),

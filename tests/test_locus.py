@@ -189,8 +189,8 @@ def test_one_nabla_per_chain(monkeypatch):
     assert len(calls) == len(set(calls)) == len(build_park(GroupSpec("B", 2), 2).chains)
     calls.clear()
     space = build_park(GroupSpec("A", 4), 2)
-    for p in space.classes():
-        space.to_classical(p)
+    for chain, reps in space.blocks():
+        space.to_classical(chain, reps)
     assert len(calls) == len(set(calls)) == len(space.chains)
 
 

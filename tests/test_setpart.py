@@ -3,38 +3,45 @@ from math import prod
 
 import pytest
 from conftest import (
+    KS,
+    MAIN_GRID,
     all_noncrossing_partitions,
+    bc_nabla_picture_by_line,
     block_sizes,
+    boundary_delta,
     crossing_free_pairwise,
     full_partition,
     kreweras_by_separation,
     label_of,
+    nabla_by_partitions,
     nc_lambda_count,
+    omega,
     parse_partition,
+    pi_of,
+    relabel,
     rotate_partition,
     set_partitions,
+    shuffle,
     singletons,
     symmetric_kdiv_count,
     symmetric_kdiv_type,
 )
 
-from ncpark.reflgroup import balanced_cycle, identity_perm, paired_cycle, perm_from_cycles, zero_block
+from ncpark import setpart
+from ncpark.parkspace import build_park
+from ncpark.reflgroup import GroupSpec, balanced_cycle, identity_perm, paired_cycle, perm_from_cycles, zero_block
 from ncpark.setpart import (
     LabeledPartition,
     SetPartition,
     bc_nabla,
-    boundary_delta,
+    bc_nabla_picture,
     circ_position,
     format_partition,
     is_noncrossing,
     kreweras,
     nabla,
     nabla_block_map,
-    omega,
     openers,
-    pi_of,
-    relabel,
-    shuffle,
 )
 
 
@@ -220,6 +227,73 @@ def test_nabla_rejects_non_multichain():
     b = parse_partition("1,3/2", 3)
     with pytest.raises(ValueError):
         nabla((a, b))
+
+
+def test_nabla_rejects_crossing_entry():
+    with pytest.raises(ValueError, match="not noncrossing"):
+        nabla((parse_partition("1,3/2,4", 4),))
+    with pytest.raises(ValueError, match="different ground sets"):
+        nabla((singletons(2), singletons(3)))
+
+
+@pytest.mark.parametrize("fam,p", [(f, p) for f, p in MAIN_GRID if f in ("A", "B")])
+@pytest.mark.parametrize("k", KS)
+def test_nabla_matches_partition_route(fam, p, k):
+    # the one pass on integer permutations against the route through
+    # validated partitions (type B on the +-[n] = [2n] line), on every
+    # multichain: the picture and its block map
+    space = build_park(GroupSpec(fam, p), k)
+    for chain in space.chains:
+        pic = space.chain_picture(chain)
+        if fam == "A":
+            expected = nabla_by_partitions(pic.parts)
+            assert (pic.pi, pic.block_map) == (expected, nabla_block_map(expected, pic.parts[0], k))
+        else:
+            assert (pic.pi, pic.block_map) == bc_nabla_picture_by_line(pic.parts)
+
+
+def _inverse(perm):
+    inv = [0] * len(perm)
+    for x, y in enumerate(perm):
+        inv[y] = x
+    return inv
+
+
+@pytest.mark.parametrize(
+    "chain,stage,mutant,message",
+    [
+        # sigma = c on [4]; its inverse has a decreasing 4-cycle, so sigma is
+        # not the omega of a noncrossing partition
+        ((singletons(4),), "_shuffle", _inverse, r"cyc\(K\) \+ cyc\(sigma\)"),
+        # sigma = (1 3) for two singleton entries on [2], replaced by the
+        # transposition (0 1): noncrossing, but K = (0 2 3)(1) has blocks
+        # of 3 and 1
+        ((singletons(2), singletons(2)), "_shuffle", lambda sigma: [1, 0, 2, 3], "not k-divisible"),
+        # delta_2 = c set to the identity: sigma = 1 and K = c, one block of
+        # 4 that holds both restriction points of a first entry of singletons
+        (
+            (singletons(2), singletons(2)),
+            "_boundary_factors",
+            lambda deltas: deltas[:-1] + [list(range(2))],
+            "restriction is not order isomorphic",
+        ),
+    ],
+    ids=["biane", "k-divisible", "restriction"],
+)
+def test_nabla_checks_catch_mutants(chain, stage, mutant, message, monkeypatch):
+    # each final condition, alone, turns a corrupted shuffle or boundary
+    # factor into an internal error; the chain itself is a valid multichain
+    nabla(chain)
+    real = getattr(setpart, stage)
+    monkeypatch.setattr(setpart, stage, lambda arg: mutant(real(arg)))
+    with pytest.raises(RuntimeError, match=message):
+        nabla(chain)
+
+
+def test_bc_nabla_picture_rejects_asymmetric_entries():
+    # noncrossing on the line 1, 2, -1, -2, but not centrally symmetric
+    with pytest.raises(ValueError, match="centrally symmetric"):
+        bc_nabla_picture((parse_partition("1/2/-1,-2", 2, signed=True),))
 
 
 def test_nc_lambda_count_formula():
