@@ -304,14 +304,23 @@ def _temp_path(out: str) -> str:
     return f"{out}.{os.getpid()}.tmp"
 
 
+def _in_place(out: str) -> bool:
+    """Whether --out is a device or FIFO, which emit writes in place."""
+    return os.path.exists(out) and not os.path.isfile(out)
+
+
 def reserve_out(out: str) -> str | None:
     """Create emit's temporary file for --out, or raise a configuration
     error naming a path that cannot be written (a directory, a missing
-    directory).  None for stdout."""
+    directory).  None for stdout and for a device or FIFO."""
     if out == "-":
         return None
     if os.path.isdir(out):
         raise ConfigError(f"cannot write --out {out}: it is a directory")
+    if _in_place(out):
+        if not os.access(out, os.W_OK):
+            raise ConfigError(f"cannot write --out {out}: permission denied")
+        return None
     tmp = _temp_path(out)
     try:
         open(tmp, "x").close()
@@ -322,15 +331,17 @@ def reserve_out(out: str) -> str | None:
 
 def emit(lines: list[str], out: str) -> None:
     """Write the finished lines, one item per output line, to stdout for
-    "-".  A file goes to the temporary name that reserve_out created and is
-    renamed into place, so a failed write leaves a previous file whole."""
+    "-", and in place to a device or FIFO.  A file goes to the temporary
+    name that reserve_out created and is renamed into place, so a failed
+    write leaves a previous file whole."""
     if out == "-":
         sys.stdout.writelines(lines)
     else:
-        tmp = _temp_path(out)
-        with open(tmp, "w") as fh:
+        tmp = None if _in_place(out) else _temp_path(out)
+        with open(tmp or out, "w") as fh:
             fh.writelines(lines)
-        os.replace(tmp, out)
+        if tmp:
+            os.replace(tmp, out)
 
 
 def main(argv=None) -> int:

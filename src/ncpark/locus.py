@@ -2,9 +2,10 @@
 
 Points carry exponents of a fixed primitive root of unity of order kh
 (types B and D) or km (dihedral), with 0 as a separate symbol; no complex
-arithmetic appears anywhere.  The type BC inverse bijections onto the
-parking space and the seeded equivariant construction of the dihedral
-bijection are implemented and validated rather than trusted.
+arithmetic appears anywhere.  Fixed points are counted in closed form
+over the cycles of the coordinate moves.  The type BC bijections (psi
+closes its parentheses in one stack walk) and the seeded equivariant
+dihedral bijection are implemented and validated rather than trusted.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .reflgroup import (
     GroupSpec,
     Value,
     set_field,
+    table_cycles,
 )
 from . import parkspace, setpart
 
@@ -128,19 +130,8 @@ def locus_cycles(spec: GroupSpec, order: int, w) -> list[list[int]]:
     """[length, total shift mod order] for each cycle of w's coordinate
     moves, cycles in order of their least coordinate."""
     moves = locus_moves(spec, order, w)
-    seen = [False] * len(moves)
-    out = []
-    for first in range(len(moves)):
-        length = shift = 0
-        i = first
-        while not seen[i]:
-            seen[i] = True
-            length += 1
-            shift += moves[i][1]
-            i = moves[i][0]
-        if length:
-            out.append([length, shift % order])
-    return out
+    cycles = table_cycles([target for target, _ in moves])
+    return [[len(cycle), sum(moves[i][1] for i in cycle) % order] for cycle in cycles]
 
 
 def locus_fixed(cycles: list[list[int]], order: int, d: int) -> int:
@@ -292,49 +283,30 @@ def close_parens(n: int, k: int, openers: tuple[int, ...]) -> setpart.SetPartiti
     openers are +-j for j in the multiset openers, opening blocks of size
     k times the multiplicity of j.
 
-    Left parentheses sit before the named positions; each is closed once
-    it can absorb its block size in alive symbols without passing an
-    unmatched left parenthesis.  Leftover symbols form the zero block.
-    Memoized: the result depends on the multiset only, given as a sorted
-    tuple.
+    One walk twice around the circle: an opener pushes its block (on the
+    first lap), each symbol not yet taken joins the innermost open block,
+    and a block pops once it holds its size; one still open after the
+    second lap cannot close.  Leftover symbols form the zero block.
+    Memoized: the result depends on the multiset only, as a sorted tuple.
     """
     kn = k * n
-    mult = Counter(openers)
+    size = {s * j: k * m for j, m in Counter(openers).items() for s in (1, -1)}
     order = list(range(1, kn + 1)) + [-i for i in range(1, kn + 1)]
-    open_at = []
-    for j in sorted(mult):
-        open_at += [j, -j]
-    unmatched = set(open_at)
-    alive = {x: True for x in order}
-    blocks = []
-    progress = True
-    while unmatched and progress:
-        progress = False
-        for start in sorted(unmatched, key=lambda x: setpart.circ_position(x, kn)):
-            target = k * mult[abs(start)]
-            run = []
-            pos = setpart.circ_position(start, kn)
-            ok = True
-            for step in range(2 * kn):
-                x = order[(pos + step) % (2 * kn)]
-                if x in unmatched and x != start:
-                    ok = False
-                    break
-                if alive[x]:
-                    run.append(x)
-                    if len(run) == target:
-                        break
-            if ok and len(run) == target:
-                blocks.append(tuple(run))
-                for x in run:
-                    alive[x] = False
-                unmatched.discard(start)
-                progress = True
-    if unmatched:
-        raise RuntimeError(f"parenthesization did not close: {unmatched}")
-    rest = [x for x in order if alive[x]]
+    taken, blocks, stack = set(), [], []
+    for lap in (0, 1):
+        for x in order:
+            if not lap and x in size:
+                stack.append([])
+            if stack and x not in taken:
+                taken.add(x)
+                stack[-1].append(x)
+                if len(stack[-1]) == size[stack[-1][0]]:
+                    blocks.append(stack.pop())
+    if stack:
+        raise RuntimeError(f"parenthesization did not close: {[b[0] for b in stack]}")
+    rest = [x for x in order if x not in taken]
     if rest:
-        blocks.append(tuple(rest))
+        blocks.append(rest)
     pi = setpart.SetPartition.of(kn, blocks, signed=True)
     if not setpart.is_noncrossing(pi) or not pi.is_centrally_symmetric():
         raise RuntimeError("parenthesization produced a bad partition")

@@ -10,7 +10,6 @@ classical type A models live here.
 from __future__ import annotations
 
 import itertools
-from array import array
 from collections import Counter
 from functools import cached_property
 
@@ -22,6 +21,7 @@ from .reflgroup import (
     group,
     orbits,
     set_field,
+    table_cycles,
     zero_block,
 )
 from . import ncw, setpart
@@ -249,17 +249,11 @@ class ParkSpace:
         gtab = ncw.chain_g_table(self.nc, chains)
         c_inv = self.c.inverse()
         counts = [[0] * kh for _ in sizes]
-        seen = bytearray(len(chains))
-        for first in range(len(chains)):
-            if seen[first]:
-                continue
-            y_len, length, i = grp.identity(), 0, first
-            while not seen[i]:
-                seen[i] = 1
+        for cycle in table_cycles(gtab):
+            y_len, length = grp.identity(), len(cycle)
+            for i in cycle:
                 y_len = y_len * (chains[i][-1] * c_inv)
-                length += 1
-                i = gtab[i]
-            iso = grp.isotropy_elements(self.nc.flat_of[chains[first][0]])
+            iso = grp.isotropy_elements(self.nc.flat_of[chains[cycle[0]][0]])
             y = grp.identity()
             for d in range(0, kh, length):
                 y_inv = y.inverse()
@@ -361,61 +355,6 @@ class ParkSpace:
 
 def build_park(spec: GroupSpec, k: int) -> ParkSpace:
     return ParkSpace(spec, k)
-
-
-class Cycles:
-    """The cycles of a permutation table, laid out for fixed_counts.
-
-    `runs` holds, for each cycle length L, the indices on the cycles of
-    that length, cycle by cycle, each cycle walked forward.  coord puts the
-    indices on a line: a cycle of length L takes L consecutive coordinates,
-    in walking order, with L free coordinates on each side of them.  So j
-    lies on i's cycle exactly when |coord[i] - coord[j]| < L, and then
-    table^r(j) = i for r = coord[i] - coord[j] (mod L).
-    """
-
-    def __init__(self, table: list[int]):
-        self.coord = coord = array("q", bytes(8 * len(table)))
-        members: dict[int, array] = {}
-        seen = bytearray(len(table))
-        start = 0
-        for first in range(len(table)):
-            if seen[first]:
-                continue
-            cycle = []
-            i = first
-            while not seen[i]:
-                seen[i] = 1
-                cycle.append(i)
-                i = table[i]
-            length = len(cycle)
-            for pos, j in enumerate(cycle, start + length):
-                coord[j] = pos
-            start += 3 * length
-            members.setdefault(length, array("q")).extend(cycle)
-        self.runs = list(members.items())
-
-
-def fixed_counts(cycles: Cycles, varr, steps: int) -> list[int]:
-    """#{i : g^d(varr[i]) == i} for d = 0, ..., steps - 1, where cycles
-    holds the cycles of the g-table: the fixed points of (v, g^d) from the
-    tables of v and of the cyclic generator.
-
-    i is fixed exactly when varr[i] lies on i's g-cycle, of length L, at
-    r = coord[i] - coord[varr[i]] steps behind i, and d = r (mod L).  So
-    one pass over the indices builds, for each L, the histogram of r."""
-    coord = cycles.coord
-    counts = [0] * steps
-    for length, members in cycles.runs:
-        hist = [0] * length
-        for i in members:
-            r = coord[i] - coord[varr[i]]
-            if -length < r < length:
-                # a negative r indexes hist at r + length, its residue mod length
-                hist[r] += 1
-        for d in range(steps):
-            counts[d] += hist[d % length]
-    return counts
 
 
 def rep_from_labels(space: ParkSpace, chain: tuple, labels: dict):

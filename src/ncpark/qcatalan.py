@@ -5,16 +5,17 @@ Cat^(k)(W; q) is the product of (1 - q^(kh+d)) / (1 - q^d) over the
 degrees d of W.  At a root of unity of order e dividing kh, the exponents
 kh + d and d agree mod e, so a factor is 1 when e does not divide d and
 tends to (kh+d)/d when it does: the value is an integer product, and no
-polynomial is ever built.
+polynomial is ever built.  The chain side reads only the cycle lengths of
+the chain g-table.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
-from .reflgroup import GroupSpec, group
+from .reflgroup import GroupSpec, group, table_cycles
 from . import ncw
-from .parkspace import Cycles, fixed_counts
 
 
 def cat_poly(spec: GroupSpec, k: int) -> tuple[tuple[int, int], ...]:
@@ -49,10 +50,11 @@ def eval_at_root(factors, m: int, d: int) -> int | None:
 
 
 def fixed_chain_counts(spec: GroupSpec, k: int) -> list[int]:
-    """Number of k-multichains fixed by g^d, for d = 0, ..., kh-1."""
+    """Number of k-multichains fixed by g^d, for d = 0, ..., kh-1: the sum
+    of the lengths L of the g-cycles on chains with L | d."""
     nc = ncw.build_nc(group(spec.family, spec.param))
-    garr = ncw.chain_g_table(nc, nc.multichains(k))
-    return fixed_counts(Cycles(garr), range(len(garr)), k * spec.coxeter_number)
+    lengths = Counter(map(len, table_cycles(ncw.chain_g_table(nc, nc.multichains(k)))))
+    return [sum(L * c for L, c in lengths.items() if d % L == 0) for d in range(k * spec.coxeter_number)]
 
 
 def verify_csp(spec: GroupSpec, k: int) -> list[dict]:

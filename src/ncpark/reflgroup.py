@@ -670,6 +670,22 @@ def orbits(size: int, tables) -> tuple[list[int], list[int]]:
     return reps, arr
 
 
+def table_cycles(table) -> list[list[int]]:
+    """The cycles of a permutation table on range(len(table)), each walked
+    forward from its least index, in the order of those indices."""
+    seen = bytearray(len(table))
+    out = []
+    for first in range(len(table)):
+        cycle, i = [], first
+        while not seen[i]:
+            seen[i] = 1
+            cycle.append(i)
+            i = table[i]
+        if cycle:
+            out.append(cycle)
+    return out
+
+
 @lru_cache(maxsize=None)
 def group(family: str, param: int) -> ReflectionGroup:
     return ReflectionGroup(GroupSpec(family, param))

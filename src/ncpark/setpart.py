@@ -1,8 +1,8 @@
 """Classical and type-BC set partition combinatorics.
 
 Noncrossing predicate, Kreweras complementation, the multichain-to-
-k-divisible bijection nabla (one pass on integer permutations), and
-Reiner's periodic parenthesization for centrally symmetric partitions.
+k-divisible bijection nabla (one pass on integer permutations), and the
+openers of Reiner's periodic parenthesization, by one rule per block.
 
 Ground sets are [n] or +-[n]; the +-[n] boundary order on the disc is
 1, 2, ..., n, -1, -2, ..., -n, read clockwise.
@@ -16,6 +16,7 @@ from .reflgroup import (
     canonical_blocks,
     partition_refines,
     set_field,
+    table_cycles,
     zero_block,
 )
 
@@ -178,21 +179,6 @@ def _shuffle(deltas: list[list[int]]) -> list[int]:
     return sigma
 
 
-def _cycles(perm: list[int]) -> list[list[int]]:
-    seen = bytearray(len(perm))
-    out = []
-    for first in range(len(perm)):
-        if not seen[first]:
-            cyc = []
-            x = first
-            while not seen[x]:
-                seen[x] = 1
-                cyc.append(x)
-                x = perm[x]
-            out.append(cyc)
-    return out
-
-
 def _check_multichain(chain: tuple[SetPartition, ...]) -> None:
     for p in chain:
         if not is_noncrossing(p):
@@ -244,7 +230,7 @@ def nabla(chain: tuple[SetPartition, ...]) -> SetPartition:
     for x, y in enumerate(sigma, 1):
         kreweras_perm[y] = x
     kreweras_perm[sigma[-1]] = 0
-    blocks = _cycles(kreweras_perm)
+    blocks = table_cycles(kreweras_perm)
     block_id = [0] * total
     for j, b in enumerate(blocks):
         for y in b:
@@ -254,7 +240,7 @@ def nabla(chain: tuple[SetPartition, ...]) -> SetPartition:
         for x in b:
             first_id[pos(x)] = j
     pairs = {(block_id[x * k], first_id[x]) for x in range(size)}
-    if len(blocks) + len(_cycles(sigma)) != total + 1:
+    if len(blocks) + len(table_cycles(sigma)) != total + 1:
         failed = "cyc(K) + cyc(sigma) != kN + 1"
     elif any(len(b) % k for b in blocks):
         failed = "a block is not k-divisible"
@@ -375,62 +361,15 @@ def bc_nabla(chain: tuple[SetPartition, ...], labels: dict) -> LabeledPartition:
 
 
 def openers(p: SetPartition) -> dict[tuple[int, ...], int]:
-    """Opener of each nonzero block under the periodic parenthesization.
-
-    Blocks are peeled innermost first: a block is removable once its
-    elements are cyclically consecutive among the not-yet-removed
-    positions (zero-block positions are never removed and so keep
-    blocking).  The opener is the first element of the removed run.
+    """Opener of each nonzero block under the periodic parenthesization:
+    its first element clockwise after the mirror block, and so after the
+    zero block when there is one, which separates the two.  The block and
+    its mirror do not cross, so any one mirror element marks the start.
     """
     if not p.signed or not p.is_centrally_symmetric():
         raise ValueError("openers needs a centrally symmetric signed partition")
     if not is_noncrossing(p):
         raise ValueError("openers needs a noncrossing partition")
-    n = p.n
-    order = list(range(1, n + 1)) + [-i for i in range(1, n + 1)]
-    alive = set(order)
-    zero = zero_block(p.blocks)
-    todo = [b for b in p.blocks if b != zero]
-    out: dict[tuple[int, ...], int] = {}
-
-    def run_start(b) -> int | None:
-        # unique element whose alive predecessor is outside the block, and
-        # from which the block is one contiguous alive run
-        bset = set(b)
-        starts = []
-        for x in b:
-            pos = circ_position(x, n)
-            while True:
-                pos = (pos - 1) % (2 * n)
-                prev = order[pos]
-                if prev in alive:
-                    break
-            if prev not in bset:
-                starts.append(x)
-        if len(starts) != 1:
-            return None
-        pos = circ_position(starts[0], n)
-        run = [starts[0]]
-        while len(run) < len(b):
-            pos = (pos + 1) % (2 * n)
-            nxt = order[pos]
-            if nxt not in alive:
-                continue
-            if nxt not in bset:
-                return None
-            run.append(nxt)
-        return starts[0]
-
-    while todo:
-        # find every innermost block before removing any: mirror pairs become
-        # removable together and must both be read against the same circle
-        ready = [(b, run_start(b)) for b in todo]
-        ready = [(b, s) for b, s in ready if s is not None]
-        if not ready:
-            raise RuntimeError(f"no removable block; not noncrossing? {p!r}")
-        for b, s in ready:
-            out[b] = s
-            alive -= set(b)
-        removed = {b for b, _ in ready}
-        todo = [b for b in todo if b not in removed]
-    return out
+    n, zero = p.n, zero_block(p.blocks)
+    start = {b: circ_position(-b[0], n) for b in p.blocks if b != zero}
+    return {b: min(b, key=lambda x: (circ_position(x, n) - s) % (2 * n)) for b, s in start.items()}

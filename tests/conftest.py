@@ -3,6 +3,8 @@ call: the library keeps what a command runs."""
 
 import itertools
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +29,7 @@ from ncpark.nonnesting import (
     reject_dihedral,
     torus_matrix,
 )
-from ncpark.parkspace import Cycles, build_park, fixed_counts, is_classical_park, rep_from_labels
+from ncpark.parkspace import build_park, is_classical_park, rep_from_labels
 from ncpark.reflgroup import (
     DihedralElement,
     FlatPartition,
@@ -190,6 +192,61 @@ def act_g_power(space, p, d):
     return p
 
 
+class Cycles:
+    """The cycles of a permutation table, laid out for fixed_counts.
+
+    `runs` holds, for each cycle length L, the indices on the cycles of
+    that length, cycle by cycle, each cycle walked forward.  coord puts the
+    indices on a line: a cycle of length L takes L consecutive coordinates,
+    in walking order, with L free coordinates on each side of them.  So j
+    lies on i's cycle exactly when |coord[i] - coord[j]| < L, and then
+    table^r(j) = i for r = coord[i] - coord[j] (mod L).
+    """
+
+    def __init__(self, table):
+        self.coord = coord = array("q", bytes(8 * len(table)))
+        members = {}
+        seen = bytearray(len(table))
+        start = 0
+        for first in range(len(table)):
+            if seen[first]:
+                continue
+            cycle = []
+            i = first
+            while not seen[i]:
+                seen[i] = 1
+                cycle.append(i)
+                i = table[i]
+            length = len(cycle)
+            for pos, j in enumerate(cycle, start + length):
+                coord[j] = pos
+            start += 3 * length
+            members.setdefault(length, array("q")).extend(cycle)
+        self.runs = list(members.items())
+
+
+def fixed_counts(cycles, varr, steps):
+    """#{i : g^d(varr[i]) == i} for d = 0, ..., steps - 1, where cycles
+    holds the cycles of the g-table: the fixed points of (v, g^d) from the
+    tables of v and of the cyclic generator.
+
+    i is fixed exactly when varr[i] lies on i's g-cycle, of length L, at
+    r = coord[i] - coord[varr[i]] steps behind i, and d = r (mod L).  So
+    one pass over the indices builds, for each L, the histogram of r."""
+    coord = cycles.coord
+    counts = [0] * steps
+    for length, members in cycles.runs:
+        hist = [0] * length
+        for i in members:
+            r = coord[i] - coord[varr[i]]
+            if -length < r < length:
+                # a negative r indexes hist at r + length, its residue mod length
+                hist[r] += 1
+        for d in range(steps):
+            counts[d] += hist[d % length]
+    return counts
+
+
 def g_cycles(space):
     """The cycles of space.g_table(), decomposed once for every v."""
     return Cycles(space.g_table())
@@ -260,6 +317,110 @@ def bc_psi_by_class(space, pt):
     if zero:
         labels[zero_block(pic.pi.blocks)] = zero
     return space.make_class(pic.chain, rep_from_labels(space, pic.chain, labels))
+
+
+def openers_by_peeling(p):
+    """setpart.openers by peeling blocks innermost first: a block is
+    removable once its elements are cyclically consecutive among the
+    not-yet-removed positions (zero-block positions are never removed and
+    so keep blocking).  The opener is the first element of the removed run.
+    """
+    n = p.n
+    order = list(range(1, n + 1)) + [-i for i in range(1, n + 1)]
+    alive = set(order)
+    zero = zero_block(p.blocks)
+    todo = [b for b in p.blocks if b != zero]
+    out = {}
+
+    def run_start(b):
+        # unique element whose alive predecessor is outside the block, and
+        # from which the block is one contiguous alive run
+        bset = set(b)
+        starts = []
+        for x in b:
+            pos = circ_position(x, n)
+            while True:
+                pos = (pos - 1) % (2 * n)
+                prev = order[pos]
+                if prev in alive:
+                    break
+            if prev not in bset:
+                starts.append(x)
+        if len(starts) != 1:
+            return None
+        pos = circ_position(starts[0], n)
+        run = [starts[0]]
+        while len(run) < len(b):
+            pos = (pos + 1) % (2 * n)
+            nxt = order[pos]
+            if nxt not in alive:
+                continue
+            if nxt not in bset:
+                return None
+            run.append(nxt)
+        return starts[0]
+
+    while todo:
+        # find every innermost block before removing any: mirror pairs become
+        # removable together and must both be read against the same circle
+        ready = [(b, run_start(b)) for b in todo]
+        ready = [(b, s) for b, s in ready if s is not None]
+        if not ready:
+            raise RuntimeError(f"no removable block; not noncrossing? {p!r}")
+        for b, s in ready:
+            out[b] = s
+            alive -= set(b)
+        removed = {b for b, _ in ready}
+        todo = [b for b in todo if b not in removed]
+    return out
+
+
+def close_parens_by_rounds(n, k, openers):
+    """locus.close_parens in rounds: left parentheses sit before the named
+    positions; each is closed once it can absorb its block size in alive
+    symbols without passing an unmatched left parenthesis.  Leftover
+    symbols form the zero block."""
+    kn = k * n
+    mult = Counter(openers)
+    order = list(range(1, kn + 1)) + [-i for i in range(1, kn + 1)]
+    open_at = []
+    for j in sorted(mult):
+        open_at += [j, -j]
+    unmatched = set(open_at)
+    alive = {x: True for x in order}
+    blocks = []
+    progress = True
+    while unmatched and progress:
+        progress = False
+        for start in sorted(unmatched, key=lambda x: circ_position(x, kn)):
+            target = k * mult[abs(start)]
+            run = []
+            pos = circ_position(start, kn)
+            ok = True
+            for step in range(2 * kn):
+                x = order[(pos + step) % (2 * kn)]
+                if x in unmatched and x != start:
+                    ok = False
+                    break
+                if alive[x]:
+                    run.append(x)
+                    if len(run) == target:
+                        break
+            if ok and len(run) == target:
+                blocks.append(tuple(run))
+                for x in run:
+                    alive[x] = False
+                unmatched.discard(start)
+                progress = True
+    if unmatched:
+        raise RuntimeError(f"parenthesization did not close: {unmatched}")
+    rest = [x for x in order if alive[x]]
+    if rest:
+        blocks.append(tuple(rest))
+    pi = SetPartition.of(kn, blocks, signed=True)
+    if not is_noncrossing(pi) or not pi.is_centrally_symmetric():
+        raise RuntimeError("parenthesization produced a bad partition")
+    return pi
 
 
 def crossing_free_pairwise(blocks, pos):

@@ -573,6 +573,25 @@ def test_out_is_replaced_whole(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
+def test_out_writes_a_fifo_in_place(tmp_path):
+    # a device or FIFO is written straight to; renaming a temporary file
+    # over it would turn it into a regular file
+    fifo, out = tmp_path / "rows", tmp_path / "out.jsonl"
+    os.mkfifo(fifo)
+    args = ["verify-csp", "--family", "A", "--rank", "2", "--k", "1", "--out"]
+    # a reader opened without blocking lets the command open the FIFO
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(args + [str(fifo)]) == EXIT_OK
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        data = os.read(fd, 1 << 16)
+    finally:
+        os.close(fd)
+    assert main(args + [str(out)]) == EXIT_OK
+    assert data == out.read_bytes()
+    assert sorted(tmp_path.iterdir()) == [out, fifo]
+
+
 def test_cap_env_var_must_be_an_integer(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("NCPARK_CAP", "abc")
     out = tmp_path / "out.jsonl"

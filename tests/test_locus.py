@@ -1,14 +1,18 @@
+import itertools
 from array import array
 
 import pytest
 from conftest import (
     KS,
     MAIN_GRID,
+    Cycles,
     act_g,
     all_flats,
     bc_phi_by_class,
     bc_phi_by_labels,
     bc_psi_by_class,
+    close_parens_by_rounds,
+    fixed_counts,
     full_partition,
     label_of,
     locus_act_g,
@@ -40,7 +44,7 @@ from ncpark.locus import (
     verify_bc_bijection,
     verify_intermediate_character,
 )
-from ncpark.parkspace import Cycles, build_park, fixed_counts
+from ncpark.parkspace import build_park
 from ncpark.reflgroup import (
     DihedralElement,
     GroupSpec,
@@ -162,6 +166,22 @@ def test_bc_psi_worked_example():
 def test_close_parens_structure():
     pi = close_parens(4, 2, (4, 4, 5))
     assert pi == parse_partition("1,-4,-7,-8/2,3,-2,-3/4,7,8,-1/5,6/-5,-6", 8, signed=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_close_parens_matches_rounds(n):
+    # every opener multiset of at most n openers in [kn], k <= 3: the
+    # stack walk closes to the rounds' partition, or both fail to close
+    for k in (1, 2, 3):
+        for size in range(n + 1):
+            for ops in itertools.combinations_with_replacement(range(1, k * n + 1), size):
+                try:
+                    expected = close_parens_by_rounds(n, k, ops)
+                except RuntimeError:
+                    with pytest.raises(RuntimeError):
+                        close_parens(n, k, ops)
+                else:
+                    assert close_parens(n, k, ops) == expected
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     KS,
     MAIN_GRID,
+    Cycles,
     act_g,
     act_g_power,
     act_w,
@@ -14,6 +15,7 @@ from conftest import (
     coset_arrays_by_products,
     enumerate_classical_by_scan,
     equivariant_function_count,
+    fixed_counts,
     fixed_counts_by_powers,
     g_cycles,
     nc_lambda_count,
@@ -29,13 +31,7 @@ from conftest import (
 )
 
 from ncpark import cli, ncw, setpart
-from ncpark.parkspace import (
-    Cycles,
-    build_park,
-    enumerate_classical,
-    fixed_counts,
-    is_classical_park,
-)
+from ncpark.parkspace import build_park, enumerate_classical, is_classical_park
 from ncpark.reflgroup import (
     GroupSpec,
     group,

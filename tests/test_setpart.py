@@ -16,6 +16,7 @@ from conftest import (
     nabla_by_partitions,
     nc_lambda_count,
     omega,
+    openers_by_peeling,
     parse_partition,
     pi_of,
     relabel,
@@ -324,15 +325,18 @@ def test_symmetric_kdiv_count_examples():
 @pytest.mark.parametrize("N", range(2, 13))
 def test_symmetric_kdiv_count_vs_enumeration(N):
     partitions = list(all_noncrossing_partitions(N))
-    for k in range(1, N + 1):
-        if N % k:
+    for m in range(2, N + 1):
+        if N % m:
             continue
-        n = N // k
-        for m in range(2, N + 1):
-            if N % m:
+        # m-fold symmetry and the orbit lengths do not depend on k, so the
+        # symmetric partitions are found once per m and typed per k
+        symmetric = [p for p in partitions if symmetric_kdiv_type(p, 1, m) is not None]
+        for k in range(1, N + 1):
+            if N % k:
                 continue
+            n = N // k
             counts = Counter()
-            for p in partitions:
+            for p in symmetric:
                 mu = symmetric_kdiv_type(p, k, m)
                 if mu is not None:
                     counts[mu] += 1
@@ -401,9 +405,11 @@ def test_openers_examples():
 
 
 def test_openers_cover_all_symmetric_partitions():
-    for n in (2, 3):
+    # the direct rule against peeling innermost blocks first
+    for n in (1, 2, 3, 4):
         for p in centrally_symmetric_nc(n):
             ops = openers(p)
+            assert ops == openers_by_peeling(p)
             zero = zero_block(p.blocks)
             expect = len(p.blocks) - (1 if zero else 0)
             assert len(ops) == expect
