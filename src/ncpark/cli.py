@@ -199,13 +199,17 @@ TABLE = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of command only, or with every
+    subparser when command names none (missing, an option, unknown), so
+    help and usage errors read as the full parser's."""
     ap = argparse.ArgumentParser(
         prog="ncpark",
         description="Fuss noncrossing parking spaces: enumeration and verification",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in dict.fromkeys(name for name, _ in TABLE):
+    names = dict.fromkeys(name for name, _ in TABLE)
+    for name in [command] if command in names else names:
         kinds = [kind for cmd, kind in TABLE if cmd == name]
         p = sub.add_parser(name)
         p.add_argument("--family", required=True, choices=FAMILIES)
@@ -345,8 +349,8 @@ def emit(lines: list[str], out: str) -> None:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     tmp = None
     try:
         # --out is checked before any work; a failed run removes the file

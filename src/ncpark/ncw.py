@@ -18,22 +18,33 @@ class NCPoset:
     """The interval [1, c] in absolute order, with the flat dictionary.
 
     Below c, u <= v exactly when the fixed flat of u contains that of v
-    (Brady-Watt), so membership and rank are read off the flats.  The
-    order itself comes from the covers u < ut, t a reflection, each of
-    which lowers the flat's dimension by one.
+    (Brady-Watt).  The elements are built down from c: the elements u
+    covers are the ut for the reflections t whose hyperplane contains the
+    flat of u (Carter's lemma: l_T(ut) < l_T(u) exactly then), each of
+    which raises the flat's dimension by one.  Each element's flat is
+    computed once.
     """
 
     def __init__(self, grp: ReflectionGroup):
         self.group = grp
         self.c = grp.coxeter_element()
-        els = grp.elements()
-        flats = [grp.fixed_flat(w) for w in els]
-        length = {w: grp.rank - x.dim for w, x in zip(els, flats)}
-        lc = length[self.c]
-        self.flat_of = {
-            w: x for w, x in zip(els, flats) if length[w] + length[w.inverse() * self.c] == lc
-        }
-        self.elements = list(self.flat_of)
+        flat_of = {self.c: grp.fixed_flat(self.c)}
+        level = [self.c]
+        while level:
+            below = []
+            for u in level:
+                for t in grp.flat_reflections(flat_of[u]):
+                    v = u * t
+                    if v not in flat_of:
+                        flat_of[v] = grp.fixed_flat(v)
+                        below.append(v)
+            level = below
+        self.elements = sorted(flat_of)
+        if len(self.elements) != grp.spec.fuss_catalan(1):
+            raise RuntimeError(
+                f"NC({grp.spec}) has {len(self.elements)} elements, not Cat({grp.spec}) = {grp.spec.fuss_catalan(1)}"
+            )
+        self.flat_of = {w: flat_of[w] for w in self.elements}
         if len(set(self.flat_of.values())) != len(self.elements):
             raise RuntimeError("element-to-flat map is not injective on NC(W)")
         self.element_of_flat = {x: w for w, x in self.flat_of.items()}

@@ -260,11 +260,18 @@ def torus_matrix(spec: GroupSpec, w) -> list[list[int]]:
 
 
 def fixed_vector_count(mat: list[list[int]], m: int) -> int:
-    """#{x in (Z/m)^n : mat x = x mod m}, for a square integer matrix.
+    """#{x in (Z/m)^n : mat x = x mod m}, for a square integer matrix: the
+    product of its fixed_vector_divisors."""
+    return math.prod(fixed_vector_divisors(mat, m))
+
+
+def fixed_vector_divisors(mat: list[list[int]], m: int) -> list[int]:
+    """gcd(d_i, m) for each d_i on a diagonal of mat - I, where
+    gcd(0, m) = m.
 
     Unimodular row and column operations bring A = mat - I to a diagonal
-    D = U A V; x -> V^-1 x is a bijection of (Z/m)^n, so the count is the
-    product of gcd(d_i, m), where gcd(0, m) = m."""
+    D = U A V; x -> V^-1 x is a bijection of (Z/m)^n, so the vectors with
+    A x = 0 mod m number the product of these divisors."""
     n = len(mat)
     a = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(mat)]
     for t in range(n):
@@ -288,7 +295,7 @@ def fixed_vector_count(mat: list[list[int]], m: int) -> int:
                     row[j] -= q * row[t]
             if not any(a[i][t] or a[t][i] for i in range(t + 1, n)):
                 break
-    return math.prod(math.gcd(a[t][t], m) for t in range(n))
+    return [math.gcd(a[t][t], m) for t in range(n)]
 
 
 def torus_fixed_count(spec: GroupSpec, k: int, w) -> int:
@@ -297,19 +304,17 @@ def torus_fixed_count(spec: GroupSpec, k: int, w) -> int:
 
 
 def verify_nn_character(spec: GroupSpec, k: int) -> list[dict]:
-    """Torus fixed counts against (kh+1)^dim(V^w), per conjugacy class."""
+    """Torus fixed counts against (kh+1)^dim(V^w), per conjugacy class.  A
+    failing row carries dim(V^w) and the divisors gcd(d_i, kh+1) whose
+    product is the count."""
     grp = group(spec.family, spec.param)
     m = k * spec.coxeter_number + 1
     report = []
     for w in grp.conjugacy_class_reps():
         count = torus_fixed_count(spec, k, w)
-        expected = m ** grp.fixed_flat(w).dim
-        report.append(
-            {
-                "w": repr(w),
-                "fixed": count,
-                "expected": expected,
-                "pass": count == expected,
-            }
-        )
+        dim = grp.fixed_flat(w).dim
+        row = {"w": repr(w), "fixed": count, "expected": m**dim, "pass": count == m**dim}
+        if not row["pass"]:
+            row["witness"] = {"multiplicity": dim, "divisors": fixed_vector_divisors(torus_matrix(spec, w), m)}
+        report.append(row)
     return report

@@ -18,6 +18,7 @@ from .reflgroup import (
     GroupSpec,
     SignedPerm,
     Value,
+    compose,
     group,
     orbits,
     set_field,
@@ -97,12 +98,17 @@ class ParkSpace:
         self.nc = ncw.build_nc(self.group)
         self.c = self.nc.c
         self.chains = self.nc.multichains(k)
-        self._elements = self.group.elements()
         self._cosets: dict[FlatPartition, tuple[list[int], list[int]]] = {}
         self._offsets = None
         self._classes = None
         self._pictures: dict[tuple, ChainPicture] = {}
         self._nabla_inv = None
+
+    @property
+    def _elements(self) -> list:
+        """group.elements(), listed on first use: the character counts never
+        read it."""
+        return self.group.elements()
 
     # -- canonicalization ----------------------------------------------------
 
@@ -240,33 +246,52 @@ class ParkSpace:
         |C_W(v)| = |W| / |Cl(v)|.  g^d fixes X exactly when the length L of
         X's g-cycle divides d, and then y_d = y_L^(d/L).  g carries the
         classes fixed over X onto those over gX, so the first chain of each
-        cycle counts for all L of them.  The division is exact; a remainder
-        is an internal error."""
+        cycle counts for all L of them.  The class histogram of
+        W_X1 y_d^-1 depends on (X1, y_d) alone, and is made once for each
+        such pair, streaming W_X1.  The division is exact; a remainder is
+        an internal error."""
         grp, chains = self.group, self.chains
         kh = self.k * self.spec.coxeter_number
-        idx, ids, sizes = grp.index(), grp.class_ids(), grp.class_sizes()
-        order = len(self._elements)
+        sizes, order = grp.class_sizes(), self.spec.order
         gtab = ncw.chain_g_table(self.nc, chains)
         c_inv = self.c.inverse()
         counts = [[0] * kh for _ in sizes]
+        histograms: dict = {}
         for cycle in table_cycles(gtab):
             y_len, length = grp.identity(), len(cycle)
             for i in cycle:
                 y_len = y_len * (chains[i][-1] * c_inv)
-            iso = grp.isotropy_elements(self.nc.flat_of[chains[cycle[0]][0]])
+            flat = self.nc.flat_of[chains[cycle[0]][0]]
             y = grp.identity()
             for d in range(0, kh, length):
-                y_inv = y.inverse()
-                for c, hits in Counter(ids[idx[h * y_inv]] for h in iso).items():
-                    fixed, rest = divmod(length * order * hits, sizes[c] * len(iso))
+                found = histograms.get((flat, y))
+                if found is None:
+                    found = histograms[flat, y] = self._coset_histogram(flat, y)
+                hist, members = found
+                for c, hits in hist.items():
+                    fixed, rest = divmod(length * order * hits, sizes[c] * members)
                     if rest:
                         raise RuntimeError(
-                            f"class {c} meets W_X1 y_d^-1 in {hits} of {len(iso)} elements at d = {d}: "
-                            f"{length} * {order} * {hits} is not a multiple of {sizes[c]} * {len(iso)}"
+                            f"class {c} meets W_X1 y_d^-1 in {hits} of {members} elements at d = {d}: "
+                            f"{length} * {order} * {hits} is not a multiple of {sizes[c]} * {members}"
                         )
                     counts[c][d] += fixed
                 y = y * y_len
         return counts
+
+    def _coset_histogram(self, flat: FlatPartition, y) -> tuple[Counter, int]:
+        """The class ids of W_X y^-1 counted, and |W_X|: products on image
+        tuples in A, B and D.  At the origin, W_X y^-1 = W, and the counts
+        are the class sizes."""
+        grp, y_inv = self.group, y.inverse()
+        if flat.dim == 0:
+            return Counter(dict(enumerate(grp.class_sizes()))), self.spec.order
+        if self.spec.family == "I2":
+            hist = Counter(grp.class_id(h * y_inv) for h in grp.isotropy_elements(flat))
+        else:
+            yi = y_inv.images
+            hist = Counter(grp.class_id(compose(h, yi)) for h in grp.isotropy_elements(flat))
+        return hist, sum(hist.values())
 
     def verify_weak(self) -> list[dict]:
         """Fixed counts against (kh+1)^mult for one element per conjugacy

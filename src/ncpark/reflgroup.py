@@ -120,9 +120,7 @@ class SignedPerm(Value):
         return -self.images[-i - 1]
 
     def __mul__(self, other: "SignedPerm") -> "SignedPerm":
-        # function composition: (u*v)(i) = u(v(i))
-        u = self.images
-        return SignedPerm(tuple([u[j - 1] if j > 0 else -u[-j - 1] for j in other.images]))
+        return SignedPerm(compose(self.images, other.images))
 
     def inverse(self) -> "SignedPerm":
         img = [0] * len(self.images)
@@ -135,9 +133,6 @@ class SignedPerm(Value):
 
     def is_positive(self) -> bool:
         return all(j > 0 for j in self.images)
-
-    def neg_count(self) -> int:
-        return sum(1 for j in self.images if j < 0)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycles of w acting on +-[n] (on [n] when w is unsigned).
@@ -165,32 +160,107 @@ class SignedPerm(Value):
             out.append(tuple(cyc))
         return out
 
-    def signed_cycle_pairs(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-        """Split the cycle decomposition on +-[n] into (balanced, paired).
-
-        Balanced cycles have support S = -S; paired cycles come in +-
-        mirror pairs, of which only the representative containing the
-        smaller absolute value is returned.
-        """
-        balanced, paired = [], []
-        seen: set[frozenset] = set()
-        # an unsigned w yields only its cycles on [n]; their mirrors, the
-        # rest of the decomposition on +-[n], would be skipped below anyway
-        for cyc in self.cycles():
-            supp = frozenset(cyc)
-            if supp in seen:
-                continue
-            if supp == frozenset(-x for x in supp):
-                balanced.append(cyc)
-                seen.add(supp)
-            else:
-                paired.append(cyc)
-                seen.add(supp)
-                seen.add(frozenset(-x for x in supp))
-        return balanced, paired
-
     def __repr__(self):
         return f"SignedPerm{self.images}"
+
+
+def compose(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """The images of u*v, function composition (u*v)(i) = u(v(i)), from
+    the images of u and of v."""
+    return tuple([u[j - 1] if j > 0 else -u[-j - 1] for j in v])
+
+
+def signed_cycles(images: tuple[int, ...]):
+    """(orbit, sign) for each cycle of |w| on [n], w the signed permutation
+    with these images: orbit is w^0(x), ..., w^(L-1)(x) for the least
+    member x of the cycle, of length L, and sign is that of w^L(x) = +-x,
+    the product of the signs of the cycle's images."""
+    for cycle in table_cycles([abs(t) - 1 for t in images]):
+        orbit, sign = [], 1
+        for j in cycle:
+            orbit.append(sign * (j + 1))
+            if images[j] < 0:
+                sign = -sign
+        yield orbit, sign
+
+
+def signed_cycle_type(images: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(positive, negative, parity) for the signed permutation w with these
+    images: the ascending lengths of the cycles of |w| whose sign is + or
+    -, and the parity of the number of negative entries in their orbits.
+
+    The two lists are the conjugacy class in B_n (Carter).  When every
+    cycle is positive, the sign change of each negative entry conjugates w
+    to a plain permutation, so the parity is that of the sign changes in
+    such a conjugator."""
+    pos, neg, parity = [], [], 0
+    for orbit, sign in signed_cycles(images):
+        (pos if sign > 0 else neg).append(len(orbit))
+        parity ^= sum(x < 0 for x in orbit) % 2
+    pos.sort()
+    neg.sort()
+    return tuple(pos), tuple(neg), parity
+
+
+def partitions(n: int, least: int = 1):
+    """The partitions of n into parts >= least, as ascending tuples."""
+    if n == 0:
+        yield ()
+    for first in range(least, n // 2 + 1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+    if n >= least:
+        yield (n,)
+
+
+@lru_cache(maxsize=None)
+def _joins(paths: tuple[int, ...], cycles: tuple[int, ...]) -> bool:
+    """Whether open paths of these lengths (descending) join into cycles of
+    these lengths (ascending), each cycle one or more whole paths."""
+    if not paths:
+        return not cycles
+    first, rest = paths[0], paths[1:]
+    for i, size in enumerate(cycles):
+        if size >= first and (i == 0 or size != cycles[i - 1]):
+            left = cycles[:i] + cycles[i + 1 :]
+            if size > first:
+                left = tuple(sorted(left + (size - first,)))
+            if _joins(rest, left):
+                return True
+    return False
+
+
+def _extends(prefix: list[int], n: int, cycles: list[tuple[int, int]]) -> bool:
+    """Whether the images w(1), ..., w(i) in prefix extend to a signed
+    permutation of [n] whose cycles of |w| have the (length, sign) pairs
+    in cycles.  The prefix closes some cycles, which cycles must hold; the
+    rest of [n] lies on open paths, each ending at a point > i, and an
+    extension closes the paths into the remaining cycles, each of which
+    takes its sign from a free sign on a new image."""
+    step = {x: abs(v) for x, v in enumerate(prefix, 1)}
+    seen = set()
+    paths = []
+    for x in set(range(1, n + 1)).difference(step.values()):
+        seen.add(x)
+        length = 1
+        while x in step:
+            x = step[x]
+            seen.add(x)
+            length += 1
+        paths.append(length)
+    left = list(cycles)
+    for x in step:
+        length, sign = 0, 1
+        while x not in seen:
+            seen.add(x)
+            length += 1
+            sign = -sign if prefix[x - 1] < 0 else sign
+            x = step[x]
+        if length:
+            if (length, sign) not in left:
+                return False
+            left.remove((length, sign))
+    return _joins(tuple(sorted(paths, reverse=True)), tuple(sorted(size for size, _ in left)))
 
 
 def identity_perm(n: int) -> SignedPerm:
@@ -418,8 +488,8 @@ class ReflectionGroup:
         self._index = None
         self._right: dict = {}
         self._reflections = None
-        self._conj_reps = None
-        self._class_ids = None
+        self._moves = None
+        self._conj = None
 
     # -- basics ------------------------------------------------------------
 
@@ -455,7 +525,7 @@ class ReflectionGroup:
         if self._elements is None:
             f, p = self.family, self.spec.param
             if f == "I2":
-                els = [DihedralElement(p, r, j) for r in (False, True) for j in range(p)]
+                els = list(self.isotropy_elements(FlatPartition("I2", p, kind="origin")))
             elif f == "A":
                 els = [SignedPerm(im) for im in itertools.permutations(range(1, p + 1))]
             else:
@@ -507,59 +577,87 @@ class ReflectionGroup:
                 kind = "plane" if w.j == 0 else "origin"
                 return FlatPartition("I2", p, kind=kind)
             return FlatPartition("I2", p, kind="line", line=w.j)
-        if f == "A":
-            return FlatPartition("A", p, blocks=canonical_blocks(w.cycles()))
-        balanced, paired = w.signed_cycle_pairs()
-        blocks = []
-        zero: list[int] = []
-        for cyc in balanced:
-            zero.extend(cyc)
+        # a vector fixed by w is constant on each orbit of w on +-[n]: the
+        # orbit of a positive cycle of |w| and its mirror, or the zero block,
+        # the union of the negative cycles and their mirrors
+        blocks, zero = [], []
+        for orbit, sign in signed_cycles(w.images):
+            if sign < 0:
+                zero += orbit + [-x for x in orbit]
+            else:
+                blocks += [orbit] if f == "A" else [orbit, [-x for x in orbit]]
         if zero:
-            blocks.append(tuple(zero))
-        for cyc in paired:
-            blocks.append(cyc)
-            blocks.append(tuple(-x for x in cyc))
+            blocks.append(zero)
         return FlatPartition(f, p, blocks=canonical_blocks(blocks))
 
-    def isotropy_elements(self, x: FlatPartition) -> list:
-        """All of W_x, generated blockwise (no full group scan needed)."""
+    def isotropy_elements(self, x: FlatPartition):
+        """W_x, one element at a time, as image tuples (as elements in I2).
+
+        W_x permutes each +- pair of nonzero blocks within itself, mirror
+        consistently, and the positive members of the zero block by a
+        signed permutation, with an even number of signs in D: the
+        elements are the products of one such move per block, all
+        distinct.  A nonzero block's move changes an even number of signs.
+        """
         f, p = self.family, self.spec.param
         if f == "I2":
-            if x.kind == "plane":
-                return [self.identity()]
-            if x.kind == "line":
-                return sorted([self.identity(), DihedralElement(p, True, x.line)])
-            return self.elements()
+            if x.kind == "origin":
+                yield from (DihedralElement(p, r, j) for r in (False, True) for j in range(p))
+            else:
+                yield self.identity()
+                if x.kind == "line":
+                    yield DihedralElement(p, True, x.line)
+            return
         # a type A flat has no zero block, and every block counts as a positive pair
         zero = zero_block(x.blocks) or ()
-        pos_pairs = [b for b in x.blocks if b != zero and min(abs(t) for t in b) in b]
-        out = [identity_perm(p)]
-        for b in pos_pairs:
-            new = []
-            for w in out:
-                for imgs in itertools.permutations(b):
-                    im = list(w.images)
-                    for src, dst in zip(b, imgs):
-                        if src > 0:
-                            im[src - 1] = dst
-                        else:
-                            im[-src - 1] = -dst
-                    new.append(SignedPerm(tuple(im)))
-            out = new
-        if zero:
-            zpos = [t for t in zero if t > 0]
-            new = []
-            for w in out:
-                for imgs in itertools.permutations(zpos):
-                    for signs in itertools.product((1, -1), repeat=len(zpos)):
-                        im = list(w.images)
-                        for src, dst, s in zip(zpos, imgs, signs):
-                            im[src - 1] = s * dst
-                        new.append(SignedPerm(tuple(im)))
-            out = new
-        if f == "D":
-            out = [w for w in out if w.neg_count() % 2 == 0]
-        return sorted(set(out))
+        blocks = [b for b in x.blocks if b == zero or min(abs(t) for t in b) in b]
+        # the moves of the largest block stream; only the others are listed
+        *small, large = sorted(blocks, key=len)
+        images = list(range(1, p + 1))
+        for choice in itertools.product(*[self._block_moves(b, b == zero) for b in small]):
+            for move in choice:
+                for s, t in move:
+                    images[s - 1] = t
+            for move in self._block_moves(large, large == zero):
+                for s, t in move:
+                    images[s - 1] = t
+                yield tuple(images)
+
+    def _block_moves(self, b: tuple[int, ...], zero: bool):
+        """W_x on one block b of x, as lists of (position, image): the
+        permutations of b, or for the zero block the signed permutations
+        of its positive members."""
+        if not zero:
+            for imgs in itertools.permutations(b):
+                yield [(s, t) if s > 0 else (-s, -t) for s, t in zip(b, imgs)]
+            return
+        zpos = [t for t in b if t > 0]
+        for imgs in itertools.permutations(zpos):
+            for signs in itertools.product((1, -1), repeat=len(zpos)):
+                if self.family == "B" or signs.count(-1) % 2 == 0:
+                    yield [(s, e * t) for s, t, e in zip(zpos, imgs, signs)]
+
+    def flat_reflections(self, x: FlatPartition) -> list:
+        """The reflections whose hyperplane contains the flat x, ascending:
+        in A, B and D those that send a member of a block of x into the
+        same block; in I2 every reflection for the origin, the line's own
+        for a line, none for the plane."""
+        f, p = self.family, self.spec.param
+        if f == "I2":
+            if x.kind == "origin":
+                return self.reflections()
+            return [DihedralElement(p, True, x.line)] if x.kind == "line" else []
+        block = {t: i for i, b in enumerate(x.blocks) for t in b}
+        return [t for t, a, b in self._reflection_moves() if block[a] == block[b]]
+
+    def _reflection_moves(self) -> list[tuple]:
+        """(t, a, t(a)) for each reflection t, a its least moved index."""
+        if self._moves is None:
+            self._moves = []
+            for t in self.reflections():
+                a = next(i for i, v in enumerate(t.images, 1) if v != i)
+                self._moves.append((t, a, t(a)))
+        return self._moves
 
     def isotropy_generators(self, x: FlatPartition) -> list:
         """Reflections that generate W_x: for each +- pair of nonzero blocks,
@@ -595,11 +693,11 @@ class ReflectionGroup:
     def eigenvalue_multiplicity(self, w, d: int, order: int) -> int:
         """Multiplicity of e^{2 pi i d/order} in the spectrum of w on V.
 
-        A cycle of length L on [n] (or a paired cycle on +-[n]) has the L-th
-        roots of unity as eigenvalues, so it holds this one when order
-        divides d*L; a balanced cycle of length 2l has the odd powers of
-        the primitive 2l-th root, so it holds it when 2ld/order is an odd
-        integer.  Type A drops the trivial line, where all coordinates are
+        A positive cycle of |w| of length L (a cycle of w on [n] in A) has
+        the L-th roots of unity as eigenvalues, so it holds this one when
+        order divides d*L; a negative one, of length l, has the odd powers
+        of the primitive 2l-th root, so it holds it when 2ld/order is an
+        odd integer.  Type A drops the trivial line, where all coordinates are
         equal.  An I2(m) reflection has eigenvalues 1 and -1, a rotation
         by j has e^{+-2 pi i j/m}."""
         if not 0 <= d < order:
@@ -610,40 +708,109 @@ class ReflectionGroup:
             if w.refl:
                 return (d == 0) + (2 * d == order)
             return (w.j * order == d * m) + ((-w.j) % m * order == d * m)
-        if f == "A":
-            return sum(1 for cyc in w.cycles() if d * len(cyc) % order == 0) - (d == 0)
-        balanced, paired = w.signed_cycle_pairs()
-        count = sum(1 for cyc in paired if d * len(cyc) % order == 0)
-        for cyc in balanced:
-            odd, rem = divmod(len(cyc) * d, order)
+        pos, neg, _ = signed_cycle_type(w.images)
+        count = sum(1 for L in pos if d * L % order == 0) - (f == "A" and d == 0)
+        for L in neg:
+            odd, rem = divmod(2 * L * d, order)
             count += rem == 0 and odd % 2 == 1
         return count
 
     # -- conjugacy ------------------------------------------------------------
 
-    def conjugacy_class_reps(self) -> list:
-        """The least element of each conjugacy class, ascending: the orbits
-        of conjugation, w -> s w s, by reflections s that generate the
-        isotropy group of the origin V^c, which is W."""
-        if self._conj_reps is None:
-            els, idx = self.elements(), self.index()
-            gens = self.isotropy_generators(self.fixed_flat(self.coxeter_element()))
-            reps, self._class_ids = orbits(len(els), [[idx[s * w * s] for w in els] for s in gens])
-            self._conj_reps = [els[i] for i in reps]
-        return self._conj_reps
+    def _classes(self) -> tuple[list, dict, list[int]]:
+        """(reps, ids, sizes) for the conjugacy classes, by rule.
 
-    def class_ids(self) -> list[int]:
-        """The position in conjugacy_class_reps() of each element's class,
-        by element index."""
-        self.conjugacy_class_reps()
-        return self._class_ids
+        A class of A, B or D is a signed cycle type (Carter), keyed as
+        signed_cycle_type gives it: in A the cycle type, in B any pair of
+        positive and negative lengths, in D those with an even number of
+        negative cycles.  A D class splits when every cycle is positive and
+        of even length, into the halves of each parity; every other key
+        reads both parities.  rep is the least element of the class, found
+        by a lexicographic search over image tuples that keeps a prefix
+        only while it extends into the class; the classes are ordered by
+        rep.  |Cl| = |W| / |C(w)|, where each cycle of length L adds a
+        factor L (A) or 2L (B, D) to |C(w)|, times m! for m cycles of the
+        same length and sign; an unsplit D class is its whole B class, and
+        a D half is half of it.
+
+        In I2(m) the classes are {c^j, c^-j} and the reflections, one
+        class, or two by the parity of j when m is even."""
+        if self._conj is None:
+            f, p = self.family, self.spec.param
+            if f == "I2":
+                r = 2 - p % 2  # reflection classes
+                reps = [DihedralElement(p, False, j) for j in range(p // 2 + 1)]
+                reps += [DihedralElement(p, True, j) for j in range(r)]
+                sizes = [1 if 2 * j % p == 0 else 2 for j in range(p // 2 + 1)] + [p // r] * r
+                self._conj = reps, {}, sizes
+                return self._conj
+            found = []
+            for a in range(p + 1) if f != "A" else [p]:
+                for pos in partitions(a):
+                    for neg in partitions(p - a):
+                        if f == "D" and len(neg) % 2:
+                            continue
+                        split = f == "D" and not neg and all(L % 2 == 0 for L in pos)
+                        for half in (0, 1) if split else (None,):
+                            found.append((self._least_in_class(pos, neg, half), pos, neg, half))
+            found.sort()
+            ids, sizes = {}, []
+            for c, (rep, pos, neg, half) in enumerate(found):
+                for parity in (0, 1) if half is None else (half,):
+                    ids[pos, neg, parity] = c
+                # |C(w)| in S_n or B_n; an unsplit D class is its whole B class
+                centralizer = 1
+                for lengths in (pos, neg):
+                    for L in set(lengths):
+                        m = lengths.count(L)
+                        centralizer *= (L if f == "A" else 2 * L) ** m * math.factorial(m)
+                sizes.append(self.spec.order * (2 if f == "D" and half is None else 1) // centralizer)
+            self._conj = [rep for rep, *_ in found], ids, sizes
+        return self._conj
+
+    def _least_in_class(self, pos, neg, half) -> SignedPerm:
+        """The least signed permutation with these positive and negative
+        cycle lengths (and, for half 0 or 1, that parity): each image is
+        the least one with which the prefix still extends; a D half backs
+        out of a prefix none of whose extensions has its parity."""
+        n = self.spec.param
+        values = [*range(-n, 0), *range(1, n + 1)] if self.family != "A" else range(1, n + 1)
+        cycles = [(L, 1) for L in pos] + [(L, -1) for L in neg]
+        prefix: list[int] = []
+
+        def search() -> bool:
+            if len(prefix) == n:
+                return half is None or signed_cycle_type(prefix)[2] == half
+            used = {abs(v) for v in prefix}
+            for v in values:
+                if abs(v) not in used:
+                    prefix.append(v)
+                    if _extends(prefix, n, cycles) and search():
+                        return True
+                    prefix.pop()
+            return False
+
+        if not search():
+            raise RuntimeError(f"no element of {self.spec} has signed cycle type {pos}, {neg}")
+        return SignedPerm(tuple(prefix))
+
+    def conjugacy_class_reps(self) -> list:
+        """The least element of each conjugacy class, ascending."""
+        return self._classes()[0]
+
+    def class_id(self, w) -> int:
+        """The position in conjugacy_class_reps() of w's class; w is an
+        image tuple in A, B and D, and an element in I2."""
+        if self.family == "I2":
+            m = self.spec.param
+            if not w.refl:
+                return min(w.j, m - w.j)
+            return m // 2 + 1 + (w.j % 2 if m % 2 == 0 else 0)
+        return self._classes()[1][signed_cycle_type(w)]
 
     def class_sizes(self) -> list[int]:
         """|Cl(v)| for each v in conjugacy_class_reps()."""
-        sizes = [0] * len(self.conjugacy_class_reps())
-        for c in self.class_ids():
-            sizes[c] += 1
-        return sizes
+        return list(self._classes()[2])
 
 
 def orbits(size: int, tables) -> tuple[list[int], list[int]]:

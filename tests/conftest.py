@@ -37,6 +37,7 @@ from ncpark.reflgroup import (
     canonical_blocks,
     group,
     identity_perm,
+    orbits,
     partition_refines,
     perm_from_cycles,
     zero_block,
@@ -58,6 +59,9 @@ MAIN_GRID = (
 )
 
 KS = (1, 2, 3)
+
+# MAIN_GRID with A5, A6, B4, B5, D4, D5 and D6: where a rule replaces a walk over W
+RULE_GRID = MAIN_GRID + [("A", 6), ("A", 7), ("B", 4), ("B", 5), ("D", 4), ("D", 5), ("D", 6)]
 
 
 def table_oracle(items, act):
@@ -158,6 +162,34 @@ def g_act_chain_by_factors(chain, grp, c):
     """ncw.g_act_chain through the factorization form: partial, then the
     action on factorizations, then integrate."""
     return integrate(g_act_factor(partial(chain, c), c), grp, c)
+
+
+def classes_by_orbit_walk(grp):
+    """(reps, ids, sizes) of the conjugacy classes by walking W: the orbits
+    of conjugation, w -> s w s, by reflections s that generate the
+    isotropy group of the origin V^c, which is W.  reps holds the least
+    element of each class, ascending, ids the position in reps of each
+    element's class, by element index, and sizes the class sizes."""
+    els, idx = grp.elements(), grp.index()
+    gens = grp.isotropy_generators(grp.fixed_flat(grp.coxeter_element()))
+    reps, ids = orbits(len(els), [[idx[s * w * s] for w in els] for s in gens])
+    return [els[i] for i in reps], ids, [ids.count(c) for c in range(len(reps))]
+
+
+def isotropy_list(grp, x):
+    """grp.isotropy_elements(x) as a list of elements."""
+    return [w if grp.family == "I2" else SignedPerm(w) for w in grp.isotropy_elements(x)]
+
+
+def nc_by_scan(grp):
+    """NC(W) as {w: fixed flat}, in the order of W, by scanning W: the w
+    with l_T(w) + l_T(w^-1 c) = l_T(c), each length read off a fixed
+    flat."""
+    c = grp.coxeter_element()
+    els = grp.elements()
+    flats = [grp.fixed_flat(w) for w in els]
+    length = {w: grp.rank - x.dim for w, x in zip(els, flats)}
+    return {w: x for w, x in zip(els, flats) if length[w] + length[w.inverse() * c] == length[c]}
 
 
 def conjugacy_class_reps_by_sets(grp):
@@ -271,7 +303,7 @@ def coset_arrays_by_products(space, flat):
     not yet placed starts a coset, and its products with every element of
     W_X are placed in it."""
     els, idx = space.group.elements(), space.group.index()
-    iso = space.group.isotropy_elements(flat)
+    iso = isotropy_list(space.group, flat)
     arr = [-1] * len(els)
     reps = []
     for i, w in enumerate(els):
@@ -738,13 +770,51 @@ def eigenvalue_rotations(g, w):
             rots.extend(Fraction(j, len(cyc)) for j in range(len(cyc)))
         rots.remove(Fraction(0))
     else:
-        balanced, paired = w.signed_cycle_pairs()
+        balanced, paired = signed_cycle_pairs(w)
         for cyc in balanced:
             l = len(cyc) // 2
             rots.extend(Fraction(2 * j + 1, 2 * l) for j in range(l))
         for cyc in paired:
             rots.extend(Fraction(j, len(cyc)) for j in range(len(cyc)))
     return tuple(sorted(rots))
+
+
+def signed_cycle_pairs(w):
+    """Split the cycle decomposition of w on +-[n] into (balanced, paired).
+
+    Balanced cycles have support S = -S; paired cycles come in +- mirror
+    pairs, of which only the representative containing the smaller
+    absolute value is returned."""
+    balanced, paired = [], []
+    seen = set()
+    # an unsigned w yields only its cycles on [n]; their mirrors, the rest
+    # of the decomposition on +-[n], would be skipped below anyway
+    for cyc in w.cycles():
+        supp = frozenset(cyc)
+        if supp in seen:
+            continue
+        if supp == frozenset(-x for x in supp):
+            balanced.append(cyc)
+            seen.add(supp)
+        else:
+            paired.append(cyc)
+            seen.add(supp)
+            seen.add(frozenset(-x for x in supp))
+    return balanced, paired
+
+
+def fixed_flat_by_cycles(grp, w):
+    """ReflectionGroup.fixed_flat in A, B and D from the cycles of w on
+    +-[n]: each paired cycle and its mirror is a block, and the balanced
+    cycles together are the zero block."""
+    if grp.family == "A":
+        return FlatPartition("A", grp.spec.param, blocks=canonical_blocks(w.cycles()))
+    balanced, paired = signed_cycle_pairs(w)
+    blocks = [c for cyc in paired for c in (cyc, tuple(-x for x in cyc))]
+    zero = [x for cyc in balanced for x in cyc]
+    if zero:
+        blocks.append(zero)
+    return FlatPartition(grp.family, grp.spec.param, blocks=canonical_blocks(blocks))
 
 
 def reflection_length(grp, w):
@@ -790,7 +860,7 @@ def contains(grp, w):
     if grp.family == "A":
         return w.is_positive()
     if grp.family == "D":
-        return w.neg_count() % 2 == 0
+        return sum(1 for j in w.images if j < 0) % 2 == 0
     return True
 
 
@@ -983,11 +1053,45 @@ def bc_nabla_picture_by_line(chain):
 
 
 def all_noncrossing_partitions(n):
-    """All noncrossing partitions of [n], by direct recursive construction.
+    """All noncrossing partitions of [n], by direct recursive construction,
+    unvalidated (test_setpart checks them against the recursion of
+    noncrossing_partitions_by_recursion).
 
     The block containing 1 splits the remaining elements into independent
-    linear segments, each partitioned recursively.
-    """
+    linear segments; each segment's partitions are those of a segment of
+    its length, listed once per length, shifted into place."""
+    for blocks in _nc_blocks(n):
+        yield SetPartition(n, False, canonical_blocks(blocks))
+
+
+def _nc_blocks(size):
+    """The noncrossing partitions of 1..size as tuples of blocks, in the
+    order of noncrossing_partitions_by_recursion; those of each shorter
+    length come from _nc_segments."""
+    if size == 0:
+        yield ()
+        return
+    for count in range(size):
+        for chosen in itertools.combinations(range(2, size + 1), count):
+            block = (1,) + chosen
+            bounds = block + (size + 1,)
+            parts = [
+                [tuple(tuple(x + a for x in b) for b in p) for p in _nc_segments(c - a - 1)]
+                for a, c in zip(bounds, bounds[1:])
+            ]
+            for combo in itertools.product(*parts):
+                yield (block,) + sum(combo, ())
+
+
+@lru_cache(maxsize=None)
+def _nc_segments(size):
+    """_nc_blocks(size) as a list, made once per size."""
+    return list(_nc_blocks(size))
+
+
+def noncrossing_partitions_by_recursion(n):
+    """All noncrossing partitions of [n], each segment re-listed for every
+    first block, and validated."""
     for blocks in _nc_on(list(range(1, n + 1))):
         yield SetPartition.of(n, blocks)
 

@@ -20,6 +20,7 @@ from conftest import (
     block_sizes,
     equivariant_function_count,
     full_partition,
+    isotropy_list,
     label_of,
     nc_lambda_count,
     omega,
@@ -240,7 +241,7 @@ def test_criterion_10_structural_suites():
         classes = space.classes()
         for _ in range(300):
             cls = rng.choice(classes)
-            iso = space.group.isotropy_elements(space.nc.flat_of[cls.chain[0]])
+            iso = isotropy_list(space.group, space.nc.flat_of[cls.chain[0]])
             raw = cls.rep * rng.choice(iso)
             gch = ncw.g_act_chain(cls.chain, space.group, space.c)
             moved = space.make_class(gch, raw * (cls.chain[-1] * space.c.inverse()))

@@ -659,3 +659,100 @@ def test_emit_takes_one_item_per_line(command, kind, tmp_path, monkeypatch):
     [lines] = seen
     assert type(lines) is list
     assert len(lines) == len(out.read_text().splitlines())
+
+
+def test_torus_failure_carries_a_witness(tmp_path, monkeypatch):
+    # A2 k=1: the second class is the transposition (2 3), whose fixed line
+    # gives 4 = gcd(1, 4) * gcd(0, 4) fixed vectors on Q/4Q; one too many
+    # fails the row, which names that diagonal
+    real = nonnesting.torus_fixed_count
+
+    def patched(spec, k, w):
+        return real(spec, k, w) + (w.images == (1, 3, 2))
+
+    monkeypatch.setattr(nonnesting, "torus_fixed_count", patched)
+    code, lines = run_cli(["torus-character", "--family", "A", "--rank", "2"], tmp_path)
+    assert code == EXIT_FAIL
+    rows = [r for r in lines if "summary" not in r]
+    assert [r["pass"] for r in rows] == [True, False, True]
+    assert [i for i, r in enumerate(rows) if "witness" in r] == [1]
+    assert (rows[1]["fixed"], rows[1]["expected"]) == (5, 4)
+    assert rows[1]["witness"] == {"multiplicity": 1, "divisors": [1, 4]}
+
+
+def subparser_names(ap):
+    (action,) = [a for a in ap._actions if a.dest == "command"]
+    return list(action.choices)
+
+
+def parser_text(argv, command, capsys):
+    """What a parser built for command prints, and its exit code, on argv."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser(command).parse_args(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def test_parser_builds_only_the_named_command():
+    assert subparser_names(cli.build_parser("verify-weak")) == ["verify-weak"]
+    full = list(dict.fromkeys(name for name, _ in TABLE))
+    for command in (None, "--help", "-h", "bogus"):
+        assert subparser_names(cli.build_parser(command)) == full
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["verify-weak", "--help"], ["verify-bijection", "--help"], ["bogus"], []]
+)
+def test_one_command_parser_reads_as_the_full_one(argv, capsys):
+    # main builds the parser for argv[0]: help and usage errors are the
+    # full parser's, byte for byte
+    full = parser_text(argv, None, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out, out.err) == full
+
+
+def test_main_reads_its_argv_not_sys_argv(tmp_path, monkeypatch):
+    # the benchmark's tracer calls main with a list while sys.argv[1] is
+    # its result path
+    monkeypatch.setattr(sys, "argv", ["trace_child.py", str(tmp_path / "result.json")])
+    code, lines = run_cli(["verify-csp", "--family", "A", "--rank", "2"], tmp_path)
+    assert code == EXIT_OK and lines[-1]["pass"]
+
+
+# sha256 of each command's output at the release before the class rule;
+# the four benchmark commands among them are also in perfbench/reference.json
+NO_W_LISTING = {
+    "verify-weak --family B --rank 4 --k 1": "289a07c892c9942fb72067585b9c76279041e0be3e8003089fe06887971074a1",
+    "verify-weak --family D --rank 4 --k 2": "f6571e731dac8fc95a08f568f7487123aa4e77f1f73b4eb2cbd0f152e940acd8",
+    "verify-weak --family A --rank 4 --k 1": "4007203b75570760be80643033e851ae3270453c1a7fefa3dd3b7681d48aa631",
+    "verify-weak --family I2 --m 8 --k 4": "b00b7378ba0792a4e6b6aa3455e3791dfd6b84752f2edf9857b7b9a7b57f5ee4",
+    "verify-intermediate --family B --rank 4 --k 1": "9ace0ea5775bfc66193d8f35dbbd89a64ce7d2b8751f5096e9303790c73c4261",
+    "verify-intermediate --family D --rank 4 --k 2": "822c1a600f923b86ca0f9bae9b26e82e24815d681f976642bb98a054ba46534f",
+    "verify-intermediate --family I2 --m 8 --k 4": "64a954d97f4ecfd47856b4f79a38156d40fb1e206cfee02910fe3f28c05406c3",
+    "verify-csp --family B --rank 4 --k 1": "4d14132612ad4a23ac3b397c304684f182dc6d4d3e42d28cc78e28f19fb664e2",
+    "verify-csp --family D --rank 4 --k 2": "334301aa3893661ec75cbbd2eeb3a2878d5bf5f15a3e2d84d015e1b7a0dc1593",
+    "verify-csp --family A --rank 4 --k 1": "1b71ec23093164f373b785f73903fbf674576bf7924b1b9f8666f120f6ecc47f",
+    "verify-csp --family I2 --m 8 --k 4": "b1e1145e7f55f648502c8412bda722d352d3e4fbe33f7a0d15d5c69b0edcfead",
+    "torus-character --family B --rank 4 --k 1": "0c42e6bf3cc9a9f6588c1cfeb12ae5799e04bcb9b6b6c5bc2e2395ba56ad657d",
+    "torus-character --family D --rank 4 --k 2": "9f096371844b0820773e7d94f558f86db2dcc9e149f6da2bd072a013100aaabb",
+    "torus-character --family A --rank 4 --k 1": "561a92937105d22d45279b45d7d18d990a15f26d8530df7280382fcc6f89a201",
+    "nonnesting-count --family B --rank 4 --k 1": "a1af508d2cd0df66ac7db08b08c08c6850cf561a4171b267c36fb86cf765d723",
+    "nonnesting-count --family D --rank 4 --k 2": "0cfb0912e1967be17231867a089945241463b252c22e7df0c6b5842c37db4957",
+    "nonnesting-count --family A --rank 4 --k 1": "3151485b5b0f06936db10d6d9c6f80719c01d1e02d2a1f33ca72de7524affc73",
+}
+
+
+@pytest.mark.parametrize("command", sorted(NO_W_LISTING))
+def test_character_commands_list_no_element_of_w(command, tmp_path, monkeypatch):
+    # classes, sizes and NC(W) come by rule and W_X1 streams: neither the
+    # list of W nor its index is ever made
+    def refuse(self):
+        raise AssertionError(f"{command} listed W")
+
+    monkeypatch.setattr(ReflectionGroup, "elements", refuse)
+    monkeypatch.setattr(ReflectionGroup, "index", refuse)
+    out = tmp_path / "out.jsonl"
+    assert main(command.split() + ["--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == NO_W_LISTING[command]

@@ -2,12 +2,14 @@ import pytest
 from conftest import (
     KS,
     MAIN_GRID,
+    RULE_GRID,
     act_on_flat,
     all_flats,
     g_act_chain_by_factors,
     g_act_factor,
     integrate,
     is_noncrossing_flat,
+    nc_by_scan,
     partial,
     reflection_length,
     table_oracle,
@@ -15,7 +17,7 @@ from conftest import (
 )
 
 from ncpark.ncw import build_nc, chain_g_table, g_act_chain
-from ncpark.reflgroup import GroupSpec, group, identity_perm, perm_from_cycles
+from ncpark.reflgroup import GroupSpec, ReflectionGroup, group, identity_perm, perm_from_cycles
 from ncpark.setpart import SetPartition, is_noncrossing
 
 GRID = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("D", 3), ("D", 4)] + [
@@ -27,6 +29,25 @@ GRID = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("D", 3), ("
 def test_nc_cardinality(fam, p):
     nc = build_nc(group(fam, p))
     assert len(nc.elements) == GroupSpec(fam, p).fuss_catalan(1)
+
+
+@pytest.mark.parametrize("fam,p", RULE_GRID)
+def test_nc_down_from_c_matches_scan(fam, p):
+    # the covers ut, t a reflection whose hyperplane holds V^u, reach the
+    # elements and flats that testing l_T(w) + l_T(w^-1 c) over W finds
+    nc = build_nc(group(fam, p))
+    scan = nc_by_scan(group(fam, p))
+    assert nc.elements == list(scan)
+    assert list(nc.flat_of.items()) == list(scan.items())
+
+
+def test_nc_size_is_checked_against_the_catalan_number(monkeypatch):
+    # covers that miss a reflection leave NC(W) short of Cat(W): an
+    # internal error, not a smaller poset
+    real = ReflectionGroup.flat_reflections
+    monkeypatch.setattr(ReflectionGroup, "flat_reflections", lambda self, x: real(self, x)[1:])
+    with pytest.raises(RuntimeError, match=r"NC\(B3\) has \d+ elements, not Cat\(B3\) = 20"):
+        build_nc(ReflectionGroup(GroupSpec("B", 3)))
 
 
 def test_nc_examples():

@@ -18,6 +18,7 @@ from conftest import (
     fixed_counts,
     fixed_counts_by_powers,
     g_cycles,
+    isotropy_list,
     nc_lambda_count,
     omega,
     orbit_decomposition,
@@ -143,7 +144,7 @@ def test_g_action_well_defined_under_representative_fuzzing(fam, p, k):
     els = ps.group.elements()
     for _ in range(1100):
         cls = rng.choice(classes)
-        iso = ps.group.isotropy_elements(ps.nc.flat_of[cls.chain[0]])
+        iso = isotropy_list(ps.group, ps.nc.flat_of[cls.chain[0]])
         raw = cls.rep * rng.choice(iso)
         mult = cls.chain[-1] * ps.c.inverse()
         from_raw = ps.make_class(ncw.g_act_chain(cls.chain, ps.group, ps.c), raw * mult)

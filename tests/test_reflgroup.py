@@ -3,15 +3,19 @@ from fractions import Fraction
 import pytest
 from conftest import (
     MAIN_GRID,
+    RULE_GRID,
     absolute_leq,
     acts_as_minus_one,
     all_flats,
     bfs_reflection_length,
+    classes_by_orbit_walk,
     conjugacy_class_reps_by_sets,
     eigenvalue_rotations,
     element_order,
+    fixed_flat_by_cycles,
     flat_leq,
     isotropy_contains,
+    isotropy_list,
     merge_partitions,
     reflection_length,
 )
@@ -20,12 +24,15 @@ from ncpark.ncw import build_nc
 from ncpark.reflgroup import (
     DihedralElement,
     GroupSpec,
+    SignedPerm,
     balanced_cycle,
     group,
     identity_perm,
     orbits,
     paired_cycle,
+    partitions,
     perm_from_cycles,
+    signed_cycle_type,
 )
 
 SMALL = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3), ("I2", 3), ("I2", 5), ("I2", 6)]
@@ -234,7 +241,7 @@ def test_all_flats_counts():
 def test_isotropy_examples():
     g6 = group("A", 6)
     flat = g6.fixed_flat(perm_from_cycles(6, (1, 3), (2, 4, 5)))
-    members = g6.isotropy_elements(flat)
+    members = isotropy_list(g6, flat)
     assert len(members) == 2 * 6 * 1
     for w in members:
         assert isotropy_contains(g6, flat, w)
@@ -255,7 +262,9 @@ def test_isotropy_examples():
 def test_isotropy_elements_match_filter(fam, p):
     g = group(fam, p)
     for flat in all_flats(g):
-        direct = set(g.isotropy_elements(flat))
+        direct = isotropy_list(g, flat)
+        assert len(set(direct)) == len(direct)
+        direct = set(direct)
         filtered = {w for w in g.elements() if isotropy_contains(g, flat, w)}
         assert direct == filtered
 
@@ -272,7 +281,7 @@ def test_isotropy_generators_generate(fam, p):
         while frontier:
             frontier = [w * t for w in frontier for t in gens if w * t not in closure]
             closure.update(frontier)
-        assert closure == set(g.isotropy_elements(flat))
+        assert closure == set(isotropy_list(g, flat))
 
 
 @pytest.mark.parametrize("fam,p", [("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3)])
@@ -283,7 +292,7 @@ def test_galois_correspondence(fam, p):
     if fam != "A":
         ground += [-i for i in range(1, p + 1)]
     for flat in all_flats(g):
-        parts = [g.fixed_flat(w).blocks for w in g.isotropy_elements(flat)]
+        parts = [g.fixed_flat(w).blocks for w in isotropy_list(g, flat)]
         assert merge_partitions(ground, parts) == flat.blocks
 
 
@@ -291,7 +300,7 @@ def test_galois_correspondence_dihedral():
     for m in (3, 4, 5):
         g = group("I2", m)
         for flat in all_flats(g):
-            iso = g.isotropy_elements(flat)
+            iso = isotropy_list(g, flat)
             # the largest flat fixed pointwise by all of W_X is X itself
             fixed = [x for x in all_flats(g) if all(isotropy_contains(g, x, w) for w in iso)]
             assert max(fixed, key=lambda x: x.dim) == flat
@@ -322,12 +331,60 @@ def test_conjugacy_class_counts():
 
 @pytest.mark.parametrize("fam,p", MAIN_GRID + [("A", 7), ("B", 4), ("B", 5), ("D", 5)])
 def test_conjugacy_class_reps_match_set_sweep(fam, p):
-    # the orbit walk under conjugation by W's generating reflections finds
-    # the classes, and their minima in order, that removing g w g^-1 for
-    # every g finds.  B4 is here because for odd n, B_n = D_n x {+-1}, so
-    # conjugating by D_n alone would already give B_n's classes.
+    # the class rule finds the classes, and their minima in order, that
+    # removing g w g^-1 for every g finds
     grp = group(fam, p)
     assert grp.conjugacy_class_reps() == conjugacy_class_reps_by_sets(grp)
+
+
+@pytest.mark.parametrize("fam,p", RULE_GRID)
+def test_class_rule_matches_orbit_walk(fam, p):
+    # the signed cycle types (with D's split halves), the closed-form sizes
+    # and the lexicographic search for minima against the conjugation
+    # orbits over all of W.  B4 is here because for even n, B_n is not
+    # D_n x {+-1}, and D4 and D6 because their classes of type (2, 2),
+    # (4, 4), (2, 4) and (6) split.
+    grp = group(fam, p)
+    reps, ids, sizes = classes_by_orbit_walk(grp)
+    assert grp.conjugacy_class_reps() == reps
+    assert grp.class_sizes() == sizes
+    assert [grp.class_id(w if fam == "I2" else w.images) for w in grp.elements()] == ids
+
+
+@pytest.mark.parametrize("fam,p", [("A", 5), ("B", 4), ("D", 4), ("D", 5)])
+def test_fixed_flat_matches_cycles(fam, p):
+    # the orbits read off the cycles of |w| with their running signs are
+    # the blocks that the cycles of w on +-[n] give
+    grp = group(fam, p)
+    for w in grp.elements():
+        assert grp.fixed_flat(w) == fixed_flat_by_cycles(grp, w)
+
+
+def test_signed_cycle_type_examples():
+    assert signed_cycle_type((1, 2, 3)) == ((1, 1, 1), (), 0)
+    assert signed_cycle_type((2, 1, -3)) == ((2,), (1,), 0)
+    # 1 -> -2 -> -1: the signs met are -, - so the cycle is positive, and
+    # the running product is -1 at 2 only
+    assert signed_cycle_type((-2, -1)) == ((2,), (), 1)
+    assert signed_cycle_type((2, 1)) == ((2,), (), 0)
+
+
+def test_partitions_small():
+    assert list(partitions(0)) == [()]
+    assert sorted(partitions(4)) == [(1, 1, 1, 1), (1, 1, 2), (1, 3), (2, 2), (4,)]
+    assert [sum(1 for _ in partitions(n)) for n in range(1, 10)] == [1, 2, 3, 5, 7, 11, 15, 22, 30]
+
+
+def test_d_split_halves_are_not_conjugate():
+    # D4: (1 2)(3 4) and its conjugate by the sign change of 1, which lies
+    # in B4 but not in D4, have one signed cycle type but lie in different
+    # D classes
+    grp = group("D", 4)
+    w = perm_from_cycles(4, (1, 2), (3, 4))
+    flip = SignedPerm((-1, 2, 3, 4))
+    v = flip * w * flip.inverse()
+    assert signed_cycle_type(v.images)[:2] == signed_cycle_type(w.images)[:2]
+    assert grp.class_id(v.images) != grp.class_id(w.images)
 
 
 def test_orbits_small_tables():

@@ -6,6 +6,7 @@ from conftest import (
     KS,
     MAIN_GRID,
     all_noncrossing_partitions,
+    noncrossing_partitions_by_recursion,
     bc_nabla_picture_by_line,
     block_sizes,
     boundary_delta,
@@ -83,6 +84,15 @@ def test_is_noncrossing():
     # signed boundary order 1..n,-1..-n
     assert is_noncrossing(parse_partition("1,-3/2,-2/-1,3", 3, signed=True))
     assert not is_noncrossing(parse_partition("1,-1/2,-3/-2,3", 3, signed=True))
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_memoized_noncrossing_partitions_match_recursion(n):
+    # the segment lists made once per length and shifted give, in the same
+    # order, the valid noncrossing partitions that the recursion re-lists
+    fast = list(all_noncrossing_partitions(n))
+    assert fast == list(noncrossing_partitions_by_recursion(n))
+    assert all(SetPartition.of(n, p.blocks) == p and is_noncrossing(p) for p in fast)
 
 
 def test_noncrossing_walk_matches_pairwise_oracle():
