@@ -115,8 +115,18 @@ def _dihedral_bijection(spec, k):
 
 
 def _nonnesting_count(spec, k):
-    expected = len(ncw.build_nc(group(spec.family, spec.param)).multichains(k))
-    yield _count(expected, nonnesting.count_geometric(spec, k))
+    """The count of geometric filter chains against the NC(W) chains.  A
+    failing row carries a witness: both sides split by a statistic they
+    share, NC(W) by rank and the filters by their number of minimal
+    roots, each the Narayana numbers."""
+    nc = ncw.build_nc(group(spec.family, spec.param))
+    row = _count(len(nc.multichains(k)), nonnesting.count_geometric(spec, k))
+    if not row["pass"]:
+        ranks = [0] * (spec.rank + 1)
+        for x in nc.flat_of.values():
+            ranks[spec.rank - x.dim] += 1
+        row["witness"] = {"narayana": {"noncrossing": ranks, "nonnesting": nonnesting.antichain_counts(spec)}}
+    yield row
 
 
 def _classical_park(spec, k):

@@ -236,6 +236,21 @@ def count_geometric(spec: GroupSpec, k: int) -> int:
     return len(geometric_chains(spec, k))
 
 
+def antichain_counts(spec: GroupSpec) -> list[int]:
+    """How many filters of the root poset have j minimal roots, for j from
+    0 to the rank.  A filter is the one over its antichain of minimal
+    roots, so these are the Narayana numbers, which also count NC(W) by
+    rank."""
+    poset = build_root_poset(spec)
+    roots = poset.roots
+    below = [poset.mask(frozenset(b for b in roots if b != a and poset.leq(b, a))) for a in roots]
+    counts = [0] * (spec.rank + 1)
+    for f in poset.filters():
+        m = poset.mask(f)
+        counts[sum(1 for i, under in enumerate(below) if m >> i & 1 and not m & under)] += 1
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # the finite torus
 

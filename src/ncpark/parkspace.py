@@ -10,10 +10,12 @@ classical type A models live here.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from functools import cached_property
 
 from .reflgroup import (
+    DihedralElement,
     FlatPartition,
     GroupSpec,
     SignedPerm,
@@ -39,6 +41,48 @@ class ParkClass(Value):
 
     def __repr__(self):
         return f"ParkClass(rep={self.rep!r}, chain={self.chain!r})"
+
+
+# 0/1 flags as binary digits, and back
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def least_rule(flat: FlatPartition) -> list[tuple[int, int, int]]:
+    """The inequalities (a, b, s), each w(a) < s w(b) on the images of w,
+    that w meets exactly when it is the least element of its coset w W_X,
+    for a flat X of type A, B or D; (a, a, -1) reads w(a) < 0.
+
+    W_X moves the members of each block of X among themselves, so the
+    coset fixes the values w takes on a block, and its least element
+    places them position by position, each as small as it can be:
+    - A: w(a) < w(b) for consecutive members a < b of a block.
+    - B, D: each +- pair of nonzero blocks is read from its member b that
+      holds its least |x| positively, members sorted by |x|.  Position |x|
+      holds s_x w(x), s_x the sign of x, so it takes the least value of w
+      on b left when s_x = +1 and the greatest when s_x = -1: that is
+      w(|x|) < s_x s_y w(|y|) for every x before y.  With mixed signs
+      these do not follow from the consecutive pairs, so all are listed.
+    - The zero block z_1 < ... < z_l (its positive members) is signed
+      freely in B, so w(z_1) < ... < w(z_l) < 0.  In D the signs change in
+      even numbers, so the sign of w(z_l) follows from the others:
+      w(z_1) < ... < w(z_(l-1)) < -|w(z_l)|."""
+    if flat.family == "A":
+        return [(a, b, 1) for blk in flat.blocks for a, b in zip(blk, blk[1:])]
+    zero = zero_block(flat.blocks) or ()
+    out = []
+    for blk in flat.blocks:
+        if blk != zero and min(abs(t) for t in blk) in blk:
+            members = sorted(blk, key=abs)
+            for i, x in enumerate(members):
+                out += [(abs(x), abs(y), 1 if (x > 0) == (y > 0) else -1) for y in members[i + 1 :]]
+    zpos = [t for t in zero if t > 0]
+    out += [(a, b, 1) for a, b in zip(zpos, zpos[1:])]
+    if flat.family == "B" and zpos:
+        out.append((zpos[-1], zpos[-1], -1))
+    elif len(zpos) > 1:
+        out.append((zpos[-2], zpos[-1], -1))
+    return out
 
 
 class ChainPicture:
@@ -98,6 +142,8 @@ class ParkSpace:
         self.nc = ncw.build_nc(self.group)
         self.c = self.nc.c
         self.chains = self.nc.multichains(k)
+        self._minima: dict[FlatPartition, list[int]] = {}
+        self._masks: dict[tuple[int, int, int], int] = {}
         self._cosets: dict[FlatPartition, tuple[list[int], list[int]]] = {}
         self._offsets = None
         self._classes = None
@@ -112,17 +158,67 @@ class ParkSpace:
 
     # -- canonicalization ----------------------------------------------------
 
-    def _coset_arrays(self, flat: FlatPartition) -> tuple[list[int], list[int]]:
-        """(reps, arr) for the cosets w W_X of the isotropy group of a flat,
-        over the indices of group.elements(): reps holds the coset minima,
-        ascending, and arr[i] is the position in reps of element i's coset.
+    def coset_minima(self, flat: FlatPartition) -> list[int]:
+        """The indices in group.elements() of the least elements of the
+        cosets w W_X of the isotropy group of a flat, ascending.
 
-        Each coset is an orbit of right multiplication by the generators of
-        W_X, read off the group's right tables."""
+        w is least in w W_X exactly when its images meet the inequalities
+        of least_rule(flat); each inequality is a bitmask over the
+        elements, made once per space, so a flat's minima are the set bits
+        of the AND of its masks.  In I2, W_X is trivial for the plane and
+        W for the origin, and on line j the coset {w, w s_j} has the least
+        of the two."""
+        found = self._minima.get(flat)
+        if found is None:
+            els = self._elements
+            if flat.family != "I2":
+                mask = (1 << len(els)) - 1
+                for a, b, s in least_rule(flat):
+                    mask &= self._inequality(a, b, s)
+                bits = bin(mask)[:1:-1].encode().translate(_BITS)
+                found = list(itertools.compress(itertools.count(), bits))
+            elif flat.kind == "plane":
+                found = list(range(len(els)))
+            elif flat.kind == "origin":
+                found = [0]
+            else:
+                s = DihedralElement(flat.n, True, flat.line)
+                found = [i for i, w in enumerate(els) if w < w * s]
+            self._minima[flat] = found
+        return found
+
+    def _inequality(self, a: int, b: int, s: int) -> int:
+        """The elements w with w(a) < s w(b), as a bitmask over the indices
+        of group.elements(): bit i is set when element i meets it."""
+        mask = self._masks.get((a, b, s))
+        if mask is None:
+            cols, negs = self._columns
+            right = (cols if s > 0 else negs)[b - 1]
+            digits = bytes(map(operator.lt, cols[a - 1], right)).translate(_DIGITS)
+            mask = self._masks[a, b, s] = int(digits[::-1], 2)
+        return mask
+
+    @cached_property
+    def _columns(self) -> tuple[list, list]:
+        """The images w(a) of all elements for each position a, and their
+        negatives."""
+        cols = list(zip(*(w.images for w in self._elements)))
+        return cols, [tuple(-t for t in col) for col in cols]
+
+    def _coset_arrays(self, flat: FlatPartition) -> tuple[list[int], list[int]]:
+        """(reps, arr) for the cosets w W_X of the isotropy group of a flat:
+        reps is coset_minima(flat), and arr[i] is the position in reps of
+        the coset of element i of group.elements().
+
+        Only the class tables need every element's coset.  Each coset is an
+        orbit of right multiplication by the generators of W_X, read off
+        the group's right tables; the walk meets each orbit first at its
+        minimum, so its positions are those of reps."""
         found = self._cosets.get(flat)
         if found is None:
             tables = [self.group.right_table(t) for t in self.group.isotropy_generators(flat)]
-            found = self._cosets[flat] = orbits(len(self._elements), tables)
+            arr = orbits(len(self._elements), tables)[1]
+            found = self._cosets[flat] = self.coset_minima(flat), arr
         return found
 
     def blocks(self):
@@ -132,7 +228,7 @@ class ParkSpace:
         listing the coset minima of its first flat, ascending."""
         flat_of = self.nc.flat_of
         for ch in self.chains:
-            yield ch, self._coset_arrays(flat_of[ch[0]])[0]
+            yield ch, self.coset_minima(flat_of[ch[0]])
 
     def chain_offsets(self) -> dict[tuple, int]:
         """Where each chain's block starts in classes()."""
@@ -160,7 +256,7 @@ class ParkSpace:
                 for x in b:
                     bid[x], bid[-x] = j, -j
         cosets = {}
-        for pos, r in enumerate(self._coset_arrays(flat)[0]):
+        for pos, r in enumerate(self.coset_minima(flat)):
             key = [0] * flat.n
             for x, t in enumerate(self._elements[r].images, 1):
                 if t > 0:
@@ -203,12 +299,12 @@ class ParkSpace:
         for i, ch in enumerate(chains):
             groups.setdefault(ch[-1], []).append(i)
         c_inv = self.c.inverse()
-        out = [0] * (starts[-1] + len(self._coset_arrays(flat_of[chains[-1][0]])[0]))
+        out = [0] * (starts[-1] + len(self.coset_minima(flat_of[chains[-1][0]])))
         for u_k, members in groups.items():
             t_inv = u_k * c_inv
             rm: dict = {}
             for i in members:
-                reps = self._coset_arrays(flat_of[chains[i][0]])[0]
+                reps = self.coset_minima(flat_of[chains[i][0]])
                 for r in reps:
                     if r not in rm:
                         rm[r] = idx[els[r] * t_inv]

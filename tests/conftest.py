@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import eq
+from operator import eq, mul
 
 from ncpark.cli import ENCODER
 from ncpark.locus import (
@@ -35,6 +35,7 @@ from ncpark.reflgroup import (
     FlatPartition,
     SignedPerm,
     canonical_blocks,
+    compose,
     group,
     identity_perm,
     orbits,
@@ -301,16 +302,24 @@ def verify_weak_by_tables(space):
 def coset_arrays_by_products(space, flat):
     """(reps, arr) of ParkSpace._coset_arrays by |W| products: each element
     not yet placed starts a coset, and its products with every element of
-    W_X are placed in it."""
-    els, idx = space.group.elements(), space.group.index()
-    iso = isotropy_list(space.group, flat)
+    W_X are placed in it.  In A, B and D the products are image tuples
+    (compose), looked up by their images."""
+    grp = space.group
+    els = grp.elements()
+    iso = list(grp.isotropy_elements(flat))
+    if grp.family == "I2":
+        keys, idx, product = els, grp.index(), mul
+    else:
+        keys = [w.images for w in els]
+        idx = {im: i for i, im in enumerate(keys)}
+        product = compose
     arr = [-1] * len(els)
     reps = []
-    for i, w in enumerate(els):
+    for i, w in enumerate(keys):
         if arr[i] < 0:
             reps.append(i)
             for h in iso:
-                arr[idx[w * h]] = len(reps) - 1
+                arr[idx[product(w, h)]] = len(reps) - 1
     return reps, arr
 
 
@@ -1059,9 +1068,11 @@ def all_noncrossing_partitions(n):
 
     The block containing 1 splits the remaining elements into independent
     linear segments; each segment's partitions are those of a segment of
-    its length, listed once per length, shifted into place."""
+    its length, listed once per length, shifted into place.  Each block
+    is made ascending and the blocks come in the order of their least
+    members, so they are canonical as built."""
     for blocks in _nc_blocks(n):
-        yield SetPartition(n, False, canonical_blocks(blocks))
+        yield SetPartition(n, False, blocks)
 
 
 def _nc_blocks(size):

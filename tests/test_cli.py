@@ -756,3 +756,41 @@ def test_character_commands_list_no_element_of_w(command, tmp_path, monkeypatch)
     out = tmp_path / "out.jsonl"
     assert main(command.split() + ["--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == NO_W_LISTING[command]
+
+
+# sha256 of each listing's output at the release before the inequality
+# rule for coset minima
+LISTED_BY_RULE = {
+    "enumerate --family A --rank 4 --k 1": "5a75d114b326d71d66bf188057f07741b9b3b8ed7e3e80b203c94f61f615d640",
+    "enumerate --family B --rank 3 --k 2": "b5014b2cee45327c8f5a1cdca7272046b8b106c9074bf543a13ff9d95d1f3484",
+    "enumerate --family D --rank 4 --k 1": "46f63767c7d859d3959aceea06a05c1e33fa92b8cc7edad6c7ad925bdc9d53f3",
+    "enumerate --family I2 --m 5 --k 2": "5f2acd2ceddb499dd043a63a64b55ef04c22619b52491fdbb447463cf3530c16",
+    "classical-park --family A --rank 3 --k 2": "d5967b0e9da2bc4d20fd32b07dbcd357ae4cee10d45480f5633a191c0f1291e2",
+}
+
+
+@pytest.mark.parametrize("command", sorted(LISTED_BY_RULE))
+def test_listing_walks_no_coset(command, tmp_path, monkeypatch):
+    # the coset minima come from the inequality masks: no right table is
+    # built and no orbit walked
+    def refuse(*args):
+        raise AssertionError(f"{command} walked the cosets of W")
+
+    monkeypatch.setattr(parkspace, "orbits", refuse)
+    monkeypatch.setattr(ReflectionGroup, "right_table", refuse)
+    out = tmp_path / "out.jsonl"
+    assert main(command.split() + ["--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LISTED_BY_RULE[command]
+
+
+def test_nonnesting_failure_carries_a_witness(tmp_path, monkeypatch):
+    # A3 k=1: one geometric chain too many fails the row, which splits both
+    # sides by a shared statistic: NC(W) by rank and the filters by their
+    # number of minimal roots, each the Narayana numbers 1, 6, 6, 1
+    real = nonnesting.count_geometric
+    monkeypatch.setattr(nonnesting, "count_geometric", lambda spec, k: real(spec, k) + 1)
+    code, lines = run_cli(["nonnesting-count", "--family", "A", "--rank", "3"], tmp_path)
+    assert code == EXIT_FAIL
+    row = lines[0]
+    assert (row["expected"], row["actual"], row["pass"]) == (14, 15, False)
+    assert row["witness"] == {"narayana": {"noncrossing": [1, 6, 6, 1], "nonnesting": [1, 6, 6, 1]}}

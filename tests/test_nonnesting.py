@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 
 import pytest
 
@@ -99,6 +100,18 @@ def test_filters_count_is_catalan(fam, p):
     assert len(poset.filters()) == spec.fuss_catalan(1)
     # antichains biject with filters
     assert len(set(antichains(poset))) == len(poset.filters())
+
+
+@pytest.mark.parametrize("fam,p", CRYST)
+def test_antichain_counts_match_antichains_and_nc_ranks(fam, p):
+    # nonnesting-count's witness: the filters by their number of minimal
+    # roots are the antichains by size, and both are NC(W) by rank
+    spec = GroupSpec(fam, p)
+    counts = nonnesting.antichain_counts(spec)
+    sizes = Counter(map(len, antichains(build_root_poset(spec))))
+    assert counts == [sizes[j] for j in range(spec.rank + 1)]
+    ranks = Counter(spec.rank - x.dim for x in build_nc(group(fam, p)).flat_of.values())
+    assert counts == [ranks[j] for j in range(spec.rank + 1)]
 
 
 @pytest.mark.parametrize(

@@ -455,10 +455,14 @@ def test_class_serialization():
 )
 def test_coset_walk_matches_products(fam, p, k):
     # the orbit walk over the isotropy generators gives the cosets that
-    # multiplying by every element of W_X gives, numbered alike
+    # multiplying by every element of W_X gives, numbered alike (both
+    # number the cosets in the order of their minima, so equal arrays mean
+    # equal minima), and the inequality rule lists those minima
     ps = build_park(GroupSpec(fam, p), k)
     for flat in sorted({ps.nc.flat_of[ch[0]] for ch in ps.chains}):
-        assert ps._coset_arrays(flat) == coset_arrays_by_products(ps, flat)
+        reps, arr = coset_arrays_by_products(ps, flat)
+        assert ps._coset_arrays(flat) == (reps, arr)
+        assert ps.coset_minima(flat) == reps
 
 
 @pytest.mark.parametrize("fam,rank,k", [("A", 3, 2), ("B", 3, 2), ("D", 4, 1)])

@@ -335,12 +335,19 @@ def test_symmetric_kdiv_count_examples():
 @pytest.mark.parametrize("N", range(2, 13))
 def test_symmetric_kdiv_count_vs_enumeration(N):
     partitions = list(all_noncrossing_partitions(N))
+    found = {}
     for m in range(2, N + 1):
         if N % m:
             continue
         # m-fold symmetry and the orbit lengths do not depend on k, so the
-        # symmetric partitions are found once per m and typed per k
-        symmetric = [p for p in partitions if symmetric_kdiv_type(p, 1, m) is not None]
+        # symmetric partitions are found once per m and typed per k.  The
+        # rotation by N/q, for q the least divisor >= 2 of m, is a power of
+        # the rotation by N/m, and an orbit of length m under the latter has
+        # length q under the former: so only a prime m scans every
+        # partition, and any other m filters those found for q
+        q = next(d for d in range(2, m + 1) if m % d == 0)
+        pool = partitions if q == m else found[q]
+        symmetric = found[m] = [p for p in pool if symmetric_kdiv_type(p, 1, m) is not None]
         for k in range(1, N + 1):
             if N % k:
                 continue
