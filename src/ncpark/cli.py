@@ -162,14 +162,14 @@ def _classical_park(spec, k):
 def _bad_sequence(space, seq: tuple, pos: int) -> tuple[int, dict]:
     """The number of distinct sequences the classes reach, and the witness
     for the class at pos, whose sequence seq was reached before or is not
-    a parking function: found by listing the classes again."""
+    a parking function: the sequences are made again, and the records
+    are read off the class positions."""
     seqs = [s for chain, reps in space.blocks() for s in space.to_classical(chain, reps)]
     first = seqs.index(seq)
-    record = lambda i: space.class_record(space.classes()[i])
     if first < pos:
-        witness = {"repeated": list(seq), "classes": [record(first), record(pos)]}
+        witness = {"repeated": list(seq), "classes": [space.record_at(first), space.record_at(pos)]}
     else:
-        witness = {"not_parking": list(seq), "class": record(pos)}
+        witness = {"not_parking": list(seq), "class": space.record_at(pos)}
     return len(set(seqs)), witness
 
 

@@ -233,7 +233,7 @@ def bc_psi(space: parkspace.ParkSpace, points) -> array:
     block b of nabla(chain) is the image of an element of b's first-entry
     block; a zero coordinate, of one of the zero block.  So the point
     names, for each coordinate i, the block holding rep^-1(i), and that
-    fixes the coset (ParkSpace.coset_keys).
+    fixes the coset (ParkSpace.coset_key).
 
     A position's digits are those of its high and low halves, read from
     two tables, with each half's opener multiset as an integer: the count
@@ -253,7 +253,6 @@ def bc_psi(space: parkspace.ParkSpace, points) -> array:
     high, low = halves
     split = len(low)
     offsets = space.chain_offsets()
-    flats: dict = {}
     rules: dict = {}
     out = array("q")
     for p in points:
@@ -264,9 +263,7 @@ def bc_psi(space: parkspace.ParkSpace, points) -> array:
             key = tuple(sorted(abs(opener_of[d]) for d in hd + ld if d))
             pic = space.picture_of(close_parens(n, k, key))
             flat = space.nc.flat_of[pic.chain[0]]
-            if flat not in flats:
-                flats[flat] = space.coset_keys(flat)
-            bid, cosets = flats[flat]
+            bid, cosets = parkspace.block_ids(flat), space.coset_keys(flat)
             sid = {o: bid[pic.block_map[b][0]] for b, o in pic.openers.items()}
             sid[0] = 0
             # digits whose opener is not in the multiset never meet this rule
@@ -348,7 +345,7 @@ def verify_bc_bijection(spec: GroupSpec, k: int) -> list[dict]:
     row = {"check": "bijection", "pass": clash is None and len(phi) == size}
     if clash is not None:
         j = phi[clash]
-        row["witness"] = {"classes": [class_at(space, phi.index(j)), class_at(space, clash)], "point": point(j)}
+        row["witness"] = {"classes": [space.record_at(phi.index(j)), space.record_at(clash)], "point": point(j)}
     elif not row["pass"]:
         row["witness"] = {"classes": len(phi), "points": size}
     report.append(row)
@@ -374,22 +371,13 @@ def verify_bc_bijection(spec: GroupSpec, k: int) -> list[dict]:
             first = i
             row["pass"] = False
             row["witness"] = {
-                "class": class_at(space, i),
+                "class": space.record_at(i),
                 "generator": gen,
                 "park_image": point(moved[i]),
                 "locus_image": point(expected[i]),
             }
     report.append(row)
     return report
-
-
-def class_at(space: parkspace.ParkSpace, i: int) -> dict:
-    """class_record of the class at position i, read off its chain block."""
-    for ch, reps in space.blocks():
-        if i < len(reps):
-            return space.class_record(parkspace.ParkClass(ch, space.group.elements()[reps[i]]))
-        i -= len(reps)
-    raise IndexError(i)
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +459,7 @@ def dihedral_bijection(m: int, k: int) -> dict:
     for i in range(1, top + 1):
         seed(["V"] + ["H"] * i + ["0"] * (k - i - 1), (0, i % km))
 
-    idx = grp.index()
-    moves = [(park_g, locus_g)] + [(park_w[idx[v]], locus_w[idx[v]]) for v in (s, c)]
+    moves = [(park_g, locus_g)] + [(park_w[els.index(v)], locus_w[els.index(v)]) for v in (s, c)]
     while frontier:
         i, j = frontier.pop()
         for park, loc in moves:

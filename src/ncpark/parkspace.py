@@ -12,17 +12,15 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .reflgroup import (
-    DihedralElement,
     FlatPartition,
     GroupSpec,
     SignedPerm,
     Value,
     compose,
     group,
-    orbits,
     set_field,
     table_cycles,
     zero_block,
@@ -85,6 +83,35 @@ def least_rule(flat: FlatPartition) -> list[tuple[int, int, int]]:
     return out
 
 
+@lru_cache(maxsize=None)
+def block_ids(flat: FlatPartition) -> dict[int, int]:
+    """Signed ids for the blocks of a type A, B or D flat, by member: j for
+    each member of the j-th block and -j for its negative, 0 for the zero
+    block; a block's mirror gets the negated ids."""
+    bid, j = {}, 0
+    zero = zero_block(flat.blocks)
+    for b in flat.blocks:
+        if b == zero:
+            bid.update(dict.fromkeys(b, 0))
+        elif b[0] not in bid:
+            j += 1
+            for x in b:
+                bid[x], bid[-x] = j, -j
+    return bid
+
+
+def block_key(bid: dict[int, int], images: tuple[int, ...]) -> tuple[int, ...]:
+    """bid[w^-1(1)], ..., bid[w^-1(n)] for the signed permutation w with
+    these images, bid a signed id for each member of +-[n]."""
+    key = [0] * len(images)
+    for x, t in enumerate(images, 1):
+        if t > 0:
+            key[t - 1] = bid[x]
+        else:
+            key[-t - 1] = -bid[x]
+    return tuple(key)
+
+
 class ChainPicture:
     """What a class takes from its chain alone: the per-chain record.
 
@@ -131,7 +158,7 @@ class ChainPicture:
 
 class ParkSpace:
     """Park^NC for one (group, k): its classes by position, with the coset
-    arrays and chain pictures cached, and its action tables."""
+    minima, coset keys and chain pictures cached, and its action tables."""
 
     def __init__(self, spec: GroupSpec, k: int):
         if k < 1:
@@ -144,7 +171,7 @@ class ParkSpace:
         self.chains = self.nc.multichains(k)
         self._minima: dict[FlatPartition, list[int]] = {}
         self._masks: dict[tuple[int, int, int], int] = {}
-        self._cosets: dict[FlatPartition, tuple[list[int], list[int]]] = {}
+        self._keys: dict[FlatPartition, dict] = {}
         self._offsets = None
         self._classes = None
         self._pictures: dict[tuple, ChainPicture] = {}
@@ -166,8 +193,8 @@ class ParkSpace:
         of least_rule(flat); each inequality is a bitmask over the
         elements, made once per space, so a flat's minima are the set bits
         of the AND of its masks.  In I2, W_X is trivial for the plane and
-        W for the origin, and on line j the coset {w, w s_j} has the least
-        of the two."""
+        W for the origin, and on line j the coset {w, w s_j} holds one
+        rotation, which is the lesser: the rotations come first."""
         found = self._minima.get(flat)
         if found is None:
             els = self._elements
@@ -182,8 +209,7 @@ class ParkSpace:
             elif flat.kind == "origin":
                 found = [0]
             else:
-                s = DihedralElement(flat.n, True, flat.line)
-                found = [i for i, w in enumerate(els) if w < w * s]
+                found = list(range(flat.n))
             self._minima[flat] = found
         return found
 
@@ -205,22 +231,6 @@ class ParkSpace:
         cols = list(zip(*(w.images for w in self._elements)))
         return cols, [tuple(-t for t in col) for col in cols]
 
-    def _coset_arrays(self, flat: FlatPartition) -> tuple[list[int], list[int]]:
-        """(reps, arr) for the cosets w W_X of the isotropy group of a flat:
-        reps is coset_minima(flat), and arr[i] is the position in reps of
-        the coset of element i of group.elements().
-
-        Only the class tables need every element's coset.  Each coset is an
-        orbit of right multiplication by the generators of W_X, read off
-        the group's right tables; the walk meets each orbit first at its
-        minimum, so its positions are those of reps."""
-        found = self._cosets.get(flat)
-        if found is None:
-            tables = [self.group.right_table(t) for t in self.group.isotropy_generators(flat)]
-            arr = orbits(len(self._elements), tables)[1]
-            found = self._cosets[flat] = self.coset_minima(flat), arr
-        return found
-
     def blocks(self):
         """Each chain with the element indices of its coset minima, in
         classes() order.  Classes sort by (chain, rep), so every chain owns
@@ -240,40 +250,52 @@ class ParkSpace:
             self._offsets = offsets
         return self._offsets
 
-    def coset_keys(self, flat: FlatPartition) -> tuple[dict, dict]:
-        """Signed ids for the blocks of a type B flat X (j and -j for a
-        block and its mirror, 0 for the zero block), and the position of
-        each coset minimum w keyed by the ids of the blocks holding
-        w^-1(1), ..., w^-1(n).  W_X is the stabilizer of every block of X,
-        so w W_X is fixed by where w sends each block."""
-        bid, j = {}, 0
-        zero = zero_block(flat.blocks)
-        for b in flat.blocks:
-            if b == zero:
-                bid.update(dict.fromkeys(b, 0))
-            elif b[0] not in bid:
-                j += 1
-                for x in b:
-                    bid[x], bid[-x] = j, -j
-        cosets = {}
-        for pos, r in enumerate(self.coset_minima(flat)):
-            key = [0] * flat.n
-            for x, t in enumerate(self._elements[r].images, 1):
-                if t > 0:
-                    key[t - 1] = bid[x]
-                else:
-                    key[-t - 1] = -bid[x]
-            cosets[tuple(key)] = pos
-        return bid, cosets
+    def coset_keys(self, flat: FlatPartition) -> dict:
+        """The position in coset_minima(flat) of each coset w W_X of a first
+        flat X, keyed by coset_key(flat, w); made once per flat."""
+        cosets = self._keys.get(flat)
+        if cosets is None:
+            els = self._elements
+            if flat.family == "I2":
+                keys = (self.coset_key(flat, els[r]) for r in self.coset_minima(flat))
+            else:
+                # the ids once per flat: a block_ids lookup hashes the flat
+                bid = block_ids(flat)
+                keys = (block_key(bid, els[r].images) for r in self.coset_minima(flat))
+            cosets = self._keys[flat] = dict(zip(keys, itertools.count()))
+        return cosets
+
+    def coset_key(self, flat: FlatPartition, w):
+        """A key shared by two elements exactly when they lie in one coset
+        w W_X of a flat X, by rule.
+
+        In A, B and D it is block_key over block_ids(flat): the signed ids
+        of the blocks holding w^-1(1), ..., w^-1(n).  Two elements share it
+        exactly when w^-1 w' maps every block of X onto itself.  The
+        elements of S_n or B_n that do form W_X; in D, W_X is those of them
+        that lie in D, as w^-1 w' does.
+
+        In I2 it is the coset's position itself, by arithmetic: w's index
+        in elements() for the plane (c^j at j, c^j s at m + j), 0 for the
+        origin, and on line l the exponent of the rotation in {w, w s_l},
+        j for c^j and j - l for c^j s."""
+        if flat.family == "I2":
+            if flat.kind == "line":
+                return (w.j - flat.line) % flat.n if w.refl else w.j
+            return w.refl * flat.n + w.j if flat.kind == "plane" else 0
+        return block_key(block_ids(flat), w.images)
+
+    def _position(self, flat: FlatPartition, w) -> int:
+        """The position of w's coset in coset_minima(flat)."""
+        return self.coset_keys(flat)[self.coset_key(flat, w)]
 
     def make_class(self, chain: tuple, w) -> ParkClass:
-        reps, arr = self._coset_arrays(self.nc.flat_of[chain[0]])
-        return ParkClass(chain, self._elements[reps[arr[self.group.index()[w]]]])
+        flat = self.nc.flat_of[chain[0]]
+        return ParkClass(chain, self._elements[self.coset_minima(flat)[self._position(flat, w)]])
 
     def index(self, chain: tuple, w) -> int:
         """The position in classes() of the class [w, chain]."""
-        arr = self._coset_arrays(self.nc.flat_of[chain[0]])[1]
-        return self.chain_offsets()[chain] + arr[self.group.index()[w]]
+        return self.chain_offsets()[chain] + self._position(self.nc.flat_of[chain[0]], w)
 
     def classes(self) -> list[ParkClass]:
         if self._classes is None:
@@ -281,51 +303,70 @@ class ParkSpace:
             self._classes = [ParkClass(ch, els[r]) for ch, reps in self.blocks() for r in reps]
         return self._classes
 
+    def record_at(self, i: int) -> dict:
+        """class_record of the class at position i, read off its chain
+        block: classes() is never listed."""
+        for ch, reps in self.blocks():
+            if i < len(reps):
+                return self.class_record(ParkClass(ch, self._elements[reps[i]]))
+            i -= len(reps)
+        raise IndexError(i)
+
     # -- action tables and characters -----------------------------------------
 
     def g_table(self) -> list[int]:
         """Permutation of class indices induced by the cyclic generator.
 
         The class [r, ch] goes to [r t^-1, g ch], with t = c u_k^-1 as in
-        ncw.g_act_chain and g ch read off ncw.chain_g_table, so each chain
-        block maps into the block of g ch through one right multiplication
-        by t^-1 per coset minimum.  The chains are taken grouped by u_k, so
-        the products that chains sharing t^-1 read are made once, in a dict
-        kept only while that group is in work."""
-        els, idx, flat_of = self._elements, self.group.index(), self.nc.flat_of
-        chains, gtab = self.chains, ncw.chain_g_table(self.nc, self.chains)
+        ncw.g_act_chain and g ch read off ncw.chain_g_table.  The first
+        flat of g ch is t X_1, so in A, B and D the key of r t^-1 there is
+        the key of r in X_1 with each block id relabeled by t; in I2 the
+        product is keyed.  The keys are relabeled a column at a time, and
+        a chain block's map, which depends on (u_1, u_k) only, is made once
+        for each pair."""
+        els, flat_of, chains = self._elements, self.nc.flat_of, self.chains
+        gtab = ncw.chain_g_table(self.nc, chains)
         starts = list(self.chain_offsets().values())
-        groups: dict = {}
-        for i, ch in enumerate(chains):
-            groups.setdefault(ch[-1], []).append(i)
         c_inv = self.c.inverse()
-        out = [0] * (starts[-1] + len(self.coset_minima(flat_of[chains[-1][0]])))
-        for u_k, members in groups.items():
-            t_inv = u_k * c_inv
-            rm: dict = {}
-            for i in members:
-                reps = self.coset_minima(flat_of[chains[i][0]])
-                for r in reps:
-                    if r not in rm:
-                        rm[r] = idx[els[r] * t_inv]
-                gi = gtab[i]
-                arr, off = self._coset_arrays(flat_of[chains[gi][0]])[1], starts[gi]
-                out[starts[i] : starts[i] + len(reps)] = [off + arr[rm[r]] for r in reps]
+        perms: dict = {}
+        out: list[int] = []
+        for ch, gi in zip(chains, gtab):
+            perm = perms.get((ch[0], ch[-1]))
+            if perm is None:
+                t_inv = ch[-1] * c_inv
+                flat, target = flat_of[ch[0]], flat_of[chains[gi][0]]
+                if flat.family == "I2":
+                    keys = (self.coset_key(target, els[r] * t_inv) for r in self.coset_minima(flat))
+                else:
+                    t, bid = t_inv.inverse(), block_ids(target)
+                    relabel = {j: bid[t(y)] for y, j in block_ids(flat).items()}.__getitem__
+                    keys = zip(*(map(relabel, col) for col in zip(*self.coset_keys(flat))))
+                perm = perms[ch[0], ch[-1]] = list(map(self.coset_keys(target).__getitem__, keys))
+            off = starts[gi]
+            out += [off + x for x in perm]
         return out
 
     def w_table(self, v) -> list[int]:
-        """Permutation of class indices induced by v: the chain stays, and
-        one left multiplication array gives each flat's coset permutation."""
-        idx, flat_of = self.group.index(), self.nc.flat_of
-        lm = [idx[v * w] for w in self._elements]
+        """Permutation of class indices induced by v.  The chain stays, and
+        each first flat's coset permutation is read off the keys: in A, B
+        and D entry j of the key of v r is entry |v^-1(j)| of r's, negated
+        when v^-1(j) < 0; in I2 the product is keyed.  The keys are moved
+        a column at a time."""
+        els, flat_of = self._elements, self.nc.flat_of
+        back = v.inverse().images if self.spec.family != "I2" else ()
         perms: dict[FlatPartition, list[int]] = {}
         out: list[int] = []
         for ch, off in self.chain_offsets().items():
             flat = flat_of[ch[0]]
             perm = perms.get(flat)
             if perm is None:
-                reps, arr = self._coset_arrays(flat)
-                perm = perms[flat] = [arr[lm[r]] for r in reps]
+                cosets = self.coset_keys(flat)
+                if flat.family == "I2":
+                    keys = (self.coset_key(flat, v * els[r]) for r in self.coset_minima(flat))
+                else:
+                    cols = list(zip(*cosets))
+                    keys = zip(*(cols[t - 1] if t > 0 else map(operator.neg, cols[-t - 1]) for t in back))
+                perm = perms[flat] = list(map(cosets.__getitem__, keys))
             out += [off + x for x in perm]
         return out
 

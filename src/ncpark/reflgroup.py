@@ -485,8 +485,6 @@ class ReflectionGroup:
     def __init__(self, spec: GroupSpec):
         self.spec = spec
         self._elements = None
-        self._index = None
-        self._right: dict = {}
         self._reflections = None
         self._moves = None
         self._conj = None
@@ -537,20 +535,6 @@ class ReflectionGroup:
                         els.append(SignedPerm(tuple(s * b for s, b in zip(signs, base))))
             self._elements = sorted(els)
         return self._elements
-
-    def index(self) -> dict:
-        """The position of each element in elements()."""
-        if self._index is None:
-            self._index = {w: i for i, w in enumerate(self.elements())}
-        return self._index
-
-    def right_table(self, t) -> list[int]:
-        """index()[w * t] for every element w, kept per t."""
-        table = self._right.get(t)
-        if table is None:
-            idx = self.index()
-            table = self._right[t] = [idx[w * t] for w in self.elements()]
-        return table
 
     def reflections(self) -> list:
         if self._reflections is None:
@@ -658,35 +642,6 @@ class ReflectionGroup:
                 a = next(i for i, v in enumerate(t.images, 1) if v != i)
                 self._moves.append((t, a, t(a)))
         return self._moves
-
-    def isotropy_generators(self, x: FlatPartition) -> list:
-        """Reflections that generate W_x: for each +- pair of nonzero blocks,
-        the transpositions of consecutive members (sorted by |i|); for the
-        zero block z1 < z2 < ..., the same plus the sign change of z1 (type
-        B) or the swap of z1 and -z2 (type D).  In I2: the line's
-        reflection, two adjacent reflections for the origin, none for the
-        plane."""
-        f, p = self.family, self.spec.param
-        if f == "I2":
-            if x.kind == "line":
-                return [DihedralElement(p, True, x.line)]
-            if x.kind == "origin":
-                return [DihedralElement(p, True, 0), DihedralElement(p, True, 1)]
-            return []
-        zero = zero_block(x.blocks) or ()
-        gens = []
-        for b in x.blocks:
-            if b != zero and min(abs(t) for t in b) in b:
-                slots = sorted(b, key=abs)
-                gens += [paired_cycle(p, pair) for pair in zip(slots, slots[1:])]
-        if zero:
-            zpos = sorted(t for t in zero if t > 0)
-            gens += [paired_cycle(p, pair) for pair in zip(zpos, zpos[1:])]
-            if f == "B":
-                gens.append(balanced_cycle(p, (zpos[0],)))
-            elif len(zpos) > 1:
-                gens.append(paired_cycle(p, (zpos[0], -zpos[1])))
-        return gens
 
     # -- spectra -------------------------------------------------------------
 
@@ -811,30 +766,6 @@ class ReflectionGroup:
     def class_sizes(self) -> list[int]:
         """|Cl(v)| for each v in conjugacy_class_reps()."""
         return list(self._classes()[2])
-
-
-def orbits(size: int, tables) -> tuple[list[int], list[int]]:
-    """(reps, arr) for the orbits on range(size) of the group generated by
-    the permutation tables: reps holds the least index of each orbit,
-    ascending, and arr[i] is the position in reps of i's orbit.
-
-    Each orbit is walked from its first index through the tables; walking
-    the indices in order meets every orbit first at its minimum."""
-    arr = [-1] * size
-    reps: list[int] = []
-    for i in range(size):
-        if arr[i] < 0:
-            pos = len(reps)
-            reps.append(i)
-            arr[i] = pos
-            orbit = [i]
-            for j in orbit:
-                for tab in tables:
-                    x = tab[j]
-                    if arr[x] < 0:
-                        arr[x] = pos
-                        orbit.append(x)
-    return reps, arr
 
 
 def table_cycles(table) -> list[list[int]]:

@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import eq, mul
+from operator import eq, itemgetter
 
 from ncpark.cli import ENCODER
 from ncpark.locus import (
@@ -34,11 +34,11 @@ from ncpark.reflgroup import (
     DihedralElement,
     FlatPartition,
     SignedPerm,
+    balanced_cycle,
     canonical_blocks,
-    compose,
     group,
     identity_perm,
-    orbits,
+    paired_cycle,
     partition_refines,
     perm_from_cycles,
     zero_block,
@@ -165,14 +165,74 @@ def g_act_chain_by_factors(chain, grp, c):
     return integrate(g_act_factor(partial(chain, c), c), grp, c)
 
 
+@lru_cache(maxsize=None)
+def element_index(grp):
+    """The position of each element in grp.elements()."""
+    return {w: i for i, w in enumerate(grp.elements())}
+
+
+def orbits(size, tables):
+    """(reps, arr) for the orbits on range(size) of the group generated by
+    the permutation tables: reps holds the least index of each orbit,
+    ascending, and arr[i] is the position in reps of i's orbit.
+
+    Each orbit is walked from its first index through the tables; walking
+    the indices in order meets every orbit first at its minimum."""
+    arr = [-1] * size
+    reps = []
+    for i in range(size):
+        if arr[i] < 0:
+            pos = len(reps)
+            reps.append(i)
+            arr[i] = pos
+            orbit = [i]
+            for j in orbit:
+                for tab in tables:
+                    x = tab[j]
+                    if arr[x] < 0:
+                        arr[x] = pos
+                        orbit.append(x)
+    return reps, arr
+
+
+def isotropy_generators(grp, x):
+    """Reflections that generate W_x: for each +- pair of nonzero blocks,
+    the transpositions of consecutive members (sorted by |i|); for the
+    zero block z1 < z2 < ..., the same plus the sign change of z1 (type
+    B) or the swap of z1 and -z2 (type D).  In I2: the line's
+    reflection, two adjacent reflections for the origin, none for the
+    plane."""
+    f, p = grp.family, grp.spec.param
+    if f == "I2":
+        if x.kind == "line":
+            return [DihedralElement(p, True, x.line)]
+        if x.kind == "origin":
+            return [DihedralElement(p, True, 0), DihedralElement(p, True, 1)]
+        return []
+    zero = zero_block(x.blocks) or ()
+    gens = []
+    for b in x.blocks:
+        if b != zero and min(abs(t) for t in b) in b:
+            slots = sorted(b, key=abs)
+            gens += [paired_cycle(p, pair) for pair in zip(slots, slots[1:])]
+    if zero:
+        zpos = sorted(t for t in zero if t > 0)
+        gens += [paired_cycle(p, pair) for pair in zip(zpos, zpos[1:])]
+        if f == "B":
+            gens.append(balanced_cycle(p, (zpos[0],)))
+        elif len(zpos) > 1:
+            gens.append(paired_cycle(p, (zpos[0], -zpos[1])))
+    return gens
+
+
 def classes_by_orbit_walk(grp):
     """(reps, ids, sizes) of the conjugacy classes by walking W: the orbits
     of conjugation, w -> s w s, by reflections s that generate the
     isotropy group of the origin V^c, which is W.  reps holds the least
     element of each class, ascending, ids the position in reps of each
     element's class, by element index, and sizes the class sizes."""
-    els, idx = grp.elements(), grp.index()
-    gens = grp.isotropy_generators(grp.fixed_flat(grp.coxeter_element()))
+    els, idx = grp.elements(), element_index(grp)
+    gens = isotropy_generators(grp, grp.fixed_flat(grp.coxeter_element()))
     reps, ids = orbits(len(els), [[idx[s * w * s] for w in els] for s in gens])
     return [els[i] for i in reps], ids, [ids.count(c) for c in range(len(reps))]
 
@@ -300,27 +360,38 @@ def verify_weak_by_tables(space):
 
 
 def coset_arrays_by_products(space, flat):
-    """(reps, arr) of ParkSpace._coset_arrays by |W| products: each element
-    not yet placed starts a coset, and its products with every element of
-    W_X are placed in it.  In A, B and D the products are image tuples
-    (compose), looked up by their images."""
+    """(reps, arr) for the cosets w W_X by |W| products: each element not
+    yet placed starts a coset, and its products with every element of W_X
+    are placed in it; reps holds the least element index of each coset,
+    and arr[i] the position in reps of element i's coset.  In A, B and D
+    the product w h is read off w's images followed by their negatives in
+    reverse, where index j - 1 holds w(j) and index j < 0 holds
+    -w(-j), by one itemgetter per h, and looked up by its images."""
     grp = space.group
     els = grp.elements()
     iso = list(grp.isotropy_elements(flat))
     if grp.family == "I2":
-        keys, idx, product = els, grp.index(), mul
+        keys, idx = els, element_index(grp)
+        moves = [lambda w, h=h: w * h for h in iso]
     else:
-        keys = [w.images for w in els]
-        idx = {im: i for i, im in enumerate(keys)}
-        product = compose
+        keys, idx = signed_images(grp)
+        moves = [itemgetter(*[j - 1 if j > 0 else j for j in h]) for h in iso]
     arr = [-1] * len(els)
     reps = []
     for i, w in enumerate(keys):
         if arr[i] < 0:
             reps.append(i)
-            for h in iso:
-                arr[idx[product(w, h)]] = len(reps) - 1
+            for move in moves:
+                arr[idx[move(w)]] = len(reps) - 1
     return reps, arr
+
+
+@lru_cache(maxsize=None)
+def signed_images(grp):
+    """Each element's images followed by their negatives in reverse, and
+    the position of each element in grp.elements() by its images."""
+    els = grp.elements()
+    return [w.images + tuple(-t for t in reversed(w.images)) for w in els], {w.images: i for i, w in enumerate(els)}
 
 
 def bc_phi_by_class(space, p):
@@ -522,7 +593,7 @@ def to_classical_by_labels(space, p):
 
 def to_classical_of(space, p):
     """ParkSpace.to_classical for one class, given by its coset minimum."""
-    return space.to_classical(p.chain, [space.group.index()[p.rep]])[0]
+    return space.to_classical(p.chain, [element_index(space.group)[p.rep]])[0]
 
 
 def enumerate_classical_by_scan(n, k):
@@ -701,20 +772,25 @@ def filters_by_subsets(poset):
 
 def is_geometric_by_tuple_sums(chain):
     """nonnesting.is_geometric by adding every pair of roots in F_i x F_j
-    and in I_i x I_j as vectors, for all index pairs i + j <= k."""
-    roots = set(chain.poset.roots)
+    and in I_i x I_j as vectors, for all index pairs i + j <= k: the roots
+    among the sums must lie in F_(i+j), resp. I_(i+j)."""
+    roots = frozenset(chain.poset.roots)
     fs = chain.filters
-    ideals = [frozenset(roots) - f for f in fs]
+    ideals = [roots - f for f in fs]
     k = len(fs)
     for i in range(1, k + 1):
         for j in range(i, k + 1 - i):
             for sets in (fs, ideals):
-                for a in sets[i - 1]:
-                    for b in sets[j - 1]:
-                        s = tuple(x + y for x, y in zip(a, b))
-                        if s in roots and s not in sets[i + j - 1]:
-                            return False
+                if not tuple_sums(sets[i - 1], sets[j - 1]) & roots <= sets[i + j - 1]:
+                    return False
     return True
+
+
+@lru_cache(maxsize=None)
+def tuple_sums(a, b):
+    """Every sum of a tuple in a and one in b, entry by entry; made once
+    for each pair of sets, however many chains hold the pair."""
+    return frozenset(tuple(x + y for x, y in zip(s, t)) for s in a for t in b)
 
 
 def descending_filter_chains(poset, k):

@@ -4,10 +4,11 @@ import os
 import stat
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
-from conftest import KS, MAIN_GRID, enumerate_lines_by_records
+from conftest import KS, MAIN_GRID, element_index, enumerate_lines_by_records
 from test_reference_outputs import REFERENCE
 
 from ncpark import cli, locus, nonnesting, parkspace, qcatalan
@@ -132,6 +133,13 @@ def test_classical_bijection_failure_carries_a_witness(patch, witness, tmp_path,
     owner, name, wrap = patch
     owner = getattr(parkspace, owner) if owner else parkspace
     monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+
+    # the witness records are read off class positions: the classes are
+    # never listed
+    def refuse(self):
+        raise AssertionError("the witness listed the classes")
+
+    monkeypatch.setattr(parkspace.ParkSpace, "classes", refuse)
     code, lines = run_cli(["classical-park", "--family", "A", "--rank", "2", "--k", "1"], tmp_path)
     assert code == EXIT_FAIL
     row = {r["check"]: r for r in lines if "check" in r}["bijection_with_parking_space"]
@@ -479,24 +487,20 @@ def test_psi_fault_is_a_failing_row(tmp_path, monkeypatch):
     space = parkspace.build_park(spec, 1)
     chain = (space.group.identity(),)  # first flat V: trivial isotropy, so w t != w
     assert chain in space.chains
-    flat = space.nc.flat_of[chain[0]]
-    assert [ch for ch in space.chains if space.nc.flat_of[ch[0]] == flat] == [chain]
     t = space.group.reflections()[0]
-    els, idx = space.group.elements(), space.group.index()
+    els, idx = space.group.elements(), element_index(space.group)
     # every element is a coset minimum of V, so a coset position is an element index
     assert sum(1 for p in space.classes() if p.chain == chain) == len(els)
-    real = parkspace.ParkSpace.coset_keys
     first = next(i for i, p in enumerate(space.classes()) if p.chain == chain)
     witness = locus.build_locus(spec, 1)[locus.bc_phi(space)[first]].to_json()
+    real = locus.bc_psi
 
-    def wrong(sp, x):
-        # the coset of w goes to that of w t, over the flat of this chain only
-        bid, cosets = real(sp, x)
-        if x == flat:
-            cosets = {key: idx[els[pos] * t] for key, pos in cosets.items()}
-        return bid, cosets
+    def wrong(sp, points):
+        # the class of w over this chain goes to that of w t
+        out = real(sp, points)
+        return array("q", (first + idx[els[i - first] * t] if 0 <= i - first < len(els) else i for i in out))
 
-    monkeypatch.setattr(parkspace.ParkSpace, "coset_keys", wrong)
+    monkeypatch.setattr(locus, "bc_psi", wrong)
     code, lines = run_cli(
         ["verify-bijection", "--family", "B", "--rank", "2", "--k", "1", "--kind", "bc"], tmp_path
     )
@@ -746,41 +750,51 @@ NO_W_LISTING = {
 
 @pytest.mark.parametrize("command", sorted(NO_W_LISTING))
 def test_character_commands_list_no_element_of_w(command, tmp_path, monkeypatch):
-    # classes, sizes and NC(W) come by rule and W_X1 streams: neither the
-    # list of W nor its index is ever made
+    # classes, sizes and NC(W) come by rule and W_X1 streams: the list of
+    # W is never made
     def refuse(self):
         raise AssertionError(f"{command} listed W")
 
     monkeypatch.setattr(ReflectionGroup, "elements", refuse)
-    monkeypatch.setattr(ReflectionGroup, "index", refuse)
     out = tmp_path / "out.jsonl"
     assert main(command.split() + ["--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == NO_W_LISTING[command]
 
 
-# sha256 of each listing's output at the release before the inequality
-# rule for coset minima
-LISTED_BY_RULE = {
+# sha256 of each command's output at the release before the inequality
+# rule for coset minima (the listings) and before the coset keys (the
+# bijections)
+WALKS_NO_COSET = {
     "enumerate --family A --rank 4 --k 1": "5a75d114b326d71d66bf188057f07741b9b3b8ed7e3e80b203c94f61f615d640",
     "enumerate --family B --rank 3 --k 2": "b5014b2cee45327c8f5a1cdca7272046b8b106c9074bf543a13ff9d95d1f3484",
     "enumerate --family D --rank 4 --k 1": "46f63767c7d859d3959aceea06a05c1e33fa92b8cc7edad6c7ad925bdc9d53f3",
     "enumerate --family I2 --m 5 --k 2": "5f2acd2ceddb499dd043a63a64b55ef04c22619b52491fdbb447463cf3530c16",
     "classical-park --family A --rank 3 --k 2": "d5967b0e9da2bc4d20fd32b07dbcd357ae4cee10d45480f5633a191c0f1291e2",
+    "verify-bijection --family B --rank 3 --k 2 --kind bc": "9eb274047a8428464a4e6e9d64e138ea7630cd16518078b0196c01ffc5e48584",
+    "verify-bijection --family I2 --m 5 --k 2 --kind dihedral": "510252b3e0c67d8c1e12c5e5fb12d70d2f381639c10a6927549251485162713f",
 }
 
 
-@pytest.mark.parametrize("command", sorted(LISTED_BY_RULE))
+@pytest.mark.parametrize("command", sorted(WALKS_NO_COSET))
 def test_listing_walks_no_coset(command, tmp_path, monkeypatch):
-    # the coset minima come from the inequality masks: no right table is
-    # built and no orbit walked
-    def refuse(*args):
-        raise AssertionError(f"{command} walked the cosets of W")
+    # coset minima and positions come by rule from the element: no command
+    # walks W once per first flat.  Each walk makes one list over W (the
+    # image columns of the inequality masks, enumerate's rep records,
+    # phi's image list, the dihedral tables of both sides), and no command
+    # makes more than two
+    real = ReflectionGroup.elements
+    walks = []
 
-    monkeypatch.setattr(parkspace, "orbits", refuse)
-    monkeypatch.setattr(ReflectionGroup, "right_table", refuse)
+    class Walked(list):
+        def __iter__(self):
+            walks.append(len(self))
+            return super().__iter__()
+
+    monkeypatch.setattr(ReflectionGroup, "elements", lambda self: Walked(real(self)))
     out = tmp_path / "out.jsonl"
     assert main(command.split() + ["--out", str(out)]) == EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == LISTED_BY_RULE[command]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WALKS_NO_COSET[command]
+    assert len(walks) <= 2, walks
 
 
 def test_nonnesting_failure_carries_a_witness(tmp_path, monkeypatch):

@@ -32,7 +32,7 @@ from conftest import (
 )
 
 from ncpark import cli, ncw, setpart
-from ncpark.parkspace import build_park, enumerate_classical, is_classical_park
+from ncpark.parkspace import block_ids, block_key, build_park, enumerate_classical, is_classical_park
 from ncpark.reflgroup import (
     GroupSpec,
     group,
@@ -454,15 +454,22 @@ def test_class_serialization():
     + [(fam, p, 1) for fam, p in [("A", 6), ("A", 7), ("B", 4), ("B", 5), ("D", 4), ("D", 5)]],
 )
 def test_coset_walk_matches_products(fam, p, k):
-    # the orbit walk over the isotropy generators gives the cosets that
-    # multiplying by every element of W_X gives, numbered alike (both
-    # number the cosets in the order of their minima, so equal arrays mean
-    # equal minima), and the inequality rule lists those minima
+    # walking W by products with every element of W_X gives the cosets of
+    # each first flat: the inequality rule lists their minima, the key
+    # rule puts every element in its coset's position, and the keys over
+    # W number |W| / |W_X|
     ps = build_park(GroupSpec(fam, p), k)
+    els = ps.group.elements()
     for flat in sorted({ps.nc.flat_of[ch[0]] for ch in ps.chains}):
         reps, arr = coset_arrays_by_products(ps, flat)
-        assert ps._coset_arrays(flat) == (reps, arr)
         assert ps.coset_minima(flat) == reps
+        if fam == "I2":
+            keys = [ps.coset_key(flat, w) for w in els]
+        else:
+            bid = block_ids(flat)
+            keys = [block_key(bid, w.images) for w in els]
+        assert list(map(ps.coset_keys(flat).__getitem__, keys)) == arr
+        assert len(set(keys)) * sum(1 for _ in ps.group.isotropy_elements(flat)) == len(els)
 
 
 @pytest.mark.parametrize("fam,rank,k", [("A", 3, 2), ("B", 3, 2), ("D", 4, 1)])
