@@ -110,8 +110,15 @@ def _enumerate(spec, k):
 
 
 def _dihedral_bijection(spec, k):
-    fwd = locus.dihedral_bijection(spec.param, k)
-    yield _count((k * spec.coxeter_number + 1) ** 2, len(fwd), check="dihedral_bijection")
+    """The class count of the bijection; a failed check of the builder is a
+    failing row with the classes mapped before it and its witness."""
+    total = (k * spec.coxeter_number + 1) ** 2
+    try:
+        fwd = locus.dihedral_bijection(spec.param, k)
+    except locus.BijectionFailure as exc:
+        yield {**_count(total, exc.mapped, check="dihedral_bijection"), "pass": False, "witness": exc.witness}
+        return
+    yield _count(total, len(fwd), check="dihedral_bijection")
 
 
 def _nonnesting_count(spec, k):

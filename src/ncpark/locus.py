@@ -384,69 +384,80 @@ def verify_bc_bijection(spec: GroupSpec, k: int) -> list[dict]:
 # dihedral constructive bijection
 
 
-def stabilizer(i: int, kh: int, g_table, w_tables) -> set[tuple[int, int]]:
-    """All (j, d) in W x Z_kh fixing position i, where w_tables[j] is the
-    table of the j-th group element and g_table that of the generator."""
+def stabilizer(i: int, m: int, kh: int, g_table, s_table, c_table) -> set[tuple[int, int]]:
+    """All (j, d) in W x Z_kh fixing position i, for W = I2(m) acting through
+    the tables of g, s and c, and j an index in elements(): for each d,
+    c^j sends x = g^d i and c^j s (at m + j) sends s x, stepped through c."""
     out = set()
-    cur = i
+    x = i
     for d in range(kh):
-        out.update((j, d) for j, table in enumerate(w_tables) if table[cur] == i)
-        cur = g_table[cur]
+        for first, y in ((0, x), (m, s_table[x])):
+            for j in range(first, first + m):
+                if y == i:
+                    out.add((j, d))
+                y = c_table[y]
+        x = g_table[x]
     return out
 
 
-def dihedral_bijection(m: int, k: int) -> dict:
-    """Equivariant bijection Park -> locus for I2(m), built by extending
-    seed assignments orbit by orbit and validated along the way.
+class BijectionFailure(RuntimeError):
+    """A failed check of dihedral_bijection: the classes mapped before it,
+    and a witness."""
 
-    Orbit representatives follow the case analysis: the origin, the
-    full-space chain, the mirror chain (both mirror orbits when m is
-    even), and the mixed plane/mirror chains.  Both sides act on positions
-    through their tables.  For each representative the two candidate locus
-    points (a coordinate swap apart) are tested by comparing stabilizers;
-    extension walks the tables of the cyclic generator, s and c, and any
-    conflict is an error.
-    """
+    def __init__(self, message: str, mapped: int, witness: dict):
+        super().__init__(message)
+        self.mapped = mapped
+        self.witness = witness
+
+
+def dihedral_bijection(m: int, k: int) -> array:
+    """The locus position of each class position under an equivariant
+    bijection Park -> locus for I2(m): seeds extended orbit by orbit
+    through the tables of g, s and c on both sides.
+
+    The seeds follow the case analysis (the origin, the full-space chain,
+    the mirror chain or both mirror orbits when m is even, the mixed
+    plane/mirror chains), each sent to whichever of two points a
+    coordinate swap apart has its stabilizer.  A conflict, an unmatched
+    seed or an unmapped class raises BijectionFailure; the CLI row
+    compares the class count with the (km+1)^2 points."""
     spec = GroupSpec("I2", m)
     space = parkspace.build_park(spec, k)
-    pts = build_locus(spec, k)
-    grp = space.group
-    els = grp.elements()
-    ident = grp.identity()
-    s = DihedralElement(m, True, 0)
-    c = grp.coxeter_element()
+    ident, c, s = space.group.identity(), space.c, DihedralElement(m, True, 0)
     km = k * m
-    park_g, locus_g = space.g_table(), locus_g_table(spec, km)
-    # one table per element and side: compact arrays keep the peak memory down
-    park_w = [array("q", space.w_table(v)) for v in els]
-    locus_w = [locus_w_table(spec, km, v) for v in els]
-
-    def chain_of(flats_word):
-        elems = {"V": ident, "H": s, "Hp": DihedralElement(m, True, (m - 1) % m), "0": c}
-        return tuple(elems[x] for x in flats_word)
-
-    fwd = [-1] * len(park_g)
-    bwd = [-1] * len(pts)
+    # each class table an array as soon as it is made: one list at a time
+    park = [array("q", space.g_table()), array("q", space.w_table(s)), array("q", space.w_table(c))]
+    loc = [locus_g_table(spec, km), locus_w_table(spec, km, s), locus_w_table(spec, km, c)]
+    elems = {"V": ident, "H": s, "Hp": DihedralElement(m, True, (m - 1) % m), "0": c}
+    fwd = array("q", [-1]) * len(park[0])
+    bwd = array("q", [-1]) * (km + 1) ** 2
     frontier: list[tuple[int, int]] = []
 
+    def point(j):
+        return locus_point(km, 2, j).to_json()
+
+    def fail(kind, witness):
+        raise BijectionFailure(f"dihedral bijection: {kind}", len(fwd) - fwd.count(-1), {kind: witness})
+
     def put(i, j):
-        if fwd[i] >= 0 or bwd[j] >= 0:
-            if fwd[i] != j or bwd[j] != i:
-                raise RuntimeError(f"orbit extension conflict at {space.classes()[i]} / {pts[j]}")
+        if fwd[i] == j:
             return
+        if fwd[i] >= 0:
+            fail("conflict", {"class": space.record_at(i), "points": [point(fwd[i]), point(j)]})
+        if bwd[j] >= 0:
+            fail("conflict", {"classes": [space.record_at(bwd[j]), space.record_at(i)], "point": point(j)})
         fwd[i] = j
         bwd[j] = i
         frontier.append((i, j))
 
     def seed(word, coords):
-        i = space.index(chain_of(word), ident)
-        stab = stabilizer(i, km, park_g, park_w)
-        for cand in (coords, coords[::-1]):
-            j = locus_position(km, cand)
-            if stabilizer(j, km, locus_g, locus_w) == stab:
-                put(i, j)
-                return
-        raise RuntimeError(f"no stabilizer-matching locus point for {word}")
+        i = space.index(tuple(elems[x] for x in word), ident)
+        cands = [locus_position(km, coords), locus_position(km, coords[::-1])]
+        stab = stabilizer(i, m, km, *park)
+        j = next((j for j in cands if stabilizer(j, m, km, *loc) == stab), None)
+        if j is None:
+            fail("unmatched", {"seed": space.record_at(i), "candidates": list(map(point, cands))})
+        put(i, j)
 
     seed(["0"] * k, (ZERO, ZERO))
     seed(["V"] * k, (0, ZERO))
@@ -459,17 +470,14 @@ def dihedral_bijection(m: int, k: int) -> dict:
     for i in range(1, top + 1):
         seed(["V"] + ["H"] * i + ["0"] * (k - i - 1), (0, i % km))
 
-    moves = [(park_g, locus_g)] + [(park_w[els.index(v)], locus_w[els.index(v)]) for v in (s, c)]
+    moves = list(zip(park, loc))
     while frontier:
         i, j = frontier.pop()
-        for park, loc in moves:
-            put(park[i], loc[j])
-    mapped = sum(1 for j in fwd if j >= 0)
-    total = (km + 1) ** 2
-    if mapped != total or len(fwd) != total:
-        raise RuntimeError(f"dihedral bijection incomplete: {mapped} of {total} classes mapped")
-    classes = space.classes()
-    return {classes[i]: pts[j] for i, j in enumerate(fwd)}
+        for p, q in moves:
+            put(p[i], q[j])
+    if -1 in fwd:
+        fail("unmapped", {"class": space.record_at(fwd.index(-1))})
+    return fwd
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,7 @@ class ParkSpace:
         self._minima: dict[FlatPartition, list[int]] = {}
         self._masks: dict[tuple[int, int, int], int] = {}
         self._keys: dict[FlatPartition, dict] = {}
+        self._columns_of: dict[FlatPartition, list] = {}
         self._offsets = None
         self._classes = None
         self._pictures: dict[tuple, ChainPicture] = {}
@@ -265,6 +266,14 @@ class ParkSpace:
             cosets = self._keys[flat] = dict(zip(keys, itertools.count()))
         return cosets
 
+    def key_columns(self, flat: FlatPartition) -> list[tuple[int, ...]]:
+        """The coset_keys of a first flat of type A, B or D as columns: entry
+        j of every key, in position order; made once per flat."""
+        cols = self._columns_of.get(flat)
+        if cols is None:
+            cols = self._columns_of[flat] = list(zip(*self.coset_keys(flat)))
+        return cols
+
     def coset_key(self, flat: FlatPartition, w):
         """A key shared by two elements exactly when they lie in one coset
         w W_X of a flat X, by rule.
@@ -340,7 +349,7 @@ class ParkSpace:
                 else:
                     t, bid = t_inv.inverse(), block_ids(target)
                     relabel = {j: bid[t(y)] for y, j in block_ids(flat).items()}.__getitem__
-                    keys = zip(*(map(relabel, col) for col in zip(*self.coset_keys(flat))))
+                    keys = zip(*(map(relabel, col) for col in self.key_columns(flat)))
                 perm = perms[ch[0], ch[-1]] = list(map(self.coset_keys(target).__getitem__, keys))
             off = starts[gi]
             out += [off + x for x in perm]
@@ -364,7 +373,7 @@ class ParkSpace:
                 if flat.family == "I2":
                     keys = (self.coset_key(flat, v * els[r]) for r in self.coset_minima(flat))
                 else:
-                    cols = list(zip(*cosets))
+                    cols = self.key_columns(flat)
                     keys = zip(*(cols[t - 1] if t > 0 else map(operator.neg, cols[-t - 1]) for t in back))
                 perm = perms[flat] = list(map(cosets.__getitem__, keys))
             out += [off + x for x in perm]

@@ -394,6 +394,12 @@ def signed_images(grp):
     return [w.images + tuple(-t for t in reversed(w.images)) for w in els], {w.images: i for i, w in enumerate(els)}
 
 
+@lru_cache(maxsize=None)
+def inverse_images(grp):
+    """The images of each element's inverse, in grp.elements() order."""
+    return [w.inverse().images for w in grp.elements()]
+
+
 def bc_phi_by_class(space, p):
     """locus.bc_phi on one class, read off the chain's record: each x in
     the first-entry block under a block b of nabla(chain) sends coordinate

@@ -34,6 +34,7 @@ from ncpark.locus import (
     ZERO,
     bc_phi,
     bc_psi,
+    build_locus,
     dihedral_bijection,
     locus_position,
     verify_bc_bijection,
@@ -119,8 +120,10 @@ def test_criterion_05_dihedral_bijection():
     for m in (3, 4, 5, 6, 7, 8):
         for k in (1, 2, 3, 4):
             fwd = dihedral_bijection(m, k)
-            assert len(fwd) == (k * m + 1) ** 2
-            assert len(set(fwd.values())) == len(fwd)
+            pts = build_locus(GroupSpec("I2", m), k)
+            assert len(fwd) == len(pts) == (k * m + 1) ** 2
+            assert len(set(fwd)) == len(fwd)
+            assert set(map(pts.__getitem__, fwd)) == set(pts)
     report("criterion 5: dihedral constructive bijection, m in 3..8, k in 1..4", True)
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from conftest import KS, MAIN_GRID, element_index, enumerate_lines_by_records
+from test_locus import swapped_c_table
 from test_reference_outputs import REFERENCE
 
 from ncpark import cli, locus, nonnesting, parkspace, qcatalan
@@ -795,6 +796,49 @@ def test_listing_walks_no_coset(command, tmp_path, monkeypatch):
     assert main(command.split() + ["--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == WALKS_NO_COSET[command]
     assert len(walks) <= 2, walks
+
+
+def test_dihedral_bijection_walks_three_tables_a_side(tmp_path, monkeypatch):
+    # stabilizers and the extension read the tables of g, s and c only: no
+    # table per element, no class list and no list of locus points
+    def refuse(*args):
+        raise AssertionError("the dihedral bijection listed classes or points")
+
+    calls = []
+
+    def counted(real):
+        def table(*args):
+            calls.append(real.__name__)
+            return real(*args)
+
+        return table
+
+    monkeypatch.setattr(parkspace.ParkSpace, "classes", refuse)
+    monkeypatch.setattr(locus, "build_locus", refuse)
+    monkeypatch.setattr(parkspace.ParkSpace, "w_table", counted(parkspace.ParkSpace.w_table))
+    monkeypatch.setattr(locus, "locus_w_table", counted(locus.locus_w_table))
+    command = "verify-bijection --kind dihedral --family I2 --m 8 --k 4"
+    out = tmp_path / "out.jsonl"
+    assert main(command.split() + ["--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REFERENCE[command]
+    assert calls.count("w_table") <= 2
+    assert calls.count("locus_w_table") <= 2
+
+
+def test_dihedral_failure_is_a_row_with_a_witness(tmp_path, monkeypatch):
+    # I2(4) k=1 with two points of the locus c-table swapped: the extension
+    # sends one class to two points, which fails the row (exit 1, not an
+    # internal error) with the class and both points
+    monkeypatch.setattr(locus, "locus_w_table", swapped_c_table(7, 13))
+    args = ["verify-bijection", "--kind", "dihedral", "--family", "I2", "--m", "4", "--k", "1"]
+    code, lines = run_cli(args, tmp_path)
+    assert code == EXIT_FAIL
+    row = lines[0]
+    assert (row["check"], row["expected"], row["actual"], row["pass"]) == ("dihedral_bijection", 25, 6, False)
+    assert row["witness"] == {
+        "conflict": {"class": {"chain": ["line:3"], "rep": ["rotation", 1]}, "points": [[1, 0], [2, 1]]}
+    }
+    assert lines[-1]["failures"] == 1
 
 
 def test_nonnesting_failure_carries_a_witness(tmp_path, monkeypatch):

@@ -24,7 +24,7 @@ from conftest import (
     table_oracle,
 )
 
-from ncpark import locus, setpart
+from ncpark import locus, parkspace, setpart
 from ncpark.locus import (
     ZERO,
     LocusPoint,
@@ -292,7 +292,7 @@ def test_bc_bijection_failure_names_colliding_classes(monkeypatch):
 def test_dihedral_bijection_small(m, k):
     fwd = dihedral_bijection(m, k)
     assert len(fwd) == (k * m + 1) ** 2
-    assert len(set(fwd.values())) == len(fwd)
+    assert len(set(fwd)) == len(fwd)
 
 
 def test_dihedral_bijection_sizes_from_statement():
@@ -306,45 +306,124 @@ def test_dihedral_stabilizer_match():
     # of its image locus point
     m, k = 5, 2
     fwd = dihedral_bijection(m, k)
-    space = build_park(GroupSpec("I2", m), k)
+    spec = GroupSpec("I2", m)
+    space = build_park(spec, k)
     ident = space.group.identity()
     s = DihedralElement(m, True, 0)
     c = space.c
     chain = (s,) + (c,) * (k - 1)
     cls = space.make_class(chain, ident)
-    pt = fwd[cls]
+    pt = build_locus(spec, k)[fwd[space.index(chain, ident)]]
     assert park_stabilizer(space, cls) == locus_stabilizer(space.group, pt)
 
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dihedral_bijection_commutes_with_every_element(m, k):
+    # the builder walks g, s and c only; the map commutes with the tables
+    # of g and of every element of W on both sides
+    spec = GroupSpec("I2", m)
+    space = build_park(spec, k)
+    fwd = dihedral_bijection(m, k)
+    kh = k * m
+    tables = [(space.g_table(), locus_g_table(spec, kh))]
+    tables += [(space.w_table(v), locus_w_table(spec, kh, v)) for v in space.group.elements()]
+    for park, loc in tables:
+        assert [fwd[j] for j in park] == [loc[j] for j in fwd]
 
 
 @pytest.mark.parametrize("m", [p for fam, p in MAIN_GRID if fam == "I2"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_stabilizer_matches_object_oracles(m, k):
+    # every park position and locus point, through the tables of g, s and c
     spec = GroupSpec("I2", m)
     space = build_park(spec, k)
     grp = space.group
     els = grp.elements()
     kh = k * m
+    s = DihedralElement(m, True, 0)
 
     def by_element(stab):
         return {(els[j], d) for j, d in stab}
 
-    park_w = [space.w_table(v) for v in els]
+    park = (space.g_table(), space.w_table(s), space.w_table(space.c))
     for i, cls in enumerate(space.classes()):
-        stab = stabilizer(i, kh, space.g_table(), park_w)
-        assert by_element(stab) == park_stabilizer(space, cls)
-    locus_g = locus_g_table(spec, kh)
-    locus_w = [locus_w_table(spec, kh, v) for v in els]
+        assert by_element(stabilizer(i, m, kh, *park)) == park_stabilizer(space, cls)
+    loc = (locus_g_table(spec, kh), locus_w_table(spec, kh, s), locus_w_table(spec, kh, space.c))
     for j, pt in enumerate(build_locus(spec, k)):
-        assert by_element(stabilizer(j, kh, locus_g, locus_w)) == locus_stabilizer(grp, pt)
+        assert by_element(stabilizer(j, m, kh, *loc)) == locus_stabilizer(grp, pt)
 
 
 def test_dihedral_bijection_builds_one_group():
-    # group is an lru_cache keyed on (family, param): the parking space and
-    # the locus stabilizers share one group object
+    # group is an lru_cache keyed on (family, param): the builder makes one
+    # group object
     group.cache_clear()
     dihedral_bijection(8, 2)
     assert group.cache_info().misses == 1
+
+
+def swapped_c_table(a, b):
+    """locus_w_table with entries a and b of c's table swapped."""
+    real = locus.locus_w_table
+
+    def table(spec, order, w):
+        out = real(spec, order, w)
+        if w == DihedralElement(spec.param, False, 1):
+            out[a], out[b] = out[b], out[a]
+        return out
+
+    return table
+
+
+def identity_table(spec, order, w=None):
+    """The identity on the (order+1)^2 locus positions of I2(m), in place
+    of locus_g_table or locus_w_table."""
+    return array("q", range((order + 1) ** 2))
+
+
+@pytest.mark.parametrize("a,b,mapped,witness", [
+    # a class sent to two points
+    (7, 13, 6, {"conflict": {"class": {"chain": ["line:3"], "rep": ["rotation", 1]}, "points": [[1, 0], [2, 1]]}}),
+    # a point taken by two classes
+    (5, 6, 15, {"conflict": {
+        "classes": [{"chain": ["line:2"], "rep": ["rotation", 0]}, {"chain": ["line:0"], "rep": ["rotation", 2]}],
+        "point": [2, "0"],
+    }}),
+])
+def test_dihedral_conflict_carries_a_witness(a, b, mapped, witness, monkeypatch):
+    # I2(4) k=1 with two points of the locus c-table swapped: the walk
+    # meets a class or a point twice
+    monkeypatch.setattr(locus, "locus_w_table", swapped_c_table(a, b))
+    with pytest.raises(locus.BijectionFailure) as info:
+        dihedral_bijection(4, 1)
+    assert (info.value.mapped, info.value.witness) == (mapped, witness)
+
+
+def test_dihedral_unmatched_seed_carries_a_witness(monkeypatch):
+    # s and c fix every locus point: the origin's stabilizer (all of
+    # W x Z_kh) still matches, the plane seed's matches neither candidate
+    monkeypatch.setattr(locus, "locus_w_table", identity_table)
+    with pytest.raises(locus.BijectionFailure) as info:
+        dihedral_bijection(4, 1)
+    assert info.value.mapped == 1
+    assert info.value.witness == {
+        "unmatched": {"seed": {"chain": ["plane"], "rep": ["rotation", 0]}, "candidates": [[0, "0"], ["0", 0]]}
+    }
+
+
+def test_dihedral_incomplete_map_carries_a_witness(monkeypatch):
+    # every table the identity on both sides: each seed matches and is its
+    # own orbit, so the first class no seed names stays unmapped
+    monkeypatch.setattr(locus, "locus_g_table", identity_table)
+    monkeypatch.setattr(locus, "locus_w_table", identity_table)
+    monkeypatch.setattr(parkspace.ParkSpace, "g_table", lambda self: identity_table(None, 4))
+    monkeypatch.setattr(parkspace.ParkSpace, "w_table", lambda self, v: identity_table(None, 4))
+    with pytest.raises(locus.BijectionFailure) as info:
+        dihedral_bijection(4, 1)
+    # the seeds: the origin, the plane and both mirror orbits (m even, k=1);
+    # the plane seed [1, V] sits at position 0, and [c, V] after it
+    assert info.value.mapped == 4
+    assert info.value.witness == {"unmapped": {"class": {"chain": ["plane"], "rep": ["rotation", 1]}}}
 
 
 @pytest.mark.parametrize("spec,kmax", [

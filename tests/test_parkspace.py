@@ -18,6 +18,7 @@ from conftest import (
     fixed_counts,
     fixed_counts_by_powers,
     g_cycles,
+    inverse_images,
     isotropy_list,
     nc_lambda_count,
     omega,
@@ -32,7 +33,7 @@ from conftest import (
 )
 
 from ncpark import cli, ncw, setpart
-from ncpark.parkspace import block_ids, block_key, build_park, enumerate_classical, is_classical_park
+from ncpark.parkspace import block_ids, build_park, enumerate_classical, is_classical_park
 from ncpark.reflgroup import (
     GroupSpec,
     group,
@@ -457,7 +458,9 @@ def test_coset_walk_matches_products(fam, p, k):
     # walking W by products with every element of W_X gives the cosets of
     # each first flat: the inequality rule lists their minima, the key
     # rule puts every element in its coset's position, and the keys over
-    # W number |W| / |W_X|
+    # W number |W| / |W_X|.  In A, B and D an element's key is read off
+    # its inverse, bid[w^-1(1)], ..., bid[w^-1(n)]: block_key's value,
+    # since bid[-x] = -bid[x]
     ps = build_park(GroupSpec(fam, p), k)
     els = ps.group.elements()
     for flat in sorted({ps.nc.flat_of[ch[0]] for ch in ps.chains}):
@@ -466,8 +469,8 @@ def test_coset_walk_matches_products(fam, p, k):
         if fam == "I2":
             keys = [ps.coset_key(flat, w) for w in els]
         else:
-            bid = block_ids(flat)
-            keys = [block_key(bid, w.images) for w in els]
+            bid = block_ids(flat).__getitem__
+            keys = [tuple(map(bid, inv)) for inv in inverse_images(ps.group)]
         assert list(map(ps.coset_keys(flat).__getitem__, keys)) == arr
         assert len(set(keys)) * sum(1 for _ in ps.group.isotropy_elements(flat)) == len(els)
 
