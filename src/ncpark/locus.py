@@ -384,17 +384,18 @@ def verify_bc_bijection(spec: GroupSpec, k: int) -> list[dict]:
 # dihedral constructive bijection
 
 
-def stabilizer(i: int, m: int, kh: int, g_table, s_table, c_table) -> set[tuple[int, int]]:
-    """All (j, d) in W x Z_kh fixing position i, for W = I2(m) acting through
-    the tables of g, s and c, and j an index in elements(): for each d,
-    c^j sends x = g^d i and c^j s (at m + j) sends s x, stepped through c."""
-    out = set()
-    x = i
-    for d in range(kh):
-        for first, y in ((0, x), (m, s_table[x])):
-            for j in range(first, first + m):
-                if y == i:
-                    out.add((j, d))
+def stabilizer(i: int, m: int, kh: int, g_table, s_table, c_table) -> bytearray:
+    """Flags of the (j, d) in W x Z_kh fixing position i, at index 2m d + j,
+    for W = I2(m) acting through the tables of g, s and c, and j an index
+    in elements(): for each d, c^j sends x = g^d i and c^j s (at m + j)
+    sends s x, stepped through c."""
+    out = bytearray(2 * m * kh)
+    at, x = 0, i
+    for _ in range(kh):
+        for y in (x, s_table[x]):
+            for _ in range(m):
+                out[at] = y == i
+                at += 1
                 y = c_table[y]
         x = g_table[x]
     return out
@@ -425,8 +426,7 @@ def dihedral_bijection(m: int, k: int) -> array:
     space = parkspace.build_park(spec, k)
     ident, c, s = space.group.identity(), space.c, DihedralElement(m, True, 0)
     km = k * m
-    # each class table an array as soon as it is made: one list at a time
-    park = [array("q", space.g_table()), array("q", space.w_table(s)), array("q", space.w_table(c))]
+    park = [space.g_table(), space.w_table(s), space.w_table(c)]
     loc = [locus_g_table(spec, km), locus_w_table(spec, km, s), locus_w_table(spec, km, c)]
     elems = {"V": ident, "H": s, "Hp": DihedralElement(m, True, (m - 1) % m), "0": c}
     fwd = array("q", [-1]) * len(park[0])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from array import array
 from collections import Counter
 from functools import cached_property, lru_cache
 
@@ -323,8 +324,9 @@ class ParkSpace:
 
     # -- action tables and characters -----------------------------------------
 
-    def g_table(self) -> list[int]:
-        """Permutation of class indices induced by the cyclic generator.
+    def g_table(self) -> array:
+        """Permutation of class indices induced by the cyclic generator, as
+        an array('q').
 
         The class [r, ch] goes to [r t^-1, g ch], with t = c u_k^-1 as in
         ncw.g_act_chain and g ch read off ncw.chain_g_table.  The first
@@ -338,7 +340,7 @@ class ParkSpace:
         starts = list(self.chain_offsets().values())
         c_inv = self.c.inverse()
         perms: dict = {}
-        out: list[int] = []
+        out = array("q")
         for ch, gi in zip(chains, gtab):
             perm = perms.get((ch[0], ch[-1]))
             if perm is None:
@@ -352,19 +354,19 @@ class ParkSpace:
                     keys = zip(*(map(relabel, col) for col in self.key_columns(flat)))
                 perm = perms[ch[0], ch[-1]] = list(map(self.coset_keys(target).__getitem__, keys))
             off = starts[gi]
-            out += [off + x for x in perm]
+            out.fromlist([off + x for x in perm])
         return out
 
-    def w_table(self, v) -> list[int]:
-        """Permutation of class indices induced by v.  The chain stays, and
-        each first flat's coset permutation is read off the keys: in A, B
-        and D entry j of the key of v r is entry |v^-1(j)| of r's, negated
-        when v^-1(j) < 0; in I2 the product is keyed.  The keys are moved
-        a column at a time."""
+    def w_table(self, v) -> array:
+        """Permutation of class indices induced by v, as an array('q').  The
+        chain stays, and each first flat's coset permutation is read off the
+        keys: in A, B and D entry j of the key of v r is entry |v^-1(j)| of
+        r's, negated when v^-1(j) < 0; in I2 the product is keyed.  The keys
+        are moved a column at a time."""
         els, flat_of = self._elements, self.nc.flat_of
         back = v.inverse().images if self.spec.family != "I2" else ()
         perms: dict[FlatPartition, list[int]] = {}
-        out: list[int] = []
+        out = array("q")
         for ch, off in self.chain_offsets().items():
             flat = flat_of[ch[0]]
             perm = perms.get(flat)
@@ -376,7 +378,7 @@ class ParkSpace:
                     cols = self.key_columns(flat)
                     keys = zip(*(cols[t - 1] if t > 0 else map(operator.neg, cols[-t - 1]) for t in back))
                 perm = perms[flat] = list(map(cosets.__getitem__, keys))
-            out += [off + x for x in perm]
+            out.fromlist([off + x for x in perm])
         return out
 
     def burnside_counts(self) -> list[list[int]]:

@@ -4,6 +4,9 @@ import os
 import stat
 import subprocess
 import sys
+import threading
+import time
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -563,7 +566,8 @@ def test_out_is_replaced_whole(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "emit", failing)
     assert main(args + ["--out", str(out)]) == EXIT_INTERNAL
-    assert written == [str(out)]
+    # emit appends to the temporary file, which main renames over --out
+    assert written == [f"{out}.{os.getpid()}.tmp"]
     assert out.read_text() == "previous\n"
     assert list(tmp_path.iterdir()) == [out]
     monkeypatch.undo()
@@ -644,10 +648,18 @@ def test_enumerate_builds_no_class_list(tmp_path, monkeypatch):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REFERENCE[command]
 
 
-@pytest.mark.parametrize("command,kind", list(TABLE), ids=[f"{c}-{k}" if k else c for c, k in TABLE])
-def test_emit_takes_one_item_per_line(command, kind, tmp_path, monkeypatch):
-    # the benchmark's tracer counts len(emit's first argument) as the
-    # records written
+TABLE_IDS = [f"{c}-{k}" if k else c for c, k in TABLE]
+
+
+def table_args(command, kind):
+    """A small instance of a TABLE command, without --out."""
+    family = TABLE[command, kind].families[0]
+    size = ["--m", "4"] if family == "I2" else ["--rank", "2"]
+    return [command] + (["--kind", kind] if kind else []) + ["--family", family, *size, "--k", "1"]
+
+
+def record_emits(monkeypatch):
+    """The batches emit is given, in order."""
     emit = cli.emit
     seen = []
 
@@ -656,14 +668,135 @@ def test_emit_takes_one_item_per_line(command, kind, tmp_path, monkeypatch):
         return emit(lines, path)
 
     monkeypatch.setattr(cli, "emit", counted)
-    family = TABLE[command, kind].families[0]
-    size = ["--m", "4"] if family == "I2" else ["--rank", "2"]
+    return seen
+
+
+@pytest.mark.parametrize("command,kind", list(TABLE), ids=TABLE_IDS)
+def test_emit_takes_one_item_per_line(command, kind, tmp_path, monkeypatch):
+    # the benchmark's tracer counts len(emit's first argument) as the
+    # records written, over one or more calls
+    seen = record_emits(monkeypatch)
     out = tmp_path / "out.jsonl"
-    args = [command] + (["--kind", kind] if kind else []) + ["--family", family, *size]
-    assert main(args + ["--k", "1", "--out", str(out)]) == EXIT_OK
-    [lines] = seen
-    assert type(lines) is list
-    assert len(lines) == len(out.read_text().splitlines())
+    assert main(table_args(command, kind) + ["--out", str(out)]) == EXIT_OK
+    assert seen
+    assert all(type(lines) is list for lines in seen)
+    assert sum(map(len, seen)) == len(out.read_text().splitlines())
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("command,kind", list(TABLE), ids=TABLE_IDS)
+def test_batches_match_one_batch(command, kind, batch, tmp_path, monkeypatch, capsys):
+    # small batches write the bytes of one batch, to a file and to stdout
+    args = table_args(command, kind)
+    one, out = tmp_path / "one.jsonl", tmp_path / "out.jsonl"
+    monkeypatch.setattr(cli, "BATCH", 10**9)
+    assert main(args + ["--out", str(one)]) == EXIT_OK
+    monkeypatch.setattr(cli, "BATCH", batch)
+    seen = record_emits(monkeypatch)
+    assert main(args + ["--out", str(out)]) == EXIT_OK
+    expected = one.read_bytes()
+    assert out.read_bytes() == expected
+    lines = expected.decode().splitlines(keepends=True)
+    assert sum(map(len, seen)) == len(lines)
+    # a batch goes out once it holds BATCH lines; enumerate adds a chain's
+    # lines at a time, every other command one line
+    assert len(seen) >= min(2, len(lines) // batch)
+    assert [line for lines in seen for line in lines] == lines
+    capsys.readouterr()
+    assert main(args + ["--out", "-"]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == expected
+    assert sorted(tmp_path.iterdir()) == [one, out]
+
+
+@pytest.mark.parametrize("command,kind", list(TABLE), ids=TABLE_IDS)
+def test_failed_second_batch_keeps_previous_out(command, kind, tmp_path, monkeypatch, capsys):
+    # one line a batch, so that every command, a two-line one too, has a
+    # second batch; it is written and then fails
+    monkeypatch.setattr(cli, "BATCH", 1)
+    emit = cli.emit
+    calls = []
+
+    def failing(lines, path):
+        calls.append((path, lines))
+        emit(lines, path)
+        if len(calls) == 2:
+            raise RuntimeError("write failed")
+
+    monkeypatch.setattr(cli, "emit", failing)
+    args = table_args(command, kind)
+    out = tmp_path / "out.jsonl"
+    out.write_text("previous\n")
+    assert main(args + ["--out", str(out)]) == EXIT_INTERNAL
+    assert "internal error: write failed" in capsys.readouterr().err
+    assert [path for path, _ in calls] == [f"{out}.{os.getpid()}.tmp"] * 2
+    assert out.read_text() == "previous\n"
+    assert list(tmp_path.iterdir()) == [out]
+    # stdout streams: the lines of the two batches written stay there
+    calls.clear()
+    assert main(args + ["--out", "-"]) == EXIT_INTERNAL
+    assert capsys.readouterr().out == "".join(line for _, lines in calls for line in lines)
+    assert [path for path, _ in calls] == ["-"] * 2
+
+
+@pytest.mark.parametrize("command,kind", list(TABLE), ids=TABLE_IDS)
+def test_fifo_reader_sees_every_batch(command, kind, tmp_path, monkeypatch):
+    # emit opens the FIFO once a batch, and main holds it open for the
+    # whole run, so a reader reading to end of file gets every line.  Each
+    # batch waits until the reader has it, so an end of file between
+    # batches would cut the reader short.  The test holds a nonblocking
+    # read end of its own, so that no open for writing blocks, and no
+    # write end, so the reader's end of file comes when the command's last
+    # writer closes.
+    monkeypatch.setattr(cli, "BATCH", 3)
+    args = table_args(command, kind)
+    fifo, out = tmp_path / "rows", tmp_path / "out.jsonl"
+    os.mkfifo(fifo)
+    got, done = bytearray(), threading.Event()
+
+    def read_to_eof():
+        with open(fifo, "rb", buffering=0) as fh:
+            while chunk := fh.read(1 << 16):
+                got.extend(chunk)
+        done.set()
+
+    emit, sent = cli.emit, bytearray()
+
+    def paced(lines, path):
+        emit(lines, path)
+        sent.extend("".join(lines).encode())
+        deadline = time.monotonic() + 30
+        while len(got) < len(sent) and not done.is_set() and time.monotonic() < deadline:
+            time.sleep(0.001)
+
+    monkeypatch.setattr(cli, "emit", paced)
+    guard = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        reader = threading.Thread(target=read_to_eof, daemon=True)
+        reader.start()
+        assert main(args + ["--out", str(fifo)]) == EXIT_OK
+        assert done.wait(timeout=30), "the reader saw no end of file"
+    finally:
+        os.close(guard)
+    monkeypatch.undo()
+    assert main(args + ["--out", str(out)]) == EXIT_OK
+    assert got == sent == out.read_bytes()
+    assert sorted(tmp_path.iterdir()) == [out, fifo]
+
+
+def test_enumerate_memory_is_one_batch(tmp_path):
+    # B4 k=3 writes 390,626 lines (78 MB); held whole they take about
+    # 100 MB under tracemalloc, a batch at a time a few MB
+    out = tmp_path / "out.jsonl"
+    tracemalloc.start()
+    try:
+        code = main(["enumerate", "--family", "B", "--rank", "4", "--k", "3", "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 16 * 2**20
+    with open(out, "rb") as fh:
+        assert sum(1 for _ in fh) == 390_626
 
 
 def test_torus_failure_carries_a_witness(tmp_path, monkeypatch):

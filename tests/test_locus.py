@@ -344,7 +344,9 @@ def test_stabilizer_matches_object_oracles(m, k):
     s = DihedralElement(m, True, 0)
 
     def by_element(stab):
-        return {(els[j], d) for j, d in stab}
+        # the flag at 2m d + j stands for (elements()[j], d)
+        assert len(stab) == len(els) * kh
+        return {(els[at % len(els)], at // len(els)) for at, flag in enumerate(stab) if flag}
 
     park = (space.g_table(), space.w_table(s), space.w_table(space.c))
     for i, cls in enumerate(space.classes()):

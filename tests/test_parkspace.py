@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -220,9 +221,9 @@ def test_burnside_counts_match_tables(fam, p, k):
 def test_action_tables_match_class_actions(fam, p, k):
     ps = build_park(GroupSpec(fam, p), k)
     classes = ps.classes()
-    assert ps.g_table() == table_oracle(classes, lambda q: act_g(ps, q))
+    assert ps.g_table() == array("q", table_oracle(classes, lambda q: act_g(ps, q)))
     for v in ps.group.conjugacy_class_reps():
-        assert ps.w_table(v) == table_oracle(classes, lambda q: act_w(ps, v, q))
+        assert ps.w_table(v) == array("q", table_oracle(classes, lambda q: act_w(ps, v, q)))
 
 
 @pytest.mark.parametrize("fam,p,k", [("A", 3, 2), ("B", 2, 2), ("D", 3, 1), ("I2", 5, 2)])
