@@ -159,15 +159,17 @@ def _digit_table(order: int, moves: list[tuple[int, int]]) -> array:
 
     build_locus lists points in itertools.product order, so a point's
     position is its digits in base order+1 (ZERO -> 0, exponent e -> e+1),
-    the first coordinate most significant.  Built as an array('q'), one
-    coordinate at a time, so no list of all the positions is ever held."""
+    the first coordinate most significant.  Built as an array of
+    parkspace.typecode, one coordinate at a time, so no list of all the
+    positions is ever held."""
     n = len(moves)
     base = order + 1
-    out = array("q", [0])
+    code = parkspace.typecode(base**n)
+    out = array(code, [0])
     for target, shift in moves:
         weight = base ** (n - 1 - target)
         digit = [0] + [((e + shift) % order + 1) * weight for e in range(order)]
-        prev, out = out, array("q")
+        prev, out = out, array(code)
         for a in prev:
             out.extend(map(a.__add__, digit))
     return out
@@ -206,7 +208,7 @@ def bc_phi(space: parkspace.ParkSpace) -> array:
     kn = space.k * n
     weight = [(2 * kn + 1) ** (n - t) for t in range(n + 1)]
     images = [w.images for w in space.group.elements()]
-    out = array("q")
+    out = array(parkspace.typecode(space.size))
     for ch, reps in space.blocks():
         pic = space.chain_picture(ch)
         # rows[x - 1][t]: what x adds when rep(x) = t; 2n + 1 slots, so a
@@ -254,7 +256,7 @@ def bc_psi(space: parkspace.ParkSpace, points) -> array:
     split = len(low)
     offsets = space.chain_offsets()
     rules: dict = {}
-    out = array("q")
+    out = array(parkspace.typecode(space.size))
     for p in points:
         h, l = divmod(p, split)
         (hd, hm), (ld, lm) = high[h], low[l]
@@ -358,12 +360,12 @@ def verify_bc_bijection(spec: GroupSpec, k: int) -> list[dict]:
     moves = [("g", space.g_table, partial(locus_g_table, spec, kh))]
     moves += [(repr(v), partial(space.w_table, v), partial(locus_w_table, spec, kh, v)) for v in gens]
     row = {"check": "equivariance", "pass": True}
-    first = len(phi)
+    first, code = len(phi), parkspace.typecode(size)
     for gen, park, loc in moves:
         # phi after the class table, and the locus table after phi; each
         # table lives only while its map runs
-        moved = array("q", map(phi.__getitem__, park()))
-        expected = array("q", map(loc().__getitem__, phi))
+        moved = array(code, map(phi.__getitem__, park()))
+        expected = array(code, map(loc().__getitem__, phi))
         if moved == expected:
             continue
         i = next(i for i, (a, b) in enumerate(zip(moved, expected)) if a != b)
@@ -429,8 +431,9 @@ def dihedral_bijection(m: int, k: int) -> array:
     park = [space.g_table(), space.w_table(s), space.w_table(c)]
     loc = [locus_g_table(spec, km), locus_w_table(spec, km, s), locus_w_table(spec, km, c)]
     elems = {"V": ident, "H": s, "Hp": DihedralElement(m, True, (m - 1) % m), "0": c}
-    fwd = array("q", [-1]) * len(park[0])
-    bwd = array("q", [-1]) * (km + 1) ** 2
+    code = parkspace.typecode(space.size)
+    fwd = array(code, [-1]) * len(park[0])
+    bwd = array(code, [-1]) * space.size
     frontier: list[tuple[int, int]] = []
 
     def point(j):

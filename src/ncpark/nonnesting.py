@@ -193,11 +193,13 @@ def geometric_chains(spec: GroupSpec, k: int) -> list[FilterChain]:
     """Every geometric k-multichain of filters.  A prefix of a geometric
     chain is geometric, so the search extends a prefix only by a filter
     at which the conditions ending there hold, and lists Cat^(k)(W) chains
-    after at most #filters * sum_{j<k} Cat^(j)(W) checks."""
+    after at most #filters * sum_{j<k} Cat^(j)(W) checks.  The filters
+    below each filter, a table quadratic in #filters, are listed only for
+    k > 1: at k = 1 no prefix is extended."""
     poset = build_root_poset(spec)
     filters = poset.filters()
     masks = [poset.mask(f) for f in filters]
-    below = [[j for j, b in enumerate(masks) if a | b == a] for a in masks]
+    below = [[j for j, b in enumerate(masks) if a | b == a] for a in masks] if k > 1 else []
     chains: list[FilterChain] = []
     # a depth-first search on an explicit stack, so k is not bounded by
     # the recursion limit: todo holds the candidates left at each depth,

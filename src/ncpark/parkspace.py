@@ -46,6 +46,15 @@ class ParkClass(Value):
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
+# 2^31 where a C int is 4 bytes: positions below it fit an array('i')
+INT_LIMIT = 1 << 8 * array("i").itemsize - 1
+
+
+def typecode(size: int) -> str:
+    """The one typecode of an array of positions in [0, size), or -1: the
+    4-byte 'i' when size < INT_LIMIT, else the 8-byte 'q'."""
+    return "i" if size < INT_LIMIT else "q"
+
 
 def least_rule(flat: FlatPartition) -> list[tuple[int, int, int]]:
     """The inequalities (a, b, s), each w(a) < s w(b) on the images of w,
@@ -170,6 +179,7 @@ class ParkSpace:
         self.nc = ncw.build_nc(self.group)
         self.c = self.nc.c
         self.chains = self.nc.multichains(k)
+        self.size = (k * spec.coxeter_number + 1) ** spec.rank  # the classes
         self._minima: dict[FlatPartition, list[int]] = {}
         self._masks: dict[tuple[int, int, int], int] = {}
         self._keys: dict[FlatPartition, dict] = {}
@@ -326,7 +336,7 @@ class ParkSpace:
 
     def g_table(self) -> array:
         """Permutation of class indices induced by the cyclic generator, as
-        an array('q').
+        an array of typecode(size).
 
         The class [r, ch] goes to [r t^-1, g ch], with t = c u_k^-1 as in
         ncw.g_act_chain and g ch read off ncw.chain_g_table.  The first
@@ -340,7 +350,7 @@ class ParkSpace:
         starts = list(self.chain_offsets().values())
         c_inv = self.c.inverse()
         perms: dict = {}
-        out = array("q")
+        out = array(typecode(self.size))
         for ch, gi in zip(chains, gtab):
             perm = perms.get((ch[0], ch[-1]))
             if perm is None:
@@ -358,15 +368,15 @@ class ParkSpace:
         return out
 
     def w_table(self, v) -> array:
-        """Permutation of class indices induced by v, as an array('q').  The
-        chain stays, and each first flat's coset permutation is read off the
-        keys: in A, B and D entry j of the key of v r is entry |v^-1(j)| of
-        r's, negated when v^-1(j) < 0; in I2 the product is keyed.  The keys
-        are moved a column at a time."""
+        """Permutation of class indices induced by v, as an array of
+        typecode(size).  The chain stays, and each first flat's coset
+        permutation is read off the keys: in A, B and D entry j of the key
+        of v r is entry |v^-1(j)| of r's, negated when v^-1(j) < 0; in I2
+        the product is keyed.  The keys are moved a column at a time."""
         els, flat_of = self._elements, self.nc.flat_of
         back = v.inverse().images if self.spec.family != "I2" else ()
         perms: dict[FlatPartition, list[int]] = {}
-        out = array("q")
+        out = array(typecode(self.size))
         for ch, off in self.chain_offsets().items():
             flat = flat_of[ch[0]]
             perm = perms.get(flat)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -8,11 +9,11 @@ import threading
 import time
 import tracemalloc
 from array import array
-from pathlib import Path
 
 import pytest
 from conftest import KS, MAIN_GRID, element_index, enumerate_lines_by_records
 from test_locus import swapped_c_table
+from test_no_dead_code import ROOT, console_scripts
 from test_reference_outputs import REFERENCE
 
 from ncpark import cli, locus, nonnesting, parkspace, qcatalan
@@ -612,16 +613,74 @@ def test_cap_env_var_must_be_an_integer(tmp_path, monkeypatch, capsys):
     assert main(args + ["--cap", "16"]) == EXIT_OK
 
 
-def test_console_entry_point():
+# the two routes into a process: the module's __main__ block, and the
+# console script's sys.exit(entry())
+ROUTES = {
+    "module": ["-m", "ncpark.cli"],
+    "script": ["-c", "import sys; from ncpark.cli import entry; sys.exit(entry())"],
+}
+
+
+def run_process(route, args):
     # run from src/, so that a checkout needs no install and no PYTHONPATH
-    proc = subprocess.run(
-        [sys.executable, "-m", "ncpark.cli", "verify-csp", "--family", "A", "--rank", "2", "--k", "1"],
-        capture_output=True,
-        text=True,
-        cwd=Path(__file__).resolve().parents[1] / "src",
-    )
-    assert proc.returncode == 0
-    assert all(json.loads(line)["schema"] == 1 for line in proc.stdout.splitlines())
+    return subprocess.run([sys.executable, *ROUTES[route], *args], capture_output=True, cwd=ROOT / "src")
+
+
+def test_console_entry_point(tmp_path, capsys):
+    # a process on either route writes what main writes in process, to
+    # stdout and to a file
+    for args in (
+        ["verify-csp", "--family", "A", "--rank", "2", "--k", "1"],
+        ["enumerate", "--family", "B", "--rank", "2", "--k", "2"],
+        ["verify-bijection", "--kind", "dihedral", "--family", "I2", "--m", "5", "--k", "2"],
+    ):
+        assert main(args + ["--out", "-"]) == EXIT_OK
+        ref = capsys.readouterr().out.encode()
+        assert all(json.loads(line)["schema"] == 1 for line in ref.splitlines())
+        for route in ROUTES:
+            proc = run_process(route, args + ["--out", "-"])
+            assert proc.returncode == EXIT_OK
+            assert proc.stdout == ref
+            out = tmp_path / f"{route}.jsonl"
+            assert run_process(route, args + ["--out", str(out)]).returncode == EXIT_OK
+            assert out.read_bytes() == ref
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("args,code", [
+    (["verify-weak", "--family", "B"], EXIT_CONFIG),  # main's ConfigError
+    (["verify-weak", "--rank", "2"], EXIT_CONFIG),  # argparse's usage error
+    (["verify-weak", "--family", "B", "--rank", "9", "--k", "1"], EXIT_CAP),
+])
+def test_entry_passes_exit_codes_through(route, args, code):
+    proc = run_process(route, args)
+    assert proc.returncode == code
+    assert proc.stdout == b""
+    assert proc.stderr
+
+
+def test_console_script_runs_entry():
+    assert console_scripts((ROOT / "pyproject.toml").read_text()) == {"ncpark": "ncpark.cli:entry"}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_entry_freezes_the_heap_and_main_does_not(route, tmp_path):
+    # both routes freeze once main has returned, and atexit handlers still
+    # run; main, which tests and library callers run, leaves the heap alone
+    args = ["verify-csp", "--family", "A", "--rank", "2", "--out", str(tmp_path / "entry.jsonl")]
+    call = {
+        "module": "import runpy; runpy.run_module('ncpark.cli', run_name='__main__')",
+        "script": ROUTES["script"][1],
+    }[route]
+    probe = "import atexit, gc, sys; atexit.register(lambda: print(gc.get_freeze_count())); "
+    probe += f"sys.argv[1:] = {args!r}; {call}"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=ROOT / "src")
+    assert proc.returncode == EXIT_OK
+    assert int(proc.stdout) > 0
+    before = gc.get_freeze_count()
+    assert main(args[:-1] + [str(tmp_path / "main.jsonl")]) == EXIT_OK
+    assert gc.get_freeze_count() == before
+    assert (tmp_path / "main.jsonl").read_bytes() == (tmp_path / "entry.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("fam,p", MAIN_GRID)

@@ -475,3 +475,42 @@ def test_locus_fixed_count_direct():
     c = grp.coxeter_element()
     # c has eigenvalues of order 4 only: no fixed points except the origin
     assert locus_fixed_count(spec, 1, c, 0) == 1
+
+
+def test_position_typecode_holds_every_position():
+    # 'i' below 2^31 positions, 'q' from there: the last position and the
+    # -1 of an unmapped entry fit either way, so no raised cap overflows
+    limit = parkspace.INT_LIMIT
+    assert limit == 1 << 8 * array("i").itemsize - 1
+    assert [parkspace.typecode(s) for s in (1, limit - 1, limit, 2**40)] == ["i", "i", "q", "q"]
+    for size in (1, limit - 1, limit, limit + 1, 2**40):
+        assert list(array(parkspace.typecode(size), [size - 1, -1])) == [size - 1, -1]
+    with pytest.raises(OverflowError):
+        array("i", [limit])
+
+
+def test_position_arrays_take_the_typecode_of_their_size(monkeypatch):
+    # B2 k=1 and I2(4) k=1 both have 25 classes and 25 locus points.  With
+    # the limit at 25 every position array is 'q', at 26 'i', so each
+    # builder asks for the typecode of exactly its own size; the entries
+    # are the same either way
+    spec, k = GroupSpec("B", 2), 1
+    space, kh = build_park(spec, k), locus_order(spec, k)
+    assert space.size == (kh + 1) ** 2 == 25
+    c = space.c
+    builds = [
+        space.g_table,
+        lambda: space.w_table(c),
+        lambda: locus_g_table(spec, kh),
+        lambda: locus_w_table(spec, kh, c),
+        lambda: bc_phi(space),
+        lambda: bc_psi(space, range(25)),
+        lambda: dihedral_bijection(4, 1),
+    ]
+    made = {}
+    for limit, code in ((25, "q"), (26, "i")):
+        monkeypatch.setattr(parkspace, "INT_LIMIT", limit)
+        made[code] = [build() for build in builds]
+        assert [a.typecode for a in made[code]] == [code] * len(builds)
+    assert made["q"] == made["i"]
+    assert all(r["pass"] for r in verify_bc_bijection(spec, k))

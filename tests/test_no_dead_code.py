@@ -3,11 +3,12 @@ method there must be reachable: referenced from code that is itself live.
 Helpers that only tests call live in tests/conftest.py.
 
 The walk starts from the roots: module-level code, the console entry
-point cli.main, and the names that the benchmark's tracer wraps, read from
-perfbench/trace_child.py.  A live definition makes live what its body
-references, and a live class its dunder methods.  A reference is matched
-by name: a method by any attribute of its name, a module-level name by any
-name or attribute of its name."""
+point, read from [project.scripts] in pyproject.toml, and the names that
+the benchmark's tracer wraps, read from perfbench/trace_child.py.  A live
+definition makes live what its body references, and a live class its
+dunder methods.  A reference is matched by name: a method by any
+attribute of its name, a module-level name by any name or attribute of
+its name."""
 
 import ast
 from collections import defaultdict
@@ -15,8 +16,30 @@ from pathlib import Path
 
 from test_trace_names import load_trace_child
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ncpark"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ncpark"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def console_scripts(text):
+    """name -> "module:function" for each entry of the [project.scripts]
+    table of a pyproject.toml, read line by line (name = "target"), since
+    Python 3.10, which the package supports, has no tomllib."""
+    table, out = None, {}
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            table = line
+        elif table == "[project.scripts]" and "=" in line and not line.startswith("#"):
+            name, target = (part.strip().strip('"') for part in line.split("=", 1))
+            out[name] = target
+    return out
+
+
+def script_roots():
+    """(module, path) in the package of each console script's target."""
+    targets = console_scripts((ROOT / "pyproject.toml").read_text()).values()
+    return [tuple(t.removeprefix("ncpark.").split(":")) for t in targets]
 
 
 def is_dunder(name):
@@ -89,7 +112,7 @@ def dead_definitions(trees, roots):
 
 def test_every_definition_has_a_caller():
     tc = load_trace_child()
-    roots = [(mod, path) for _, mod, path, *_ in tc.SPANS + tc.COUNTS] + [("cli", "main")]
+    roots = [(mod, path) for _, mod, path, *_ in tc.SPANS + tc.COUNTS] + script_roots()
     trees = {f.stem: ast.parse(f.read_text()) for f in sorted(PACKAGE.glob("*.py"))}
     count, dead = dead_definitions(trees, roots)
     assert count > 100
@@ -122,3 +145,19 @@ KEEP = Kept
     count, dead = dead_definitions({"m": ast.parse(source)}, [("m", "main")])
     assert count == 7
     assert sorted(dead) == ["m.helper", "m.unused"]
+
+
+def test_console_scripts_are_read_from_their_table():
+    text = """
+[project]
+name = "x"
+
+[project.scripts]
+# a comment
+tool = "pkg.cli:entry"
+other="pkg.more:run"
+
+[tool.other]
+tool = "not.a:script"
+"""
+    assert console_scripts(text) == {"tool": "pkg.cli:entry", "other": "pkg.more:run"}

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -223,6 +224,21 @@ def test_geometric_chains_deeper_than_the_recursion_limit():
         sys.setrecursionlimit(limit)
     assert len(chains) == k + 1
     assert all(len(ch.filters) == k for ch in chains)
+
+
+def test_k1_builds_no_filter_pair_table():
+    # A7 has 1,430 filters; the table of every comparable pair of them
+    # takes about 11 MB under tracemalloc, the chains alone under 3 MB
+    spec = GroupSpec("A", 8)
+    nonnesting.root_system.cache_clear()
+    tracemalloc.start()
+    try:
+        chains = geometric_chains(spec, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(chains) == spec.fuss_catalan(1) == 1430
+    assert peak < 5 * 2**20
 
 
 def test_count_geometric_examples():
