@@ -16,7 +16,8 @@ batch as it is made, and a run that fails part way (exit 4) may leave its
 earlier batches there; a previous PATH stays whole.
 
 Exit code 0 means every check passed; 1 means at least one failed; 2 is a
-configuration error (a ConfigError); 3 means an enumeration cap was
+configuration error (a ConfigError) or output that cannot be written (an
+OSError: a closed pipe, a full device); 3 means an enumeration cap was
 exceeded; 4 means an internal invariant failed, including any other
 ValueError.  A process enters through entry, which returns main's code
 with the heap frozen, so interpreter exit does not collect it.
@@ -360,9 +361,12 @@ def emit(lines: list[str], path: str) -> None:
     """Append a batch of finished lines, one item per output line, to
     stdout for "-", else to path.  Appending, not reopening with
     truncation, spares the temporary file a forced writeback at close
-    (ext4's auto_da_alloc), which would also slow its later unlink."""
+    (ext4's auto_da_alloc), which would also slow its later unlink.
+    stdout is flushed after each batch, so a write that fails raises
+    while main runs, which reports it, not in the flush at exit."""
     if path == "-":
         sys.stdout.writelines(lines)
+        sys.stdout.flush()
     else:
         with open(path, "a") as fh:
             fh.writelines(lines)
@@ -384,6 +388,9 @@ def main(argv=None) -> int:
         return EXIT_CAP
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"cannot write output: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
@@ -408,8 +415,14 @@ def entry() -> int:
     nor free frozen objects, such as the thousands start-up made; the OS
     takes back their memory when the process ends.  main itself leaves
     the heap to the collector, for the tests and callers that stay
-    running."""
+    running.  A failed write leaves its lines buffered, so stdout then
+    points at os.devnull, where the flush at exit cannot fail again."""
     code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
     gc.freeze()
     return code
 

@@ -235,7 +235,7 @@ def bc_psi(space: parkspace.ParkSpace, points) -> array:
     block b of nabla(chain) is the image of an element of b's first-entry
     block; a zero coordinate, of one of the zero block.  So the point
     names, for each coordinate i, the block holding rep^-1(i), and that
-    fixes the coset (ParkSpace.coset_key).
+    fixes the coset (the key of ParkSpace.cosets).
 
     A position's digits are those of its high and low halves, read from
     two tables, with each half's opener multiset as an integer: the count
@@ -264,13 +264,12 @@ def bc_psi(space: parkspace.ParkSpace, points) -> array:
         if rule is None:
             key = tuple(sorted(abs(opener_of[d]) for d in hd + ld if d))
             pic = space.picture_of(close_parens(n, k, key))
-            flat = space.nc.flat_of[pic.chain[0]]
-            bid, cosets = parkspace.block_ids(flat), space.coset_keys(flat)
-            sid = {o: bid[pic.block_map[b][0]] for b, o in pic.openers.items()}
+            rec = space.cosets(pic.chain[0])
+            sid = {o: rec.bid[pic.block_map[b][0]] for b, o in pic.openers.items()}
             sid[0] = 0
             # digits whose opener is not in the multiset never meet this rule
             digit_id = [sid.get(o) for o in opener_of]
-            rule = rules[hm + lm] = offsets[pic.chain], digit_id.__getitem__, cosets
+            rule = rules[hm + lm] = offsets[pic.chain], digit_id.__getitem__, rec.positions
         start, sid, cosets = rule
         out.append(start + cosets[tuple(map(sid, hd + ld))])
     return out

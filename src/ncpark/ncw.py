@@ -47,7 +47,6 @@ class NCPoset:
         self.flat_of = {w: flat_of[w] for w in self.elements}
         if len(set(self.flat_of.values())) != len(self.elements):
             raise RuntimeError("element-to-flat map is not injective on NC(W)")
-        self.element_of_flat = {x: w for w, x in self.flat_of.items()}
 
     @cached_property
     def part_of(self) -> dict:

@@ -190,46 +190,27 @@ def is_geometric(chain: FilterChain) -> bool:
 
 
 def geometric_chains(spec: GroupSpec, k: int) -> list[FilterChain]:
-    """Every geometric k-multichain of filters.  A prefix of a geometric
-    chain is geometric, so the search extends a prefix only by a filter
-    at which the conditions ending there hold, and lists Cat^(k)(W) chains
+    """Every geometric k-multichain of filters, in lexicographic order of
+    filter positions.  The chains of filter masks grow one level at a
+    time, as NCPoset.multichains grows its chains: a prefix of a geometric
+    chain is geometric, so a chain gains only a filter at which the
+    conditions ending there hold, and the levels list Cat^(k)(W) chains
     after at most #filters * sum_{j<k} Cat^(j)(W) checks.  The filters
     below each filter, a table quadratic in #filters, are listed only for
-    k > 1: at k = 1 no prefix is extended."""
+    k > 1: at k = 1 no chain is extended."""
     poset = build_root_poset(spec)
     filters = poset.filters()
-    masks = [poset.mask(f) for f in filters]
-    below = [[j for j, b in enumerate(masks) if a | b == a] for a in masks] if k > 1 else []
-    chains: list[FilterChain] = []
-    # a depth-first search on an explicit stack, so k is not bounded by
-    # the recursion limit: todo holds the candidates left at each depth,
-    # prefix the filters chosen above the last depth and fs their masks
-    prefix: list[int] = []
-    fs: list[int] = []
-    todo = [iter(range(len(filters)))]
-    while todo:
-        j = next(todo[-1], None)
-        if j is None:
-            todo.pop()
-            if prefix:
-                prefix.pop()
-                fs.pop()
-            continue
-        fs.append(masks[j])
-        if not closed_at(poset, fs, len(prefix)):
-            fs.pop()
-        elif len(fs) < k:
-            prefix.append(j)
-            todo.append(iter(below[j]))
-        else:
-            ch = FilterChain(poset, tuple(filters[i] for i in prefix + [j]))
-            if not is_geometric(ch):
-                raise RuntimeError(
-                    f"the prefix search listed a chain that is not geometric: {prefix + [j]}"
-                )
-            chains.append(ch)
-            fs.pop()
-    return chains
+    filter_of = {poset.mask(f): f for f in filters}
+    below = {a: [b for b in filter_of if a | b == a] for a in filter_of} if k > 1 else {}
+    chains = [(a,) for a in filter_of if closed_at(poset, (a,), 0)]
+    for t in range(1, k):
+        chains = [ext for ch in chains for b in below[ch[-1]] if closed_at(poset, ext := ch + (b,), t)]
+    out = []
+    for ch in chains:
+        out.append(FilterChain(poset, tuple(map(filter_of.__getitem__, ch))))
+        if not is_geometric(out[-1]):
+            raise RuntimeError(f"the level search listed a chain that is not geometric: {out[-1].filters}")
+    return out
 
 
 def count_geometric(spec: GroupSpec, k: int) -> int:

@@ -13,7 +13,7 @@ import itertools
 import operator
 from array import array
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .reflgroup import (
     FlatPartition,
@@ -93,7 +93,6 @@ def least_rule(flat: FlatPartition) -> list[tuple[int, int, int]]:
     return out
 
 
-@lru_cache(maxsize=None)
 def block_ids(flat: FlatPartition) -> dict[int, int]:
     """Signed ids for the blocks of a type A, B or D flat, by member: j for
     each member of the j-th block and -j for its negative, 0 for the zero
@@ -120,6 +119,53 @@ def block_key(bid: dict[int, int], images: tuple[int, ...]) -> tuple[int, ...]:
         else:
             key[-t - 1] = -bid[x]
     return tuple(key)
+
+
+class Cosets:
+    """The cosets w W_X of the isotropy group of a first flat X: the
+    element indices of their least elements, ascending, the block ids of
+    X, key(w), and, each from first use on, the position in minima of
+    each coset by its key, and the keys as columns.  ParkSpace.cosets
+    makes one per NC(W) element that heads a chain.
+
+    key(w) is shared by two elements exactly when they lie in one coset,
+    by rule.  In A, B and D it is block_key over the block ids: the signed
+    ids of the blocks holding w^-1(1), ..., w^-1(n).  Two elements share
+    it exactly when w^-1 w' maps every block of X onto itself.  The
+    elements of S_n or B_n that do form W_X; in D, W_X is those of them
+    that lie in D, as w^-1 w' does.
+
+    In I2 it is the coset's position itself, by arithmetic: w's index in
+    elements() for the plane (c^j at j, c^j s at m + j), 0 for the origin,
+    and on line l the exponent of the rotation in {w, w s_l}, j for c^j
+    and j - l for c^j s.  So positions is the range of positions there,
+    and no dict is built."""
+
+    def __init__(self, flat: FlatPartition, minima: list[int], elements: list):
+        self.flat = flat
+        self.minima = minima
+        self.bid = block_ids(flat)
+        self._elements = elements
+
+    def key(self, w):
+        flat = self.flat
+        if flat.family == "I2":
+            if flat.kind == "line":
+                return (w.j - flat.line) % flat.n if w.refl else w.j
+            return w.refl * flat.n + w.j if flat.kind == "plane" else 0
+        return block_key(self.bid, w.images)
+
+    @cached_property
+    def positions(self):
+        if self.flat.family == "I2":
+            return range(len(self.minima))
+        els, bid = self._elements, self.bid
+        return dict(zip((block_key(bid, els[r].images) for r in self.minima), itertools.count()))
+
+    @cached_property
+    def columns(self) -> list[tuple[int, ...]]:
+        """Entry j of every key, in position order (types A, B, D)."""
+        return list(zip(*self.positions))
 
 
 class ChainPicture:
@@ -167,8 +213,9 @@ class ChainPicture:
 
 
 class ParkSpace:
-    """Park^NC for one (group, k): its classes by position, with the coset
-    minima, coset keys and chain pictures cached, and its action tables."""
+    """Park^NC for one (group, k): its classes by position, with one coset
+    record per first flat and one picture per chain cached, and its action
+    tables."""
 
     def __init__(self, spec: GroupSpec, k: int):
         if k < 1:
@@ -180,10 +227,8 @@ class ParkSpace:
         self.c = self.nc.c
         self.chains = self.nc.multichains(k)
         self.size = (k * spec.coxeter_number + 1) ** spec.rank  # the classes
-        self._minima: dict[FlatPartition, list[int]] = {}
+        self._cosets: dict = {}
         self._masks: dict[tuple[int, int, int], int] = {}
-        self._keys: dict[FlatPartition, dict] = {}
-        self._columns_of: dict[FlatPartition, list] = {}
         self._offsets = None
         self._classes = None
         self._pictures: dict[tuple, ChainPicture] = {}
@@ -197,7 +242,16 @@ class ParkSpace:
 
     # -- canonicalization ----------------------------------------------------
 
-    def coset_minima(self, flat: FlatPartition) -> list[int]:
+    def cosets(self, u) -> Cosets:
+        """The coset record of the flat of u, an element of NC(W) that heads
+        a chain; made once per element."""
+        rec = self._cosets.get(u)
+        if rec is None:
+            flat = self.nc.flat_of[u]
+            rec = self._cosets[u] = Cosets(flat, self._coset_minima(flat), self._elements)
+        return rec
+
+    def _coset_minima(self, flat: FlatPartition) -> list[int]:
         """The indices in group.elements() of the least elements of the
         cosets w W_X of the isotropy group of a flat, ascending.
 
@@ -207,23 +261,16 @@ class ParkSpace:
         of the AND of its masks.  In I2, W_X is trivial for the plane and
         W for the origin, and on line j the coset {w, w s_j} holds one
         rotation, which is the lesser: the rotations come first."""
-        found = self._minima.get(flat)
-        if found is None:
-            els = self._elements
-            if flat.family != "I2":
-                mask = (1 << len(els)) - 1
-                for a, b, s in least_rule(flat):
-                    mask &= self._inequality(a, b, s)
-                bits = bin(mask)[:1:-1].encode().translate(_BITS)
-                found = list(itertools.compress(itertools.count(), bits))
-            elif flat.kind == "plane":
-                found = list(range(len(els)))
-            elif flat.kind == "origin":
-                found = [0]
-            else:
-                found = list(range(flat.n))
-            self._minima[flat] = found
-        return found
+        els = self._elements
+        if flat.family != "I2":
+            mask = (1 << len(els)) - 1
+            for a, b, s in least_rule(flat):
+                mask &= self._inequality(a, b, s)
+            bits = bin(mask)[:1:-1].encode().translate(_BITS)
+            return list(itertools.compress(itertools.count(), bits))
+        if flat.kind == "plane":
+            return list(range(len(els)))
+        return [0] if flat.kind == "origin" else list(range(flat.n))
 
     def _inequality(self, a: int, b: int, s: int) -> int:
         """The elements w with w(a) < s w(b), as a bitmask over the indices
@@ -248,9 +295,8 @@ class ParkSpace:
         classes() order.  Classes sort by (chain, rep), so every chain owns
         one contiguous block, in the lexicographic order of multichains(),
         listing the coset minima of its first flat, ascending."""
-        flat_of = self.nc.flat_of
         for ch in self.chains:
-            yield ch, self.coset_minima(flat_of[ch[0]])
+            yield ch, self.cosets(ch[0]).minima
 
     def chain_offsets(self) -> dict[tuple, int]:
         """Where each chain's block starts in classes()."""
@@ -262,60 +308,14 @@ class ParkSpace:
             self._offsets = offsets
         return self._offsets
 
-    def coset_keys(self, flat: FlatPartition) -> dict:
-        """The position in coset_minima(flat) of each coset w W_X of a first
-        flat X, keyed by coset_key(flat, w); made once per flat."""
-        cosets = self._keys.get(flat)
-        if cosets is None:
-            els = self._elements
-            if flat.family == "I2":
-                keys = (self.coset_key(flat, els[r]) for r in self.coset_minima(flat))
-            else:
-                # the ids once per flat: a block_ids lookup hashes the flat
-                bid = block_ids(flat)
-                keys = (block_key(bid, els[r].images) for r in self.coset_minima(flat))
-            cosets = self._keys[flat] = dict(zip(keys, itertools.count()))
-        return cosets
-
-    def key_columns(self, flat: FlatPartition) -> list[tuple[int, ...]]:
-        """The coset_keys of a first flat of type A, B or D as columns: entry
-        j of every key, in position order; made once per flat."""
-        cols = self._columns_of.get(flat)
-        if cols is None:
-            cols = self._columns_of[flat] = list(zip(*self.coset_keys(flat)))
-        return cols
-
-    def coset_key(self, flat: FlatPartition, w):
-        """A key shared by two elements exactly when they lie in one coset
-        w W_X of a flat X, by rule.
-
-        In A, B and D it is block_key over block_ids(flat): the signed ids
-        of the blocks holding w^-1(1), ..., w^-1(n).  Two elements share it
-        exactly when w^-1 w' maps every block of X onto itself.  The
-        elements of S_n or B_n that do form W_X; in D, W_X is those of them
-        that lie in D, as w^-1 w' does.
-
-        In I2 it is the coset's position itself, by arithmetic: w's index
-        in elements() for the plane (c^j at j, c^j s at m + j), 0 for the
-        origin, and on line l the exponent of the rotation in {w, w s_l},
-        j for c^j and j - l for c^j s."""
-        if flat.family == "I2":
-            if flat.kind == "line":
-                return (w.j - flat.line) % flat.n if w.refl else w.j
-            return w.refl * flat.n + w.j if flat.kind == "plane" else 0
-        return block_key(block_ids(flat), w.images)
-
-    def _position(self, flat: FlatPartition, w) -> int:
-        """The position of w's coset in coset_minima(flat)."""
-        return self.coset_keys(flat)[self.coset_key(flat, w)]
-
     def make_class(self, chain: tuple, w) -> ParkClass:
-        flat = self.nc.flat_of[chain[0]]
-        return ParkClass(chain, self._elements[self.coset_minima(flat)[self._position(flat, w)]])
+        rec = self.cosets(chain[0])
+        return ParkClass(chain, self._elements[rec.minima[rec.positions[rec.key(w)]]])
 
     def index(self, chain: tuple, w) -> int:
         """The position in classes() of the class [w, chain]."""
-        return self.chain_offsets()[chain] + self._position(self.nc.flat_of[chain[0]], w)
+        rec = self.cosets(chain[0])
+        return self.chain_offsets()[chain] + rec.positions[rec.key(w)]
 
     def classes(self) -> list[ParkClass]:
         if self._classes is None:
@@ -345,7 +345,7 @@ class ParkSpace:
         product is keyed.  The keys are relabeled a column at a time, and
         a chain block's map, which depends on (u_1, u_k) only, is made once
         for each pair."""
-        els, flat_of, chains = self._elements, self.nc.flat_of, self.chains
+        els, chains = self._elements, self.chains
         gtab = ncw.chain_g_table(self.nc, chains)
         starts = list(self.chain_offsets().values())
         c_inv = self.c.inverse()
@@ -355,14 +355,14 @@ class ParkSpace:
             perm = perms.get((ch[0], ch[-1]))
             if perm is None:
                 t_inv = ch[-1] * c_inv
-                flat, target = flat_of[ch[0]], flat_of[chains[gi][0]]
-                if flat.family == "I2":
-                    keys = (self.coset_key(target, els[r] * t_inv) for r in self.coset_minima(flat))
+                rec, target = self.cosets(ch[0]), self.cosets(chains[gi][0])
+                if self.spec.family == "I2":
+                    keys = (target.key(els[r] * t_inv) for r in rec.minima)
                 else:
-                    t, bid = t_inv.inverse(), block_ids(target)
-                    relabel = {j: bid[t(y)] for y, j in block_ids(flat).items()}.__getitem__
-                    keys = zip(*(map(relabel, col) for col in self.key_columns(flat)))
-                perm = perms[ch[0], ch[-1]] = list(map(self.coset_keys(target).__getitem__, keys))
+                    t, bid = t_inv.inverse(), target.bid
+                    relabel = {j: bid[t(y)] for y, j in rec.bid.items()}.__getitem__
+                    keys = zip(*(map(relabel, col) for col in rec.columns))
+                perm = perms[ch[0], ch[-1]] = list(map(target.positions.__getitem__, keys))
             off = starts[gi]
             out.fromlist([off + x for x in perm])
         return out
@@ -373,21 +373,20 @@ class ParkSpace:
         permutation is read off the keys: in A, B and D entry j of the key
         of v r is entry |v^-1(j)| of r's, negated when v^-1(j) < 0; in I2
         the product is keyed.  The keys are moved a column at a time."""
-        els, flat_of = self._elements, self.nc.flat_of
+        els = self._elements
         back = v.inverse().images if self.spec.family != "I2" else ()
-        perms: dict[FlatPartition, list[int]] = {}
+        perms: dict = {}
         out = array(typecode(self.size))
         for ch, off in self.chain_offsets().items():
-            flat = flat_of[ch[0]]
-            perm = perms.get(flat)
+            perm = perms.get(ch[0])
             if perm is None:
-                cosets = self.coset_keys(flat)
-                if flat.family == "I2":
-                    keys = (self.coset_key(flat, v * els[r]) for r in self.coset_minima(flat))
+                rec = self.cosets(ch[0])
+                if self.spec.family == "I2":
+                    keys = (rec.key(v * els[r]) for r in rec.minima)
                 else:
-                    cols = self.key_columns(flat)
+                    cols = rec.columns
                     keys = zip(*(cols[t - 1] if t > 0 else map(operator.neg, cols[-t - 1]) for t in back))
-                perm = perms[flat] = list(map(cosets.__getitem__, keys))
+                perm = perms[ch[0]] = list(map(rec.positions.__getitem__, keys))
             out.fromlist([off + x for x in perm])
         return out
 
@@ -406,8 +405,8 @@ class ParkSpace:
         classes fixed over X onto those over gX, so the first chain of each
         cycle counts for all L of them.  The class histogram of
         W_X1 y_d^-1 depends on (X1, y_d) alone, and is made once for each
-        such pair, streaming W_X1.  The division is exact; a remainder is
-        an internal error."""
+        such pair, keyed by (u_1, y_d), streaming W_X1.  The division is
+        exact; a remainder is an internal error."""
         grp, chains = self.group, self.chains
         kh = self.k * self.spec.coxeter_number
         sizes, order = grp.class_sizes(), self.spec.order
@@ -419,12 +418,12 @@ class ParkSpace:
             y_len, length = grp.identity(), len(cycle)
             for i in cycle:
                 y_len = y_len * (chains[i][-1] * c_inv)
-            flat = self.nc.flat_of[chains[cycle[0]][0]]
+            u = chains[cycle[0]][0]
             y = grp.identity()
             for d in range(0, kh, length):
-                found = histograms.get((flat, y))
+                found = histograms.get((u, y))
                 if found is None:
-                    found = histograms[flat, y] = self._coset_histogram(flat, y)
+                    found = histograms[u, y] = self._coset_histogram(self.nc.flat_of[u], y)
                 hist, members = found
                 for c, hits in hist.items():
                     fixed, rest = divmod(length * order * hits, sizes[c] * members)

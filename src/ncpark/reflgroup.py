@@ -131,34 +131,18 @@ class SignedPerm(Value):
                 img[-j - 1] = -i
         return SignedPerm(tuple(img))
 
-    def is_positive(self) -> bool:
-        return all(j > 0 for j in self.images)
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycles of w acting on +-[n] (on [n] when w is unsigned).
 
         Signed permutations yield the full decomposition on +-[n]; each
         cycle starts at its element of smallest absolute value (positive
-        preferred), and cycles are sorted by that starting element.
+        preferred), and cycles are sorted by that starting element: the
+        table_cycles of w on the ground set listed in that order.
         """
-        if self.is_positive():
-            ground = range(1, self.n + 1)
-        else:
-            ground = [x for i in range(1, self.n + 1) for x in (i, -i)]
-        seen: set[int] = set()
-        out = []
-        for start in ground:
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            j = self(start)
-            while j != start:
-                cyc.append(j)
-                seen.add(j)
-                j = self(j)
-            out.append(tuple(cyc))
-        return out
+        n = self.n
+        ground = range(1, n + 1) if min(self.images) > 0 else [x for i in range(1, n + 1) for x in (i, -i)]
+        at = {x: i for i, x in enumerate(ground)}
+        return [tuple(ground[i] for i in cyc) for cyc in table_cycles([at[self(x)] for x in ground])]
 
     def __repr__(self):
         return f"SignedPerm{self.images}"
@@ -268,40 +252,26 @@ def identity_perm(n: int) -> SignedPerm:
 
 
 def perm_from_cycles(n: int, *cycles: tuple[int, ...]) -> SignedPerm:
-    """Build a plain permutation of [n] from disjoint cycles."""
+    """The signed permutation of [n] with these disjoint cycles on +-[n],
+    each a -> b also sending -a -> -b."""
     img = list(range(1, n + 1))
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            img[a - 1] = b
+            if a > 0:
+                img[a - 1] = b
+            else:
+                img[-a - 1] = -b
     return SignedPerm(tuple(img))
 
 
 def paired_cycle(n: int, cyc: tuple[int, ...]) -> SignedPerm:
     """Signed permutation ((c1,...,cl)) with mirror cycle (-c1,...,-cl)."""
-    img = list(range(1, n + 1))
-
-    def set_image(a, b):
-        if a > 0:
-            img[a - 1] = b
-        else:
-            img[-a - 1] = -b
-
-    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        set_image(a, b)
-        set_image(-a, -b)
-    return SignedPerm(tuple(img))
+    return perm_from_cycles(n, cyc)
 
 
 def balanced_cycle(n: int, cyc: tuple[int, ...]) -> SignedPerm:
     """Signed permutation [c1,...,cl] = (c1,...,cl,-c1,...,-cl)."""
-    full = tuple(cyc) + tuple(-c for c in cyc)
-    img = list(range(1, n + 1))
-    for a, b in zip(full, full[1:] + full[:1]):
-        if a > 0:
-            img[a - 1] = b
-        else:
-            img[-a - 1] = -b
-    return SignedPerm(tuple(img))
+    return perm_from_cycles(n, tuple(cyc) + tuple(-c for c in cyc))
 
 
 class DihedralElement(Value):
@@ -440,11 +410,7 @@ class FlatPartition(Value):
             return len(self.blocks) - 1
         if self.family == "I2":
             return {"plane": 2, "line": 1, "origin": 0}[self.kind]
-        pairs = 0
-        for b in self.blocks:
-            if frozenset(b) != frozenset(-x for x in b):
-                pairs += 1
-        return pairs // 2
+        return (len(self.blocks) - (zero_block(self.blocks) is not None)) // 2
 
     def __repr__(self):
         if self.family == "I2":

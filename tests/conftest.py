@@ -23,9 +23,13 @@ from ncpark.locus import (
 )
 from ncpark.ncw import build_nc, chain_g_table, g_act_chain
 from ncpark.nonnesting import (
+    FilterChain,
     RootPoset,
     _act_ambient,
     _ambient_simple_roots,
+    build_root_poset,
+    closed_at,
+    is_geometric,
     reject_dihedral,
     torus_matrix,
 )
@@ -799,6 +803,40 @@ def tuple_sums(a, b):
     return frozenset(tuple(x + y for x, y in zip(s, t)) for s in a for t in b)
 
 
+def geometric_chains_by_stack(spec, k):
+    """nonnesting.geometric_chains by a depth-first search on an explicit
+    stack: todo holds the candidates left at each depth, prefix the
+    filters chosen above the last depth and fs their masks.  A prefix is
+    extended only by a filter at which the conditions ending there hold."""
+    poset = build_root_poset(spec)
+    filters = poset.filters()
+    masks = [poset.mask(f) for f in filters]
+    below = [[j for j, b in enumerate(masks) if a | b == a] for a in masks]
+    chains = []
+    prefix, fs = [], []
+    todo = [iter(range(len(filters)))]
+    while todo:
+        j = next(todo[-1], None)
+        if j is None:
+            todo.pop()
+            if prefix:
+                prefix.pop()
+                fs.pop()
+            continue
+        fs.append(masks[j])
+        if not closed_at(poset, fs, len(prefix)):
+            fs.pop()
+        elif len(fs) < k:
+            prefix.append(j)
+            todo.append(iter(below[j]))
+        else:
+            ch = FilterChain(poset, tuple(filters[i] for i in prefix + [j]))
+            assert is_geometric(ch)
+            chains.append(ch)
+            fs.pop()
+    return chains
+
+
 def descending_filter_chains(poset, k):
     """Every descending k-chain F_1 >= ... >= F_k of filters, as tuples."""
     filters = poset.filters()
@@ -843,6 +881,37 @@ def element_order(w):
         u = u * w
         k += 1
     return k
+
+
+def cycles_by_seen_set(w):
+    """SignedPerm.cycles by a walk from each point of the ground set, 1,
+    -1, 2, -2, ... (1, ..., n when w is unsigned), that no earlier cycle
+    holds, with a set of the points seen."""
+    n = w.n
+    if all(j > 0 for j in w.images):
+        ground = range(1, n + 1)
+    else:
+        ground = [x for i in range(1, n + 1) for x in (i, -i)]
+    seen = set()
+    out = []
+    for start in ground:
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        j = w(start)
+        while j != start:
+            cyc.append(j)
+            seen.add(j)
+            j = w(j)
+        out.append(tuple(cyc))
+    return out
+
+
+def element_of_flat(nc):
+    """The element of NC(W) whose fixed flat is each flat of NC(W): the
+    inverse of nc.flat_of, which is injective."""
+    return {x: w for w, x in nc.flat_of.items()}
 
 
 def eigenvalue_rotations(g, w):
@@ -949,7 +1018,7 @@ def contains(grp, w):
     if not isinstance(w, SignedPerm) or w.n != grp.spec.param:
         return False
     if grp.family == "A":
-        return w.is_positive()
+        return all(j > 0 for j in w.images)
     if grp.family == "D":
         return sum(1 for j in w.images if j < 0) % 2 == 0
     return True
@@ -979,7 +1048,7 @@ def isotropy_contains(grp, x, w):
 def is_noncrossing_flat(nc, x):
     """Whether x is the flat of an element of NC(W), cross-checked in types
     A and B against the boundary-order geometric predicate."""
-    ok = x in nc.element_of_flat
+    ok = x in element_of_flat(nc)
     fam = nc.group.family
     if fam in ("A", "B"):
         # type D would need the annular model and every I2 flat qualifies

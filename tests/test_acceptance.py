@@ -19,6 +19,7 @@ from conftest import (
     all_noncrossing_partitions,
     block_sizes,
     equivariant_function_count,
+    element_of_flat,
     full_partition,
     isotropy_list,
     label_of,
@@ -275,7 +276,7 @@ def test_criterion_10_structural_suites():
         ("I2", m) for m in range(3, 9)
     ]:
         g = group(fam, p)
-        nc_flats = set(ncw.build_nc(g).element_of_flat)
+        nc_flats = set(element_of_flat(ncw.build_nc(g)))
         for x in all_flats(g):
             assert any(act_on_flat(g, w, x) in nc_flats for w in g.elements())
         c = g.coxeter_element()

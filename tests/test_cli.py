@@ -1,3 +1,4 @@
+import errno
 import gc
 import hashlib
 import json
@@ -657,6 +658,55 @@ def test_entry_passes_exit_codes_through(route, args, code):
     assert proc.returncode == code
     assert proc.stdout == b""
     assert proc.stderr
+
+
+@pytest.mark.parametrize("out", ["-", "file"])
+def test_failed_write_is_a_one_line_exit_2(out, tmp_path, monkeypatch, capsys):
+    # output that cannot be written is the caller's to fix: one line on
+    # stderr and exit 2, not a traceback under exit 1 ("a check failed")
+    def closed(lines, path):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr(cli, "emit", closed)
+    dest = "-" if out == "-" else str(tmp_path / "out.jsonl")
+    assert main(["enumerate", "--family", "B", "--rank", "4", "--out", dest]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"cannot write output: {os.strerror(errno.EPIPE)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+LARGE = ["enumerate", "--family", "B", "--rank", "4"]  # 6,561 lines, past any pipe buffer
+SMALL = ["verify-csp", "--family", "A", "--rank", "2"]  # 7 lines, inside stdout's buffer
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("sink", ["closed-pipe", "full-stdout", "full-out"])
+@pytest.mark.parametrize("args", [LARGE, SMALL], ids=["large", "small"])
+def test_failed_write_in_a_process_is_a_one_line_exit_2(route, sink, args):
+    # a pipe whose reader has gone (as `| head` goes once it has read
+    # enough), stdout on a full device, and --out on one: exit 2 and one
+    # stderr line, also when the whole output fits in stdout's buffer.
+    # The child's stdout is buffered, as it is by default
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    extra = ["--out", "/dev/full"] if sink == "full-out" else []
+    if sink == "closed-pipe":
+        reader, out = os.pipe()
+        os.close(reader)
+    else:
+        out = os.open("/dev/full", os.O_WRONLY)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *ROUTES[route], *args, *extra],
+            stdout=out,
+            stderr=subprocess.PIPE,
+            cwd=ROOT / "src",
+            env=env,
+        )
+    finally:
+        os.close(out)
+    reason = errno.EPIPE if sink == "closed-pipe" else errno.ENOSPC
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.decode() == f"cannot write output: {os.strerror(reason)}\n"
 
 
 def test_console_script_runs_entry():

@@ -5,6 +5,7 @@ from conftest import (
     RULE_GRID,
     act_on_flat,
     all_flats,
+    element_of_flat,
     g_act_chain_by_factors,
     g_act_factor,
     integrate,
@@ -221,7 +222,7 @@ def test_noncrossing_flats():
     for m in (3, 4, 5, 6, 7, 8):
         grp = group("I2", m)
         nc = build_nc(grp)
-        assert set(nc.element_of_flat) == set(all_flats(grp))
+        assert set(element_of_flat(nc)) == set(all_flats(grp))
     # type A: the crossing pair pattern is not a noncrossing flat
     grp = group("A", 4)
     nc = build_nc(grp)
@@ -234,7 +235,7 @@ def test_noncrossing_flats():
 def test_every_flat_conjugate_to_noncrossing(fam, p):
     grp = group(fam, p)
     nc = build_nc(grp)
-    ncf = set(nc.element_of_flat)
+    ncf = set(element_of_flat(nc))
     for x in all_flats(grp):
         assert any(act_on_flat(grp, w, x) in ncf for w in grp.elements())
 
@@ -243,7 +244,7 @@ def test_every_flat_conjugate_to_noncrossing(fam, p):
 def test_w_orbit_of_line_meets_noncrossing_in_c_orbit(fam, p):
     grp = group(fam, p)
     nc = build_nc(grp)
-    ncf = set(nc.element_of_flat)
+    ncf = set(element_of_flat(nc))
     c = grp.coxeter_element()
     for x in ncf:
         if x.dim != 1:
@@ -263,7 +264,7 @@ def test_geometric_noncrossing_agrees_with_poset_for_a():
     nc = build_nc(grp)
     for x in all_flats(grp):
         geom = is_noncrossing(SetPartition.of(4, x.blocks))
-        assert geom == (x in nc.element_of_flat)
+        assert geom == (x in element_of_flat(nc))
 
 
 def test_geometric_noncrossing_agrees_with_poset_for_b():
@@ -271,4 +272,4 @@ def test_geometric_noncrossing_agrees_with_poset_for_b():
     nc = build_nc(grp)
     for x in all_flats(grp):
         geom = is_noncrossing(SetPartition.of(3, x.blocks, signed=True))
-        assert geom == (x in nc.element_of_flat)
+        assert geom == (x in element_of_flat(nc))

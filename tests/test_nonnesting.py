@@ -13,6 +13,7 @@ from conftest import (
     build_root_poset_by_coefficients,
     descending_filter_chains,
     filters_by_subsets,
+    geometric_chains_by_stack,
     is_geometric_by_tuple_sums,
     parse_partition,
     torus_fixed_count_bruteforce,
@@ -208,6 +209,17 @@ def test_prefix_search_checks_few_extensions(monkeypatch):
     filters = len(build_root_poset(spec).filters())
     checks = calls["closed_at"] - k * calls["is_geometric"]
     assert checks <= filters * sum(spec.fuss_catalan(j) for j in range(k))
+
+
+@pytest.mark.parametrize(
+    "fam,p", [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4), ("D", 3), ("D", 4)]
+)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_geometric_chains_match_stack_search(fam, p, k):
+    # growing the chains one level at a time lists what the depth-first
+    # search on an explicit stack lists, in the same order
+    spec = GroupSpec(fam, p)
+    assert geometric_chains(spec, k) == geometric_chains_by_stack(spec, k)
 
 
 def test_geometric_chains_deeper_than_the_recursion_limit():

@@ -14,6 +14,7 @@ from conftest import (
     all_noncrossing_partitions,
     block_sizes,
     coset_arrays_by_products,
+    element_of_flat,
     enumerate_classical_by_scan,
     equivariant_function_count,
     fixed_counts,
@@ -34,8 +35,10 @@ from conftest import (
 )
 
 from ncpark import cli, ncw, setpart
-from ncpark.parkspace import block_ids, build_park, enumerate_classical, is_classical_park
+from ncpark.locus import bc_phi, bc_psi
+from ncpark.parkspace import build_park, enumerate_classical, is_classical_park
 from ncpark.reflgroup import (
+    FlatPartition,
     GroupSpec,
     group,
     identity_perm,
@@ -95,13 +98,13 @@ def test_act_w_basics():
     for p in ps.classes():
         assert act_w(ps, identity_perm(3), p) == p
     # full first flat: every group element fixes the class
-    full_chain = (ps.nc.element_of_flat[ps.group.fixed_flat(ps.c)],)
+    full_chain = (element_of_flat(ps.nc)[ps.group.fixed_flat(ps.c)],)
     cls = ps.make_class(full_chain, identity_perm(3))
     for v in ps.group.elements():
         assert act_w(ps, v, cls) == cls
     # (1,2) is in the isotropy of the flat {1,2/3}
     t = perm_from_cycles(3, (1, 2))
-    chain = (ps.nc.element_of_flat[ps.group.fixed_flat(t)],)
+    chain = (element_of_flat(ps.nc)[ps.group.fixed_flat(t)],)
     assert act_w(ps, t, ps.make_class(chain, identity_perm(3))) == ps.make_class(
         chain, identity_perm(3)
     )
@@ -457,23 +460,49 @@ def test_class_serialization():
 )
 def test_coset_walk_matches_products(fam, p, k):
     # walking W by products with every element of W_X gives the cosets of
-    # each first flat: the inequality rule lists their minima, the key
-    # rule puts every element in its coset's position, and the keys over
-    # W number |W| / |W_X|.  In A, B and D an element's key is read off
-    # its inverse, bid[w^-1(1)], ..., bid[w^-1(n)]: block_key's value,
-    # since bid[-x] = -bid[x]
+    # each first flat, whose record ParkSpace.cosets makes: the inequality
+    # rule lists their minima, the key rule puts every element in its
+    # coset's position, and the keys over W number |W| / |W_X|.  In A, B
+    # and D an element's key is read off its inverse, bid[w^-1(1)], ...,
+    # bid[w^-1(n)]: block_key's value, since bid[-x] = -bid[x]
     ps = build_park(GroupSpec(fam, p), k)
     els = ps.group.elements()
-    for flat in sorted({ps.nc.flat_of[ch[0]] for ch in ps.chains}):
+    for u in sorted({ch[0] for ch in ps.chains}):
+        rec, flat = ps.cosets(u), ps.nc.flat_of[u]
         reps, arr = coset_arrays_by_products(ps, flat)
-        assert ps.coset_minima(flat) == reps
+        assert rec.minima == reps
         if fam == "I2":
-            keys = [ps.coset_key(flat, w) for w in els]
+            keys = [rec.key(w) for w in els]
         else:
-            bid = block_ids(flat).__getitem__
+            bid = rec.bid.__getitem__
             keys = [tuple(map(bid, inv)) for inv in inverse_images(ps.group)]
-        assert list(map(ps.coset_keys(flat).__getitem__, keys)) == arr
+        assert list(map(rec.positions.__getitem__, keys)) == arr
         assert len(set(keys)) * sum(1 for _ in ps.group.isotropy_elements(flat)) == len(els)
+
+
+@pytest.mark.parametrize("fam,p,k", [("B", 3, 2), ("D", 4, 1), ("I2", 5, 2)])
+def test_command_paths_hash_no_flat(fam, p, k, monkeypatch):
+    # each per-flat cache is keyed by the NC(W) element whose flat it is:
+    # once a space is built, its blocks, action tables, Burnside counts,
+    # BC maps and class positions hash no FlatPartition, and read what a
+    # space built beside it reads with hashing allowed
+    def work(ps):
+        els = ps.group.elements()
+        out = [list(ps.blocks()), ps.g_table(), [ps.w_table(v) for v in ps.group.reflections()]]
+        out += [ps.burnside_counts(), [ps.index(ch, w) for ch in ps.chains for w in els[::5]]]
+        if fam == "B":
+            phi = bc_phi(ps)
+            out += [phi, bc_psi(ps, phi)]
+        return out
+
+    spec = GroupSpec(fam, p)
+    expected, ps = work(build_park(spec, k)), build_park(spec, k)
+
+    def refuse(flat):
+        raise AssertionError(f"hashed {flat!r}")
+
+    monkeypatch.setattr(FlatPartition, "__hash__", refuse)
+    assert work(ps) == expected
 
 
 @pytest.mark.parametrize("fam,rank,k", [("A", 3, 2), ("B", 3, 2), ("D", 4, 1)])

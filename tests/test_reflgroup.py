@@ -10,6 +10,7 @@ from conftest import (
     bfs_reflection_length,
     classes_by_orbit_walk,
     conjugacy_class_reps_by_sets,
+    cycles_by_seen_set,
     eigenvalue_rotations,
     element_order,
     fixed_flat_by_cycles,
@@ -74,6 +75,7 @@ def test_coxeter_element_order_is_h():
 def test_signed_perm_algebra():
     w = paired_cycle(3, (1, 3, -2))
     assert w(1) == 3 and w(3) == -2 and w(-2) == 1
+    assert w == perm_from_cycles(3, (1, 3, -2)) == SignedPerm((3, -1, -2))
     assert w * w.inverse() == identity_perm(3)
     u = balanced_cycle(2, (1, 2))
     assert [u(1), u(2), u(-1), u(-2)] == [2, -1, -2, 1]
@@ -359,6 +361,16 @@ def test_fixed_flat_matches_cycles(fam, p):
     grp = group(fam, p)
     for w in grp.elements():
         assert grp.fixed_flat(w) == fixed_flat_by_cycles(grp, w)
+
+
+@pytest.mark.parametrize(
+    "fam,p", [("A", n) for n in range(2, 7)] + [("B", n) for n in range(1, 6)] + [("D", n) for n in (3, 4, 5)]
+)
+def test_cycles_match_seen_set_walk(fam, p):
+    # SignedPerm.cycles reads table_cycles on the ground set 1, -1, 2, -2,
+    # ...; the walk from each point no earlier cycle holds is its oracle
+    for w in group(fam, p).elements():
+        assert w.cycles() == cycles_by_seen_set(w)
 
 
 def test_signed_cycle_type_examples():

@@ -11,6 +11,7 @@ from conftest import (
     block_sizes,
     boundary_delta,
     crossing_free_pairwise,
+    element_of_flat,
     full_partition,
     kreweras_by_separation,
     label_of,
@@ -161,7 +162,7 @@ def test_omega_signed_matches_poset_dictionary():
             from ncpark.reflgroup import FlatPartition
 
             flat = FlatPartition("B", n, blocks=p.blocks)
-            assert omega(p) == nc.element_of_flat[flat]
+            assert omega(p) == element_of_flat(nc)[flat]
 
 
 def test_boundary_delta():
