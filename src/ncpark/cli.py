@@ -18,9 +18,9 @@ earlier batches there; a previous PATH stays whole.
 Exit code 0 means every check passed; 1 means at least one failed; 2 is a
 configuration error (a ConfigError) or output that cannot be written (an
 OSError: a closed pipe, a full device); 3 means an enumeration cap was
-exceeded; 4 means an internal invariant failed, including any other
-ValueError.  A process enters through entry, which returns main's code
-with the heap frozen, so interpreter exit does not collect it.
+exceeded; 4 means an internal invariant failed: any other exception.  A
+process enters through entry, which returns main's code with the heap
+frozen, so interpreter exit does not collect it.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import sys
 from typing import IO, Callable, NamedTuple
 
@@ -54,10 +55,26 @@ class CapExceeded(RuntimeError):
     """The input would make a command enumerate more than the cap allows."""
 
 
+def _decimal(n: int) -> str:
+    """n, or past about 100 digits its digit count, in integers: Python
+    writes no int of more than 4,300 digits."""
+    if n.bit_length() <= 330:  # n < 2^330 < 10^100
+        return str(n)
+    digits = (n.bit_length() - 1) * 30102 // 100000  # 10^digits <= n
+    while 10**digits <= n:
+        digits += 1
+    return f"a {digits}-digit number"
+
+
+def _short(text: str) -> str:
+    """text with each run of more than 100 digits named by its length."""
+    return re.sub(r"\d{101,}", lambda run: f"a {len(run[0])}-digit number", text)
+
+
 # What the cap bounds, as (size, its name) for a spec and k.
 def _classes(spec, k):
     """The (kh+1)^n classes or locus points; never below |W|."""
-    return (k * spec.coxeter_number + 1) ** spec.rank, "(kh+1)^n"
+    return spec.park_size(k), "(kh+1)^n"
 
 
 def _group(spec, k):
@@ -113,7 +130,7 @@ def _enumerate(spec, k):
     reps = [encode(space.rep_record(w)) for w in space.group.elements()]
     count = 0
     for chain, block in space.blocks():
-        head = '{"class": {"chain": ' + encode(list(space.chain_picture(chain).record)) + ', "rep": '
+        head = '{"class": {"chain": ' + encode(list(space.pictures[chain].record)) + ', "rep": '
         yield [head + reps[r] + tail for r in block]
         count += len(block)
     yield _count(space.size, count, summary=True)
@@ -122,7 +139,7 @@ def _enumerate(spec, k):
 def _dihedral_bijection(spec, k):
     """The class count of the bijection; a failed check of the builder is a
     failing row with the classes mapped before it and its witness."""
-    total = (k * spec.coxeter_number + 1) ** 2
+    total = spec.park_size(k)
     try:
         fwd = locus.dihedral_bijection(spec.param, k)
     except locus.BijectionFailure as exc:
@@ -137,7 +154,7 @@ def _nonnesting_count(spec, k):
     share, NC(W) by rank and the filters by their number of minimal
     roots, each the Narayana numbers."""
     nc = ncw.build_nc(group(spec.family, spec.param))
-    row = _count(len(nc.multichains(k)), nonnesting.count_geometric(spec, k))
+    row = _count(len(nc.multichains(k)), len(nonnesting.geometric_chains(spec, k)))
     if not row["pass"]:
         ranks = [0] * (spec.rank + 1)
         for x in nc.flat_of.values():
@@ -153,9 +170,8 @@ def _classical_park(spec, k):
     failing row carries a witness: the first class whose sequence is
     reached twice (with the records of both classes) or is not a parking
     function, else the least parking function no class reaches."""
-    n = spec.param
-    unreached = parkspace.enumerate_classical(n, k)
-    expected = (k * n + 1) ** (n - 1)
+    unreached = parkspace.enumerate_classical(spec.param, k)
+    expected = spec.park_size(k)
     yield _count(expected, len(unreached), check="count")
     space = parkspace.build_park(spec, k)
     count, bad = 0, None
@@ -295,7 +311,7 @@ def parse_d_filter(text, kh: int) -> range:
         raise ConfigError(f"--d {text} is not an integer d or a range d0:d1")
     out = range(bounds[0], bounds[-1] if len(bounds) == 2 else bounds[0] + 1)
     if not out or out.start < 0 or out.stop > kh:
-        raise ConfigError(f"--d {text} is not a nonempty range inside [0, {kh})")
+        raise ConfigError(f"--d {text} is not a nonempty range inside [0, {_decimal(kh)})")
     return out
 
 
@@ -312,9 +328,13 @@ def run(args, dest: str) -> int:
     d_filter = parse_d_filter(args.d, kh) if cmd.reads_d else None
     if spec.family not in cmd.families:
         raise ConfigError(cmd.refusal)
+    # every bound is at least |W| >= 2^rank, so a rank whose 2^rank passes
+    # the cap is refused before any bound is multiplied out
+    if spec.rank >= cap.bit_length():
+        raise CapExceeded(f"|{spec}| >= 2^{spec.rank} exceeds cap {cap}")
     size, what = cmd.bound(spec, k)
     if size > cap:
-        raise CapExceeded(f"{what} = {size} exceeds cap {cap}")
+        raise CapExceeded(f"{what} = {_decimal(size)} exceeds cap {cap}")
     base = _base(args.command, spec, k)
     encode = ENCODER.encode
     lines: list[str] = []
@@ -384,7 +404,7 @@ def main(argv=None) -> int:
             os.replace(dest, args.out)
         return code
     except CapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
+        print(f"cap exceeded: {_short(str(exc))}", file=sys.stderr)
         return EXIT_CAP
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -392,14 +412,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot write output: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except KeyError as exc:
         print(f"internal error: missing key {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except RuntimeError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # every other fault is a broken invariant
+        text = " ".join(str(exc).split()) or type(exc).__name__
+        print(f"internal error: {text}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:
         if held is not None:

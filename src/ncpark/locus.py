@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import Counter
-from functools import lru_cache, partial
+from functools import partial
 from operator import getitem
 
 from .reflgroup import (
@@ -210,7 +210,7 @@ def bc_phi(space: parkspace.ParkSpace) -> array:
     images = [w.images for w in space.group.elements()]
     out = array(parkspace.typecode(space.size))
     for ch, reps in space.blocks():
-        pic = space.chain_picture(ch)
+        pic = space.pictures[ch]
         # rows[x - 1][t]: what x adds when rep(x) = t; 2n + 1 slots, so a
         # negative t indexes from the end
         rows = [[0] * (2 * n + 1) for _ in range(n)]
@@ -230,8 +230,8 @@ def bc_psi(space: parkspace.ParkSpace, points) -> array:
 
     A point's digits name its coordinates' signed openers.  Parentheses
     placed at the openers and closed innermost first with prescribed block
-    sizes give nabla of the chain (close_parens, memoized on the opener
-    multiset, which fixes the chain).  A coordinate whose opener opens a
+    sizes give nabla of the chain (close_parens, once per opener multiset,
+    which fixes the chain).  A coordinate whose opener opens a
     block b of nabla(chain) is the image of an element of b's first-entry
     block; a zero coordinate, of one of the zero block.  So the point
     names, for each coordinate i, the block holding rep^-1(i), and that
@@ -254,7 +254,6 @@ def bc_psi(space: parkspace.ParkSpace, points) -> array:
         halves.append([(ds, sum(mult[d] for d in ds)) for ds in itertools.product(range(base), repeat=length)])
     high, low = halves
     split = len(low)
-    offsets = space.chain_offsets()
     rules: dict = {}
     out = array(parkspace.typecode(space.size))
     for p in points:
@@ -269,13 +268,12 @@ def bc_psi(space: parkspace.ParkSpace, points) -> array:
             sid[0] = 0
             # digits whose opener is not in the multiset never meet this rule
             digit_id = [sid.get(o) for o in opener_of]
-            rule = rules[hm + lm] = offsets[pic.chain], digit_id.__getitem__, rec.positions
+            rule = rules[hm + lm] = pic.start, digit_id.__getitem__, rec.positions
         start, sid, cosets = rule
         out.append(start + cosets[tuple(map(sid, hd + ld))])
     return out
 
 
-@lru_cache(maxsize=None)
 def close_parens(n: int, k: int, openers: tuple[int, ...]) -> setpart.SetPartition:
     """The unique centrally symmetric noncrossing partition of +-[kn] whose
     openers are +-j for j in the multiset openers, opening blocks of size
@@ -285,7 +283,6 @@ def close_parens(n: int, k: int, openers: tuple[int, ...]) -> setpart.SetPartiti
     first lap), each symbol not yet taken joins the innermost open block,
     and a block pops once it holds its size; one still open after the
     second lap cannot close.  Leftover symbols form the zero block.
-    Memoized: the result depends on the multiset only, as a sorted tuple.
     """
     kn = k * n
     size = {s * j: k * m for j, m in Counter(openers).items() for s in (1, -1)}
@@ -330,7 +327,7 @@ def verify_bc_bijection(spec: GroupSpec, k: int) -> list[dict]:
     """
     space = parkspace.build_park(spec, k)
     kh = locus_order(spec, k)
-    size = (kh + 1) ** spec.rank
+    size = spec.park_size(k)
 
     def point(j):
         return locus_point(kh, spec.rank, j).to_json()

@@ -213,12 +213,6 @@ def geometric_chains(spec: GroupSpec, k: int) -> list[FilterChain]:
     return out
 
 
-def count_geometric(spec: GroupSpec, k: int) -> int:
-    """Number of length-k geometric multichains of filters; equals the
-    Fuss-Catalan count of NC multichains when the Weak identity holds."""
-    return len(geometric_chains(spec, k))
-
-
 def antichain_counts(spec: GroupSpec) -> list[int]:
     """How many filters of the root poset have j minimal roots, for j from
     0 to the rank.  A filter is the one over its antichain of minimal
@@ -257,12 +251,6 @@ def torus_matrix(spec: GroupSpec, w) -> list[list[int]]:
     return [list(row) for row in zip(*cols)]
 
 
-def fixed_vector_count(mat: list[list[int]], m: int) -> int:
-    """#{x in (Z/m)^n : mat x = x mod m}, for a square integer matrix: the
-    product of its fixed_vector_divisors."""
-    return math.prod(fixed_vector_divisors(mat, m))
-
-
 def fixed_vector_divisors(mat: list[list[int]], m: int) -> list[int]:
     """gcd(d_i, m) for each d_i on a diagonal of mat - I, where
     gcd(0, m) = m.
@@ -297,8 +285,8 @@ def fixed_vector_divisors(mat: list[list[int]], m: int) -> list[int]:
 
 
 def torus_fixed_count(spec: GroupSpec, k: int, w) -> int:
-    """Fixed vectors of w on Q/(kh+1)Q."""
-    return fixed_vector_count(torus_matrix(spec, w), k * spec.coxeter_number + 1)
+    """Fixed vectors of w on Q/(kh+1)Q: the product of its fixed_vector_divisors."""
+    return math.prod(fixed_vector_divisors(torus_matrix(spec, w), k * spec.coxeter_number + 1))
 
 
 def verify_nn_character(spec: GroupSpec, k: int) -> list[dict]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import operator
 from array import array
-from collections import Counter
 from functools import cached_property
 
 from .reflgroup import (
@@ -20,7 +19,6 @@ from .reflgroup import (
     GroupSpec,
     SignedPerm,
     Value,
-    compose,
     group,
     set_field,
     table_cycles,
@@ -171,16 +169,18 @@ class Cosets:
 class ChainPicture:
     """What a class takes from its chain alone: the per-chain record.
 
-    Holds the chain and, each from first use on, its entries as set
+    Holds the chain, start, the position in classes() where its chain's
+    block begins, and, each from first use on, its entries as set
     partitions (types A, B, D) and as class_record writes them, both read
     off the per-element maps of NC(W), pi = nabla of the chain (on +-[kn]
     in type B), the map from blocks of pi to blocks of the first entry,
     and the openers of pi (type B).
     """
 
-    def __init__(self, chain: tuple, nc: ncw.NCPoset):
+    def __init__(self, chain: tuple, nc: ncw.NCPoset, start: int):
         self.chain = chain
         self.nc = nc
+        self.start = start
 
     @cached_property
     def parts(self) -> tuple[setpart.SetPartition, ...]:
@@ -193,19 +193,17 @@ class ChainPicture:
         return tuple(map(self.nc.literal_of.__getitem__, self.chain))
 
     @cached_property
-    def _nabla(self) -> tuple[setpart.SetPartition, dict]:
-        if self.parts[0].signed:
-            return setpart.bc_nabla_picture(self.parts)
-        pi = setpart.nabla(self.parts)
-        return pi, setpart.nabla_block_map(pi, self.parts[0], len(self.parts))
-
-    @property
     def pi(self) -> setpart.SetPartition:
-        return self._nabla[0]
+        """nabla of the chain; in type B the entries of NC(W) are centrally
+        symmetric, so pi must be too."""
+        pi = setpart.nabla(self.parts)
+        if pi.signed and not pi.is_centrally_symmetric():
+            raise RuntimeError(f"central symmetry lost under nabla: {pi!r}")
+        return pi
 
-    @property
+    @cached_property
     def block_map(self) -> dict:
-        return self._nabla[1]
+        return setpart.nabla_block_map(self.pi, self.parts[0], len(self.chain))
 
     @cached_property
     def openers(self) -> dict:
@@ -214,7 +212,7 @@ class ChainPicture:
 
 class ParkSpace:
     """Park^NC for one (group, k): its classes by position, with one coset
-    record per first flat and one picture per chain cached, and its action
+    record per first flat and one record per chain, and its action
     tables."""
 
     def __init__(self, spec: GroupSpec, k: int):
@@ -226,13 +224,10 @@ class ParkSpace:
         self.nc = ncw.build_nc(self.group)
         self.c = self.nc.c
         self.chains = self.nc.multichains(k)
-        self.size = (k * spec.coxeter_number + 1) ** spec.rank  # the classes
+        self.size = spec.park_size(k)  # the classes
         self._cosets: dict = {}
         self._masks: dict[tuple[int, int, int], int] = {}
-        self._offsets = None
         self._classes = None
-        self._pictures: dict[tuple, ChainPicture] = {}
-        self._nabla_inv = None
 
     @property
     def _elements(self) -> list:
@@ -298,15 +293,15 @@ class ParkSpace:
         for ch in self.chains:
             yield ch, self.cosets(ch[0]).minima
 
-    def chain_offsets(self) -> dict[tuple, int]:
-        """Where each chain's block starts in classes()."""
-        if self._offsets is None:
-            offsets, pos = {}, 0
-            for ch, reps in self.blocks():
-                offsets[ch] = pos
-                pos += len(reps)
-            self._offsets = offsets
-        return self._offsets
+    @cached_property
+    def pictures(self) -> dict[tuple, ChainPicture]:
+        """The record of each chain, in chain order; each holds where its
+        chain's block starts in classes()."""
+        out, start = {}, 0
+        for ch, reps in self.blocks():
+            out[ch] = ChainPicture(ch, self.nc, start)
+            start += len(reps)
+        return out
 
     def make_class(self, chain: tuple, w) -> ParkClass:
         rec = self.cosets(chain[0])
@@ -315,7 +310,7 @@ class ParkSpace:
     def index(self, chain: tuple, w) -> int:
         """The position in classes() of the class [w, chain]."""
         rec = self.cosets(chain[0])
-        return self.chain_offsets()[chain] + rec.positions[rec.key(w)]
+        return self.pictures[chain].start + rec.positions[rec.key(w)]
 
     def classes(self) -> list[ParkClass]:
         if self._classes is None:
@@ -347,7 +342,7 @@ class ParkSpace:
         for each pair."""
         els, chains = self._elements, self.chains
         gtab = ncw.chain_g_table(self.nc, chains)
-        starts = list(self.chain_offsets().values())
+        starts = [pic.start for pic in self.pictures.values()]
         c_inv = self.c.inverse()
         perms: dict = {}
         out = array(typecode(self.size))
@@ -377,7 +372,7 @@ class ParkSpace:
         back = v.inverse().images if self.spec.family != "I2" else ()
         perms: dict = {}
         out = array(typecode(self.size))
-        for ch, off in self.chain_offsets().items():
+        for ch, pic in self.pictures.items():
             perm = perms.get(ch[0])
             if perm is None:
                 rec = self.cosets(ch[0])
@@ -387,7 +382,7 @@ class ParkSpace:
                     cols = rec.columns
                     keys = zip(*(cols[t - 1] if t > 0 else map(operator.neg, cols[-t - 1]) for t in back))
                 perm = perms[ch[0]] = list(map(rec.positions.__getitem__, keys))
-            out.fromlist([off + x for x in perm])
+            out.fromlist([pic.start + x for x in perm])
         return out
 
     def burnside_counts(self) -> list[list[int]]:
@@ -405,8 +400,8 @@ class ParkSpace:
         classes fixed over X onto those over gX, so the first chain of each
         cycle counts for all L of them.  The class histogram of
         W_X1 y_d^-1 depends on (X1, y_d) alone, and is made once for each
-        such pair, keyed by (u_1, y_d), streaming W_X1.  The division is
-        exact; a remainder is an internal error."""
+        such pair, keyed by (u_1, y_d), by ReflectionGroup.coset_classes.
+        The division is exact; a remainder is an internal error."""
         grp, chains = self.group, self.chains
         kh = self.k * self.spec.coxeter_number
         sizes, order = grp.class_sizes(), self.spec.order
@@ -421,10 +416,10 @@ class ParkSpace:
             u = chains[cycle[0]][0]
             y = grp.identity()
             for d in range(0, kh, length):
-                found = histograms.get((u, y))
-                if found is None:
-                    found = histograms[u, y] = self._coset_histogram(self.nc.flat_of[u], y)
-                hist, members = found
+                hist = histograms.get((u, y))
+                if hist is None:
+                    hist = histograms[u, y] = grp.coset_classes(self.nc.flat_of[u], y)
+                members = sum(hist.values())
                 for c, hits in hist.items():
                     fixed, rest = divmod(length * order * hits, sizes[c] * members)
                     if rest:
@@ -435,20 +430,6 @@ class ParkSpace:
                     counts[c][d] += fixed
                 y = y * y_len
         return counts
-
-    def _coset_histogram(self, flat: FlatPartition, y) -> tuple[Counter, int]:
-        """The class ids of W_X y^-1 counted, and |W_X|: products on image
-        tuples in A, B and D.  At the origin, W_X y^-1 = W, and the counts
-        are the class sizes."""
-        grp, y_inv = self.group, y.inverse()
-        if flat.dim == 0:
-            return Counter(dict(enumerate(grp.class_sizes()))), self.spec.order
-        if self.spec.family == "I2":
-            hist = Counter(grp.class_id(h * y_inv) for h in grp.isotropy_elements(flat))
-        else:
-            yi = y_inv.images
-            hist = Counter(grp.class_id(compose(h, yi)) for h in grp.isotropy_elements(flat))
-        return hist, sum(hist.values())
 
     def verify_weak(self) -> list[dict]:
         """Fixed counts against (kh+1)^mult for one element per conjugacy
@@ -468,14 +449,6 @@ class ParkSpace:
 
     # -- labeled pictures and type A models ---------------------------------------
 
-    def chain_picture(self, chain: tuple) -> ChainPicture:
-        """The per-chain cache entry: built once per chain, shared by every
-        class over that chain."""
-        pic = self._pictures.get(chain)
-        if pic is None:
-            pic = self._pictures[chain] = ChainPicture(chain, self.nc)
-        return pic
-
     def labeled_pair(self, p: ParkClass) -> setpart.LabeledPartition:
         """The block-labeled k-divisible disc picture of a class (types A, B):
         each block of nabla(chain) is labeled by the image under the
@@ -484,7 +457,7 @@ class ParkSpace:
         benchmark's tracer names it."""
         if self.spec.family not in ("A", "B"):
             raise ValueError(f"no labeled disc picture for family {self.spec.family}")
-        pic = self.chain_picture(p.chain)
+        pic = self.pictures[p.chain]
         labels = {b: tuple(p.rep(x) for x in src) for b, src in pic.block_map.items()}
         return setpart.LabeledPartition.of(pic.pi, labels)
 
@@ -495,13 +468,12 @@ class ParkSpace:
         return self.make_class(chain, rep_from_labels(self, chain, dict(lp.labels)))
 
     def picture_of(self, pi: setpart.SetPartition) -> ChainPicture:
-        """The cache entry of the chain whose nabla is pi."""
-        return self.chain_picture(self._nabla_index()[pi])
+        """The record of the chain whose nabla is pi."""
+        return self._nabla_index[pi]
 
+    @cached_property
     def _nabla_index(self) -> dict:
-        if self._nabla_inv is None:
-            self._nabla_inv = {self.chain_picture(ch).pi: ch for ch in self.chains}
-        return self._nabla_inv
+        return {pic.pi: pic for pic in self.pictures.values()}
 
     def to_classical(self, chain: tuple, reps) -> list[tuple[int, ...]]:
         """Type A: the k-parking sequence of each class over chain, its
@@ -511,7 +483,7 @@ class ParkSpace:
         if self.spec.family != "A":
             raise ValueError("to_classical is a type A operation")
         least = [0] * self.spec.param
-        for b, src in self.chain_picture(chain).block_map.items():
+        for b, src in self.pictures[chain].block_map.items():
             for x in src:
                 least[x - 1] = b[0]
         out = []
@@ -525,7 +497,7 @@ class ParkSpace:
     # -- serialization --------------------------------------------------------
 
     def class_record(self, p: ParkClass) -> dict:
-        return {"chain": list(self.chain_picture(p.chain).record), "rep": self.rep_record(p.rep)}
+        return {"chain": list(self.pictures[p.chain].record), "rep": self.rep_record(p.rep)}
 
     def rep_record(self, w) -> list:
         """The rep field of class_record: the images, or the I2 element's
@@ -545,7 +517,7 @@ def rep_from_labels(space: ParkSpace, chain: tuple, labels: dict):
     if space.spec.family not in ("A", "B"):
         raise ValueError("labeled pictures exist for types A and B only")
     img = [0] * space.spec.param
-    for b, src in space.chain_picture(chain).block_map.items():
+    for b, src in space.pictures[chain].block_map.items():
         lab = sorted(labels[b])
         if frozenset(src) == frozenset(-x for x in src):
             # type B zero block: send positive members to one label per +- pair

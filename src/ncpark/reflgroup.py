@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from functools import lru_cache
 
 FAMILIES = ("A", "B", "D", "I2")
@@ -264,11 +265,6 @@ def perm_from_cycles(n: int, *cycles: tuple[int, ...]) -> SignedPerm:
     return SignedPerm(tuple(img))
 
 
-def paired_cycle(n: int, cyc: tuple[int, ...]) -> SignedPerm:
-    """Signed permutation ((c1,...,cl)) with mirror cycle (-c1,...,-cl)."""
-    return perm_from_cycles(n, cyc)
-
-
 def balanced_cycle(n: int, cyc: tuple[int, ...]) -> SignedPerm:
     """Signed permutation [c1,...,cl] = (c1,...,cl,-c1,...,-cl)."""
     return perm_from_cycles(n, tuple(cyc) + tuple(-c for c in cyc))
@@ -362,6 +358,11 @@ class GroupSpec(Value):
             num *= k * self.coxeter_number + d
             den *= d
         return num // den
+
+    def park_size(self, k: int) -> int:
+        """(kh+1)^n, the number of classes of the k-W-parking space and of
+        points of its locus."""
+        return (k * self.coxeter_number + 1) ** self.rank
 
     @property
     def order(self) -> int:
@@ -461,14 +462,6 @@ class ReflectionGroup:
     def family(self) -> str:
         return self.spec.family
 
-    @property
-    def rank(self) -> int:
-        return self.spec.rank
-
-    @property
-    def coxeter_number(self) -> int:
-        return self.spec.coxeter_number
-
     def identity(self):
         if self.family == "I2":
             return DihedralElement(self.spec.param, False, 0)
@@ -507,11 +500,11 @@ class ReflectionGroup:
             f, p = self.family, self.spec.param
             if f == "I2":
                 refls = [DihedralElement(p, True, j) for j in range(p)]
-            elif f == "A":
-                refls = [perm_from_cycles(p, (i, j)) for i in range(1, p) for j in range(i + 1, p + 1)]
             else:
-                refls = [paired_cycle(p, (i, j)) for i in range(1, p) for j in range(i + 1, p + 1)]
-                refls += [paired_cycle(p, (i, -j)) for i in range(1, p) for j in range(i + 1, p + 1)]
+                pairs = [(i, j) for i in range(1, p) for j in range(i + 1, p + 1)]
+                refls = [perm_from_cycles(p, (i, j)) for i, j in pairs]
+                if f != "A":
+                    refls += [perm_from_cycles(p, (i, -j)) for i, j in pairs]
                 if f == "B":
                     refls += [balanced_cycle(p, (i,)) for i in range(1, p + 1)]
             self._reflections = sorted(refls)
@@ -732,6 +725,18 @@ class ReflectionGroup:
     def class_sizes(self) -> list[int]:
         """|Cl(v)| for each v in conjugacy_class_reps()."""
         return list(self._classes()[2])
+
+    def coset_classes(self, x: FlatPartition, y) -> Counter:
+        """The class ids of the coset W_x y^-1, counted: they sum to |W_x|.
+        W_x streams as image tuples in A, B and D, as elements in I2.  At
+        the origin, W_x y^-1 = W, and the counts are the class sizes."""
+        if x.dim == 0:
+            return Counter(dict(enumerate(self.class_sizes())))
+        y_inv = y.inverse()
+        if self.family == "I2":
+            return Counter(self.class_id(h * y_inv) for h in self.isotropy_elements(x))
+        yi = y_inv.images
+        return Counter(self.class_id(compose(h, yi)) for h in self.isotropy_elements(x))
 
 
 def table_cycles(table) -> list[list[int]]:

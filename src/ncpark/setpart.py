@@ -335,28 +335,19 @@ class LabeledPartition(Value):
         return f"Labeled({self.partition!r}; {bits})"
 
 
-def bc_nabla_picture(chain: tuple[SetPartition, ...]) -> tuple[SetPartition, dict]:
-    """nabla for a centrally symmetric chain on +-[n], with its block map.
-
-    nabla runs on the +-[n] = [2n] line and returns the partition of
-    +-[kn]; the map sends each block of it to the block of chain[0] it
-    restricts to.  The result is centrally symmetric exactly when the
-    entries are, so the entries are checked only when it is not.
-    """
+def bc_nabla(chain: tuple[SetPartition, ...], labels: dict) -> LabeledPartition:
+    """Labeled nabla for centrally symmetric chains on +-[n]: nabla runs on
+    the +-[n] = [2n] line and returns the partition of +-[kn], and labels
+    on the blocks of the first chain entry transfer along nabla_block_map.
+    The result is centrally symmetric exactly when the entries are, so
+    the entries are checked only when it is not."""
     pi = nabla(chain)
     if not pi.is_centrally_symmetric():
         if not all(p.is_centrally_symmetric() for p in chain):
             raise ValueError("chain entries must be centrally symmetric")
         raise RuntimeError("central symmetry lost under nabla (logic error)")
-    return pi, nabla_block_map(pi, chain[0], len(chain))
-
-
-def bc_nabla(chain: tuple[SetPartition, ...], labels: dict) -> LabeledPartition:
-    """Labeled nabla for centrally symmetric chains on +-[n]: labels on the
-    blocks of the first chain entry transfer along the block map of
-    bc_nabla_picture."""
-    pi, block_map = bc_nabla_picture(chain)
     label_in = {tuple(sorted(b)): tuple(sorted(l)) for b, l in labels.items()}
+    block_map = nabla_block_map(pi, chain[0], len(chain))
     return LabeledPartition.of(pi, {b: label_in[src] for b, src in block_map.items()})
 
 

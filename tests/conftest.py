@@ -3,6 +3,7 @@ call: the library keeps what a command runs."""
 
 import itertools
 import math
+import os
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -42,7 +43,6 @@ from ncpark.reflgroup import (
     canonical_blocks,
     group,
     identity_perm,
-    paired_cycle,
     partition_refines,
     perm_from_cycles,
     zero_block,
@@ -64,6 +64,14 @@ MAIN_GRID = (
 )
 
 KS = (1, 2, 3)
+
+
+def child_env(**extra) -> dict:
+    """The environment of a test's child process: the runner's without
+    PYTHONUNBUFFERED, so the child's stdout is buffered as it is by
+    default, and with extra set."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    return {**env, **extra}
 
 # MAIN_GRID with A5, A6, B4, B5, D4, D5 and D6: where a rule replaces a walk over W
 RULE_GRID = MAIN_GRID + [("A", 6), ("A", 7), ("B", 4), ("B", 5), ("D", 4), ("D", 5), ("D", 6)]
@@ -218,14 +226,14 @@ def isotropy_generators(grp, x):
     for b in x.blocks:
         if b != zero and min(abs(t) for t in b) in b:
             slots = sorted(b, key=abs)
-            gens += [paired_cycle(p, pair) for pair in zip(slots, slots[1:])]
+            gens += [perm_from_cycles(p, pair) for pair in zip(slots, slots[1:])]
     if zero:
         zpos = sorted(t for t in zero if t > 0)
-        gens += [paired_cycle(p, pair) for pair in zip(zpos, zpos[1:])]
+        gens += [perm_from_cycles(p, pair) for pair in zip(zpos, zpos[1:])]
         if f == "B":
             gens.append(balanced_cycle(p, (zpos[0],)))
         elif len(zpos) > 1:
-            gens.append(paired_cycle(p, (zpos[0], -zpos[1])))
+            gens.append(perm_from_cycles(p, (zpos[0], -zpos[1])))
     return gens
 
 
@@ -253,7 +261,7 @@ def nc_by_scan(grp):
     c = grp.coxeter_element()
     els = grp.elements()
     flats = [grp.fixed_flat(w) for w in els]
-    length = {w: grp.rank - x.dim for w, x in zip(els, flats)}
+    length = {w: grp.spec.rank - x.dim for w, x in zip(els, flats)}
     return {w: x for w, x in zip(els, flats) if length[w] + length[w.inverse() * c] == length[c]}
 
 
@@ -410,7 +418,7 @@ def bc_phi_by_class(space, p):
     |rep(x)| to the exponent of b's opener, plus kn when rep(x) < 0."""
     n = space.spec.param
     kn = space.k * n
-    pic = space.chain_picture(p.chain)
+    pic = space.pictures[p.chain]
     coords = [ZERO] * n
     for b, opener in pic.openers.items():
         e = opener_to_exponent(opener, kn)
@@ -581,7 +589,7 @@ def bc_phi_by_labels(space, p):
     kn = space.k * n
     lp = space.labeled_pair(p)
     coords = [ZERO] * n
-    for b, opener in space.chain_picture(p.chain).openers.items():
+    for b, opener in space.pictures[p.chain].openers.items():
         e = opener_to_exponent(opener, kn)
         for t in label_of(lp, b):
             if t > 0:
@@ -979,7 +987,7 @@ def fixed_flat_by_cycles(grp, w):
 
 def reflection_length(grp, w):
     """codim V^w, which is the reflection length by Carter's lemma."""
-    return grp.rank - grp.fixed_flat(w).dim
+    return grp.spec.rank - grp.fixed_flat(w).dim
 
 
 def all_flats(grp):

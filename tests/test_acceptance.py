@@ -41,9 +41,9 @@ from ncpark.locus import (
     verify_bc_bijection,
     verify_intermediate_character,
 )
-from ncpark.nonnesting import count_geometric, verify_nn_character
+from ncpark.nonnesting import geometric_chains, verify_nn_character
 from ncpark.parkspace import build_park, enumerate_classical
-from ncpark.reflgroup import GroupSpec, balanced_cycle, group, paired_cycle, perm_from_cycles
+from ncpark.reflgroup import GroupSpec, balanced_cycle, group, perm_from_cycles
 from ncpark.setpart import LabeledPartition, SetPartition, bc_nabla
 
 
@@ -98,13 +98,13 @@ def test_criterion_04_bc_bijection():
     ps = build_park(GroupSpec("B", 3), 2)
     X1 = parse_partition("1,-3/2,-2/-1,3", 3, signed=True)
     X2 = full_partition(3, signed=True)
-    w = paired_cycle(3, (1, 3, -2))
+    w = perm_from_cycles(3, (1, 3, -2))
     upper = ps.from_labeled_pair(bc_nabla((X1, X2), {b: tuple(w(x) for x in b) for b in X1.blocks}))
     phi = bc_phi(ps)
     assert phi[ps.index(upper.chain, upper.rep)] == locus_position(12, (ZERO, 10, 10))
     Y1 = parse_partition("1,2/3/-1,-2/-3", 3, signed=True)
     Y2 = parse_partition("1,2,3/-1,-2,-3", 3, signed=True)
-    w2 = paired_cycle(3, (1, -3)) * balanced_cycle(3, (2,))
+    w2 = perm_from_cycles(3, (1, -3)) * balanced_cycle(3, (2,))
     lower = ps.from_labeled_pair(bc_nabla((Y1, Y2), {b: tuple(w2(x) for x in b) for b in Y1.blocks}))
     assert phi[ps.index(lower.chain, lower.rep)] == locus_position(12, (10, 7, 7))
     # the pinned inverse example
@@ -228,7 +228,7 @@ def test_criterion_09_nonnesting():
     for fam, p in [("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3)]:
         spec = GroupSpec(fam, p)
         for k in KS:
-            assert count_geometric(spec, k) == spec.fuss_catalan(k), (fam, p, k)
+            assert len(geometric_chains(spec, k)) == spec.fuss_catalan(k), (fam, p, k)
             rows = verify_nn_character(spec, k)
             assert all(r["pass"] for r in rows), (fam, p, k)
     report("criterion 9: geometric multichain counts and finite torus characters", True)

@@ -12,7 +12,7 @@ import tracemalloc
 from array import array
 
 import pytest
-from conftest import KS, MAIN_GRID, element_index, enumerate_lines_by_records
+from conftest import KS, MAIN_GRID, child_env, element_index, enumerate_lines_by_records
 from test_locus import swapped_c_table
 from test_no_dead_code import ROOT, console_scripts
 from test_reference_outputs import REFERENCE
@@ -477,12 +477,108 @@ def test_weak_sweeps_pass_past_the_class_count(command, tmp_path):
 def test_missing_key_is_an_internal_error(tmp_path, monkeypatch, capsys):
     # no input check raises KeyError: a miss is a broken invariant, here
     # a nabla that psi cannot find among the chains
-    monkeypatch.setattr(parkspace.ParkSpace, "_nabla_index", lambda self: {})
+    monkeypatch.setattr(parkspace.ParkSpace, "_nabla_index", {})
     out = tmp_path / "out.jsonl"
     args = ["verify-bijection", "--family", "B", "--rank", "2", "--kind", "bc", "--out", str(out)]
     assert main(args) == EXIT_INTERNAL
     assert "internal error: missing key" in capsys.readouterr().err
     assert not out.exists()
+
+
+# expressions that raise an exception main names in no clause of its own
+UNEXPECTED = {
+    "IndexError": "[][0]",
+    "TypeError": "None + 1",
+    "ZeroDivisionError": "1 // 0",
+    "AttributeError": "None.missing",
+    "two-line-message": "(_ for _ in ()).throw(LookupError('first\\nsecond'))",
+}
+CSP_A2 = ["verify-csp", "--family", "A", "--rank", "2"]
+
+
+@pytest.mark.parametrize("expr", UNEXPECTED.values(), ids=UNEXPECTED)
+def test_any_other_exception_is_a_one_line_internal_error(expr, tmp_path, monkeypatch, capsys):
+    # exit 1 means a check failed: a fault of any other type is exit 4 with
+    # one stderr line, not a traceback
+    monkeypatch.setattr(qcatalan, "fixed_chain_counts", eval(f"lambda spec, k: {expr}"))
+    out = tmp_path / "out.jsonl"
+    assert main(CSP_A2 + ["--out", str(out)]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and err.count("\n") == 1 and err[16:].strip()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("expr", UNEXPECTED.values(), ids=UNEXPECTED)
+def test_any_other_exception_in_a_process_is_a_one_line_internal_error(expr):
+    probe = "import sys; from ncpark import cli, qcatalan; "
+    probe += f"qcatalan.fixed_chain_counts = lambda spec, k: {expr}; sys.argv[1:] = {CSP_A2!r}; sys.exit(cli.entry())"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, cwd=ROOT / "src", env=child_env()
+    )
+    assert proc.returncode == EXIT_INTERNAL
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal error: ") and proc.stderr.count("\n") == 1
+
+
+# a 4,000-digit --k: Python writes no int of more than 4,300 digits
+HUGE_K = "1" + "0" * 3999
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["torus-character", "--family", "A", "--rank", "1800"],
+        ["torus-character", "--family", "A", "--rank", "1500"],
+        ["verify-weak", "--family", "B", "--rank", "1800"],
+        ["enumerate", "--family", "D", "--rank", "1800"],
+        ["nonnesting-count", "--family", "A", "--rank", "1800"],
+        ["enumerate", "--family", "A", "--rank", "2", "--k", HUGE_K],
+        ["verify-csp", "--family", "I2", "--m", HUGE_K],
+        ["enumerate", "--family", "A", "--rank", "2", "--k", HUGE_K, "--cap", HUGE_K],
+    ],
+    ids=["torus-A1800", "torus-A1500", "weak-B1800", "enumerate-D1800", "nonnesting-A1800", "huge-k", "huge-m",
+         "huge-cap"],
+)
+def test_cap_refusal_of_a_huge_size_is_one_short_line(args, tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    assert main(args + ["--out", str(out)]) == EXIT_CAP
+    err = capsys.readouterr().err
+    assert err.startswith("cap exceeded: ") and err.count("\n") == 1 and len(err) < 200
+    assert not out.exists()
+
+
+def test_cap_message_names_a_long_size_by_its_digits(capsys):
+    # in full below 2^330, which has 100 digits
+    assert cli._decimal(2**330 - 1) == str(2**330 - 1)
+    assert cli._decimal(10**99) == str(10**99)
+    for d in (100, 101, 5000, 100000):
+        assert cli._decimal(10**d - 1) == f"a {d}-digit number"
+        assert cli._decimal(10**d) == f"a {d + 1}-digit number"
+    out = ["--out", os.devnull]
+    assert main(["enumerate", "--family", "A", "--rank", "2", "--k", HUGE_K, *out]) == EXIT_CAP
+    assert capsys.readouterr().err == "cap exceeded: (kh+1)^n = a 7999-digit number exceeds cap 1000000\n"
+    assert main(["verify-weak", "--family", "A", "--rank", "20", *out]) == EXIT_CAP
+    assert capsys.readouterr().err == "cap exceeded: |A20| >= 2^20 exceeds cap 1000000\n"
+
+
+def test_d_refusal_names_a_long_power_range_by_its_digits(tmp_path, capsys):
+    # kh = 2 (10^4300 - 1) has 4,301 digits, past what Python writes
+    args = ["verify-csp", "--family", "A", "--rank", "1", "--k", "9" * 4300, "--d", "-1"]
+    assert main(args + ["--out", str(tmp_path / "out.jsonl")]) == EXIT_CONFIG
+    err = "configuration error: --d -1 is not a nonempty range inside [0, a 4301-digit number)\n"
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("command,family", [
+    ("torus-character", "A"), ("verify-weak", "B"), ("enumerate", "D"), ("nonnesting-count", "A"),
+])
+def test_a_million_ranks_are_refused_at_once(command, family):
+    # every bound is at least |W| >= 2^rank: no product of a million
+    # factors is formed
+    proc = run_process("module", [command, "--family", family, "--rank", "1000000"], timeout=30)
+    assert proc.returncode == EXIT_CAP
+    assert proc.stdout == b""
+    assert proc.stderr == f"cap exceeded: |{family}1000000| >= 2^1000000 exceeds cap 1000000\n".encode()
 
 
 def test_psi_fault_is_a_failing_row(tmp_path, monkeypatch):
@@ -622,9 +718,11 @@ ROUTES = {
 }
 
 
-def run_process(route, args):
+def run_process(route, args, **kwargs):
     # run from src/, so that a checkout needs no install and no PYTHONPATH
-    return subprocess.run([sys.executable, *ROUTES[route], *args], capture_output=True, cwd=ROOT / "src")
+    return subprocess.run(
+        [sys.executable, *ROUTES[route], *args], capture_output=True, cwd=ROOT / "src", env=child_env(), **kwargs
+    )
 
 
 def test_console_entry_point(tmp_path, capsys):
@@ -687,7 +785,6 @@ def test_failed_write_in_a_process_is_a_one_line_exit_2(route, sink, args):
     # enough), stdout on a full device, and --out on one: exit 2 and one
     # stderr line, also when the whole output fits in stdout's buffer.
     # The child's stdout is buffered, as it is by default
-    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
     extra = ["--out", "/dev/full"] if sink == "full-out" else []
     if sink == "closed-pipe":
         reader, out = os.pipe()
@@ -700,7 +797,7 @@ def test_failed_write_in_a_process_is_a_one_line_exit_2(route, sink, args):
             stdout=out,
             stderr=subprocess.PIPE,
             cwd=ROOT / "src",
-            env=env,
+            env=child_env(),
         )
     finally:
         os.close(out)
@@ -724,7 +821,9 @@ def test_entry_freezes_the_heap_and_main_does_not(route, tmp_path):
     }[route]
     probe = "import atexit, gc, sys; atexit.register(lambda: print(gc.get_freeze_count())); "
     probe += f"sys.argv[1:] = {args!r}; {call}"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, cwd=ROOT / "src", env=child_env()
+    )
     assert proc.returncode == EXIT_OK
     assert int(proc.stdout) > 0
     before = gc.get_freeze_count()
@@ -1087,8 +1186,8 @@ def test_nonnesting_failure_carries_a_witness(tmp_path, monkeypatch):
     # A3 k=1: one geometric chain too many fails the row, which splits both
     # sides by a shared statistic: NC(W) by rank and the filters by their
     # number of minimal roots, each the Narayana numbers 1, 6, 6, 1
-    real = nonnesting.count_geometric
-    monkeypatch.setattr(nonnesting, "count_geometric", lambda spec, k: real(spec, k) + 1)
+    real = nonnesting.geometric_chains
+    monkeypatch.setattr(nonnesting, "geometric_chains", lambda spec, k: real(spec, k) + real(spec, k)[:1])
     code, lines = run_cli(["nonnesting-count", "--family", "A", "--rank", "3"], tmp_path)
     assert code == EXIT_FAIL
     row = lines[0]

@@ -2,10 +2,11 @@
 dataclass and no arithmetic goes through fractions, so `import ncpark.cli`
 pulls in none of the heavy standard modules those need."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import child_env
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -18,7 +19,7 @@ def test_cli_import_loads_no_heavy_module():
     # -S: no site hooks, so only ncpark's own imports count
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
+        env=child_env(PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         check=True,

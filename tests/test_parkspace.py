@@ -40,6 +40,7 @@ from ncpark.parkspace import build_park, enumerate_classical, is_classical_park
 from ncpark.reflgroup import (
     FlatPartition,
     GroupSpec,
+    ReflectionGroup,
     group,
     identity_perm,
     perm_from_cycles,
@@ -503,6 +504,34 @@ def test_command_paths_hash_no_flat(fam, p, k, monkeypatch):
 
     monkeypatch.setattr(FlatPartition, "__hash__", refuse)
     assert work(ps) == expected
+
+
+@pytest.mark.parametrize("fam,p,k", [("A", 5, 1), ("B", 3, 2), ("D", 4, 1), ("I2", 5, 2)])
+def test_one_record_per_chain_and_coset_classes(fam, p, k, monkeypatch):
+    # pictures lists the chains in order, each starting where the blocks
+    # before it end, and the blocks fill (kh+1)^n classes
+    spec = GroupSpec(fam, p)
+    ps = build_park(spec, k)
+    assert list(ps.pictures) == ps.chains
+    start = 0
+    for (ch, reps), pic in zip(ps.blocks(), ps.pictures.values()):
+        assert (pic.chain, pic.start) == (ch, start)
+        start += len(reps)
+    assert start == pic.start + len(reps) == spec.park_size(k) == ps.size
+    # every histogram burnside_counts reads counts the |W_X| elements of
+    # its coset W_X y^-1
+    seen = []
+    real = ReflectionGroup.coset_classes
+
+    def recorded(grp, x, y):
+        seen.append((x, y, real(grp, x, y)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(ReflectionGroup, "coset_classes", recorded)
+    ps.burnside_counts()
+    assert seen
+    for x, y, hist in seen:
+        assert sum(hist.values()) == sum(1 for _ in ps.group.isotropy_elements(x)), (x, y)
 
 
 @pytest.mark.parametrize("fam,rank,k", [("A", 3, 2), ("B", 3, 2), ("D", 4, 1)])

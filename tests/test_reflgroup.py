@@ -31,7 +31,6 @@ from ncpark.reflgroup import (
     balanced_cycle,
     group,
     identity_perm,
-    paired_cycle,
     partitions,
     perm_from_cycles,
     signed_cycle_type,
@@ -73,7 +72,7 @@ def test_coxeter_element_order_is_h():
 
 
 def test_signed_perm_algebra():
-    w = paired_cycle(3, (1, 3, -2))
+    w = perm_from_cycles(3, (1, 3, -2))
     assert w(1) == 3 and w(3) == -2 and w(-2) == 1
     assert w == perm_from_cycles(3, (1, 3, -2)) == SignedPerm((3, -1, -2))
     assert w * w.inverse() == identity_perm(3)
@@ -102,10 +101,10 @@ def test_fixed_flat_examples():
     # identity fixes everything
     for fam, p in SMALL:
         g = group(fam, p)
-        assert g.fixed_flat(g.identity()).dim == g.rank
+        assert g.fixed_flat(g.identity()).dim == g.spec.rank
     # signed example: x1 = -x2, x3 = 0
     g3 = group("B", 3)
-    w = paired_cycle(3, (1, -2)) * balanced_cycle(3, (3,))
+    w = perm_from_cycles(3, (1, -2)) * balanced_cycle(3, (3,))
     flat = g3.fixed_flat(w)
     assert set(flat.blocks) == {(-2, 1), (-1, 2), (-3, 3)}
     assert flat.dim == 1
@@ -166,7 +165,7 @@ def test_absolute_order_vs_flat_containment_below_c():
 def test_eigenvalue_multiplicities():
     for fam, p in SMALL:
         g = group(fam, p)
-        assert g.eigenvalue_multiplicity(g.identity(), 0, 4) == g.rank
+        assert g.eigenvalue_multiplicity(g.identity(), 0, 4) == g.spec.rank
     # type A: d = 0 count is cycles minus one
     g = group("A", 4)
     for w in g.elements():
@@ -204,7 +203,7 @@ def test_eigenvalue_sum_property():
         g = group(fam, p)
         h = g.spec.coxeter_number
         c = g.coxeter_element()
-        assert sum(g.eigenvalue_multiplicity(c, d, h) for d in range(h)) == g.rank
+        assert sum(g.eigenvalue_multiplicity(c, d, h) for d in range(h)) == g.spec.rank
         for w in g.elements():
             total = sum(g.eigenvalue_multiplicity(w, d, h) for d in range(h))
             full = len([q for q in eigenvalue_rotations(g, w) if (q * h).denominator == 1])
@@ -250,8 +249,8 @@ def test_isotropy_examples():
         assert isotropy_contains(g6, flat, w)
     # B2 line x1 = x2
     g2 = group("B", 2)
-    line = g2.fixed_flat(paired_cycle(2, (1, 2)))
-    assert isotropy_contains(g2, line, paired_cycle(2, (1, 2)))
+    line = g2.fixed_flat(perm_from_cycles(2, (1, 2)))
+    assert isotropy_contains(g2, line, perm_from_cycles(2, (1, 2)))
     assert not isotropy_contains(g2, line, balanced_cycle(2, (1,)) * balanced_cycle(2, (2,)))
     # origin is fixed by everyone
     for fam, p in SMALL:

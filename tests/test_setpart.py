@@ -32,12 +32,11 @@ from conftest import (
 
 from ncpark import setpart
 from ncpark.parkspace import build_park
-from ncpark.reflgroup import GroupSpec, balanced_cycle, identity_perm, paired_cycle, perm_from_cycles, zero_block
+from ncpark.reflgroup import GroupSpec, balanced_cycle, identity_perm, perm_from_cycles, zero_block
 from ncpark.setpart import (
     LabeledPartition,
     SetPartition,
     bc_nabla,
-    bc_nabla_picture,
     circ_position,
     format_partition,
     is_noncrossing,
@@ -256,7 +255,7 @@ def test_nabla_matches_partition_route(fam, p, k):
     # multichain: the picture and its block map
     space = build_park(GroupSpec(fam, p), k)
     for chain in space.chains:
-        pic = space.chain_picture(chain)
+        pic = space.pictures[chain]
         if fam == "A":
             expected = nabla_by_partitions(pic.parts)
             assert (pic.pi, pic.block_map) == (expected, nabla_block_map(expected, pic.parts[0], k))
@@ -305,7 +304,7 @@ def test_nabla_checks_catch_mutants(chain, stage, mutant, message, monkeypatch):
 def test_bc_nabla_picture_rejects_asymmetric_entries():
     # noncrossing on the line 1, 2, -1, -2, but not centrally symmetric
     with pytest.raises(ValueError, match="centrally symmetric"):
-        bc_nabla_picture((parse_partition("1/2/-1,-2", 2, signed=True),))
+        bc_nabla((parse_partition("1/2/-1,-2", 2, signed=True),), {})
 
 
 def test_nc_lambda_count_formula():
@@ -365,7 +364,7 @@ def test_symmetric_kdiv_count_vs_enumeration(N):
 def test_bc_nabla_pinned_pairs():
     X1 = parse_partition("1,-3/2,-2/-1,3", 3, signed=True)
     X2 = full_partition(3, signed=True)
-    w = paired_cycle(3, (1, 3, -2))
+    w = perm_from_cycles(3, (1, 3, -2))
     labels = {b: tuple(w(x) for x in b) for b in X1.blocks}
     lp = bc_nabla((X1, X2), labels)
     assert lp.partition == parse_partition("1,-4,-5,-6/2,3,-2,-3/4,5,6,-1", 6, signed=True)
@@ -375,7 +374,7 @@ def test_bc_nabla_pinned_pairs():
 
     Y1 = parse_partition("1,2/3/-1,-2/-3", 3, signed=True)
     Y2 = parse_partition("1,2,3/-1,-2,-3", 3, signed=True)
-    w2 = paired_cycle(3, (1, -3)) * balanced_cycle(3, (2,))
+    w2 = perm_from_cycles(3, (1, -3)) * balanced_cycle(3, (2,))
     labels2 = {b: tuple(w2(x) for x in b) for b in Y1.blocks}
     lp2 = bc_nabla((Y1, Y2), labels2)
     assert lp2.partition == parse_partition("1,2,3,6/4,5/-1,-2,-3,-6/-4,-5", 6, signed=True)
