@@ -15,6 +15,11 @@ or FIFO, or to the temporary file PATH.<pid>.tmp, which main renames over
 batch as it is made, and a run that fails part way (exit 4) may leave its
 earlier batches there; a previous PATH stays whole.
 
+main reads argv directly when it is COMMAND and then --NAME VALUE pairs
+that argparse would read the same way (parse_direct); every other argv,
+help and usage errors among them, goes to argparse, which is imported
+only then.  OPTIONS, derived from TABLE, feeds both parsers.
+
 Exit code 0 means every check passed; 1 means at least one failed; 2 is a
 configuration error (a ConfigError) or output that cannot be written (an
 OSError: a closed pipe, a full device); 3 means an enumeration cap was
@@ -25,12 +30,12 @@ frozen, so interpreter exit does not collect it.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import re
 import sys
+from types import SimpleNamespace
 from typing import IO, Callable, NamedTuple
 
 from .reflgroup import FAMILIES, ConfigError, GroupSpec, group
@@ -82,10 +87,16 @@ def _group(spec, k):
 
 
 def _chains(spec, k):
-    """W and the k-multichains, of NC(W) or of root poset filters,
-    whichever is larger."""
-    cat = spec.fuss_catalan(k)
-    return (cat, f"Cat^({k})({spec})") if cat > spec.order else _group(spec, k)
+    """The k-multichains, of NC(W) or of root poset filters: Cat^(k)(W).
+    run's rank guard holds for this bound too, since Cat^(k)(W) >= Cat(W)
+    >= 2^rank in A, B, D and I2."""
+    return spec.fuss_catalan(k), f"Cat^({k})({spec})"
+
+
+def _group_or_chains(spec, k):
+    """W and the k-multichains, whichever is larger."""
+    chains = _chains(spec, k)
+    return chains if chains[0] > spec.order else _group(spec, k)
 
 
 def _closure_checks(spec, k):
@@ -210,7 +221,7 @@ def _bad_sequence(space, seq: tuple, pos: int) -> tuple[int, dict]:
 TABLE = {
     ("enumerate", None): Command(_enumerate),
     ("verify-weak", None): Command(
-        lambda s, k: parkspace.build_park(s, k).verify_weak(), reads_d=True, bound=_chains
+        lambda s, k: parkspace.build_park(s, k).verify_weak(), reads_d=True, bound=_group_or_chains
     ),
     ("verify-csp", None): Command(lambda s, k: qcatalan.verify_csp(s, k), reads_d=True, bound=_chains),
     ("verify-intermediate", None): Command(
@@ -218,7 +229,7 @@ TABLE = {
         ("B", "D", "I2"),
         locus.NO_LOCUS,
         reads_d=True,
-        bound=_chains,
+        bound=_group_or_chains,
     ),
     ("verify-bijection", "bc"): Command(
         lambda s, k: locus.verify_bc_bijection(s, k), ("B",), "--kind bc needs --family B"
@@ -242,29 +253,80 @@ TABLE = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with the subparser of command only, or with every
-    subparser when command names none (missing, an option, unknown), so
-    help and usage errors read as the full parser's."""
+class Option(NamedTuple):
+    """One --NAME VALUE option, in argparse's add_argument keywords."""
+
+    type: Callable = str
+    choices: tuple | None = None
+    default: object = None
+    required: bool = False
+    help: str | None = None
+
+
+def _options(command: str) -> dict[str, Option]:
+    """command's options by NAME, in the order its help lists them."""
+    kinds = tuple(kind for cmd, kind in TABLE if cmd == command)
+    options = {
+        "family": Option(choices=FAMILIES, required=True),
+        "rank": Option(int, help="Coxeter label: A_r is S_{r+1}, B_r, D_r"),
+        "m": Option(int, help="m for I2(m)"),
+        "k": Option(int, default=1, help="Fuss parameter"),
+    }
+    if TABLE[command, kinds[0]].reads_d:
+        options["d"] = Option(help="restrict to d or d0:d1")
+    options["out"] = Option(default="-", help="output path or -")
+    options["cap"] = Option(int, help="enumeration cap (env NCPARK_CAP)")
+    if kinds != (None,):
+        options["kind"] = Option(choices=kinds, required=True)
+    return options
+
+
+# command -> its options; both parse_direct and build_parser read this
+OPTIONS = {command: _options(command) for command in dict.fromkeys(cmd for cmd, _ in TABLE)}
+
+
+def parse_direct(argv: list[str]) -> SimpleNamespace | None:
+    """argv's attributes as argparse's parse_args sets them, or None where
+    argparse must read argv.  argv is read here only when it is COMMAND
+    and then --NAME VALUE pairs, each NAME spelled in full and among
+    COMMAND's options, each VALUE "-" or not starting with "-", of the
+    option's type and among its choices, with every required option
+    given.  A repeated option keeps its last value, as in argparse."""
+    options = OPTIONS.get(argv[0]) if argv else None
+    if options is None or len(argv) % 2 == 0:
+        return None
+    given = {"command": argv[0]}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        name = flag[2:] if flag.startswith("--") else ""
+        option = options.get(name)
+        if option is None or text.startswith("-") and text != "-":
+            return None
+        try:
+            given[name] = option.type(text)
+        except ValueError:
+            return None
+        if option.choices is not None and given[name] not in option.choices:
+            return None
+    if any(option.required and name not in given for name, option in options.items()):
+        return None
+    return SimpleNamespace(**{name: option.default for name, option in options.items()} | given)
+
+
+def build_parser():
+    """The argparse parser of every command, for the argv that
+    parse_direct leaves to it: help, abbreviations, --NAME=VALUE,
+    negative numbers and every usage error."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="ncpark",
         description="Fuss noncrossing parking spaces: enumeration and verification",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    names = dict.fromkeys(name for name, _ in TABLE)
-    for name in [command] if command in names else names:
-        kinds = [kind for cmd, kind in TABLE if cmd == name]
-        p = sub.add_parser(name)
-        p.add_argument("--family", required=True, choices=FAMILIES)
-        p.add_argument("--rank", type=int, help="Coxeter label: A_r is S_{r+1}, B_r, D_r")
-        p.add_argument("--m", type=int, help="m for I2(m)")
-        p.add_argument("--k", type=int, default=1, help="Fuss parameter")
-        if TABLE[name, kinds[0]].reads_d:
-            p.add_argument("--d", type=str, default=None, help="restrict to d or d0:d1")
-        p.add_argument("--out", type=str, default="-", help="output path or -")
-        p.add_argument("--cap", type=int, help="enumeration cap (env NCPARK_CAP)")
-        if kinds != [None]:
-            p.add_argument("--kind", choices=kinds, required=True)
+    for command, options in OPTIONS.items():
+        p = sub.add_parser(command)
+        for name, option in options.items():
+            p.add_argument(f"--{name}", **option._asdict())
     return ap
 
 
@@ -328,8 +390,9 @@ def run(args, dest: str) -> int:
     d_filter = parse_d_filter(args.d, kh) if cmd.reads_d else None
     if spec.family not in cmd.families:
         raise ConfigError(cmd.refusal)
-    # every bound is at least |W| >= 2^rank, so a rank whose 2^rank passes
-    # the cap is refused before any bound is multiplied out
+    # every bound is at least |W| >= 2^rank or Cat^(k)(W) >= 2^rank, so a
+    # rank whose 2^rank passes the cap is refused before any bound is
+    # multiplied out
     if spec.rank >= cap.bit_length():
         raise CapExceeded(f"|{spec}| >= 2^{spec.rank} exceeds cap {cap}")
     size, what = cmd.bound(spec, k)
@@ -394,7 +457,7 @@ def emit(lines: list[str], path: str) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = parse_direct(argv) or build_parser().parse_args(argv)
     dest = held = None
     try:
         # --out is checked before any work; a failed run removes the file

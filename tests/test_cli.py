@@ -14,6 +14,7 @@ from array import array
 import pytest
 from conftest import KS, MAIN_GRID, child_env, element_index, enumerate_lines_by_records
 from test_locus import swapped_c_table
+from test_import_cost import HEAVY
 from test_no_dead_code import ROOT, console_scripts
 from test_reference_outputs import REFERENCE
 
@@ -229,19 +230,23 @@ B3 = ["--family", "B", "--rank", "3", "--k", "1"]
     [
         # these build no classes: the cap bounds |W|, and |B3| = 48
         pytest.param(["torus-character"] + B3, 48, id="torus-character"),
-        # the next five list k-multichains too: the cap bounds the larger of
-        # |W| and Cat^(k)(W), which is 20 for B3 k=1 and 6 for A1 k=5, and
-        # nonnesting-count checks floor(k^2/4) closure conditions per
-        # chain: 20 for B3 k=1, 6 * 6 = 36 for A1 k=5
+        # nonnesting-count lists k-multichains too, and checks floor(k^2/4)
+        # closure conditions per chain: the cap bounds the larger of |W|
+        # and their count, which is 20 for B3 k=1, 6 * 6 = 36 for A1 k=5
         pytest.param(["nonnesting-count"] + B3, 48, id="nonnesting-count"),
         pytest.param(
             ["nonnesting-count", "--family", "A", "--rank", "1", "--k", "5"], 36, id="nonnesting-count-chains"
         ),
-        pytest.param(["verify-csp"] + B3, 48, id="verify-csp"),
+        # verify-csp lists the k-multichains of NC(W) and never W: the cap
+        # bounds Cat^(k)(W), which is 20 for B3 k=1, 6 for A1 k=5 and 42
+        # for A4 k=1, below |A4| = 120
+        pytest.param(["verify-csp"] + B3, 20, id="verify-csp"),
         pytest.param(["verify-csp", "--family", "A", "--rank", "1", "--k", "5"], 6, id="verify-csp-chains"),
+        pytest.param(["verify-csp", "--family", "A", "--rank", "4", "--k", "1"], 42, id="verify-csp-a4"),
         # verify-weak and verify-intermediate count by the class equation
         # over chain g-cycles and by the locus closed form: no class or
-        # point is built, so they bound the same
+        # point is built, and the cap bounds the larger of |W| and
+        # Cat^(k)(W), 48 for B3 k=1 and 6 for A1 k=5
         pytest.param(["verify-weak"] + B3, 48, id="verify-weak"),
         pytest.param(["verify-weak", "--family", "A", "--rank", "1", "--k", "5"], 6, id="verify-weak-chains"),
         pytest.param(["verify-intermediate"] + B3, 48, id="verify-intermediate"),
@@ -257,11 +262,18 @@ B3 = ["--family", "B", "--rank", "3", "--k", "1"]
         pytest.param(["classical-park", "--family", "A", "--rank", "2", "--k", "1"], 16, id="classical-park"),
     ],
 )
-def test_cap_bounds_group_order(args, cover, tmp_path):
+def test_cap_bounds_group_order(args, cover, tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     args = args + ["--out", str(out)]
     assert main(args + ["--cap", str(cover - 1)]) == EXIT_CAP
+    assert capsys.readouterr().err.endswith(f" = {cover} exceeds cap {cover - 1}\n")
     assert main(args + ["--cap", str(cover)]) == EXIT_OK
+
+
+def test_csp_cap_names_the_chains(capsys):
+    args = ["verify-csp", "--family", "A", "--rank", "4", "--out", os.devnull, "--cap", "41"]
+    assert main(args) == EXIT_CAP
+    assert capsys.readouterr().err == "cap exceeded: Cat^(1)(A4) = 42 exceeds cap 41\n"
 
 
 @pytest.mark.parametrize("command,kind", list(TABLE), ids=[f"{c}-{k}" if k else c for c, k in TABLE])
@@ -832,6 +844,25 @@ def test_entry_freezes_the_heap_and_main_does_not(route, tmp_path):
     assert (tmp_path / "main.jsonl").read_bytes() == (tmp_path / "entry.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("route", ROUTES)
+def test_entry_loads_no_heavy_module(route, tmp_path):
+    # a run that argv reads directly never imports argparse, nor the
+    # gettext and locale argparse's messages bring; read at exit
+    args = ["verify-csp", "--family", "A", "--rank", "2", "--out", str(tmp_path / "out.jsonl")]
+    call = {
+        "module": "import runpy; runpy.run_module('ncpark.cli', run_name='__main__')",
+        "script": ROUTES["script"][1],
+    }[route]
+    probe = "import atexit, sys; "
+    probe += f"atexit.register(lambda: print(' '.join(m for m in {HEAVY!r} if m in sys.modules))); "
+    probe += f"sys.argv[1:] = {args!r}; {call}"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, cwd=ROOT / "src", env=child_env()
+    )
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.split() == []
+
+
 @pytest.mark.parametrize("fam,p", MAIN_GRID)
 @pytest.mark.parametrize("k", KS)
 def test_enumerate_lines_match_per_class_records(fam, p, k, tmp_path):
@@ -1026,33 +1057,93 @@ def test_torus_failure_carries_a_witness(tmp_path, monkeypatch):
     assert rows[1]["witness"] == {"multiplicity": 1, "divisors": [1, 4]}
 
 
-def subparser_names(ap):
-    (action,) = [a for a in ap._actions if a.dest == "command"]
-    return list(action.choices)
-
-
-def parser_text(argv, command, capsys):
-    """What a parser built for command prints, and its exit code, on argv."""
+def parser_text(argv, capsys):
+    """What the argparse parser prints, and its exit code, on argv."""
     with pytest.raises(SystemExit) as exc:
-        cli.build_parser(command).parse_args(argv)
+        cli.build_parser().parse_args(argv)
     out = capsys.readouterr()
     return exc.value.code, out.out, out.err
 
 
-def test_parser_builds_only_the_named_command():
-    assert subparser_names(cli.build_parser("verify-weak")) == ["verify-weak"]
-    full = list(dict.fromkeys(name for name, _ in TABLE))
-    for command in (None, "--help", "-h", "bogus"):
-        assert subparser_names(cli.build_parser(command)) == full
+def cross_route_grid(command, kind):
+    """(argv, whether parse_direct reads it) for one command form: argv
+    that argparse reads, some in ways parse_direct leaves to it, and argv
+    that argparse refuses or answers with help."""
+    cmd = TABLE[command, kind]
+    family = cmd.families[-1]
+    size = ["--m", "5"] if family == "I2" else ["--rank", "2"]
+    kinds = ["--kind", kind] if kind else []
+    base = [command, "--family", family, *size, *kinds]
+    grid = [
+        (base, True),
+        ([command, *kinds, "--k", "2", *size, "--family", family], True),
+        (base + ["--k", "2", "--family", "A", "--k", "3", "--family", family], True),  # the last wins
+        (base + ["--out", "-"], True),
+        (base + ["--out", ""], True),
+        (base + ["--k", "+3"], True),
+        (base + ["--cap", "1_0"], True),
+        (base + ["--fam", family], False),  # an abbreviation
+        (base + ["--k=2"], False),
+        (base + ["--k", "-1"], False),  # a negative number
+        (base + ["--out", "-x"], False),
+        (base + ["--rank", ""], False),
+        (base + ["--k"], False),
+        (base + ["--bogus", "1"], False),
+        (base + ["extra", "1"], False),
+        ([command, *size, *kinds], False),  # no --family
+        (base + ["--family", "E"], False),  # a bad choice
+        (base + ["-h"], False),
+        (base + ["--help"], False),
+        (["bogus", "--family", family], False),
+        (base + ["--d", "1:2"], cmd.reads_d),
+    ]
+    if kind:
+        grid += [([command, "--family", family, *size], False), (base + ["--kind", "x"], False)]
+    else:
+        grid += [(base + ["--kind", "bc"], False)]
+    return grid
+
+
+@pytest.mark.parametrize("command,kind", list(TABLE), ids=[f"{c}-{k}" if k else c for c, k in TABLE])
+def test_direct_parse_reads_as_argparse(command, kind, capsys):
+    # the direct parse takes only argv that argparse reads the same way,
+    # and then gives the attributes argparse's Namespace holds
+    parser = cli.build_parser()
+    for argv, direct in cross_route_grid(command, kind):
+        got = cli.parse_direct(argv)
+        assert (got is not None) == direct, argv
+        try:
+            expected = vars(parser.parse_args(argv))
+        except SystemExit:
+            expected = None
+        capsys.readouterr()
+        if got is not None:
+            assert vars(got) == expected, argv
+
+
+def test_reference_commands_take_the_direct_parse():
+    # every command the benchmark runs is read without argparse
+    for command in REFERENCE:
+        argv = command.split() + ["--out", "out.jsonl"]
+        assert cli.parse_direct(argv) is not None, command
 
 
 @pytest.mark.parametrize(
-    "argv", [["--help"], ["verify-weak", "--help"], ["verify-bijection", "--help"], ["bogus"], []]
+    "argv",
+    [
+        ["--help"],
+        ["verify-weak", "--help"],
+        ["verify-bijection", "--help"],
+        ["bogus"],
+        [],
+        ["enumerate", "--family", "A", "--d", "2"],
+    ],
 )
 def test_one_command_parser_reads_as_the_full_one(argv, capsys):
-    # main builds the parser for argv[0]: help and usage errors are the
-    # full parser's, byte for byte
-    full = parser_text(argv, None, capsys)
+    # main leaves argv it does not read directly to the full parser: help
+    # and usage errors are the full parser's, byte for byte, and an
+    # unrecognized argument's usage lists every command
+    full = parser_text(argv, capsys)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     out = capsys.readouterr()

@@ -1,5 +1,6 @@
 """Starting the CLI loads only what its commands use: no value class is a
-dataclass and no arithmetic goes through fractions, so `import ncpark.cli`
+dataclass, no arithmetic goes through fractions and argparse is imported
+only for the argv the direct parse leaves to it, so `import ncpark.cli`
 pulls in none of the heavy standard modules those need."""
 
 import subprocess
@@ -10,8 +11,9 @@ from conftest import child_env
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# dataclasses brings inspect, ast and dis; fractions brings decimal and numbers
-HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "numbers", "ast", "dis")
+# dataclasses brings inspect, ast and dis; fractions brings decimal and
+# numbers; argparse brings gettext, which imports locale on its first message
+HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "numbers", "ast", "dis", "argparse", "gettext", "locale")
 
 
 def test_cli_import_loads_no_heavy_module():
