@@ -100,12 +100,14 @@ def _group_or_chains(spec, k):
 
 
 def _closure_checks(spec, k):
-    """W and the closure conditions nonnesting-count tests, whichever is
-    larger: each of the Cat^(k)(W) geometric chains is cross-checked by
-    floor(k^2/4) of them, one per index pair i + j < k."""
-    work = spec.fuss_catalan(k) * max(1, k * k // 4)
-    what = f"Cat^({k})({spec}) * max(1, floor(k^2/4))"
-    return (work, what) if work > spec.order else _group(spec, k)
+    """What nonnesting-count builds, whichever is larger: NC(W) and the
+    filters, Cat(W) of each, against the |Phi+| reflections or roots; or
+    the closure conditions, floor(k^2/4) (one per index pair i + j < k)
+    for each of the Cat^(k)(W) geometric chains.  It never lists W."""
+    return max(
+        (spec.fuss_catalan(1) * (spec.rank * spec.coxeter_number // 2), f"Cat({spec}) * |Phi+|"),
+        (spec.fuss_catalan(k) * max(1, k * k // 4), f"Cat^({k})({spec}) * max(1, floor(k^2/4))"),
+    )
 
 
 class Command(NamedTuple):
@@ -390,7 +392,7 @@ def run(args, dest: str) -> int:
     d_filter = parse_d_filter(args.d, kh) if cmd.reads_d else None
     if spec.family not in cmd.families:
         raise ConfigError(cmd.refusal)
-    # every bound is at least |W| >= 2^rank or Cat^(k)(W) >= 2^rank, so a
+    # every bound is at least |W| >= 2^rank or Cat(W) >= 2^rank, so a
     # rank whose 2^rank passes the cap is refused before any bound is
     # multiplied out
     if spec.rank >= cap.bit_length():

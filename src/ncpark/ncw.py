@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import setpart
-from .reflgroup import ReflectionGroup
+from .reflgroup import ReflectionGroup, set_bits
 
 
 class NCPoset:
@@ -68,24 +68,17 @@ class NCPoset:
         """The elements above each u, built on first use, which
         1-multichains never need.
 
-        [u, c] is u together with the sets [ut, c] of its covers ut, so the
-        sets close downward from c, as bitmasks over positions in
-        elements; each list keeps that (sorted) order."""
-        els, flat_of = self.elements, self.flat_of
-        refls = self.group.reflections()
-        above: dict = {}
-        for pos, u in sorted(enumerate(els), key=lambda e: flat_of[e[1]].dim):
-            mask = 1 << pos
-            dim = flat_of[u].dim
-            for t in refls:
-                v = u * t
-                if v in above and flat_of[v].dim == dim - 1:
-                    mask |= above[v]
-            above[u] = mask
-        return {
-            u: [els[i] for i in range(mask.bit_length()) if mask >> i & 1]
-            for u, mask in above.items()
-        }
+        [u, c] is u together with the sets [v, c] of the v that cover u.
+        The elements v covers are the vt for the reflections t of its
+        flat, as in __init__, so the sets close downward from c, as
+        bitmasks over positions in elements; each list keeps that
+        (sorted) order."""
+        els, flat_of, grp = self.elements, self.flat_of, self.group
+        above = {u: 1 << pos for pos, u in enumerate(els)}
+        for v in sorted(els, key=lambda u: flat_of[u].dim):
+            for t in grp.flat_reflections(flat_of[v]):
+                above[v * t] |= above[v]
+        return {u: [els[i] for i in set_bits(mask)] for u, mask in above.items()}
 
     def multichains(self, k: int) -> list[tuple]:
         """All k-multichains (w_1 <= ... <= w_k), in lexicographic order."""

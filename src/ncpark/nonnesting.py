@@ -10,23 +10,23 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 
-from .reflgroup import ConfigError, GroupSpec, Value, group, set_field
+from .reflgroup import ConfigError, GroupSpec, Value, group, set_bits, set_field
 
 NO_DIHEDRAL = "no dihedral {}: use A2 for I2(3), B2 for I2(4); G2 is unsupported"
 
 
 class RootPoset(Value):
     """Positive roots of a crystallographic family in simple coordinates.
+    A set of roots is a mask over positions in roots.
 
-    Declares no __slots__: its memos (_masks, _sums and the cached _table)
-    live in its __dict__, outside equality, hash and repr."""
+    Declares no __slots__: its memos (_sums and the cached _above and
+    _pairs) live in its __dict__, outside equality, hash and repr."""
 
     _fields = ("spec", "roots")
 
     def __init__(self, spec: GroupSpec, roots: tuple[tuple[int, ...], ...]):
         set_field(self, "spec", spec)
         set_field(self, "roots", roots)
-        set_field(self, "_masks", {})
         set_field(self, "_sums", {})
 
     def leq(self, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -38,31 +38,44 @@ class RootPoset(Value):
             raise RuntimeError(f"root poset has {len(tops)} maximal elements")
         return tops[0]
 
-    def filters(self) -> list[frozenset]:
-        """All up-closed subsets, smallest first.
-
-        Roots join one at a time, highest first, and a root may join a
-        filter only when every root above it is already in. Each partial
-        set is then a filter of the whole poset, so the search makes
-        O(#filters * |roots|) steps.
-        """
+    @cached_property
+    def _above(self) -> list[int]:
+        """For each root, the mask of the roots strictly above it."""
         roots = self.roots
-        order = sorted(range(len(roots)), key=lambda i: -sum(roots[i]))
-        found = [0]
-        for i in order:
-            above = sum(
-                1 << j for j, b in enumerate(roots) if j != i and self.leq(roots[i], b)
-            )
-            found += [f | 1 << i for f in found if f & above == above]
-        out = [frozenset(r for j, r in enumerate(roots) if f >> j & 1) for f in found]
-        return sorted(out, key=lambda f: (len(f), sorted(f)))
+        return [sum(1 << j for j, b in enumerate(roots) if b != a and self.leq(a, b)) for a in roots]
+
+    def filters(self) -> list[int]:
+        """All up-closed sets of roots, as masks, smallest first: by size,
+        then by positions, which is by sorted roots since roots is sorted."""
+        everything = self.interval(0, (1 << len(self.roots)) - 1)
+        return sorted(everything, key=lambda f: (f.bit_count(), set_bits(f)))
+
+    def interval(self, low: int, high: int) -> list[int]:
+        """The filters F with low <= F <= high (masks), in the order found.
+
+        The search starts from the up-closure of low.  The roots of high
+        join one at a time, highest first, and a root may join a filter only
+        when every root above it is already in.  Each partial set is then
+        a filter, and each filter of the interval is found once, so the
+        search makes O(#found * |roots|) steps.
+        """
+        above, roots = self._above, self.roots
+        start = low
+        for i in set_bits(low):
+            start |= above[i]
+        if start & ~high:
+            return []
+        found = [start]
+        for i in sorted(set_bits(high & ~start), key=lambda i: -sum(roots[i])):
+            up = above[i]
+            found += [f | 1 << i for f in found if f & up == up]
+        return found
 
     @cached_property
-    def _table(self) -> tuple[dict, list[list[tuple[int, int]]]]:
-        """The position of each root, and for each root i the pairs (j, s)
-        with roots[i] + roots[j] = roots[s]."""
+    def _pairs(self) -> list[list[tuple[int, int]]]:
+        """For each root i, the pairs (j, s) with roots[i] + roots[j] = roots[s]."""
         index = {r: i for i, r in enumerate(self.roots)}
-        pairs = [
+        return [
             [
                 (j, index[s])
                 for j, b in enumerate(self.roots)
@@ -70,15 +83,6 @@ class RootPoset(Value):
             ]
             for a in self.roots
         ]
-        return index, pairs
-
-    def mask(self, roots: frozenset) -> int:
-        """A set of roots as a bitmask over positions in roots; memoized."""
-        out = self._masks.get(roots)
-        if out is None:
-            index = self._table[0]
-            out = self._masks[roots] = sum(1 << index[r] for r in roots)
-        return out
 
     def sums(self, fa: int, fb: int) -> int:
         """The mask of the roots a + b, a in fa and b in fb (root masks);
@@ -86,11 +90,10 @@ class RootPoset(Value):
         out = self._sums.get((fa, fb))
         if out is None:
             out = 0
-            for i, pairs in enumerate(self._table[1]):
-                if fa >> i & 1:
-                    for j, s in pairs:
-                        if fb >> j & 1:
-                            out |= 1 << s
+            for i in set_bits(fa):
+                for j, s in self._pairs[i]:
+                    if fb >> j & 1:
+                        out |= 1 << s
             self._sums[fa, fb] = out
         return out
 
@@ -156,61 +159,54 @@ def build_root_poset(spec: GroupSpec) -> RootPoset:
 # geometric multichains
 
 
-class FilterChain(Value):
-    """Descending multichain F_1 contains F_2 contains ... contains F_k."""
-
-    __slots__ = _fields = ("poset", "filters")
-
-    def __init__(self, poset: RootPoset, filters: tuple[frozenset, ...]):
-        for a, b in zip(filters, filters[1:]):
-            if not b <= a:
-                raise ValueError("filters must descend")
-        set_field(self, "poset", poset)
-        set_field(self, "filters", filters)
+def level_bounds(poset: RootPoset, fs: list[int], t: int) -> tuple[int, int]:
+    """The masks L <= U of the filters F_t = fs[t] that lie in F_(t-1) and
+    meet Athanasiadis's closure conditions that end at index t (from 0):
+    for i + j = t - 1, (F_i + F_j) and Phi+ lies in F_t, and (I_i + I_j)
+    and Phi+ in I_t, with I_i the complement of F_i.  So L is the union
+    of the sums F_i + F_j, and U is F_(t-1) less those of I_i + I_j."""
+    full = (1 << len(poset.roots)) - 1
+    low, high = 0, fs[t - 1] if t else full
+    for i in range((t + 1) // 2):
+        j = t - 1 - i
+        low |= poset.sums(fs[i], fs[j])
+        high &= ~poset.sums(full ^ fs[i], full ^ fs[j])
+    return low, high
 
 
 def closed_at(poset: RootPoset, fs: list[int], t: int) -> bool:
-    """Athanasiadis's closure conditions that end at zero-based index t of
-    the filter masks fs: for i + j = t - 1, (F_i + F_j) and Phi+ lies in
-    F_t, and (I_i + I_j) and Phi+ lies in I_t, where the ideal I_i is the
-    complement of F_i.  Each condition is one memoized sumset and one AND."""
-    full = (1 << len(poset.roots)) - 1
-    sums = poset.sums
-    return not any(
-        sums(fs[i], fs[t - 1 - i]) & ~fs[t] or sums(full ^ fs[i], full ^ fs[t - 1 - i]) & fs[t]
-        for i in range((t + 1) // 2)
-    )
+    """The conditions that end at index t of the filter masks fs hold."""
+    low, high = level_bounds(poset, fs, t)
+    return not (low & ~fs[t] or fs[t] & ~high)
 
 
-def is_geometric(chain: FilterChain) -> bool:
-    """The closure conditions for all index pairs i + j <= k."""
-    poset = chain.poset
-    fs = [poset.mask(f) for f in chain.filters]
-    return all(closed_at(poset, fs, t) for t in range(len(fs)))
+def is_geometric(poset: RootPoset, fs: tuple[int, ...]) -> bool:
+    """The filter masks fs descend and meet the closure conditions for all
+    index pairs i + j <= k; none ends at index 0."""
+    return all(closed_at(poset, fs, t) for t in range(1, len(fs)))
 
 
-def geometric_chains(spec: GroupSpec, k: int) -> list[FilterChain]:
-    """Every geometric k-multichain of filters, in lexicographic order of
-    filter positions.  The chains of filter masks grow one level at a
-    time, as NCPoset.multichains grows its chains: a prefix of a geometric
-    chain is geometric, so a chain gains only a filter at which the
-    conditions ending there hold, and the levels list Cat^(k)(W) chains
-    after at most #filters * sum_{j<k} Cat^(j)(W) checks.  The filters
-    below each filter, a table quadratic in #filters, are listed only for
-    k > 1: at k = 1 no chain is extended."""
+def geometric_chains(spec: GroupSpec, k: int) -> list[tuple[int, ...]]:
+    """Every geometric k-multichain of filters, as tuples of root masks, in
+    lexicographic order of filter positions.  The chains grow one level
+    at a time, as NCPoset.multichains grows its chains: a prefix of a
+    geometric chain is geometric, so a chain gains exactly the filters
+    between its level_bounds, and no failing candidate is built.  Each
+    listed chain is checked once more with is_geometric."""
     poset = build_root_poset(spec)
     filters = poset.filters()
-    filter_of = {poset.mask(f): f for f in filters}
-    below = {a: [b for b in filter_of if a | b == a] for a in filter_of} if k > 1 else {}
-    chains = [(a,) for a in filter_of if closed_at(poset, (a,), 0)]
+    position = {f: i for i, f in enumerate(filters)}.__getitem__
+    chains = [(f,) for f in filters]
     for t in range(1, k):
-        chains = [ext for ch in chains for b in below[ch[-1]] if closed_at(poset, ext := ch + (b,), t)]
-    out = []
+        chains = [
+            ch + (f,)
+            for ch in chains
+            for f in sorted(poset.interval(*level_bounds(poset, ch, t)), key=position)
+        ]
     for ch in chains:
-        out.append(FilterChain(poset, tuple(map(filter_of.__getitem__, ch))))
-        if not is_geometric(out[-1]):
-            raise RuntimeError(f"the level search listed a chain that is not geometric: {out[-1].filters}")
-    return out
+        if not is_geometric(poset, ch):
+            raise RuntimeError(f"the level search listed a chain that is not geometric: {ch}")
+    return chains
 
 
 def antichain_counts(spec: GroupSpec) -> list[int]:
@@ -220,11 +216,10 @@ def antichain_counts(spec: GroupSpec) -> list[int]:
     rank."""
     poset = build_root_poset(spec)
     roots = poset.roots
-    below = [poset.mask(frozenset(b for b in roots if b != a and poset.leq(b, a))) for a in roots]
+    below = [sum(1 << j for j, b in enumerate(roots) if b != a and poset.leq(b, a)) for a in roots]
     counts = [0] * (spec.rank + 1)
     for f in poset.filters():
-        m = poset.mask(f)
-        counts[sum(1 for i, under in enumerate(below) if m >> i & 1 and not m & under)] += 1
+        counts[sum(1 for i in set_bits(f) if not f & below[i])] += 1
     return counts
 
 

@@ -20,6 +20,7 @@ from .reflgroup import (
     SignedPerm,
     Value,
     group,
+    set_bits,
     set_field,
     table_cycles,
     zero_block,
@@ -40,9 +41,8 @@ class ParkClass(Value):
         return f"ParkClass(rep={self.rep!r}, chain={self.chain!r})"
 
 
-# 0/1 flags as binary digits, and back
+# 0/1 flags as binary digits
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
-_BITS = bytes.maketrans(b"01", b"\0\1")
 
 # 2^31 where a C int is 4 bytes: positions below it fit an array('i')
 INT_LIMIT = 1 << 8 * array("i").itemsize - 1
@@ -261,8 +261,7 @@ class ParkSpace:
             mask = (1 << len(els)) - 1
             for a, b, s in least_rule(flat):
                 mask &= self._inequality(a, b, s)
-            bits = bin(mask)[:1:-1].encode().translate(_BITS)
-            return list(itertools.compress(itertools.count(), bits))
+            return set_bits(mask)
         if flat.kind == "plane":
             return list(range(len(els)))
         return [0] if flat.kind == "origin" else list(range(flat.n))

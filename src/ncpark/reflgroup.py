@@ -739,6 +739,15 @@ class ReflectionGroup:
         return Counter(self.class_id(compose(h, yi)) for h in self.isotropy_elements(x))
 
 
+# binary digits as 0/1 flags
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def set_bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending, with no per-bit test in Python."""
+    return list(itertools.compress(itertools.count(), bin(mask)[:1:-1].encode().translate(_BITS)))
+
+
 def table_cycles(table) -> list[list[int]]:
     """The cycles of a permutation table on range(len(table)), each walked
     forward from its least index, in the order of those indices."""

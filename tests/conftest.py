@@ -24,7 +24,6 @@ from ncpark.locus import (
 )
 from ncpark.ncw import build_nc, chain_g_table, g_act_chain
 from ncpark.nonnesting import (
-    FilterChain,
     RootPoset,
     _act_ambient,
     _ambient_simple_roots,
@@ -776,6 +775,11 @@ def torus_fixed_count_bruteforce(spec, w, m):
     )
 
 
+def root_sets(poset, masks):
+    """Root masks as the sets of roots at their set positions."""
+    return tuple(frozenset(r for i, r in enumerate(poset.roots) if f >> i & 1) for f in masks)
+
+
 def filters_by_subsets(poset):
     """Every up-closed subset of the roots, from all 2^|roots| subsets,
     smallest first."""
@@ -788,12 +792,12 @@ def filters_by_subsets(poset):
     return sorted(out, key=lambda f: (len(f), sorted(f)))
 
 
-def is_geometric_by_tuple_sums(chain):
-    """nonnesting.is_geometric by adding every pair of roots in F_i x F_j
-    and in I_i x I_j as vectors, for all index pairs i + j <= k: the roots
-    among the sums must lie in F_(i+j), resp. I_(i+j)."""
-    roots = frozenset(chain.poset.roots)
-    fs = chain.filters
+def is_geometric_by_tuple_sums(poset, fs):
+    """nonnesting.is_geometric on descending filters, as sets of roots, by
+    adding every pair of roots in F_i x F_j and in I_i x I_j as vectors,
+    for all index pairs i + j <= k: the roots among the sums must lie in
+    F_(i+j), resp. I_(i+j)."""
+    roots = frozenset(poset.roots)
     ideals = [roots - f for f in fs]
     k = len(fs)
     for i in range(1, k + 1):
@@ -812,17 +816,17 @@ def tuple_sums(a, b):
 
 
 def geometric_chains_by_stack(spec, k):
-    """nonnesting.geometric_chains by a depth-first search on an explicit
-    stack: todo holds the candidates left at each depth, prefix the
-    filters chosen above the last depth and fs their masks.  A prefix is
-    extended only by a filter at which the conditions ending there hold."""
+    """nonnesting.geometric_chains, as sets of roots, by a depth-first
+    search on an explicit stack: todo holds the candidates left at each
+    depth, every filter below the last one chosen, prefix the filters
+    chosen above the last depth and fs their masks.  A prefix is extended
+    only by a filter at which the conditions ending there hold."""
     poset = build_root_poset(spec)
-    filters = poset.filters()
-    masks = [poset.mask(f) for f in filters]
+    masks = poset.filters()
     below = [[j for j, b in enumerate(masks) if a | b == a] for a in masks]
     chains = []
     prefix, fs = [], []
-    todo = [iter(range(len(filters)))]
+    todo = [iter(range(len(masks)))]
     while todo:
         j = next(todo[-1], None)
         if j is None:
@@ -838,20 +842,38 @@ def geometric_chains_by_stack(spec, k):
             prefix.append(j)
             todo.append(iter(below[j]))
         else:
-            ch = FilterChain(poset, tuple(filters[i] for i in prefix + [j]))
-            assert is_geometric(ch)
-            chains.append(ch)
+            assert is_geometric(poset, tuple(fs))
+            chains.append(root_sets(poset, fs))
             fs.pop()
     return chains
 
 
 def descending_filter_chains(poset, k):
-    """Every descending k-chain F_1 >= ... >= F_k of filters, as tuples."""
+    """Every descending k-chain F_1 >= ... >= F_k of filters, as tuples of
+    root masks."""
     filters = poset.filters()
     chains = [(f,) for f in filters]
     for _ in range(k - 1):
-        chains = [ch + (g,) for ch in chains for g in filters if g <= ch[-1]]
+        chains = [ch + (g,) for ch in chains for g in filters if g | ch[-1] == ch[-1]]
     return chains
+
+
+def ups_by_bit_scan(nc):
+    """NCPoset._ups by the upper covers, with each mask read by testing
+    every bit below its length: the covers of u are the ut, t a
+    reflection, whose flat has one dimension less, and the sets [u, c]
+    close downward from c as masks over positions in elements, each u
+    with the sets of its covers."""
+    els, flat_of = nc.elements, nc.flat_of
+    above = {}
+    for pos, u in sorted(enumerate(els), key=lambda e: flat_of[e[1]].dim):
+        mask = 1 << pos
+        for t in nc.group.reflections():
+            v = u * t
+            if v in above and flat_of[v].dim == flat_of[u].dim - 1:
+                mask |= above[v]
+        above[u] = mask
+    return {u: [els[i] for i in range(mask.bit_length()) if mask >> i & 1] for u, mask in above.items()}
 
 
 def ups_by_flat_leq(nc):
@@ -867,7 +889,7 @@ def antichains(poset):
     """The minimal elements of each filter, in filter order."""
     return [
         frozenset(a for a in f if not any(poset.leq(b, a) and b != a for b in f))
-        for f in poset.filters()
+        for f in root_sets(poset, poset.filters())
     ]
 
 

@@ -228,14 +228,20 @@ B3 = ["--family", "B", "--rank", "3", "--k", "1"]
 @pytest.mark.parametrize(
     "args,cover",
     [
-        # these build no classes: the cap bounds |W|, and |B3| = 48
+        # this builds no classes: the cap bounds |W|, and |B3| = 48
         pytest.param(["torus-character"] + B3, 48, id="torus-character"),
-        # nonnesting-count lists k-multichains too, and checks floor(k^2/4)
-        # closure conditions per chain: the cap bounds the larger of |W|
-        # and their count, which is 20 for B3 k=1, 6 * 6 = 36 for A1 k=5
-        pytest.param(["nonnesting-count"] + B3, 48, id="nonnesting-count"),
+        # nonnesting-count never lists W: it builds NC(W) and the filters,
+        # Cat(W) of each, against the |Phi+| reflections or roots, and it
+        # lists k-multichains with floor(k^2/4) closure conditions per
+        # chain.  The cap bounds the larger count: Cat(B3) * 9 = 180 over
+        # 20 chains, 6 * 6 = 36 chain checks for A1 k=5 over Cat(A1) * 1,
+        # and Cat(A9) * 45 = 755,820 (|A9| = 3,628,800)
+        pytest.param(["nonnesting-count"] + B3, 180, id="nonnesting-count"),
         pytest.param(
             ["nonnesting-count", "--family", "A", "--rank", "1", "--k", "5"], 36, id="nonnesting-count-chains"
+        ),
+        pytest.param(
+            ["nonnesting-count", "--family", "A", "--rank", "9", "--k", "1"], 755820, id="nonnesting-count-a9"
         ),
         # verify-csp lists the k-multichains of NC(W) and never W: the cap
         # bounds Cat^(k)(W), which is 20 for B3 k=1, 6 for A1 k=5 and 42
@@ -585,8 +591,8 @@ def test_d_refusal_names_a_long_power_range_by_its_digits(tmp_path, capsys):
     ("torus-character", "A"), ("verify-weak", "B"), ("enumerate", "D"), ("nonnesting-count", "A"),
 ])
 def test_a_million_ranks_are_refused_at_once(command, family):
-    # every bound is at least |W| >= 2^rank: no product of a million
-    # factors is formed
+    # every bound is at least |W| >= 2^rank or Cat(W) >= 2^rank: no
+    # product of a million factors is formed
     proc = run_process("module", [command, "--family", family, "--rank", "1000000"], timeout=30)
     assert proc.returncode == EXIT_CAP
     assert proc.stdout == b""

@@ -14,6 +14,7 @@ from conftest import (
     partial,
     reflection_length,
     table_oracle,
+    ups_by_bit_scan,
     ups_by_flat_leq,
 )
 
@@ -69,6 +70,20 @@ def test_multichain_counts(fam, p, k):
 def test_ups_from_covers_match_flat_containment(fam, p):
     nc = build_nc(group(fam, p))
     assert nc._ups == ups_by_flat_leq(nc)
+
+
+@pytest.mark.parametrize("fam,p", MAIN_GRID)
+@pytest.mark.parametrize("k", KS)
+def test_multichains_match_the_bit_scan(fam, p, k):
+    # _ups reads only the set bits of each up-set mask; the oracle tests
+    # every bit below the mask's length
+    nc = build_nc(group(fam, p))
+    ups = ups_by_bit_scan(nc)
+    assert nc._ups == ups
+    chains = [(w,) for w in nc.elements]
+    for _ in range(k - 1):
+        chains = [ch + (v,) for ch in chains for v in ups[ch[-1]]]
+    assert nc.multichains(k) == chains
 
 
 def test_multichain_examples():

@@ -17,13 +17,13 @@ from conftest import (
     geometric_chains_by_stack,
     is_geometric_by_tuple_sums,
     parse_partition,
+    root_sets,
     torus_fixed_count_bruteforce,
     torus_matrix_by_back_substitution,
 )
 from ncpark import nonnesting
 from ncpark.ncw import build_nc
 from ncpark.nonnesting import (
-    FilterChain,
     build_root_poset,
     fixed_vector_divisors,
     geometric_chains,
@@ -121,7 +121,24 @@ def test_antichain_counts_match_antichains_and_nc_ranks(fam, p):
 )
 def test_filters_match_subset_scan(fam, p):
     poset = build_root_poset(GroupSpec(fam, p))
-    assert poset.filters() == filters_by_subsets(poset)
+    assert list(root_sets(poset, poset.filters())) == filters_by_subsets(poset)
+
+
+@pytest.mark.parametrize("fam,p", [("A", 4), ("B", 3), ("D", 4)])
+def test_interval_matches_subset_scan(fam, p):
+    # A3, B3 and D4: the filters between every pair of filters, and between
+    # each single root (no filter unless it is the highest) and each filter
+    poset = build_root_poset(GroupSpec(fam, p))
+    subsets = filters_by_subsets(poset)
+    masks = poset.filters()
+    singles = [1 << i for i in range(len(poset.roots))]
+    for low in masks + singles:
+        (lows,) = root_sets(poset, (low,))
+        for high in masks:
+            (highs,) = root_sets(poset, (high,))
+            listed = root_sets(poset, poset.interval(low, high))
+            assert len(set(listed)) == len(listed)
+            assert sorted(listed, key=lambda f: (len(f), sorted(f))) == [f for f in subsets if lows <= f <= highs]
 
 
 def test_antichain_to_partition():
@@ -143,20 +160,22 @@ def test_antichain_to_partition():
 def test_is_geometric_examples():
     poset = build_root_poset(GroupSpec("A", 3))
     top = poset.highest()
-    full = frozenset(poset.roots)
-    f13 = frozenset([top])
-    assert not is_geometric(FilterChain(poset, (f13, f13)))
-    assert not is_geometric(FilterChain(poset, (full, frozenset())))
-    # every other descending pair is geometric
+    full = (1 << len(poset.roots)) - 1
+    f13 = 1 << poset.roots.index(top)
+    assert not is_geometric(poset, (f13, f13))
+    assert not is_geometric(poset, (full, 0))
+    # every other descending pair is geometric, and no ascending one
     bad = 0
     for f1 in poset.filters():
         for f2 in poset.filters():
-            if f2 <= f1 and not is_geometric(FilterChain(poset, (f1, f2))):
+            if f2 | f1 == f1 and not is_geometric(poset, (f1, f2)):
                 bad += 1
+            if f2 | f1 != f1:
+                assert not is_geometric(poset, (f1, f2))
     assert bad == 2
     # k = 1 chains are vacuously geometric
     for f in poset.filters():
-        assert is_geometric(FilterChain(poset, (f,)))
+        assert is_geometric(poset, (f,))
 
 
 @pytest.mark.parametrize(
@@ -165,16 +184,8 @@ def test_is_geometric_examples():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_is_geometric_matches_tuple_sums(fam, p, k):
     poset = build_root_poset(GroupSpec(fam, p))
-    for filters in descending_filter_chains(poset, k):
-        ch = FilterChain(poset, filters)
-        assert is_geometric(ch) == is_geometric_by_tuple_sums(ch), filters
-
-
-def test_filter_chain_validation():
-    poset = build_root_poset(GroupSpec("A", 3))
-    full = frozenset(poset.roots)
-    with pytest.raises(ValueError):
-        FilterChain(poset, (frozenset(), full))
+    for masks in descending_filter_chains(poset, k):
+        assert is_geometric(poset, masks) == is_geometric_by_tuple_sums(poset, root_sets(poset, masks)), masks
 
 
 @pytest.mark.parametrize(
@@ -187,28 +198,37 @@ def test_count_geometric_matches_nc(fam, p, k):
 
 
 def test_prefix_search_checks_few_extensions(monkeypatch):
-    # A2 at k = 12: each geometric prefix of length j < k (Cat^(j) of them)
-    # is offered at most every filter, one check each; is_geometric's
-    # cross-check on each listed chain makes k more calls per chain
+    # A2 at k = 12: the level search builds only chains at which the
+    # conditions hold, so it makes no failing closed_at call; the only
+    # calls are is_geometric's cross-check, k - 1 per listed chain (no
+    # condition ends at the first filter)
     spec, k = GroupSpec("A", 3), 12
-    calls = {"closed_at": 0, "is_geometric": 0}
+    calls = {"closed_at": [], "is_geometric": []}
 
     def counting(name):
         original = getattr(nonnesting, name)
 
         def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
+            calls[name].append(original(*args))
+            return calls[name][-1]
 
         monkeypatch.setattr(nonnesting, name, wrapper)
 
     counting("closed_at")
     counting("is_geometric")
     chains = geometric_chains(spec, k)
-    assert len(chains) == calls["is_geometric"] == spec.fuss_catalan(k)
-    filters = len(build_root_poset(spec).filters())
-    checks = calls["closed_at"] - k * calls["is_geometric"]
-    assert checks <= filters * sum(spec.fuss_catalan(j) for j in range(k))
+    assert len(chains) == len(calls["is_geometric"]) == spec.fuss_catalan(k)
+    assert all(calls["closed_at"]) and all(calls["is_geometric"])
+    assert len(calls["closed_at"]) == (k - 1) * len(chains)
+
+
+def test_a_listed_chain_that_fails_the_cross_check_is_an_internal_error(monkeypatch):
+    # an interval that drops its lower bound lets (F, F) through for the
+    # top filter F of A2, and F + F meets Phi+ outside F
+    real = nonnesting.RootPoset.interval
+    monkeypatch.setattr(nonnesting.RootPoset, "interval", lambda self, low, high: real(self, 0, high))
+    with pytest.raises(RuntimeError, match="not geometric"):
+        geometric_chains(GroupSpec("A", 3), 2)
 
 
 @pytest.mark.parametrize(
@@ -219,7 +239,8 @@ def test_geometric_chains_match_stack_search(fam, p, k):
     # growing the chains one level at a time lists what the depth-first
     # search on an explicit stack lists, in the same order
     spec = GroupSpec(fam, p)
-    assert geometric_chains(spec, k) == geometric_chains_by_stack(spec, k)
+    poset = build_root_poset(spec)
+    assert [root_sets(poset, ch) for ch in geometric_chains(spec, k)] == geometric_chains_by_stack(spec, k)
 
 
 def test_geometric_chains_deeper_than_the_recursion_limit():
@@ -235,12 +256,13 @@ def test_geometric_chains_deeper_than_the_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert len(chains) == k + 1
-    assert all(len(ch.filters) == k for ch in chains)
+    assert all(len(ch) == k for ch in chains)
 
 
 def test_k1_builds_no_filter_pair_table():
     # A7 has 1,430 filters; the table of every comparable pair of them
-    # takes about 11 MB under tracemalloc, the chains alone under 3 MB
+    # takes about 11 MB under tracemalloc, the filters as sets of roots
+    # 2.5 MB, and as masks, with the chains, under 1 MB
     spec = GroupSpec("A", 8)
     nonnesting.root_system.cache_clear()
     tracemalloc.start()
@@ -250,7 +272,7 @@ def test_k1_builds_no_filter_pair_table():
     finally:
         tracemalloc.stop()
     assert len(chains) == spec.fuss_catalan(1) == 1430
-    assert peak < 5 * 2**20
+    assert peak < 2**20
 
 
 def test_count_geometric_examples():

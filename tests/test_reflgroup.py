@@ -33,10 +33,19 @@ from ncpark.reflgroup import (
     identity_perm,
     partitions,
     perm_from_cycles,
+    set_bits,
     signed_cycle_type,
 )
 
 SMALL = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3), ("I2", 3), ("I2", 5), ("I2", 6)]
+
+
+def test_set_bits_match_the_bit_scan():
+    # 0, every mask below 2^9, words around 2^64, and sparse and dense
+    # masks of thousands of bits
+    masks = list(range(512)) + [2**64 - 1, 2**64, 2**64 + 1, 0b1011 << 3000, 2**4862 - 2**100 + 7]
+    for mask in masks:
+        assert set_bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1], mask
 
 
 def test_degrees_and_coxeter_numbers():

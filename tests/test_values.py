@@ -9,14 +9,13 @@ import pickle
 import pytest
 
 from ncpark.locus import LocusPoint
-from ncpark.nonnesting import FilterChain, RootPoset, build_root_poset
+from ncpark.nonnesting import RootPoset, build_root_poset
 from ncpark.parkspace import ParkClass
 from ncpark.reflgroup import DihedralElement, FlatPartition, GroupSpec, SignedPerm
 from ncpark.setpart import LabeledPartition, SetPartition
 
 A3 = build_root_poset(GroupSpec("A", 3))
 B2 = build_root_poset(GroupSpec("B", 2))
-TOP = frozenset(A3.roots)
 
 # each class with its compared fields, in order, and a few instances
 CASES = {
@@ -68,14 +67,6 @@ CASES = {
     ),
     LocusPoint: (("order", "coords"), [LocusPoint(4, (0, 1)), LocusPoint(4, (3, 0)), LocusPoint(6, (0, 0))]),
     RootPoset: (("spec", "roots"), [A3, B2, RootPoset(GroupSpec("A", 3), ((0, 1),))]),
-    FilterChain: (
-        ("poset", "filters"),
-        [
-            FilterChain(A3, (TOP, frozenset())),
-            FilterChain(A3, (TOP, TOP)),
-            FilterChain(B2, (frozenset(B2.roots),)),
-        ],
-    ),
 }
 INSTANCES = [(cls, x) for cls, (_, xs) in CASES.items() for x in xs]
 INSTANCE_IDS = [f"{cls.__name__}-{i}" for cls, (_, xs) in CASES.items() for i in range(len(xs))]
@@ -86,7 +77,7 @@ def fields_of(x):
 
 
 def test_every_value_class_is_covered():
-    assert len(CASES) == 10
+    assert len(CASES) == 9
     assert all(len(xs) >= 3 for _, xs in CASES.values())
 
 
@@ -131,13 +122,12 @@ def test_generated_reprs():
     assert repr(GroupSpec("A", 3)) == "GroupSpec(family='A', param=3)"
     poset = RootPoset(GroupSpec("A", 3), ((0, 1), (1, 0), (1, 1)))
     assert repr(poset) == "RootPoset(spec=GroupSpec(family='A', param=3), roots=((0, 1), (1, 0), (1, 1)))"
-    assert repr(FilterChain(poset, ())) == f"FilterChain(poset={poset!r}, filters=())"
 
 
 def test_root_poset_memos_stay_outside_the_value():
     fresh = RootPoset(A3.spec, A3.roots)
-    A3.sums(A3.mask(TOP), A3.mask(TOP))
-    assert A3._masks and A3._sums and "_table" in vars(A3)
-    assert not fresh._masks and "_table" not in vars(fresh)
+    A3.sums(A3.filters()[-1], A3.filters()[-1])
+    assert A3._sums and "_pairs" in vars(A3) and "_above" in vars(A3)
+    assert not fresh._sums and "_pairs" not in vars(fresh) and "_above" not in vars(fresh)
     assert fresh == A3 and hash(fresh) == hash(A3)
     assert repr(fresh) == repr(A3)
