@@ -24,19 +24,17 @@ Exit code 0 means every check passed; 1 means at least one failed; 2 is a
 configuration error (a ConfigError) or output that cannot be written (an
 OSError: a closed pipe, a full device); 3 means an enumeration cap was
 exceeded; 4 means an internal invariant failed: any other exception.  A
-process enters through entry, which returns main's code with the heap
-frozen, so interpreter exit does not collect it.
+process enters through entry, which ends it with main's code once the
+atexit handlers have run and the output is flushed, skipping the
+interpreter's teardown.
 """
 
-from __future__ import annotations
-
-import gc
-import json
+import atexit
 import os
 import re
 import sys
 from types import SimpleNamespace
-from typing import IO, Callable, NamedTuple
+from typing import IO, Callable, NoReturn
 
 from .reflgroup import FAMILIES, ConfigError, GroupSpec, group
 from . import locus, ncw, nonnesting, parkspace, qcatalan
@@ -52,8 +50,36 @@ EXIT_CONFIG = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
-# json.dumps(r, sort_keys=True, default=str), without a new encoder per record
-ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
+def encode(value) -> str:
+    """value as json.dumps(value, sort_keys=True, default=str) writes it.
+    The values records hold, dicts with str keys, lists, tuples, ints,
+    bools, None and strings of printable ASCII without a quote or a
+    backslash, are written here; any other value, and any string that
+    needs an escape, goes to json itself, imported only then: importing
+    json is a third of importing this package."""
+    kind = value.__class__
+    if kind is str:
+        if _plain(value):
+            return f'"{value}"'
+    elif kind is int:
+        return int.__repr__(value)
+    elif kind is dict:
+        if all(key.__class__ is str for key in value) and _plain("".join(value)):
+            return "{" + ", ".join([f'"{key}": {encode(value[key])}' for key in sorted(value)]) + "}"
+    elif kind is list or kind is tuple:
+        return "[" + ", ".join(map(encode, value)) + "]"
+    elif value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    import json
+
+    return json.dumps(value, sort_keys=True, default=str)
+
+
+def _plain(text: str) -> bool:
+    """Whether json writes text between quotes as it is: printable ASCII
+    with no quote or backslash."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
 
 
 class CapExceeded(RuntimeError):
@@ -110,17 +136,19 @@ def _closure_checks(spec, k):
     )
 
 
-class Command(NamedTuple):
+class Command:
     """What a command takes and runs.  rows(spec, k) yields each record's
     own fields (enumerate: lists of finished class lines, then its summary
     fields); it calls the library through its modules, so a wrapper
-    installed there sees the call."""
+    installed there sees the call.  A plain class, which is made in a
+    tenth of the time of a NamedTuple at each start."""
 
-    rows: Callable
-    families: tuple[str, ...] = FAMILIES  # the families it takes
-    refusal: str = ""  # the configuration error for any other family
-    reads_d: bool = False  # a sweep over the cyclic powers d, which --d restricts
-    bound: Callable = _classes  # what it builds, which the cap bounds
+    def __init__(self, rows: Callable, families=FAMILIES, refusal="", reads_d=False, bound: Callable = _classes):
+        self.rows = rows
+        self.families = families  # the families it takes
+        self.refusal = refusal  # the configuration error for any other family
+        self.reads_d = reads_d  # a sweep over the cyclic powers d, which --d restricts
+        self.bound = bound  # what it builds, which the cap bounds
 
 
 def _base(command: str, spec, k) -> dict:
@@ -138,7 +166,6 @@ def _enumerate(spec, k):
     once: "class" sorts before the base fields, and the tail closes the
     class field and holds them with "pass": true."""
     space = parkspace.build_park(spec, k)
-    encode = ENCODER.encode
     tail = "}, " + encode({**_base("enumerate", spec, k), "pass": True})[1:] + "\n"
     reps = [encode(space.rep_record(w)) for w in space.group.elements()]
     count = 0
@@ -223,7 +250,7 @@ def _bad_sequence(space, seq: tuple, pos: int) -> tuple[int, dict]:
 TABLE = {
     ("enumerate", None): Command(_enumerate),
     ("verify-weak", None): Command(
-        lambda s, k: parkspace.build_park(s, k).verify_weak(), reads_d=True, bound=_group_or_chains
+        lambda s, k: parkspace.build_park(s, k).verify_weak(), reads_d=True, bound=_chains
     ),
     ("verify-csp", None): Command(lambda s, k: qcatalan.verify_csp(s, k), reads_d=True, bound=_chains),
     ("verify-intermediate", None): Command(
@@ -255,14 +282,16 @@ TABLE = {
 }
 
 
-class Option(NamedTuple):
-    """One --NAME VALUE option, in argparse's add_argument keywords."""
+class Option:
+    """One --NAME VALUE option; its attributes are argparse's add_argument
+    keywords."""
 
-    type: Callable = str
-    choices: tuple | None = None
-    default: object = None
-    required: bool = False
-    help: str | None = None
+    def __init__(self, type: Callable = str, choices: tuple | None = None, default=None, required=False, help=None):
+        self.type = type
+        self.choices = choices
+        self.default = default
+        self.required = required
+        self.help = help
 
 
 def _options(command: str) -> dict[str, Option]:
@@ -328,7 +357,7 @@ def build_parser():
     for command, options in OPTIONS.items():
         p = sub.add_parser(command)
         for name, option in options.items():
-            p.add_argument(f"--{name}", **option._asdict())
+            p.add_argument(f"--{name}", **vars(option))
     return ap
 
 
@@ -401,7 +430,6 @@ def run(args, dest: str) -> int:
     if size > cap:
         raise CapExceeded(f"{what} = {_decimal(size)} exceeds cap {cap}")
     base = _base(args.command, spec, k)
-    encode = ENCODER.encode
     lines: list[str] = []
     row, checks, fails = {}, 0, 0
     for row in cmd.rows(spec, k):
@@ -491,23 +519,23 @@ def main(argv=None) -> int:
             os.unlink(dest)
 
 
-def entry() -> int:
+def entry() -> NoReturn:
     """The process entry point, which `python -m ncpark.cli` and the ncpark
-    console script both call: main's exit code, with the heap frozen once
-    main has returned.  The collections at interpreter exit neither walk
-    nor free frozen objects, such as the thousands start-up made; the OS
-    takes back their memory when the process ends.  main itself leaves
-    the heap to the collector, for the tests and callers that stay
-    running.  A failed write leaves its lines buffered, so stdout then
-    points at os.devnull, where the flush at exit cannot fail again."""
+    console script both call: it runs main, then ends the process with
+    main's exit code and without the interpreter's teardown, which would
+    free every object one by one.  The atexit handlers run first, and
+    stdout and stderr are flushed; a flush that fails drops the lines a
+    failed write left buffered, since main has reported that write.  main
+    itself returns its code, for the tests and callers that stay
+    running."""
     code = main()
-    try:
-        sys.stdout.flush()
-    except OSError:
-        with open(os.devnull, "w") as null:
-            os.dup2(null.fileno(), sys.stdout.fileno())
-    gc.freeze()
-    return code
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

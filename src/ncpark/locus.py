@@ -8,8 +8,6 @@ closes its parentheses in one stack walk) and the seeded equivariant
 dihedral bijection are implemented and validated rather than trusted.
 """
 
-from __future__ import annotations
-
 import itertools
 from array import array
 from collections import Counter

@@ -6,8 +6,7 @@ paper defines the action on length-additive factorizations of the Coxeter
 element, and g_act_chain applies it to a chain in closed form.
 """
 
-from __future__ import annotations
-
+import operator
 from functools import cached_property
 
 from . import setpart
@@ -116,6 +115,34 @@ def g_act_chain(chain: tuple, grp: ReflectionGroup, c=None) -> tuple:
 
 
 def chain_g_table(nc: NCPoset, chains: list[tuple]) -> list[int]:
-    """The permutation of positions in chains that g_act_chain induces."""
-    index = {ch: i for i, ch in enumerate(chains)}
-    return [index[g_act_chain(ch, nc.group, nc.c)] for ch in chains]
+    """The permutation of positions in chains that g_act_chain induces,
+    worked on positions in NC(W).  Each chain is keyed by the positions of
+    its entries, and the chains are taken in the order of their last entry
+    u_k: t^-1 = u_k c^-1 and t are made once for each u_k, and then each
+    t u_i once.  The head t u_1 t^-1 is (t u_1) t^-1, where t u_1 = t u_k
+    = c when k = 1."""
+    els, c = nc.elements, nc.c
+    at = {w: i for i, w in enumerate(els)}
+    index = {tuple(map(at.__getitem__, ch)): i for i, ch in enumerate(chains)}
+    c_inv = c.inverse()
+    out = [0] * len(index)
+    last = None
+    for key in sorted(index, key=operator.itemgetter(-1)):
+        *entries, u_k = key
+        if u_k != last:
+            last, t_inv = u_k, els[u_k] * c_inv
+            t = t_inv.inverse() if entries else None
+            moved: dict[int, int] = {}  # t u for each entry u
+            heads: dict[int, int] = {}  # t u_1 t^-1 for each t u_1
+        image = []
+        for u in entries:
+            j = moved.get(u)
+            if j is None:
+                j = moved[u] = at[t * els[u]]
+            image.append(j)
+        first = image[0] if image else at[c]
+        head = heads.get(first)
+        if head is None:
+            head = heads[first] = at[els[first] * t_inv]
+        out[index[key]] = index[(head, *image)]
+    return out

@@ -5,8 +5,6 @@ Roots are integer vectors in simple-root coordinates, so the poset order
 is componentwise comparison and filter sums are exact vector sums.
 """
 
-from __future__ import annotations
-
 import math
 from functools import cached_property, lru_cache
 

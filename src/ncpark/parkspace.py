@@ -7,8 +7,6 @@ permutation tables of class positions, the fixed-point characters and the
 classical type A models live here.
 """
 
-from __future__ import annotations
-
 import itertools
 import operator
 from array import array
@@ -399,8 +397,11 @@ class ParkSpace:
         classes fixed over X onto those over gX, so the first chain of each
         cycle counts for all L of them.  The class histogram of
         W_X1 y_d^-1 depends on (X1, y_d) alone, and is made once for each
-        such pair, keyed by (u_1, y_d), by ReflectionGroup.coset_classes.
-        The division is exact; a remainder is an internal error."""
+        such pair, keyed by (u_1, y_d), by ReflectionGroup.coset_classes,
+        which counts it in A, B and D by the cycle index of a wreath
+        product, listing no element of W_X1 (in I2, W_X1 has at most 2m).
+        So the work is bounded by the chains and the classes.  The division is exact; a remainder is an internal
+        error."""
         grp, chains = self.group, self.chains
         kh = self.k * self.spec.coxeter_number
         sizes, order = grp.class_sizes(), self.spec.order
@@ -409,11 +410,11 @@ class ParkSpace:
         counts = [[0] * kh for _ in sizes]
         histograms: dict = {}
         for cycle in table_cycles(gtab):
-            y_len, length = grp.identity(), len(cycle)
-            for i in cycle:
-                y_len = y_len * (chains[i][-1] * c_inv)
-            u = chains[cycle[0]][0]
-            y = grp.identity()
+            length, u = len(cycle), chains[cycle[0]][0]
+            y = y_len = grp.identity()
+            if length < kh:  # else d = 0 alone reads the cycle, with y_0 = 1
+                for i in cycle:
+                    y_len = y_len * (chains[i][-1] * c_inv)
             for d in range(0, kh, length):
                 hist = histograms.get((u, y))
                 if hist is None:
@@ -433,12 +434,12 @@ class ParkSpace:
     def verify_weak(self) -> list[dict]:
         """Fixed counts against (kh+1)^mult for one element per conjugacy
         class and every power of the cyclic generator.  A failing row
-        carries the multiplicity of omega^d in v as its witness."""
+        carries the multiplicity of omega^d in v as its witness.  Each v's
+        spectrum is read once, for every d."""
         kh = self.k * self.spec.coxeter_number
         rows = []
         for v, counts in zip(self.group.conjugacy_class_reps(), self.burnside_counts()):
-            for d, count in enumerate(counts):
-                mult = self.group.eigenvalue_multiplicity(v, d, kh)
+            for d, (count, mult) in enumerate(zip(counts, self.group.spectrum(v, kh))):
                 expected = (kh + 1) ** mult
                 row = {"v": repr(v), "d": d, "fixed": count, "expected": expected, "pass": count == expected}
                 if count != expected:

@@ -9,8 +9,6 @@ polynomial is ever built.  The chain side reads only the cycle lengths of
 the chain g-table.
 """
 
-from __future__ import annotations
-
 import math
 from collections import Counter
 

@@ -6,8 +6,6 @@ groups.  Eigenvalue multiplicities are counted by integer divisibility
 rules, so every character count in the package is integer arithmetic.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator
@@ -443,6 +441,132 @@ def partition_refines(p: tuple[tuple[int, ...], ...], q: tuple[tuple[int, ...], 
 
 
 # ---------------------------------------------------------------------------
+# cycle types of a wreath-product coset
+
+
+def _centralizer(lengths: tuple[int, ...], scale: int) -> int:
+    """prod (scale L)^m m! over the distinct lengths L, m cycles of each:
+    for cycles of one sign with these lengths, their factor of |C(w)| in
+    S_n (scale 1) or B_n (scale 2)."""
+    out = 1
+    for L in set(lengths):
+        m = lengths.count(L)
+        out *= (scale * L) ** m * math.factorial(m)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _perm_types(b: int) -> list[tuple[tuple[int, ...], int]]:
+    """(lambda, b!/z_lambda) for each cycle type lambda of S_b: the
+    permutations of that type."""
+    return [(lam, math.factorial(b) // _centralizer(lam, 1)) for lam in partitions(b)]
+
+
+@lru_cache(maxsize=None)
+def _block_cycle_types(length: int, b: int, returns: bool, negs: int) -> list[tuple[tuple, int]]:
+    """The signed cycle types, counted, that W_x y^-1 takes on one cycle
+    of blocks: length blocks of size b, which y^-1 carries each onto the
+    next and the last onto the first (returns) or onto its negative; negs
+    is the parity of the negative members of the blocks, each taken as
+    y^-1 carries the first.
+
+    The return map h y^-1 ... h y^-1 on the first block is uniform over
+    S_b as h runs over W_x: each permutation, b!^(length-1) times.  A
+    cycle of it of length l is a cycle of h y^-1 of length length*l.  When
+    the cycle of blocks returns, that cycle is positive, and its orbit
+    holds each block member once, so its parity is negs.  Else the return
+    map is minus a permutation of the first block, and the cycle is
+    negative when l is odd; when every l is even, the parity is negs plus
+    length*b/2."""
+    rest = math.factorial(b) ** (length - 1)
+    out = []
+    for lam, count in _perm_types(b):
+        if returns:
+            key = tuple(length * L for L in lam), (), negs
+        else:
+            pos = tuple(length * L for L in lam if L % 2 == 0)
+            key = pos, tuple(length * L for L in lam if L % 2), (negs + length * (b // 2)) % 2
+        out.append((key, count * rest))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _zero_block_types(family: str, m: int, odd: int) -> list[tuple[tuple, int]]:
+    """The signed cycle types, counted, that W_x y^-1 takes on a zero block
+    of m positive members, on which y^-1 changes odd signs mod 2: the
+    signed cycle types of B_m, |B_m|/|C(w)| elements each.  In D, W_x is
+    D_m there, so the coset holds those with a number of negative cycles
+    of the parity of odd, and a type with every cycle positive and of even
+    length splits into halves of each parity."""
+    order = math.factorial(m) * 2**m
+    out = []
+    for a in range(m + 1):
+        for pos in partitions(a):
+            for neg in partitions(m - a):
+                count = order // (_centralizer(pos, 2) * _centralizer(neg, 2))
+                if family != "D":
+                    out.append(((pos, neg, 0), count))
+                elif len(neg) % 2 == odd:
+                    split = not neg and all(L % 2 == 0 for L in pos)
+                    out += [((pos, neg, h), count // 2) for h in (0, 1)] if split else [((pos, neg, 0), count)]
+    return out
+
+
+def _merged(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(a + b)) if a and b else a or b
+
+
+def wreath_cycle_types(x: FlatPartition, z: tuple[int, ...]) -> Counter:
+    """The signed cycle types of the elements h z, h in W_x, counted and
+    keyed as signed_cycle_type gives them, for a flat x of type A, B or D
+    and the images z of a signed permutation that permutes its blocks.
+
+    W_x permutes each block (with its negative), and the positive members
+    of the zero block by B_m or D_m; so h z permutes the blocks as z does,
+    and W_x z is a coset of a wreath product.  Its types are those of
+    Polya's cycle index (Macdonald, Symmetric functions, I app. B): each
+    cycle of blocks under z, and the zero block, takes its types
+    independently (_block_cycle_types, _zero_block_types), and a type of
+    h z joins one from each.  The parity, which names a split class of D,
+    adds up over them.  A z that does not permute the blocks is an
+    internal error."""
+    block_of = {t: b for b in x.blocks for t in b}
+
+    def image(b):
+        out = [z[t - 1] if t > 0 else -z[-t - 1] for t in b]
+        block = block_of[out[0]]
+        if len(block) != len(b) or any(block_of[t] is not block for t in out):
+            raise RuntimeError(f"{SignedPerm(z)!r} does not permute the blocks of {x!r}")
+        return block
+
+    parts, seen = [], set()
+    for b in x.blocks:
+        if b in seen:
+            continue
+        mirror = block_of.get(-b[0])  # None in A
+        if mirror is b:  # the zero block
+            image(b)
+            parts.append(_zero_block_types(x.family, len(b) // 2, sum(z[t - 1] < 0 for t in b if t > 0) % 2))
+            continue
+        cycle, cur = [b], image(b)
+        while cur is not b and cur is not mirror:
+            cycle.append(cur)
+            cur = image(cur)
+        for c in cycle:
+            seen.update((c, block_of.get(-c[0])))
+        negs = sum(t < 0 for c in cycle for t in c) % 2
+        parts.append(_block_cycle_types(len(cycle), len(b), cur is b, negs))
+    types = Counter({((), (), 0): 1})
+    for part in parts:
+        joined = Counter()
+        for (pos, neg, parity), count in types.items():
+            for (p, q, h), n in part:
+                joined[_merged(pos, p), _merged(neg, q), parity ^ h] += count * n
+        types = joined
+    return types
+
+
+# ---------------------------------------------------------------------------
 # the group object
 
 
@@ -534,51 +658,19 @@ class ReflectionGroup:
         return FlatPartition(f, p, blocks=canonical_blocks(blocks))
 
     def isotropy_elements(self, x: FlatPartition):
-        """W_x, one element at a time, as image tuples (as elements in I2).
-
-        W_x permutes each +- pair of nonzero blocks within itself, mirror
-        consistently, and the positive members of the zero block by a
-        signed permutation, with an even number of signs in D: the
-        elements are the products of one such move per block, all
-        distinct.  A nonzero block's move changes an even number of signs.
-        """
-        f, p = self.family, self.spec.param
-        if f == "I2":
-            if x.kind == "origin":
-                yield from (DihedralElement(p, r, j) for r in (False, True) for j in range(p))
-            else:
-                yield self.identity()
-                if x.kind == "line":
-                    yield DihedralElement(p, True, x.line)
-            return
-        # a type A flat has no zero block, and every block counts as a positive pair
-        zero = zero_block(x.blocks) or ()
-        blocks = [b for b in x.blocks if b == zero or min(abs(t) for t in b) in b]
-        # the moves of the largest block stream; only the others are listed
-        *small, large = sorted(blocks, key=len)
-        images = list(range(1, p + 1))
-        for choice in itertools.product(*[self._block_moves(b, b == zero) for b in small]):
-            for move in choice:
-                for s, t in move:
-                    images[s - 1] = t
-            for move in self._block_moves(large, large == zero):
-                for s, t in move:
-                    images[s - 1] = t
-                yield tuple(images)
-
-    def _block_moves(self, b: tuple[int, ...], zero: bool):
-        """W_x on one block b of x, as lists of (position, image): the
-        permutations of b, or for the zero block the signed permutations
-        of its positive members."""
-        if not zero:
-            for imgs in itertools.permutations(b):
-                yield [(s, t) if s > 0 else (-s, -t) for s, t in zip(b, imgs)]
-            return
-        zpos = [t for t in b if t > 0]
-        for imgs in itertools.permutations(zpos):
-            for signs in itertools.product((1, -1), repeat=len(zpos)):
-                if self.family == "B" or signs.count(-1) % 2 == 0:
-                    yield [(s, e * t) for s, t, e in zip(zpos, imgs, signs)]
+        """W_x of I2(m), one element at a time: W for the origin, the
+        identity and the line's reflection for a line, the identity for
+        the plane.  In A, B and D, coset_classes counts W_x by rule and
+        lists none of it."""
+        p = self.spec.param
+        if self.family != "I2":
+            raise ValueError(f"W_x is listed in I2 only, not in {self.spec}")
+        if x.kind == "origin":
+            yield from (DihedralElement(p, r, j) for r in (False, True) for j in range(p))
+        else:
+            yield self.identity()
+            if x.kind == "line":
+                yield DihedralElement(p, True, x.line)
 
     def flat_reflections(self, x: FlatPartition) -> list:
         """The reflections whose hyperplane contains the flat x, ascending:
@@ -604,30 +696,43 @@ class ReflectionGroup:
 
     # -- spectra -------------------------------------------------------------
 
-    def eigenvalue_multiplicity(self, w, d: int, order: int) -> int:
-        """Multiplicity of e^{2 pi i d/order} in the spectrum of w on V.
+    def spectrum(self, w, order: int) -> list[int]:
+        """The multiplicity of e^{2 pi i d/order} in the spectrum of w on V,
+        for each d in [0, order), with w's cycle type read once.
 
         A positive cycle of |w| of length L (a cycle of w on [n] in A) has
-        the L-th roots of unity as eigenvalues, so it holds this one when
-        order divides d*L; a negative one, of length l, has the odd powers
-        of the primitive 2l-th root, so it holds it when 2ld/order is an
-        odd integer.  Type A drops the trivial line, where all coordinates are
-        equal.  An I2(m) reflection has eigenvalues 1 and -1, a rotation
-        by j has e^{+-2 pi i j/m}."""
-        if not 0 <= d < order:
-            raise ValueError(f"d = {d} outside [0, {order})")
-        f = self.family
-        if f == "I2":
+        the L-th roots of unity as eigenvalues, so it holds the d-th when
+        order divides d*L: d is a multiple of order / gcd(order, L).  A
+        negative one, of length L, has the odd powers of the primitive
+        2L-th root, so it holds it when 2Ld/order is an odd integer: d is
+        an odd multiple of s = order / gcd(order, 2L), and 2Ls/order is
+        odd.  Type A drops the trivial line, where all coordinates are
+        equal.  An I2(m) reflection has eigenvalues 1 and -1, a rotation by
+        j has e^{+-2 pi i j/m}."""
+        if self.family == "I2":
             m = self.spec.param
             if w.refl:
-                return (d == 0) + (2 * d == order)
-            return (w.j * order == d * m) + ((-w.j) % m * order == d * m)
+                return [(d == 0) + (2 * d == order) for d in range(order)]
+            return [(w.j * order == d * m) + ((-w.j) % m * order == d * m) for d in range(order)]
+        mult = [0] * order
         pos, neg, _ = signed_cycle_type(w.images)
-        count = sum(1 for L in pos if d * L % order == 0) - (f == "A" and d == 0)
+        for L in pos:
+            for d in range(0, order, order // math.gcd(order, L)):
+                mult[d] += 1
         for L in neg:
-            odd, rem = divmod(2 * L * d, order)
-            count += rem == 0 and odd % 2 == 1
-        return count
+            step = order // math.gcd(order, 2 * L)
+            if 2 * L * step // order % 2:
+                for d in range(step, order, 2 * step):
+                    mult[d] += 1
+        mult[0] -= self.family == "A"
+        return mult
+
+    def eigenvalue_multiplicity(self, w, d: int, order: int) -> int:
+        """Multiplicity of e^{2 pi i d/order} in the spectrum of w on V:
+        entry d of spectrum(w, order)."""
+        if not 0 <= d < order:
+            raise ValueError(f"d = {d} outside [0, {order})")
+        return self.spectrum(w, order)[d]
 
     # -- conjugacy ------------------------------------------------------------
 
@@ -673,11 +778,8 @@ class ReflectionGroup:
                 for parity in (0, 1) if half is None else (half,):
                     ids[pos, neg, parity] = c
                 # |C(w)| in S_n or B_n; an unsplit D class is its whole B class
-                centralizer = 1
-                for lengths in (pos, neg):
-                    for L in set(lengths):
-                        m = lengths.count(L)
-                        centralizer *= (L if f == "A" else 2 * L) ** m * math.factorial(m)
+                scale = 1 if f == "A" else 2
+                centralizer = _centralizer(pos, scale) * _centralizer(neg, scale)
                 sizes.append(self.spec.order * (2 if f == "D" and half is None else 1) // centralizer)
             self._conj = [rep for rep, *_ in found], ids, sizes
         return self._conj
@@ -728,15 +830,17 @@ class ReflectionGroup:
 
     def coset_classes(self, x: FlatPartition, y) -> Counter:
         """The class ids of the coset W_x y^-1, counted: they sum to |W_x|.
-        W_x streams as image tuples in A, B and D, as elements in I2.  At
-        the origin, W_x y^-1 = W, and the counts are the class sizes."""
-        if x.dim == 0:
-            return Counter(dict(enumerate(self.class_sizes())))
+        In I2, W_x (at most 2m elements) streams.  In A, B and D, y^-1
+        must permute the blocks of x, and wreath_cycle_types counts the
+        signed cycle types of the coset, which name the classes; no
+        element of W_x is listed."""
         y_inv = y.inverse()
         if self.family == "I2":
             return Counter(self.class_id(h * y_inv) for h in self.isotropy_elements(x))
-        yi = y_inv.images
-        return Counter(self.class_id(compose(h, yi)) for h in self.isotropy_elements(x))
+        ids, hist = self._classes()[1], Counter()
+        for key, count in wreath_cycle_types(x, y_inv.images).items():
+            hist[ids[key]] += count
+        return hist
 
 
 # binary digits as 0/1 flags
@@ -744,8 +848,19 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def set_bits(mask: int) -> list[int]:
-    """The positions of the set bits of mask, ascending, with no per-bit test in Python."""
-    return list(itertools.compress(itertools.count(), bin(mask)[:1:-1].encode().translate(_BITS)))
+    """The positions of the set bits of mask, ascending.  A sparse mask (at
+    most 256 set bits, and at most one in 16) sheds its lowest set bit,
+    mask & -mask, once per set bit; any other is read whole, as binary
+    digits, with no per-bit test in Python."""
+    ones = mask.bit_count()
+    if ones > 256 or 16 * ones > mask.bit_length():
+        return list(itertools.compress(itertools.count(), bin(mask)[:1:-1].encode().translate(_BITS)))
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def table_cycles(table) -> list[list[int]]:

@@ -8,8 +8,6 @@ Ground sets are [n] or +-[n]; the +-[n] boundary order on the disc is
 1, 2, ..., n, -1, -2, ..., -n, read clockwise.
 """
 
-from __future__ import annotations
-
 from .reflgroup import (
     SignedPerm,
     Value,

@@ -2,6 +2,7 @@
 call: the library keeps what a command runs."""
 
 import itertools
+import json
 import math
 import os
 from array import array
@@ -11,7 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import eq, itemgetter
 
-from ncpark.cli import ENCODER
 from ncpark.locus import (
     ZERO,
     LocusPoint,
@@ -40,6 +40,7 @@ from ncpark.reflgroup import (
     SignedPerm,
     balanced_cycle,
     canonical_blocks,
+    compose,
     group,
     identity_perm,
     partition_refines,
@@ -107,7 +108,8 @@ def enumerate_lines_by_records(spec, k):
     each class of classes(), encoded whole."""
     space = build_park(spec, k)
     base = {"schema": 1, "command": "enumerate", "family": spec.family, "rank": spec.param, "k": k}
-    return [ENCODER.encode({**base, "class": space.class_record(p), "pass": True}) for p in space.classes()]
+    records = ({**base, "class": space.class_record(p), "pass": True} for p in space.classes())
+    return [json.dumps(record, sort_keys=True, default=str) for record in records]
 
 
 def chain_orbit_sizes(spec, k):
@@ -236,6 +238,58 @@ def isotropy_generators(grp, x):
     return gens
 
 
+def isotropy_elements(grp, x):
+    """W_x, one element at a time, as image tuples in A, B and D (as
+    elements in I2, where the library lists it).
+
+    W_x permutes each +- pair of nonzero blocks within itself, mirror
+    consistently, and the positive members of the zero block by a signed
+    permutation, with an even number of signs in D: the elements are the
+    products of one such move per block, all distinct.  A nonzero block's
+    move changes an even number of signs."""
+    if grp.family == "I2":
+        yield from grp.isotropy_elements(x)
+        return
+    # a type A flat has no zero block, and every block counts as a positive pair
+    zero = zero_block(x.blocks) or ()
+    blocks = [b for b in x.blocks if b == zero or min(abs(t) for t in b) in b]
+    # the moves of the largest block stream; only the others are listed
+    *small, large = sorted(blocks, key=len)
+    images = list(range(1, grp.spec.param + 1))
+    for choice in itertools.product(*[block_moves(grp, b, b == zero) for b in small]):
+        for move in choice:
+            for s, t in move:
+                images[s - 1] = t
+        for move in block_moves(grp, large, large == zero):
+            for s, t in move:
+                images[s - 1] = t
+            yield tuple(images)
+
+
+def block_moves(grp, b, zero):
+    """W_x on one block b of x, as lists of (position, image): the
+    permutations of b, or for the zero block the signed permutations of
+    its positive members."""
+    if not zero:
+        for imgs in itertools.permutations(b):
+            yield [(s, t) if s > 0 else (-s, -t) for s, t in zip(b, imgs)]
+        return
+    zpos = [t for t in b if t > 0]
+    for imgs in itertools.permutations(zpos):
+        for signs in itertools.product((1, -1), repeat=len(zpos)):
+            if grp.family == "B" or signs.count(-1) % 2 == 0:
+                yield [(s, e * t) for s, t, e in zip(zpos, imgs, signs)]
+
+
+def coset_classes_by_stream(grp, x, y):
+    """ReflectionGroup.coset_classes by streaming W_x: the class id of each
+    h y^-1, counted."""
+    y_inv = y.inverse()
+    if grp.family == "I2":
+        return Counter(grp.class_id(h * y_inv) for h in isotropy_elements(grp, x))
+    return Counter(grp.class_id(compose(h, y_inv.images)) for h in isotropy_elements(grp, x))
+
+
 def classes_by_orbit_walk(grp):
     """(reps, ids, sizes) of the conjugacy classes by walking W: the orbits
     of conjugation, w -> s w s, by reflections s that generate the
@@ -249,8 +303,8 @@ def classes_by_orbit_walk(grp):
 
 
 def isotropy_list(grp, x):
-    """grp.isotropy_elements(x) as a list of elements."""
-    return [w if grp.family == "I2" else SignedPerm(w) for w in grp.isotropy_elements(x)]
+    """isotropy_elements(grp, x) as a list of elements."""
+    return [w if grp.family == "I2" else SignedPerm(w) for w in isotropy_elements(grp, x)]
 
 
 def nc_by_scan(grp):
@@ -380,7 +434,7 @@ def coset_arrays_by_products(space, flat):
     -w(-j), by one itemgetter per h, and looked up by its images."""
     grp = space.group
     els = grp.elements()
-    iso = list(grp.isotropy_elements(flat))
+    iso = list(isotropy_elements(grp, flat))
     if grp.family == "I2":
         keys, idx = els, element_index(grp)
         moves = [lambda w, h=h: w * h for h in iso]

@@ -1,5 +1,4 @@
 import errno
-import gc
 import hashlib
 import json
 import os
@@ -10,6 +9,7 @@ import threading
 import time
 import tracemalloc
 from array import array
+from pathlib import Path
 
 import pytest
 from conftest import KS, MAIN_GRID, child_env, element_index, enumerate_lines_by_records
@@ -28,7 +28,7 @@ from ncpark.cli import (
     TABLE,
     main,
 )
-from ncpark.reflgroup import FAMILIES, GroupSpec, ReflectionGroup
+from ncpark.reflgroup import FAMILIES, GroupSpec, ReflectionGroup, SignedPerm
 
 
 def run_cli(args, tmp_path, name="out.jsonl"):
@@ -207,7 +207,8 @@ def test_deterministic_output(tmp_path):
 
 def test_exit_codes():
     assert main(["verify-weak", "--family", "B"]) == EXIT_CONFIG
-    assert main(["verify-weak", "--family", "B", "--rank", "9", "--k", "1"]) == EXIT_CAP
+    # Cat(B12) = 2,704,156 passes the default cap
+    assert main(["verify-weak", "--family", "B", "--rank", "12", "--k", "1"]) == EXIT_CAP
     assert main(["classical-park", "--family", "B", "--rank", "2"]) == EXIT_CONFIG
 
 
@@ -249,12 +250,15 @@ B3 = ["--family", "B", "--rank", "3", "--k", "1"]
         pytest.param(["verify-csp"] + B3, 20, id="verify-csp"),
         pytest.param(["verify-csp", "--family", "A", "--rank", "1", "--k", "5"], 6, id="verify-csp-chains"),
         pytest.param(["verify-csp", "--family", "A", "--rank", "4", "--k", "1"], 42, id="verify-csp-a4"),
-        # verify-weak and verify-intermediate count by the class equation
-        # over chain g-cycles and by the locus closed form: no class or
-        # point is built, and the cap bounds the larger of |W| and
-        # Cat^(k)(W), 48 for B3 k=1 and 6 for A1 k=5
-        pytest.param(["verify-weak"] + B3, 48, id="verify-weak"),
+        # verify-weak counts by the class equation over chain g-cycles,
+        # with each coset histogram by rule: it lists no class and no
+        # element of W, so the cap bounds Cat^(k)(W), which is 20 for B3
+        # k=1, 6 for A1 k=5 and 42 for A4 k=1 (|A4| = 120)
+        pytest.param(["verify-weak"] + B3, 20, id="verify-weak"),
         pytest.param(["verify-weak", "--family", "A", "--rank", "1", "--k", "5"], 6, id="verify-weak-chains"),
+        pytest.param(["verify-weak", "--family", "A", "--rank", "4", "--k", "1"], 42, id="verify-weak-a4"),
+        # verify-intermediate also builds the locus by its closed form, and
+        # its cap bounds the larger of |W| and Cat^(k)(W), 48 for B3 k=1
         pytest.param(["verify-intermediate"] + B3, 48, id="verify-intermediate"),
         # these build (kh+1)^n classes or points, and the cap bounds that:
         # 7^3 for B3, 9^2 for I2(8), 4^2 for A2
@@ -280,6 +284,13 @@ def test_csp_cap_names_the_chains(capsys):
     args = ["verify-csp", "--family", "A", "--rank", "4", "--out", os.devnull, "--cap", "41"]
     assert main(args) == EXIT_CAP
     assert capsys.readouterr().err == "cap exceeded: Cat^(1)(A4) = 42 exceeds cap 41\n"
+
+
+def test_weak_cap_names_the_chains(capsys):
+    args = ["verify-weak", "--family", "D", "--rank", "4", "--k", "2", "--out", os.devnull]
+    assert main(args + ["--cap", "336"]) == EXIT_OK
+    assert main(args + ["--cap", "335"]) == EXIT_CAP
+    assert capsys.readouterr().err == "cap exceeded: Cat^(2)(D4) = 336 exceeds cap 335\n"
 
 
 @pytest.mark.parametrize("command,kind", list(TABLE), ids=[f"{c}-{k}" if k else c for c, k in TABLE])
@@ -767,7 +778,7 @@ def test_console_entry_point(tmp_path, capsys):
 @pytest.mark.parametrize("args,code", [
     (["verify-weak", "--family", "B"], EXIT_CONFIG),  # main's ConfigError
     (["verify-weak", "--rank", "2"], EXIT_CONFIG),  # argparse's usage error
-    (["verify-weak", "--family", "B", "--rank", "9", "--k", "1"], EXIT_CAP),
+    (["verify-weak", "--family", "B", "--rank", "12", "--k", "1"], EXIT_CAP),  # Cat(B12) = 2,704,156
 ])
 def test_entry_passes_exit_codes_through(route, args, code):
     proc = run_process(route, args)
@@ -829,24 +840,25 @@ def test_console_script_runs_entry():
 
 
 @pytest.mark.parametrize("route", ROUTES)
-def test_entry_freezes_the_heap_and_main_does_not(route, tmp_path):
-    # both routes freeze once main has returned, and atexit handlers still
-    # run; main, which tests and library callers run, leaves the heap alone
+def test_entry_exits_without_teardown_and_main_returns(route, tmp_path):
+    # both routes end the process through os._exit with main's code, once
+    # the atexit handlers have run and stdout is flushed, skipping the
+    # interpreter's teardown; main, which tests and library callers run,
+    # returns its code
     args = ["verify-csp", "--family", "A", "--rank", "2", "--out", str(tmp_path / "entry.jsonl")]
     call = {
         "module": "import runpy; runpy.run_module('ncpark.cli', run_name='__main__')",
         "script": ROUTES["script"][1],
     }[route]
-    probe = "import atexit, gc, sys; atexit.register(lambda: print(gc.get_freeze_count())); "
+    probe = "import atexit, os, sys; atexit.register(print, 'atexit'); real = os._exit; "
+    probe += "os._exit = lambda code: (print('os._exit', code), sys.stdout.flush(), real(code)); "
     probe += f"sys.argv[1:] = {args!r}; {call}"
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, cwd=ROOT / "src", env=child_env()
     )
     assert proc.returncode == EXIT_OK
-    assert int(proc.stdout) > 0
-    before = gc.get_freeze_count()
+    assert proc.stdout == "atexit\nos._exit 0\n"
     assert main(args[:-1] + [str(tmp_path / "main.jsonl")]) == EXIT_OK
-    assert gc.get_freeze_count() == before
     assert (tmp_path / "main.jsonl").read_bytes() == (tmp_path / "entry.jsonl").read_bytes()
 
 
@@ -1290,3 +1302,33 @@ def test_nonnesting_failure_carries_a_witness(tmp_path, monkeypatch):
     row = lines[0]
     assert (row["expected"], row["actual"], row["pass"]) == (14, 15, False)
     assert row["witness"] == {"narayana": {"noncrossing": [1, 6, 6, 1], "nonnesting": [1, 6, 6, 1]}}
+
+
+ODD_TEXT = ['say "hi"', "back\\slash", "tab\there", "new\nline", "\x7f", "\x00", "café", "\U0001f600", ""]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"schema": 1, "command": "verify-weak", "v": "SignedPerm(-4, -3, -2, -1)", "d": 0, "pass": True},
+        {"b": [1, -2, [3, (4, 5)], {"z": None, "a": False}], "a": {}, "c": [], "big": 10**40, "neg": -7},
+        {"witness": {"classes": [{"chain": ["1,2/3"], "rep": [2, 1, 3]}], "unreached": [1, 1, 2]}},
+        {2: "an int key"},
+        {"flag": True, "score": 0.5, "path": Path("/x"), "perm": SignedPerm((2, -1))},
+        *ODD_TEXT,
+        {text: text for text in ODD_TEXT},
+        [ODD_TEXT, (True, None)],
+    ],
+)
+def test_encode_writes_what_json_writes(value):
+    assert cli.encode(value) == json.dumps(value, sort_keys=True, default=str)
+
+
+@pytest.mark.parametrize("fam,p", MAIN_GRID)
+@pytest.mark.parametrize("command", ["verify-weak", "verify-csp"])
+def test_command_lines_are_json_lines(fam, p, command, tmp_path):
+    size = ["--m", str(p)] if fam == "I2" else ["--rank", str(p - 1 if fam == "A" else p)]
+    out = tmp_path / "out.jsonl"
+    assert main([command, "--family", fam, *size, "--k", "2", "--out", str(out)]) == EXIT_OK
+    for line in out.read_text().splitlines():
+        assert line == json.dumps(json.loads(line), sort_keys=True)

@@ -1,7 +1,8 @@
 """Starting the CLI loads only what its commands use: no value class is a
-dataclass, no arithmetic goes through fractions and argparse is imported
-only for the argv the direct parse leaves to it, so `import ncpark.cli`
-pulls in none of the heavy standard modules those need."""
+dataclass, no arithmetic goes through fractions, argparse is imported
+only for the argv the direct parse leaves to it and json only for a value
+cli.encode does not write itself, so `import ncpark.cli` pulls in none of
+the heavy standard modules those need."""
 
 import subprocess
 import sys
@@ -12,8 +13,12 @@ from conftest import child_env
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # dataclasses brings inspect, ast and dis; fractions brings decimal and
-# numbers; argparse brings gettext, which imports locale on its first message
-HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "numbers", "ast", "dis", "argparse", "gettext", "locale")
+# numbers; argparse brings gettext, which imports locale on its first
+# message; json brings its decoder and scanner
+HEAVY = (
+    "dataclasses", "inspect", "fractions", "decimal", "numbers", "ast", "dis", "argparse", "gettext", "locale",
+    "json",
+)
 
 
 def test_cli_import_loads_no_heavy_module():

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     KS,
     MAIN_GRID,
+    RULE_GRID,
     Cycles,
     act_g,
     act_g_power,
@@ -14,6 +15,7 @@ from conftest import (
     all_noncrossing_partitions,
     block_sizes,
     coset_arrays_by_products,
+    coset_classes_by_stream,
     element_of_flat,
     enumerate_classical_by_scan,
     equivariant_function_count,
@@ -21,6 +23,7 @@ from conftest import (
     fixed_counts_by_powers,
     g_cycles,
     inverse_images,
+    isotropy_elements,
     isotropy_list,
     nc_lambda_count,
     omega,
@@ -478,7 +481,7 @@ def test_coset_walk_matches_products(fam, p, k):
             bid = rec.bid.__getitem__
             keys = [tuple(map(bid, inv)) for inv in inverse_images(ps.group)]
         assert list(map(rec.positions.__getitem__, keys)) == arr
-        assert len(set(keys)) * sum(1 for _ in ps.group.isotropy_elements(flat)) == len(els)
+        assert len(set(keys)) * sum(1 for _ in isotropy_elements(ps.group, flat)) == len(els)
 
 
 @pytest.mark.parametrize("fam,p,k", [("B", 3, 2), ("D", 4, 1), ("I2", 5, 2)])
@@ -531,7 +534,54 @@ def test_one_record_per_chain_and_coset_classes(fam, p, k, monkeypatch):
     ps.burnside_counts()
     assert seen
     for x, y, hist in seen:
-        assert sum(hist.values()) == sum(1 for _ in ps.group.isotropy_elements(x)), (x, y)
+        assert sum(hist.values()) == sum(1 for _ in isotropy_elements(ps.group, x)), (x, y)
+
+
+@pytest.mark.parametrize("fam,p", RULE_GRID)
+@pytest.mark.parametrize("k", KS)
+def test_coset_rule_matches_the_stream(fam, p, k, monkeypatch):
+    # the wreath-product cycle index counts the classes that streaming
+    # W_X1 y_d^-1 meets, for every (X1, y_d) that burnside_counts asks for
+    ps = build_park(GroupSpec(fam, p), k)
+    seen = {}
+    real = ReflectionGroup.coset_classes
+
+    def recorded(grp, x, y):
+        seen[x, y] = real(grp, x, y)
+        return seen[x, y]
+
+    monkeypatch.setattr(ReflectionGroup, "coset_classes", recorded)
+    ps.burnside_counts()
+    assert seen
+    for (x, y), hist in seen.items():
+        assert hist == coset_classes_by_stream(ps.group, x, y), (x, y)
+
+
+def test_coset_rule_refuses_a_y_that_splits_a_block():
+    # (2 3) carries the block {1, 2} of the flat 1,2/3/4 onto {1, 3}
+    grp = group("A", 4)
+    x = grp.fixed_flat(perm_from_cycles(4, (1, 2)))
+    with pytest.raises(RuntimeError, match="does not permute the blocks"):
+        grp.coset_classes(x, perm_from_cycles(4, (2, 3)))
+
+
+def test_verify_weak_reads_each_spectrum_once(monkeypatch):
+    ps = build_park(GroupSpec("D", 4), 2)
+    expected = ps.verify_weak()
+    calls = []
+    real = ReflectionGroup.spectrum
+
+    def counted(grp, w, order):
+        calls.append(w)
+        return real(grp, w, order)
+
+    def never(*args):
+        raise AssertionError("a multiplicity read one d at a time")
+
+    monkeypatch.setattr(ReflectionGroup, "spectrum", counted)
+    monkeypatch.setattr(ReflectionGroup, "eigenvalue_multiplicity", never)
+    assert ps.verify_weak() == expected
+    assert calls == ps.group.conjugacy_class_reps()
 
 
 @pytest.mark.parametrize("fam,rank,k", [("A", 3, 2), ("B", 3, 2), ("D", 4, 1)])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -42,10 +43,18 @@ SMALL = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3), ("I2", 3), 
 
 def test_set_bits_match_the_bit_scan():
     # 0, every mask below 2^9, words around 2^64, and sparse and dense
-    # masks of thousands of bits
+    # masks of thousands of bits; then both readers on each side of their
+    # bounds, 256 set bits and one set bit in 16
     masks = list(range(512)) + [2**64 - 1, 2**64, 2**64 + 1, 0b1011 << 3000, 2**4862 - 2**100 + 7]
+    rng = random.Random(7)
+    for ones in (1, 2, 64, 255, 256, 257):
+        for length in (16 * ones - 1, 16 * ones, 16 * ones + 1, 16 * ones + 5000):
+            masks.append(sum(1 << i for i in rng.sample(range(length - 1), ones - 1)) | 1 << length - 1)
+    sparse = 0
     for mask in masks:
         assert set_bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1], mask
+        sparse += mask.bit_count() <= 256 and 16 * mask.bit_count() <= mask.bit_length()
+    assert sparse == 19
 
 
 def test_degrees_and_coxeter_numbers():
@@ -228,10 +237,11 @@ def test_eigenvalue_sum_property():
 )
 def test_eigenvalue_multiplicity_matches_rotations(fam, p):
     # the integer rule against the rational oracle, for every element and
-    # every power of the order-kh root
+    # every power of the order-kh root: spectrum lists them all, and
+    # eigenvalue_multiplicity reads one
     g = group(fam, p)
     h = g.spec.coxeter_number
-    for w in g.elements():
+    for i, w in enumerate(g.elements()):
         rots = eigenvalue_rotations(g, w)
         for k in (1, 2, 3):
             order = k * h
@@ -239,7 +249,9 @@ def test_eigenvalue_multiplicity_matches_rotations(fam, p):
             for q in rots:
                 if (q * order).denominator == 1:
                     expected[int(q * order)] += 1
-            assert [g.eigenvalue_multiplicity(w, d, order) for d in range(order)] == expected, (w, order)
+            assert g.spectrum(w, order) == expected, (w, order)
+            d = i % order
+            assert g.eigenvalue_multiplicity(w, d, order) == expected[d], (w, order, d)
 
 
 def test_all_flats_counts():
