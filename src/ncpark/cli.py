@@ -76,6 +76,21 @@ def encode(value) -> str:
     return json.dumps(value, sort_keys=True, default=str)
 
 
+def _line_writer(base: dict) -> Callable[[dict], str]:
+    """A function that writes encode({**base, **row}) and a newline for a
+    row, with base's fields encoded once; a row with a key that encode
+    would not write itself goes to encode whole."""
+    fields = {key: f'"{key}": {encode(value)}' for key, value in base.items()}
+
+    def line(row: dict) -> str:
+        if not (all(key.__class__ is str for key in row) and _plain("".join(row))):
+            return encode({**base, **row}) + "\n"
+        pairs = fields | {key: f'"{key}": {encode(value)}' for key, value in row.items()}
+        return "{" + ", ".join([pairs[key] for key in sorted(pairs)]) + "}\n"
+
+    return line
+
+
 def _plain(text: str) -> bool:
     """Whether json writes text between quotes as it is: printable ASCII
     with no quote or backslash."""
@@ -167,7 +182,7 @@ def _enumerate(spec, k):
     class field and holds them with "pass": true."""
     space = parkspace.build_park(spec, k)
     tail = "}, " + encode({**_base("enumerate", spec, k), "pass": True})[1:] + "\n"
-    reps = [encode(space.rep_record(w)) for w in space.group.elements()]
+    reps = [encode(space.group.rep_record(w)) for w in space.group.elements()]
     count = 0
     for chain, block in space.blocks():
         head = '{"class": {"chain": ' + encode(list(space.pictures[chain].record)) + ', "rep": '
@@ -429,14 +444,14 @@ def run(args, dest: str) -> int:
     size, what = cmd.bound(spec, k)
     if size > cap:
         raise CapExceeded(f"{what} = {_decimal(size)} exceeds cap {cap}")
-    base = _base(args.command, spec, k)
+    line = _line_writer(_base(args.command, spec, k))
     lines: list[str] = []
     row, checks, fails = {}, 0, 0
     for row in cmd.rows(spec, k):
         if isinstance(row, list):  # enumerate's class lines, each "pass": true
             lines += row
         elif d_filter is None or row["d"] in d_filter:
-            lines.append(encode({**base, **row}) + "\n")
+            lines.append(line(row))
             checks += 1
             fails += not row.get("pass", True)
         if len(lines) >= BATCH:
@@ -444,7 +459,7 @@ def run(args, dest: str) -> int:
             lines = []
     if "summary" not in row:  # enumerate's rows end with its own summary
         summary = {"summary": True, "checks": checks, "failures": fails, "pass": fails == 0}
-        lines.append(encode({**base, **summary}) + "\n")
+        lines.append(line(summary))
     emit(lines, dest)
     return EXIT_FAIL if fails else EXIT_OK
 

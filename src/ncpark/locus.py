@@ -16,9 +16,9 @@ from operator import getitem
 
 from .reflgroup import (
     ConfigError,
-    DihedralElement,
     GroupSpec,
     Value,
+    group,
     set_field,
     table_cycles,
 )
@@ -61,30 +61,13 @@ def build_locus(spec: GroupSpec, k: int) -> list[LocusPoint]:
 
 
 def locus_act_w(spec: GroupSpec, w, p: LocusPoint) -> LocusPoint:
+    """w on a locus point: the model's locus_moves, where coordinate i goes
+    to moves[i][0], its nonzero exponent shifted by moves[i][1]."""
     kh = p.order
-    if spec.family == "I2":
-        v1, v2 = p.coords
-        if w.refl:
-            v1, v2 = v2, v1
-        a = w.j
-        new1 = v1 if v1 is ZERO else (v1 + diagonal_twist(spec, kh) * a) % kh
-        new2 = v2 if v2 is ZERO else (v2 - diagonal_twist(spec, kh) * a) % kh
-        return LocusPoint(kh, (new1, new2))
-    half = kh // 2
     out = [ZERO] * len(p.coords)
-    for i, v in enumerate(p.coords, start=1):
-        j = w(i)
-        if j > 0:
-            out[j - 1] = v
-        else:
-            out[-j - 1] = v if v is ZERO else (v + half) % kh
+    for v, (target, shift) in zip(p.coords, group(spec.family, spec.param).locus_moves(w, kh)):
+        out[target] = v if v is ZERO else (v + shift) % kh
     return LocusPoint(kh, tuple(out))
-
-
-def diagonal_twist(spec: GroupSpec, order: int) -> int:
-    # the dihedral rotation scales the diagonal coordinates by the k-th
-    # power of the order-km root, k = order/m
-    return order // spec.coxeter_number
 
 
 def locus_position(order: int, coords) -> int:
@@ -104,30 +87,15 @@ def locus_point(order: int, n: int, pos: int) -> LocusPoint:
     return LocusPoint(order, tuple(reversed(coords)))
 
 
-def locus_moves(spec: GroupSpec, order: int, w) -> list[tuple[int, int]]:
-    """Where w sends each coordinate of a locus point: coordinate i goes to
-    coordinate moves[i][0], its nonzero exponent shifted by moves[i][1]
-    (order/2 for a sign change in B and D, the diagonal twist in I2).
-    These moves mirror locus_act_w."""
-    if spec.family == "I2":
-        a = diagonal_twist(spec, order) * w.j
-        return [(1, -a), (0, a)] if w.refl else [(0, a), (1, -a)]
-    moves = []
-    for i in range(1, spec.rank + 1):
-        j = w(i)
-        moves.append((j - 1, 0) if j > 0 else (-j - 1, order // 2))
-    return moves
-
-
 def locus_w_table(spec: GroupSpec, order: int, w) -> array:
     """locus_act_w(spec, w, -) on build_locus positions."""
-    return _digit_table(order, locus_moves(spec, order, w))
+    return _digit_table(order, group(spec.family, spec.param).locus_moves(w, order))
 
 
 def locus_cycles(spec: GroupSpec, order: int, w) -> list[list[int]]:
     """[length, total shift mod order] for each cycle of w's coordinate
     moves, cycles in order of their least coordinate."""
-    moves = locus_moves(spec, order, w)
+    moves = group(spec.family, spec.param).locus_moves(w, order)
     cycles = table_cycles([target for target, _ in moves])
     return [[len(cycle), sum(moves[i][1] for i in cycle) % order] for cycle in cycles]
 
@@ -420,11 +388,12 @@ def dihedral_bijection(m: int, k: int) -> array:
     compares the class count with the (km+1)^2 points."""
     spec = GroupSpec("I2", m)
     space = parkspace.build_park(spec, k)
-    ident, c, s = space.group.identity(), space.c, DihedralElement(m, True, 0)
+    refls = space.group.reflections()  # c^j s at j
+    ident, c, s = space.group.identity(), space.c, refls[0]
     km = k * m
     park = [space.g_table(), space.w_table(s), space.w_table(c)]
     loc = [locus_g_table(spec, km), locus_w_table(spec, km, s), locus_w_table(spec, km, c)]
-    elems = {"V": ident, "H": s, "Hp": DihedralElement(m, True, (m - 1) % m), "0": c}
+    elems = {"V": ident, "H": s, "Hp": refls[m - 1], "0": c}
     code = parkspace.typecode(space.size)
     fwd = array(code, [-1]) * len(park[0])
     bwd = array(code, [-1]) * space.size

@@ -10,7 +10,7 @@ import operator
 from functools import cached_property
 
 from . import setpart
-from .reflgroup import ReflectionGroup, set_bits
+from .reflgroup import DihedralGroup, ReflectionGroup, set_bits
 
 
 class NCPoset:
@@ -24,7 +24,7 @@ class NCPoset:
     computed once.
     """
 
-    def __init__(self, grp: ReflectionGroup):
+    def __init__(self, grp: ReflectionGroup | DihedralGroup):
         self.group = grp
         self.c = grp.coxeter_element()
         flat_of = {self.c: grp.fixed_flat(self.c)}
@@ -56,11 +56,8 @@ class NCPoset:
 
     @cached_property
     def literal_of(self) -> dict:
-        """Each element's flat as class_record writes it, built on first
-        use: the partition literal, or the I2 flat kind."""
-        if self.group.family == "I2":
-            return {w: x.kind if x.kind != "line" else f"line:{x.line}" for w, x in self.flat_of.items()}
-        return {w: setpart.format_partition(q) for w, q in self.part_of.items()}
+        """Each element's flat_literal, built on first use."""
+        return {w: self.group.flat_literal(x) for w, x in self.flat_of.items()}
 
     @cached_property
     def _ups(self) -> dict:
@@ -89,7 +86,7 @@ class NCPoset:
         return chains
 
 
-def build_nc(grp: ReflectionGroup) -> NCPoset:
+def build_nc(grp: ReflectionGroup | DihedralGroup) -> NCPoset:
     return NCPoset(grp)
 
 
@@ -97,7 +94,7 @@ def build_nc(grp: ReflectionGroup) -> NCPoset:
 # the cyclic action
 
 
-def g_act_chain(chain: tuple, grp: ReflectionGroup, c=None) -> tuple:
+def g_act_chain(chain: tuple, grp: ReflectionGroup | DihedralGroup, c=None) -> tuple:
     """g.(u_1 <= ... <= u_k) = (t u_1 t^-1, t u_1, ..., t u_{k-1}), t = c u_k^-1.
 
     The paper defines g on factorizations (the tests keep that route as

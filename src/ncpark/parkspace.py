@@ -8,21 +8,10 @@ classical type A models live here.
 """
 
 import itertools
-import operator
 from array import array
 from functools import cached_property
 
-from .reflgroup import (
-    FlatPartition,
-    GroupSpec,
-    SignedPerm,
-    Value,
-    group,
-    set_bits,
-    set_field,
-    table_cycles,
-    zero_block,
-)
+from .reflgroup import Cosets, DihedralCosets, GroupSpec, SignedPerm, Value, group, set_field, table_cycles
 from . import ncw, setpart
 
 
@@ -39,9 +28,6 @@ class ParkClass(Value):
         return f"ParkClass(rep={self.rep!r}, chain={self.chain!r})"
 
 
-# 0/1 flags as binary digits
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
 # 2^31 where a C int is 4 bytes: positions below it fit an array('i')
 INT_LIMIT = 1 << 8 * array("i").itemsize - 1
 
@@ -50,118 +36,6 @@ def typecode(size: int) -> str:
     """The one typecode of an array of positions in [0, size), or -1: the
     4-byte 'i' when size < INT_LIMIT, else the 8-byte 'q'."""
     return "i" if size < INT_LIMIT else "q"
-
-
-def least_rule(flat: FlatPartition) -> list[tuple[int, int, int]]:
-    """The inequalities (a, b, s), each w(a) < s w(b) on the images of w,
-    that w meets exactly when it is the least element of its coset w W_X,
-    for a flat X of type A, B or D; (a, a, -1) reads w(a) < 0.
-
-    W_X moves the members of each block of X among themselves, so the
-    coset fixes the values w takes on a block, and its least element
-    places them position by position, each as small as it can be:
-    - A: w(a) < w(b) for consecutive members a < b of a block.
-    - B, D: each +- pair of nonzero blocks is read from its member b that
-      holds its least |x| positively, members sorted by |x|.  Position |x|
-      holds s_x w(x), s_x the sign of x, so it takes the least value of w
-      on b left when s_x = +1 and the greatest when s_x = -1: that is
-      w(|x|) < s_x s_y w(|y|) for every x before y.  With mixed signs
-      these do not follow from the consecutive pairs, so all are listed.
-    - The zero block z_1 < ... < z_l (its positive members) is signed
-      freely in B, so w(z_1) < ... < w(z_l) < 0.  In D the signs change in
-      even numbers, so the sign of w(z_l) follows from the others:
-      w(z_1) < ... < w(z_(l-1)) < -|w(z_l)|."""
-    if flat.family == "A":
-        return [(a, b, 1) for blk in flat.blocks for a, b in zip(blk, blk[1:])]
-    zero = zero_block(flat.blocks) or ()
-    out = []
-    for blk in flat.blocks:
-        if blk != zero and min(abs(t) for t in blk) in blk:
-            members = sorted(blk, key=abs)
-            for i, x in enumerate(members):
-                out += [(abs(x), abs(y), 1 if (x > 0) == (y > 0) else -1) for y in members[i + 1 :]]
-    zpos = [t for t in zero if t > 0]
-    out += [(a, b, 1) for a, b in zip(zpos, zpos[1:])]
-    if flat.family == "B" and zpos:
-        out.append((zpos[-1], zpos[-1], -1))
-    elif len(zpos) > 1:
-        out.append((zpos[-2], zpos[-1], -1))
-    return out
-
-
-def block_ids(flat: FlatPartition) -> dict[int, int]:
-    """Signed ids for the blocks of a type A, B or D flat, by member: j for
-    each member of the j-th block and -j for its negative, 0 for the zero
-    block; a block's mirror gets the negated ids."""
-    bid, j = {}, 0
-    zero = zero_block(flat.blocks)
-    for b in flat.blocks:
-        if b == zero:
-            bid.update(dict.fromkeys(b, 0))
-        elif b[0] not in bid:
-            j += 1
-            for x in b:
-                bid[x], bid[-x] = j, -j
-    return bid
-
-
-def block_key(bid: dict[int, int], images: tuple[int, ...]) -> tuple[int, ...]:
-    """bid[w^-1(1)], ..., bid[w^-1(n)] for the signed permutation w with
-    these images, bid a signed id for each member of +-[n]."""
-    key = [0] * len(images)
-    for x, t in enumerate(images, 1):
-        if t > 0:
-            key[t - 1] = bid[x]
-        else:
-            key[-t - 1] = -bid[x]
-    return tuple(key)
-
-
-class Cosets:
-    """The cosets w W_X of the isotropy group of a first flat X: the
-    element indices of their least elements, ascending, the block ids of
-    X, key(w), and, each from first use on, the position in minima of
-    each coset by its key, and the keys as columns.  ParkSpace.cosets
-    makes one per NC(W) element that heads a chain.
-
-    key(w) is shared by two elements exactly when they lie in one coset,
-    by rule.  In A, B and D it is block_key over the block ids: the signed
-    ids of the blocks holding w^-1(1), ..., w^-1(n).  Two elements share
-    it exactly when w^-1 w' maps every block of X onto itself.  The
-    elements of S_n or B_n that do form W_X; in D, W_X is those of them
-    that lie in D, as w^-1 w' does.
-
-    In I2 it is the coset's position itself, by arithmetic: w's index in
-    elements() for the plane (c^j at j, c^j s at m + j), 0 for the origin,
-    and on line l the exponent of the rotation in {w, w s_l}, j for c^j
-    and j - l for c^j s.  So positions is the range of positions there,
-    and no dict is built."""
-
-    def __init__(self, flat: FlatPartition, minima: list[int], elements: list):
-        self.flat = flat
-        self.minima = minima
-        self.bid = block_ids(flat)
-        self._elements = elements
-
-    def key(self, w):
-        flat = self.flat
-        if flat.family == "I2":
-            if flat.kind == "line":
-                return (w.j - flat.line) % flat.n if w.refl else w.j
-            return w.refl * flat.n + w.j if flat.kind == "plane" else 0
-        return block_key(self.bid, w.images)
-
-    @cached_property
-    def positions(self):
-        if self.flat.family == "I2":
-            return range(len(self.minima))
-        els, bid = self._elements, self.bid
-        return dict(zip((block_key(bid, els[r].images) for r in self.minima), itertools.count()))
-
-    @cached_property
-    def columns(self) -> list[tuple[int, ...]]:
-        """Entry j of every key, in position order (types A, B, D)."""
-        return list(zip(*self.positions))
 
 
 class ChainPicture:
@@ -186,8 +60,7 @@ class ChainPicture:
 
     @cached_property
     def record(self) -> tuple[str, ...]:
-        """The chain field of class_record: partition literals, or the I2
-        flat kinds."""
+        """The chain field of class_record: the model's flat literals."""
         return tuple(map(self.nc.literal_of.__getitem__, self.chain))
 
     @cached_property
@@ -224,63 +97,17 @@ class ParkSpace:
         self.chains = self.nc.multichains(k)
         self.size = spec.park_size(k)  # the classes
         self._cosets: dict = {}
-        self._masks: dict[tuple[int, int, int], int] = {}
         self._classes = None
-
-    @property
-    def _elements(self) -> list:
-        """group.elements(), listed on first use: the character counts never
-        read it."""
-        return self.group.elements()
 
     # -- canonicalization ----------------------------------------------------
 
-    def cosets(self, u) -> Cosets:
+    def cosets(self, u) -> Cosets | DihedralCosets:
         """The coset record of the flat of u, an element of NC(W) that heads
         a chain; made once per element."""
         rec = self._cosets.get(u)
         if rec is None:
-            flat = self.nc.flat_of[u]
-            rec = self._cosets[u] = Cosets(flat, self._coset_minima(flat), self._elements)
+            rec = self._cosets[u] = self.group.cosets(self.nc.flat_of[u])
         return rec
-
-    def _coset_minima(self, flat: FlatPartition) -> list[int]:
-        """The indices in group.elements() of the least elements of the
-        cosets w W_X of the isotropy group of a flat, ascending.
-
-        w is least in w W_X exactly when its images meet the inequalities
-        of least_rule(flat); each inequality is a bitmask over the
-        elements, made once per space, so a flat's minima are the set bits
-        of the AND of its masks.  In I2, W_X is trivial for the plane and
-        W for the origin, and on line j the coset {w, w s_j} holds one
-        rotation, which is the lesser: the rotations come first."""
-        els = self._elements
-        if flat.family != "I2":
-            mask = (1 << len(els)) - 1
-            for a, b, s in least_rule(flat):
-                mask &= self._inequality(a, b, s)
-            return set_bits(mask)
-        if flat.kind == "plane":
-            return list(range(len(els)))
-        return [0] if flat.kind == "origin" else list(range(flat.n))
-
-    def _inequality(self, a: int, b: int, s: int) -> int:
-        """The elements w with w(a) < s w(b), as a bitmask over the indices
-        of group.elements(): bit i is set when element i meets it."""
-        mask = self._masks.get((a, b, s))
-        if mask is None:
-            cols, negs = self._columns
-            right = (cols if s > 0 else negs)[b - 1]
-            digits = bytes(map(operator.lt, cols[a - 1], right)).translate(_DIGITS)
-            mask = self._masks[a, b, s] = int(digits[::-1], 2)
-        return mask
-
-    @cached_property
-    def _columns(self) -> tuple[list, list]:
-        """The images w(a) of all elements for each position a, and their
-        negatives."""
-        cols = list(zip(*(w.images for w in self._elements)))
-        return cols, [tuple(-t for t in col) for col in cols]
 
     def blocks(self):
         """Each chain with the element indices of its coset minima, in
@@ -302,7 +129,7 @@ class ParkSpace:
 
     def make_class(self, chain: tuple, w) -> ParkClass:
         rec = self.cosets(chain[0])
-        return ParkClass(chain, self._elements[rec.minima[rec.positions[rec.key(w)]]])
+        return ParkClass(chain, self.group.elements()[rec.minima[rec.positions[rec.key(w)]]])
 
     def index(self, chain: tuple, w) -> int:
         """The position in classes() of the class [w, chain]."""
@@ -311,7 +138,7 @@ class ParkSpace:
 
     def classes(self) -> list[ParkClass]:
         if self._classes is None:
-            els = self._elements
+            els = self.group.elements()
             self._classes = [ParkClass(ch, els[r]) for ch, reps in self.blocks() for r in reps]
         return self._classes
 
@@ -320,7 +147,7 @@ class ParkSpace:
         block: classes() is never listed."""
         for ch, reps in self.blocks():
             if i < len(reps):
-                return self.class_record(ParkClass(ch, self._elements[reps[i]]))
+                return self.class_record(ParkClass(ch, self.group.elements()[reps[i]]))
             i -= len(reps)
         raise IndexError(i)
 
@@ -332,12 +159,10 @@ class ParkSpace:
 
         The class [r, ch] goes to [r t^-1, g ch], with t = c u_k^-1 as in
         ncw.g_act_chain and g ch read off ncw.chain_g_table.  The first
-        flat of g ch is t X_1, so in A, B and D the key of r t^-1 there is
-        the key of r in X_1 with each block id relabeled by t; in I2 the
-        product is keyed.  The keys are relabeled a column at a time, and
-        a chain block's map, which depends on (u_1, u_k) only, is made once
-        for each pair."""
-        els, chains = self._elements, self.chains
+        flat of g ch is t X_1, and the coset record of X_1 keys each r t^-1
+        there (right_keys).  A chain block's map depends on (u_1, u_k)
+        only, and is made once for each pair."""
+        chains = self.chains
         gtab = ncw.chain_g_table(self.nc, chains)
         starts = [pic.start for pic in self.pictures.values()]
         c_inv = self.c.inverse()
@@ -346,14 +171,8 @@ class ParkSpace:
         for ch, gi in zip(chains, gtab):
             perm = perms.get((ch[0], ch[-1]))
             if perm is None:
-                t_inv = ch[-1] * c_inv
                 rec, target = self.cosets(ch[0]), self.cosets(chains[gi][0])
-                if self.spec.family == "I2":
-                    keys = (target.key(els[r] * t_inv) for r in rec.minima)
-                else:
-                    t, bid = t_inv.inverse(), target.bid
-                    relabel = {j: bid[t(y)] for y, j in rec.bid.items()}.__getitem__
-                    keys = zip(*(map(relabel, col) for col in rec.columns))
+                keys = rec.right_keys(ch[-1] * c_inv, target)
                 perm = perms[ch[0], ch[-1]] = list(map(target.positions.__getitem__, keys))
             off = starts[gi]
             out.fromlist([off + x for x in perm])
@@ -362,23 +181,14 @@ class ParkSpace:
     def w_table(self, v) -> array:
         """Permutation of class indices induced by v, as an array of
         typecode(size).  The chain stays, and each first flat's coset
-        permutation is read off the keys: in A, B and D entry j of the key
-        of v r is entry |v^-1(j)| of r's, negated when v^-1(j) < 0; in I2
-        the product is keyed.  The keys are moved a column at a time."""
-        els = self._elements
-        back = v.inverse().images if self.spec.family != "I2" else ()
+        permutation is read off the keys of v r (left_keys)."""
         perms: dict = {}
         out = array(typecode(self.size))
         for ch, pic in self.pictures.items():
             perm = perms.get(ch[0])
             if perm is None:
                 rec = self.cosets(ch[0])
-                if self.spec.family == "I2":
-                    keys = (rec.key(v * els[r]) for r in rec.minima)
-                else:
-                    cols = rec.columns
-                    keys = zip(*(cols[t - 1] if t > 0 else map(operator.neg, cols[-t - 1]) for t in back))
-                perm = perms[ch[0]] = list(map(rec.positions.__getitem__, keys))
+                perm = perms[ch[0]] = list(map(rec.positions.__getitem__, rec.left_keys(v)))
             out.fromlist([pic.start + x for x in perm])
         return out
 
@@ -397,11 +207,11 @@ class ParkSpace:
         classes fixed over X onto those over gX, so the first chain of each
         cycle counts for all L of them.  The class histogram of
         W_X1 y_d^-1 depends on (X1, y_d) alone, and is made once for each
-        such pair, keyed by (u_1, y_d), by ReflectionGroup.coset_classes,
+        such pair, keyed by (u_1, y_d), by the model's coset_classes,
         which counts it in A, B and D by the cycle index of a wreath
         product, listing no element of W_X1 (in I2, W_X1 has at most 2m).
-        So the work is bounded by the chains and the classes.  The division is exact; a remainder is an internal
-        error."""
+        So the work is bounded by the chains and the classes.  The division
+        is exact; a remainder is an internal error."""
         grp, chains = self.group, self.chains
         kh = self.k * self.spec.coxeter_number
         sizes, order = grp.class_sizes(), self.spec.order
@@ -489,7 +299,7 @@ class ParkSpace:
         out = []
         seq = [0] * len(least)
         for r in reps:
-            for a, t in zip(least, self._elements[r].images):
+            for a, t in zip(least, self.group.elements()[r].images):
                 seq[t - 1] = a
             out.append(tuple(seq))
         return out
@@ -497,14 +307,7 @@ class ParkSpace:
     # -- serialization --------------------------------------------------------
 
     def class_record(self, p: ParkClass) -> dict:
-        return {"chain": list(self.pictures[p.chain].record), "rep": self.rep_record(p.rep)}
-
-    def rep_record(self, w) -> list:
-        """The rep field of class_record: the images, or the I2 element's
-        kind and exponent."""
-        if self.spec.family == "I2":
-            return ["reflection" if w.refl else "rotation", w.j]
-        return list(w.images)
+        return {"chain": list(self.pictures[p.chain].record), "rep": self.group.rep_record(p.rep)}
 
 
 def build_park(spec: GroupSpec, k: int) -> ParkSpace:

@@ -2,15 +2,17 @@
 
 Elements are exact value objects (see Value): signed permutations for the
 infinite families, symbolic rotation/reflection pairs for the dihedral
-groups.  Eigenvalue multiplicities are counted by integer divisibility
-rules, so every character count in the package is integer arithmetic.
+groups, each with its model: group() picks ReflectionGroup or
+DihedralGroup, and the layers above call the methods both answer.
+Eigenvalue multiplicities are counted by integer divisibility rules, so
+every character count in the package is integer arithmetic.
 """
 
 import itertools
 import math
 import operator
 from collections import Counter
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 FAMILIES = ("A", "B", "D", "I2")
 
@@ -567,18 +569,149 @@ def wreath_cycle_types(x: FlatPartition, z: tuple[int, ...]) -> Counter:
 
 
 # ---------------------------------------------------------------------------
-# the group object
+# coset records
+
+
+def least_rule(flat: FlatPartition) -> list[tuple[int, int, int]]:
+    """The inequalities (a, b, s), each w(a) < s w(b) on the images of w,
+    that w meets exactly when it is the least element of its coset w W_X,
+    for a flat X of type A, B or D; (a, a, -1) reads w(a) < 0.
+
+    W_X moves the members of each block of X among themselves, so the
+    coset fixes the values w takes on a block, and its least element
+    places them position by position, each as small as it can be:
+    - A: w(a) < w(b) for consecutive members a < b of a block.
+    - B, D: each +- pair of nonzero blocks is read from its member b that
+      holds its least |x| positively, members sorted by |x|.  Position |x|
+      holds s_x w(x), s_x the sign of x, so it takes the least value of w
+      on b left when s_x = +1 and the greatest when s_x = -1: that is
+      w(|x|) < s_x s_y w(|y|) for every x before y.  With mixed signs
+      these do not follow from the consecutive pairs, so all are listed.
+    - The zero block z_1 < ... < z_l (its positive members) is signed
+      freely in B, so w(z_1) < ... < w(z_l) < 0.  In D the signs change in
+      even numbers, so the sign of w(z_l) follows from the others:
+      w(z_1) < ... < w(z_(l-1)) < -|w(z_l)|."""
+    if flat.family == "A":
+        return [(a, b, 1) for blk in flat.blocks for a, b in zip(blk, blk[1:])]
+    zero = zero_block(flat.blocks) or ()
+    out = []
+    for blk in flat.blocks:
+        if blk != zero and min(abs(t) for t in blk) in blk:
+            members = sorted(blk, key=abs)
+            for i, x in enumerate(members):
+                out += [(abs(x), abs(y), 1 if (x > 0) == (y > 0) else -1) for y in members[i + 1 :]]
+    zpos = [t for t in zero if t > 0]
+    out += [(a, b, 1) for a, b in zip(zpos, zpos[1:])]
+    if flat.family == "B" and zpos:
+        out.append((zpos[-1], zpos[-1], -1))
+    elif len(zpos) > 1:
+        out.append((zpos[-2], zpos[-1], -1))
+    return out
+
+
+# 0/1 flags as binary digits
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+class Cosets:
+    """The cosets w W_X of the isotropy group of a flat X of type A, B or
+    D: the element indices of their least elements, ascending, and, each
+    from first use on, the position in minima of each coset by its key,
+    and the keys as columns.  bid holds signed ids of X's blocks by member
+    (-j for the mirror of block j, 0 for the zero block), and key(w) is
+    bid[w^-1(1)], ..., bid[w^-1(n)]: shared exactly when w^-1 w' maps
+    each block onto itself, as the elements of W_X do."""
+
+    def __init__(self, flat: FlatPartition, minima: list[int], elements: list):
+        self.minima = minima
+        self._elements = elements
+        self.bid, j = {}, 0
+        zero = zero_block(flat.blocks)
+        for b in flat.blocks:
+            if b == zero:
+                self.bid.update(dict.fromkeys(b, 0))
+            elif b[0] not in self.bid:
+                j += 1
+                for x in b:
+                    self.bid[x], self.bid[-x] = j, -j
+
+    def key(self, w) -> tuple[int, ...]:
+        images, bid = w.images, self.bid
+        key = [0] * len(images)
+        for x, t in enumerate(images, 1):
+            if t > 0:
+                key[t - 1] = bid[x]
+            else:
+                key[-t - 1] = -bid[x]
+        return tuple(key)
+
+    @cached_property
+    def positions(self) -> dict:
+        els = self._elements
+        return dict(zip((self.key(els[r]) for r in self.minima), itertools.count()))
+
+    @cached_property
+    def columns(self) -> list[tuple[int, ...]]:
+        """Entry j of every key, in position order."""
+        return list(zip(*self.positions))
+
+    def right_keys(self, y, target: "Cosets"):
+        """The key in target of r y for each minimum r, in order, where y^-1
+        carries X onto target's flat: the key of r with each block id
+        relabeled by y^-1."""
+        t, bid = y.inverse(), target.bid
+        relabel = {j: bid[t(x)] for x, j in self.bid.items()}.__getitem__
+        return zip(*(map(relabel, col) for col in self.columns))
+
+    def left_keys(self, v):
+        """The key of v r for each minimum r, in order: entry j of it is
+        entry |v^-1(j)| of r's, negated when v^-1(j) < 0."""
+        cols = self.columns
+        return zip(*(cols[t - 1] if t > 0 else map(operator.neg, cols[-t - 1]) for t in v.inverse().images))
+
+
+class DihedralCosets:
+    """The cosets w W_X of I2(m) for a flat X, by arithmetic: a coset's key
+    is its position.  For the plane it is w's index in elements() (c^j at
+    j, c^j s at m + j), for the origin 0; on line l each coset {w, w s_l}
+    holds one rotation, the lesser, and the key is its exponent: j for c^j
+    and j - l for c^j s."""
+
+    def __init__(self, flat: FlatPartition, elements: list):
+        self.flat = flat
+        self.positions = range({"plane": 2 * flat.n, "line": flat.n, "origin": 1}[flat.kind])
+        self.minima = list(self.positions)
+        self._reps = elements[: len(self.minima)]
+
+    def key(self, w) -> int:
+        x = self.flat
+        if x.kind == "line":
+            return (w.j - x.line) % x.n if w.refl else w.j
+        return w.refl * x.n + w.j if x.kind == "plane" else 0
+
+    def right_keys(self, y, target: "DihedralCosets"):
+        """The key in target of r y for each minimum r, in order."""
+        return (target.key(r * y) for r in self._reps)
+
+    def left_keys(self, v):
+        """The key of v r for each minimum r, in order."""
+        return (self.key(v * r) for r in self._reps)
+
+
+# ---------------------------------------------------------------------------
+# the group models
 
 
 class ReflectionGroup:
-    """Concrete group for a GroupSpec, with cached desk-scale enumerations."""
+    """The model of A, B and D for a GroupSpec, with cached desk-scale
+    enumerations: signed permutations, coordinate-equality flats, and
+    classes and cosets by rule.  DihedralGroup answers its methods for I2."""
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
         self._elements = None
         self._reflections = None
-        self._moves = None
-        self._conj = None
+        self._masks: dict[tuple[int, int, int], int] = {}
 
     # -- basics ------------------------------------------------------------
 
@@ -586,28 +719,22 @@ class ReflectionGroup:
     def family(self) -> str:
         return self.spec.family
 
-    def identity(self):
-        if self.family == "I2":
-            return DihedralElement(self.spec.param, False, 0)
+    def identity(self) -> SignedPerm:
         return identity_perm(self.spec.param)
 
-    def coxeter_element(self):
+    def coxeter_element(self) -> SignedPerm:
         """The distinguished Coxeter element of the family."""
         f, p = self.family, self.spec.param
         if f == "A":
             return perm_from_cycles(p, tuple(range(1, p + 1)))
         if f == "B":
             return balanced_cycle(p, tuple(range(1, p + 1)))
-        if f == "D":
-            return balanced_cycle(p, tuple(range(1, p))) * balanced_cycle(p, (p,))
-        return DihedralElement(p, False, 1)
+        return balanced_cycle(p, tuple(range(1, p))) * balanced_cycle(p, (p,))
 
     def elements(self) -> list:
         if self._elements is None:
             f, p = self.family, self.spec.param
-            if f == "I2":
-                els = list(self.isotropy_elements(FlatPartition("I2", p, kind="origin")))
-            elif f == "A":
+            if f == "A":
                 els = [SignedPerm(im) for im in itertools.permutations(range(1, p + 1))]
             else:
                 els = []
@@ -622,31 +749,23 @@ class ReflectionGroup:
     def reflections(self) -> list:
         if self._reflections is None:
             f, p = self.family, self.spec.param
-            if f == "I2":
-                refls = [DihedralElement(p, True, j) for j in range(p)]
-            else:
-                pairs = [(i, j) for i in range(1, p) for j in range(i + 1, p + 1)]
-                refls = [perm_from_cycles(p, (i, j)) for i, j in pairs]
-                if f != "A":
-                    refls += [perm_from_cycles(p, (i, -j)) for i, j in pairs]
-                if f == "B":
-                    refls += [balanced_cycle(p, (i,)) for i in range(1, p + 1)]
+            pairs = [(i, j) for i in range(1, p) for j in range(i + 1, p + 1)]
+            refls = [perm_from_cycles(p, (i, j)) for i, j in pairs]
+            if f != "A":
+                refls += [perm_from_cycles(p, (i, -j)) for i, j in pairs]
+            if f == "B":
+                refls += [balanced_cycle(p, (i,)) for i in range(1, p + 1)]
             self._reflections = sorted(refls)
         return self._reflections
 
     # -- flats and lengths ---------------------------------------------------
 
     def fixed_flat(self, w) -> FlatPartition:
-        """The flat V^w as a coordinate-equality partition (or I2 tag)."""
-        f, p = self.family, self.spec.param
-        if f == "I2":
-            if not w.refl:
-                kind = "plane" if w.j == 0 else "origin"
-                return FlatPartition("I2", p, kind=kind)
-            return FlatPartition("I2", p, kind="line", line=w.j)
-        # a vector fixed by w is constant on each orbit of w on +-[n]: the
-        # orbit of a positive cycle of |w| and its mirror, or the zero block,
-        # the union of the negative cycles and their mirrors
+        """The flat V^w as a coordinate-equality partition.  A vector fixed
+        by w is constant on each orbit of w on +-[n]: the orbit of a
+        positive cycle of |w| and its mirror, or the zero block, the union
+        of the negative cycles and their mirrors."""
+        f = self.family
         blocks, zero = [], []
         for orbit, sign in signed_cycles(w.images):
             if sign < 0:
@@ -655,44 +774,32 @@ class ReflectionGroup:
                 blocks += [orbit] if f == "A" else [orbit, [-x for x in orbit]]
         if zero:
             blocks.append(zero)
-        return FlatPartition(f, p, blocks=canonical_blocks(blocks))
+        return FlatPartition(f, self.spec.param, blocks=canonical_blocks(blocks))
 
     def isotropy_elements(self, x: FlatPartition):
-        """W_x of I2(m), one element at a time: W for the origin, the
-        identity and the line's reflection for a line, the identity for
-        the plane.  In A, B and D, coset_classes counts W_x by rule and
-        lists none of it."""
-        p = self.spec.param
-        if self.family != "I2":
-            raise ValueError(f"W_x is listed in I2 only, not in {self.spec}")
-        if x.kind == "origin":
-            yield from (DihedralElement(p, r, j) for r in (False, True) for j in range(p))
-        else:
-            yield self.identity()
-            if x.kind == "line":
-                yield DihedralElement(p, True, x.line)
+        """Refused, as coset_classes counts W_x by rule; kept for the tracer."""
+        raise ValueError(f"W_x is listed in I2 only, not in {self.spec}")
 
     def flat_reflections(self, x: FlatPartition) -> list:
         """The reflections whose hyperplane contains the flat x, ascending:
-        in A, B and D those that send a member of a block of x into the
-        same block; in I2 every reflection for the origin, the line's own
-        for a line, none for the plane."""
-        f, p = self.family, self.spec.param
-        if f == "I2":
-            if x.kind == "origin":
-                return self.reflections()
-            return [DihedralElement(p, True, x.line)] if x.kind == "line" else []
+        those that send a member of a block of x into the same block."""
         block = {t: i for i, b in enumerate(x.blocks) for t in b}
-        return [t for t, a, b in self._reflection_moves() if block[a] == block[b]]
+        return [t for t, a, b in self._reflection_moves if block[a] == block[b]]
 
+    @cached_property
     def _reflection_moves(self) -> list[tuple]:
         """(t, a, t(a)) for each reflection t, a its least moved index."""
-        if self._moves is None:
-            self._moves = []
-            for t in self.reflections():
-                a = next(i for i, v in enumerate(t.images, 1) if v != i)
-                self._moves.append((t, a, t(a)))
-        return self._moves
+        moves = []
+        for t in self.reflections():
+            a = next(i for i, v in enumerate(t.images, 1) if v != i)
+            moves.append((t, a, t(a)))
+        return moves
+
+    def flat_literal(self, x: FlatPartition) -> str:
+        """x as class_record writes it: setpart's partition literal."""
+        from .setpart import format_partition  # setpart imports this module
+
+        return format_partition(x)
 
     # -- spectra -------------------------------------------------------------
 
@@ -707,13 +814,7 @@ class ReflectionGroup:
         2L-th root, so it holds it when 2Ld/order is an odd integer: d is
         an odd multiple of s = order / gcd(order, 2L), and 2Ls/order is
         odd.  Type A drops the trivial line, where all coordinates are
-        equal.  An I2(m) reflection has eigenvalues 1 and -1, a rotation by
-        j has e^{+-2 pi i j/m}."""
-        if self.family == "I2":
-            m = self.spec.param
-            if w.refl:
-                return [(d == 0) + (2 * d == order) for d in range(order)]
-            return [(w.j * order == d * m) + ((-w.j) % m * order == d * m) for d in range(order)]
+        equal."""
         mult = [0] * order
         pos, neg, _ = signed_cycle_type(w.images)
         for L in pos:
@@ -736,6 +837,7 @@ class ReflectionGroup:
 
     # -- conjugacy ------------------------------------------------------------
 
+    @cached_property
     def _classes(self) -> tuple[list, dict, list[int]]:
         """(reps, ids, sizes) for the conjugacy classes, by rule.
 
@@ -750,39 +852,27 @@ class ReflectionGroup:
         rep.  |Cl| = |W| / |C(w)|, where each cycle of length L adds a
         factor L (A) or 2L (B, D) to |C(w)|, times m! for m cycles of the
         same length and sign; an unsplit D class is its whole B class, and
-        a D half is half of it.
-
-        In I2(m) the classes are {c^j, c^-j} and the reflections, one
-        class, or two by the parity of j when m is even."""
-        if self._conj is None:
-            f, p = self.family, self.spec.param
-            if f == "I2":
-                r = 2 - p % 2  # reflection classes
-                reps = [DihedralElement(p, False, j) for j in range(p // 2 + 1)]
-                reps += [DihedralElement(p, True, j) for j in range(r)]
-                sizes = [1 if 2 * j % p == 0 else 2 for j in range(p // 2 + 1)] + [p // r] * r
-                self._conj = reps, {}, sizes
-                return self._conj
-            found = []
-            for a in range(p + 1) if f != "A" else [p]:
-                for pos in partitions(a):
-                    for neg in partitions(p - a):
-                        if f == "D" and len(neg) % 2:
-                            continue
-                        split = f == "D" and not neg and all(L % 2 == 0 for L in pos)
-                        for half in (0, 1) if split else (None,):
-                            found.append((self._least_in_class(pos, neg, half), pos, neg, half))
-            found.sort()
-            ids, sizes = {}, []
-            for c, (rep, pos, neg, half) in enumerate(found):
-                for parity in (0, 1) if half is None else (half,):
-                    ids[pos, neg, parity] = c
-                # |C(w)| in S_n or B_n; an unsplit D class is its whole B class
-                scale = 1 if f == "A" else 2
-                centralizer = _centralizer(pos, scale) * _centralizer(neg, scale)
-                sizes.append(self.spec.order * (2 if f == "D" and half is None else 1) // centralizer)
-            self._conj = [rep for rep, *_ in found], ids, sizes
-        return self._conj
+        a D half is half of it."""
+        f, p = self.family, self.spec.param
+        found = []
+        for a in range(p + 1) if f != "A" else [p]:
+            for pos in partitions(a):
+                for neg in partitions(p - a):
+                    if f == "D" and len(neg) % 2:
+                        continue
+                    split = f == "D" and not neg and all(L % 2 == 0 for L in pos)
+                    for half in (0, 1) if split else (None,):
+                        found.append((self._least_in_class(pos, neg, half), pos, neg, half))
+        found.sort()
+        ids, sizes = {}, []
+        for c, (rep, pos, neg, half) in enumerate(found):
+            for parity in (0, 1) if half is None else (half,):
+                ids[pos, neg, parity] = c
+            # |C(w)| in S_n or B_n; an unsplit D class is its whole B class
+            scale = 1 if f == "A" else 2
+            centralizer = _centralizer(pos, scale) * _centralizer(neg, scale)
+            sizes.append(self.spec.order * (2 if f == "D" and half is None else 1) // centralizer)
+        return [rep for rep, *_ in found], ids, sizes
 
     def _least_in_class(self, pos, neg, half) -> SignedPerm:
         """The least signed permutation with these positive and negative
@@ -812,35 +902,158 @@ class ReflectionGroup:
 
     def conjugacy_class_reps(self) -> list:
         """The least element of each conjugacy class, ascending."""
-        return self._classes()[0]
+        return self._classes[0]
 
     def class_id(self, w) -> int:
-        """The position in conjugacy_class_reps() of w's class; w is an
-        image tuple in A, B and D, and an element in I2."""
-        if self.family == "I2":
-            m = self.spec.param
-            if not w.refl:
-                return min(w.j, m - w.j)
-            return m // 2 + 1 + (w.j % 2 if m % 2 == 0 else 0)
-        return self._classes()[1][signed_cycle_type(w)]
+        """The position in conjugacy_class_reps() of w's class."""
+        return self._classes[1][signed_cycle_type(w.images)]
 
     def class_sizes(self) -> list[int]:
         """|Cl(v)| for each v in conjugacy_class_reps()."""
-        return list(self._classes()[2])
+        return list(self._classes[2])
 
     def coset_classes(self, x: FlatPartition, y) -> Counter:
         """The class ids of the coset W_x y^-1, counted: they sum to |W_x|.
-        In I2, W_x (at most 2m elements) streams.  In A, B and D, y^-1
-        must permute the blocks of x, and wreath_cycle_types counts the
-        signed cycle types of the coset, which name the classes; no
+        y^-1 must permute the blocks of x, and wreath_cycle_types counts
+        the signed cycle types of the coset, which name the classes; no
         element of W_x is listed."""
-        y_inv = y.inverse()
-        if self.family == "I2":
-            return Counter(self.class_id(h * y_inv) for h in self.isotropy_elements(x))
-        ids, hist = self._classes()[1], Counter()
-        for key, count in wreath_cycle_types(x, y_inv.images).items():
+        ids, hist = self._classes[1], Counter()
+        for key, count in wreath_cycle_types(x, y.inverse().images).items():
             hist[ids[key]] += count
         return hist
+
+    # -- cosets and records ---------------------------------------------------
+
+    def cosets(self, x: FlatPartition) -> Cosets:
+        """The coset record of x: its minima are the set bits of the AND of
+        the masks of least_rule(x), each made once per group."""
+        els = self.elements()
+        mask = (1 << len(els)) - 1
+        for a, b, s in least_rule(x):
+            mask &= self._inequality(a, b, s)
+        return Cosets(x, set_bits(mask), els)
+
+    def _inequality(self, a: int, b: int, s: int) -> int:
+        """The elements w with w(a) < s w(b), as a bitmask over the indices
+        of elements(): bit i is set when element i meets it."""
+        mask = self._masks.get((a, b, s))
+        if mask is None:
+            cols, negs = self._columns
+            right = (cols if s > 0 else negs)[b - 1]
+            digits = bytes(map(operator.lt, cols[a - 1], right)).translate(_DIGITS)
+            mask = self._masks[a, b, s] = int(digits[::-1], 2)
+        return mask
+
+    @cached_property
+    def _columns(self) -> tuple[list, list]:
+        """The images w(a) of all elements for each position a, and their
+        negatives."""
+        cols = list(zip(*(w.images for w in self.elements())))
+        return cols, [tuple(-t for t in col) for col in cols]
+
+    def rep_record(self, w) -> list:
+        """The rep field of class_record: the images."""
+        return list(w.images)
+
+    def locus_moves(self, w, order: int) -> list[tuple[int, int]]:
+        """Where w sends each coordinate of a locus point, its exponents mod
+        order: coordinate i - 1 goes to |w(i)| - 1, its nonzero exponent
+        shifted by order/2 when w(i) < 0."""
+        return [(t - 1, 0) if t > 0 else (-t - 1, order // 2) for t in w.images]
+
+
+class DihedralGroup:
+    """The model of I2(m) for a GroupSpec: rotations c^j and reflections
+    c^j s, symbolic flats (the plane, the line of c^j s, the origin), and
+    classes, spectra and cosets by arithmetic mod m."""
+
+    family = ReflectionGroup.family
+    eigenvalue_multiplicity = ReflectionGroup.eigenvalue_multiplicity
+
+    def __init__(self, spec: GroupSpec):
+        self.spec = spec
+        self.m = spec.param
+        self._elements = None
+
+    def identity(self) -> DihedralElement:
+        return DihedralElement(self.m, False, 0)
+
+    def coxeter_element(self) -> DihedralElement:
+        return DihedralElement(self.m, False, 1)
+
+    def elements(self) -> list:
+        if self._elements is None:
+            self._elements = list(self.isotropy_elements(FlatPartition("I2", self.m, kind="origin")))
+        return self._elements
+
+    def reflections(self) -> list:
+        return [DihedralElement(self.m, True, j) for j in range(self.m)]
+
+    def fixed_flat(self, w) -> FlatPartition:
+        if w.refl:
+            return FlatPartition("I2", self.m, kind="line", line=w.j)
+        return FlatPartition("I2", self.m, kind="origin" if w.j else "plane")
+
+    def isotropy_elements(self, x: FlatPartition):
+        """W_x, one element at a time: W for the origin, the identity and
+        the line's reflection for a line, the identity for the plane."""
+        if x.kind == "origin":
+            yield from (DihedralElement(self.m, r, j) for r in (False, True) for j in range(self.m))
+        else:
+            yield self.identity()
+            if x.kind == "line":
+                yield DihedralElement(self.m, True, x.line)
+
+    def flat_reflections(self, x: FlatPartition) -> list:
+        """The reflections whose line contains the flat x."""
+        if x.kind == "origin":
+            return self.reflections()
+        return [DihedralElement(self.m, True, x.line)] if x.kind == "line" else []
+
+    def flat_literal(self, x: FlatPartition) -> str:
+        """x as class_record writes it: its kind, with a line's index."""
+        return x.kind if x.kind != "line" else f"line:{x.line}"
+
+    def spectrum(self, w, order: int) -> list[int]:
+        """As in ReflectionGroup: a reflection has eigenvalues 1 and -1, the
+        rotation c^j has e^{+-2 pi i j/m}."""
+        if w.refl:
+            return [(d == 0) + (2 * d == order) for d in range(order)]
+        m = self.m
+        return [(w.j * order == d * m) + ((-w.j) % m * order == d * m) for d in range(order)]
+
+    def conjugacy_class_reps(self) -> list:
+        """The least element of each class, ascending: {c^j, c^-j}, and the
+        reflections, or when m is even two halves by the parity of j."""
+        m = self.m
+        return [DihedralElement(m, r, j) for r, n in ((False, m // 2 + 1), (True, 2 - m % 2)) for j in range(n)]
+
+    def class_id(self, w) -> int:
+        m = self.m
+        if not w.refl:
+            return min(w.j, m - w.j)
+        return m // 2 + 1 + (w.j % 2 if m % 2 == 0 else 0)
+
+    def class_sizes(self) -> list[int]:
+        m, r = self.m, 2 - self.m % 2
+        return [1 if 2 * j % m == 0 else 2 for j in range(m // 2 + 1)] + [m // r] * r
+
+    def coset_classes(self, x: FlatPartition, y) -> Counter:
+        """As in ReflectionGroup, with W_x (at most 2m elements) streamed."""
+        y_inv = y.inverse()
+        return Counter(self.class_id(h * y_inv) for h in self.isotropy_elements(x))
+
+    def cosets(self, x: FlatPartition) -> DihedralCosets:
+        return DihedralCosets(x, self.elements())
+
+    def rep_record(self, w) -> list:
+        return ["reflection" if w.refl else "rotation", w.j]
+
+    def locus_moves(self, w, order: int) -> list[tuple[int, int]]:
+        """A reflection swaps the two coordinates, and c^j shifts them by
+        +-j order/m: c scales them by the (order/m)-th power of the root."""
+        a = order // self.m * w.j
+        return [(1, -a), (0, a)] if w.refl else [(0, a), (1, -a)]
 
 
 # binary digits as 0/1 flags
@@ -880,5 +1093,7 @@ def table_cycles(table) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def group(family: str, param: int) -> ReflectionGroup:
-    return ReflectionGroup(GroupSpec(family, param))
+def group(family: str, param: int) -> ReflectionGroup | DihedralGroup:
+    """The model of the group: DihedralGroup for I2, else ReflectionGroup."""
+    spec = GroupSpec(family, param)
+    return DihedralGroup(spec) if family == "I2" else ReflectionGroup(spec)

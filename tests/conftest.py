@@ -17,7 +17,6 @@ from ncpark.locus import (
     LocusPoint,
     build_locus,
     close_parens,
-    diagonal_twist,
     exponent_to_opener,
     locus_act_w,
     opener_to_exponent,
@@ -282,12 +281,12 @@ def block_moves(grp, b, zero):
 
 
 def coset_classes_by_stream(grp, x, y):
-    """ReflectionGroup.coset_classes by streaming W_x: the class id of each
+    """The model's coset_classes by streaming W_x: the class id of each
     h y^-1, counted."""
     y_inv = y.inverse()
     if grp.family == "I2":
         return Counter(grp.class_id(h * y_inv) for h in isotropy_elements(grp, x))
-    return Counter(grp.class_id(compose(h, y_inv.images)) for h in isotropy_elements(grp, x))
+    return Counter(grp.class_id(SignedPerm(compose(h, y_inv.images))) for h in isotropy_elements(grp, x))
 
 
 def classes_by_orbit_walk(grp):
@@ -682,6 +681,23 @@ def locus_act_g(p, d=1):
     """g^d on a locus point: every nonzero exponent goes up by d."""
     kh = p.order
     return LocusPoint(kh, tuple(v if v is ZERO else (v + d) % kh for v in p.coords))
+
+
+def locus_act_w_by_coords(spec, w, p):
+    """locus_act_w written out per family, without the model's moves: w
+    carries coordinate i to |w(i)|, adding kh/2 to a nonzero exponent when
+    w(i) < 0, in B and D; in I2(m) a reflection swaps the two
+    coordinates, and c^j adds +-j kh/m to their nonzero exponents."""
+    kh = p.order
+    if spec.family == "I2":
+        v1, v2 = p.coords[::-1] if w.refl else p.coords
+        twist = kh // spec.param * w.j
+        return LocusPoint(kh, (v1 if v1 is ZERO else (v1 + twist) % kh, v2 if v2 is ZERO else (v2 - twist) % kh))
+    out = [ZERO] * len(p.coords)
+    for i, v in enumerate(p.coords, start=1):
+        j = w(i)
+        out[abs(j) - 1] = v if j > 0 or v is ZERO else (v + kh // 2) % kh
+    return LocusPoint(kh, tuple(out))
 
 
 def locus_fixed_count(spec, k, v, d):
@@ -1518,7 +1534,8 @@ def point_dimension(spec, p):
             return 0
         if v1 is ZERO or v2 is ZERO:
             return 2
-        return 1 if (v1 - v2) % diagonal_twist(spec, p.order) == 0 else 2
+        # c scales the diagonal coordinates by the (order/m)-th power
+        return 1 if (v1 - v2) % (p.order // spec.coxeter_number) == 0 else 2
     kh = p.order
     half = kh // 2
     nonzero = [v for v in p.coords if v is not ZERO]

@@ -28,7 +28,7 @@ from ncpark.cli import (
     TABLE,
     main,
 )
-from ncpark.reflgroup import FAMILIES, GroupSpec, ReflectionGroup, SignedPerm
+from ncpark.reflgroup import FAMILIES, DihedralGroup, GroupSpec, ReflectionGroup, SignedPerm
 
 
 def run_cli(args, tmp_path, name="out.jsonl"):
@@ -300,7 +300,8 @@ def test_no_work_before_the_input_checks(command, kind, tmp_path, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("work started before the input checks")
 
-    monkeypatch.setattr(ReflectionGroup, "elements", never)
+    for model in (ReflectionGroup, DihedralGroup):
+        monkeypatch.setattr(model, "elements", never)
     monkeypatch.setattr(parkspace, "enumerate_classical", never)
     monkeypatch.setattr(nonnesting, "build_root_poset", never)
     out = tmp_path / "out.jsonl"
@@ -1206,7 +1207,8 @@ def test_character_commands_list_no_element_of_w(command, tmp_path, monkeypatch)
     def refuse(self):
         raise AssertionError(f"{command} listed W")
 
-    monkeypatch.setattr(ReflectionGroup, "elements", refuse)
+    for model in (ReflectionGroup, DihedralGroup):
+        monkeypatch.setattr(model, "elements", refuse)
     out = tmp_path / "out.jsonl"
     assert main(command.split() + ["--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == NO_W_LISTING[command]
@@ -1233,7 +1235,6 @@ def test_listing_walks_no_coset(command, tmp_path, monkeypatch):
     # image columns of the inequality masks, enumerate's rep records,
     # phi's image list, the dihedral tables of both sides), and no command
     # makes more than two
-    real = ReflectionGroup.elements
     walks = []
 
     class Walked(list):
@@ -1241,7 +1242,8 @@ def test_listing_walks_no_coset(command, tmp_path, monkeypatch):
             walks.append(len(self))
             return super().__iter__()
 
-    monkeypatch.setattr(ReflectionGroup, "elements", lambda self: Walked(real(self)))
+    for model in (ReflectionGroup, DihedralGroup):
+        monkeypatch.setattr(model, "elements", lambda self, real=model.elements: Walked(real(self)))
     out = tmp_path / "out.jsonl"
     assert main(command.split() + ["--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == WALKS_NO_COSET[command]

@@ -16,6 +16,7 @@ from conftest import (
     full_partition,
     label_of,
     locus_act_g,
+    locus_act_w_by_coords,
     locus_fixed_count,
     locus_stabilizer,
     parse_partition,
@@ -457,6 +458,18 @@ def test_locus_tables_match_point_actions(fam, p, k):
     assert locus_g_table(spec, kh) == array("q", table_oracle(pts, locus_act_g))
     for v in group(fam, p).conjugacy_class_reps():
         assert locus_w_table(spec, kh, v) == array("q", table_oracle(pts, lambda q: locus_act_w(spec, v, q)))
+
+
+@pytest.mark.parametrize("fam,p", [fp for fp in MAIN_GRID if fp[0] != "A"])
+@pytest.mark.parametrize("k", KS)
+def test_locus_act_w_matches_the_coordinate_rule(fam, p, k):
+    # locus_act_w and the tables read the model's moves; the rule written
+    # out per coordinate checks them, on generators of W and on c
+    spec = GroupSpec(fam, p)
+    grp = group(fam, p)
+    pts = build_locus(spec, k)
+    for v in grp.reflections() + [grp.coxeter_element()]:
+        assert [locus_act_w(spec, v, q) for q in pts] == [locus_act_w_by_coords(spec, v, q) for q in pts]
 
 
 @pytest.mark.parametrize("fam,p", [fp for fp in MAIN_GRID if fp[0] != "A"])

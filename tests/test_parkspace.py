@@ -468,7 +468,7 @@ def test_coset_walk_matches_products(fam, p, k):
     # rule lists their minima, the key rule puts every element in its
     # coset's position, and the keys over W number |W| / |W_X|.  In A, B
     # and D an element's key is read off its inverse, bid[w^-1(1)], ...,
-    # bid[w^-1(n)]: block_key's value, since bid[-x] = -bid[x]
+    # bid[w^-1(n)]: Cosets.key's value, since bid[-x] = -bid[x]
     ps = build_park(GroupSpec(fam, p), k)
     els = ps.group.elements()
     for u in sorted({ch[0] for ch in ps.chains}):
@@ -524,13 +524,14 @@ def test_one_record_per_chain_and_coset_classes(fam, p, k, monkeypatch):
     # every histogram burnside_counts reads counts the |W_X| elements of
     # its coset W_X y^-1
     seen = []
-    real = ReflectionGroup.coset_classes
+    model = type(ps.group)
+    real = model.coset_classes
 
     def recorded(grp, x, y):
         seen.append((x, y, real(grp, x, y)))
         return seen[-1][2]
 
-    monkeypatch.setattr(ReflectionGroup, "coset_classes", recorded)
+    monkeypatch.setattr(model, "coset_classes", recorded)
     ps.burnside_counts()
     assert seen
     for x, y, hist in seen:
@@ -544,13 +545,14 @@ def test_coset_rule_matches_the_stream(fam, p, k, monkeypatch):
     # W_X1 y_d^-1 meets, for every (X1, y_d) that burnside_counts asks for
     ps = build_park(GroupSpec(fam, p), k)
     seen = {}
-    real = ReflectionGroup.coset_classes
+    model = type(ps.group)
+    real = model.coset_classes
 
     def recorded(grp, x, y):
         seen[x, y] = real(grp, x, y)
         return seen[x, y]
 
-    monkeypatch.setattr(ReflectionGroup, "coset_classes", recorded)
+    monkeypatch.setattr(model, "coset_classes", recorded)
     ps.burnside_counts()
     assert seen
     for (x, y), hist in seen.items():
